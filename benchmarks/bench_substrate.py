@@ -8,7 +8,7 @@ substrate, view-change turnaround, and raw simulator event throughput.
 from conftest import SEED
 
 from repro.metrics import format_table, shape_check
-from repro.sim import SECOND, SimEnv, Simulation
+from repro.sim import SECOND, SimRuntime, Simulation
 from repro.vsync import GroupAddressing, HwgListener, ProtocolStack
 
 
@@ -25,7 +25,7 @@ class Counter(HwgListener):
 
 
 def build_group(n, seed=SEED):
-    env = SimEnv.create(seed=seed, keep_trace=False)
+    env = SimRuntime.create(seed=seed, keep_trace=False)
     addressing = GroupAddressing()
     stacks = [ProtocolStack(env, f"p{i}", addressing) for i in range(n)]
     listeners = [Counter() for _ in range(n)]

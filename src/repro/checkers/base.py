@@ -1,7 +1,7 @@
 """Infrastructure for online safety-invariant monitors.
 
 Following the sanitizer / race-detector pattern, a :class:`CheckerSuite`
-subscribes to the simulation's :class:`~repro.sim.trace.Tracer` and fans
+subscribes to the simulation's :class:`~repro.runtime.trace.Tracer` and fans
 every record out to a set of :class:`Checker`\\ s, each encoding one of
 the paper's safety properties.  The moment a run violates an invariant,
 a structured :class:`InvariantViolation` is raised *inside* the event
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..sim.trace import TraceRecord, Tracer
+from ..runtime.trace import TraceRecord, Tracer
 
 
 class InvariantViolation(AssertionError):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from ..sim.trace import TraceRecord
+from ..runtime.trace import TraceRecord
 from .base import Checker
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..sim.trace import TraceRecord
+from ..runtime.trace import TraceRecord
 from .base import Checker
 
 

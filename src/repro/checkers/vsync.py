@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-from ..sim.trace import TraceRecord
+from ..runtime.trace import TraceRecord
 from .base import Checker
 
 #: (group, view) — views are tracked by their string form ("p0#3").

@@ -10,7 +10,7 @@ pre-zoning scenario.
 
 from __future__ import annotations
 
-from ..sim.trace import TraceRecord
+from ..runtime.trace import TraceRecord
 from .base import Checker
 
 

@@ -375,7 +375,12 @@ class PlacementOptimizer:
         slots, assign = self._seed(view, weights)
         self._refine(view, weights, slots, assign)
         plan_cost = self._total_cost(slots)
-        current_cost = self._current_cost(view, weights)
+        current_slots = self._current_slots(view, weights)
+        current_cost = self._total_cost(current_slots)
+        if plan_cost > current_cost and self._may_stay(view, current_slots):
+            # The search ended above where it started: change nothing.
+            assign = {lwg: view.current[lwg] for lwg, _ in view.lwgs}
+            plan_cost = current_cost
         assignment = dict(sorted(assign.items()))
         fresh: Dict[str, List[LwgId]] = {}
         for lwg, key in assignment.items():
@@ -397,8 +402,10 @@ class PlacementOptimizer:
         max_load = max((s.total_load for s in slots.values()), default=0.0)
         return c.hwg_cost * chargeable + c.fanout_weight * fanout + c.skew_weight * max_load
 
-    def _current_cost(self, view: PlacementView, weights: Dict[LwgId, float]) -> float:
-        """Cost of the *current* assignment under the same projection."""
+    def _current_slots(
+        self, view: PlacementView, weights: Dict[LwgId, float]
+    ) -> Dict[str, _Slot]:
+        """The *current* assignment under the same projection."""
         slots = self._base_slots(view)
         for lwg, m in view.lwgs:
             cur = view.current.get(lwg)
@@ -409,7 +416,22 @@ class PlacementOptimizer:
                 slots[key].add(m, weights[lwg], changed=False)
             else:
                 slots[cur].add(m, weights[lwg], changed=False)
-        return self._total_cost(slots)
+        return slots
+
+    def _may_stay(self, view: PlacementView, current_slots: Dict[str, _Slot]) -> bool:
+        """Is "change nothing" an admissible plan?
+
+        Only when every LWG rides a known anchor and no occupied group
+        breaks the k_m retention floor: an infeasible status quo must be
+        left even at a higher cost.
+        """
+        if any(view.current.get(lwg) is None for lwg, _ in view.lwgs):
+            return False
+        return all(
+            (slot.min_size() or 0) * self.config.k_m > slot.union_size
+            for slot in current_slots.values()
+            if slot.lwg_count
+        )
 
     def _base_slots(self, view: PlacementView) -> Dict[str, _Slot]:
         return {

@@ -30,7 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..naming.persistence import CORRUPTION_MODES
 from ..sim.engine import MS
-from ..sim.rng import RngRegistry
+from ..runtime.rng import RngRegistry
 from .schedule import Schedule, Step
 
 PROFILES = ("partition", "churn", "mixed", "recovery")

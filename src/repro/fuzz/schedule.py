@@ -8,7 +8,7 @@ one after another with a simulated pause between them.
 
 Because the cluster, the link model and every protocol timer draw all
 randomness from the schedule's seed through the stream-split
-:class:`~repro.sim.rng.RngRegistry`, replaying a schedule reproduces the
+:class:`~repro.runtime.rng.RngRegistry`, replaying a schedule reproduces the
 original run *bit for bit*: same event interleaving, same trace stream,
 same outcome.  That is what makes shrinking and frozen regression
 corpora possible.

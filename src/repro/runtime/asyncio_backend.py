@@ -47,7 +47,7 @@ from typing import (
     Tuple,
 )
 
-from .codec import DatagramCodec, OversizeDatagramError, PickleCodec, make_codec
+from .codec import OversizeDatagramError, decode_datagram, encode_datagram
 from .interfaces import Addressing, DeliveryCallback, NodeId
 from .rng import RngRegistry
 from .trace import Tracer
@@ -130,11 +130,11 @@ class UdpFabric:
     configuration at all.  For multi-process operation every process is
     given the same full map and attaches only its local nodes.
 
-    Datagrams carry ``(src, payload, size)`` framed by the fabric's
-    ``codec`` — blanket pickle by default, or the compact tag-length-
-    value format of :mod:`repro.runtime.codec`.  Decoding dispatches on
-    the frame's magic byte, so processes running different codecs on one
-    fabric still interoperate.
+    Datagrams carry ``(src, payload, size)`` in the one wire format of
+    :mod:`repro.runtime.codec`, so payloads must be plain data or
+    registered message dataclasses: anything else raises
+    :class:`~repro.runtime.codec.CodecError` from :meth:`send` /
+    :meth:`multicast`, and an undecodable datagram is counted as dropped.
     """
 
     #: Conservative ceiling under the 64 KiB UDP datagram limit.
@@ -148,12 +148,10 @@ class UdpFabric:
         tracer: Tracer,
         node_addrs: Optional[Dict[NodeId, HostPort]] = None,
         host: str = "127.0.0.1",
-        codec: Optional[DatagramCodec] = None,
     ):
         self._loop = loop
         self.tracer = tracer
         self.host = host
-        self.codec: DatagramCodec = codec if codec is not None else PickleCodec()
         #: Known endpoints, local and remote.  Updated as nodes attach.
         self.addrs: Dict[NodeId, HostPort] = dict(node_addrs or {})
         self._sockets: Dict[NodeId, socket.socket] = {}
@@ -275,7 +273,7 @@ class UdpFabric:
     # Transmission
     # ------------------------------------------------------------------
     def _encode(self, src: NodeId, payload: Any, size: int) -> bytes:
-        data = self.codec.encode(src, payload, size)
+        data = encode_datagram(src, payload, size)
         if len(data) > self.MAX_DATAGRAM:
             raise OversizeDatagramError(src, len(data), self.MAX_DATAGRAM)
         return data
@@ -343,7 +341,7 @@ class UdpFabric:
             except OSError:
                 return  # socket closed under us during teardown
             try:
-                src, payload, size = self.codec.decode(data)
+                src, payload, size = decode_datagram(data)
             except Exception:
                 self.messages_dropped += 1
                 continue
@@ -453,22 +451,17 @@ class AsyncioRuntime:
         keep_trace: bool = True,
         epoch: Optional[float] = None,
         host: str = "127.0.0.1",
-        codec: str = "pickle",
     ) -> "AsyncioRuntime":
         """Build a fresh real-time runtime.
 
         Pass the same ``epoch`` (a ``time.monotonic()`` value) and
-        ``node_addrs`` map to every cooperating OS process.  ``codec``
-        picks the datagram wire format (``pickle`` or ``compact``);
-        receivers understand both, so processes need not agree.
+        ``node_addrs`` map to every cooperating OS process.
         """
         loop = asyncio.new_event_loop()
         clock = WallClock(epoch)
         rng = RngRegistry(seed)
         tracer = Tracer(clock=lambda: clock.now, keep_records=keep_trace)
-        fabric = UdpFabric(
-            loop, tracer, node_addrs=node_addrs, host=host, codec=make_codec(codec)
-        )
+        fabric = UdpFabric(loop, tracer, node_addrs=node_addrs, host=host)
         failures = LocalFailures(fabric)
         return cls(loop, clock, fabric, rng, tracer, failures)
 

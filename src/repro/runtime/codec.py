@@ -1,90 +1,114 @@
-"""Datagram codecs for the real-time backend's UDP fabric.
+"""The datagram wire format of the real-time backend's UDP fabric.
 
-The fabric originally pickled every datagram.  Pickle is convenient —
-protocol messages are module-level dataclasses, picklable by
-construction — but it is also the single biggest per-datagram CPU cost
-on the hot path, and its frames carry class paths and field names that
-the receiver already knows.  :class:`CompactCodec` replaces it with a
-versioned tag-length-value encoding for the high-rate message types
-(LWG ``DATA``, LWG batches, the ordered data path and its stability
-acks, the naming anti-entropy descent — ``SyncRequest`` /
-``SyncReply`` with their nested digest maps and mapping records — and
-the naming hot path proper: client RPC ``NsRequest``/``NsResponse``
-(including the §18 ``forwarded`` relay bit) and eager ``PushUpdate``
-propagation, plus the zoned topology's per-round gossip
-``LivenessDigest``) and keeps pickle as the fallback for the long tail of
-control messages, which are rare enough that convenience wins.
+One total, schema-driven tag-length-value encoding.  A payload is plain
+data from a closed vocabulary or a *registered* message dataclass whose
+layout is derived from ``dataclasses.fields()``: this module names no
+field of any message, so a new field or message class needs no edit
+here and cannot be dropped by a stale hand-written body.  Nothing that
+arrives on a socket is ever unpickled.
 
 Framing (network byte order throughout)::
 
-    magic 0xC7 | version 0x01 | src: u16 len + utf8 | size: u32 | value
+    magic 0xC7 | version 0x02 | src: u16 len + utf8 | size: u32 | value
 
-``value`` is one tag byte followed by a tag-specific body; composite
-values (tuples, message dataclasses, the payloads nested inside them)
-recurse.  The magic byte is disjoint from the first byte of every
-pickle protocol-2+ frame (``0x80``), so :func:`decode_datagram` can
-dispatch on it — a compact-codec process and a pickle-codec process on
-the same fabric still understand each other, which keeps mixed-version
-demos and rolling codec migrations safe.
+``value`` is one tag byte followed by a tag-specific body:
+
+* ``None``, ``True``, ``False`` — the tag alone;
+* ``int`` — an i64, or for wider values a u32 length plus the signed
+  big-endian two's-complement bytes; ``float`` — an IEEE-754 double;
+* ``str`` / ``bytes`` — u32 length plus the (UTF-8) bytes;
+* ``tuple`` / ``list`` / ``set`` / ``frozenset`` — one tag each, so
+  application payloads keep their type: u32 count, then the items;
+* ``dict`` — u32 count, then that many key/value pairs;
+* a registered dataclass — u8 class index (its position in
+  :data:`WIRE_CLASSES`), then every field as a value in ``fields()``
+  order; the decoder reads that many values and calls ``cls(*values)``.
+
+Exact types only: ``bool`` is not an ``int`` here, and subclasses
+(``IntEnum``, named tuples) are not wire types.  Anything else is an
+error *at the sender*: :func:`encode_datagram` raises
+:class:`CodecError` naming the type.  :func:`decode_datagram` treats
+its input as hostile and raises :class:`CodecError` and nothing else.
 """
 
 from __future__ import annotations
 
-import pickle
+import dataclasses
 import struct
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple, Type
 
-from ..core.messages import LwgBatch, LwgData
-from ..naming.messages import NsRequest, NsResponse, PushUpdate, SyncReply, SyncRequest
+from ..core import messages as core_messages
+from ..naming import messages as naming_messages
 from ..naming.records import MappingRecord
-from ..vsync.messages import LivenessDigest, Ordered, Publish, StabilityAck
-from ..vsync.view import ViewId
+from ..sim.transport import _Segment
+from ..vsync import messages as vsync_messages
+from ..vsync.view import View, ViewId
 from .interfaces import NodeId
 
 MAGIC = 0xC7
-VERSION = 1
+VERSION = 2
+#: Containers and messages may nest this deep; deeper payloads are
+#: rejected on both sides instead of exhausting the interpreter stack.
+MAX_DEPTH = 64
 
 # Value tags.
 _NONE = 0x00
 _TRUE = 0x01
 _FALSE = 0x02
 _INT = 0x03
-_STR = 0x04
-_BYTES = 0x05
-_TUPLE = 0x06
-_VIEW_ID = 0x07
-_DICT = 0x08
-_LWG_DATA = 0x10
-_LWG_BATCH = 0x11
-_PUBLISH = 0x12
-_ORDERED = 0x13
-_STABILITY_ACK = 0x14
-_MAPPING_RECORD = 0x15
-_SYNC_REQUEST = 0x16
-_SYNC_REPLY = 0x17
-_NS_REQUEST = 0x18
-_NS_RESPONSE = 0x19
-_PUSH_UPDATE = 0x1A
-_LIVENESS_DIGEST = 0x1B
-_PICKLE = 0x7F
-
-_I64_MIN = -(1 << 63)
-_I64_MAX = (1 << 63) - 1
+_BIGINT = 0x04
+_FLOAT = 0x05
+_STR = 0x06
+_BYTES = 0x07
+_TUPLE = 0x08
+_LIST = 0x09
+_SET = 0x0A
+_FROZENSET = 0x0B
+_DICT = 0x0C
+_OBJECT = 0x0D
 
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
 _I64 = struct.Struct("!q")
+_F64 = struct.Struct("!d")
+
+_Class = Type[Any]
+_CONSTANTS: Dict[int, Any] = {_NONE: None, _TRUE: True, _FALSE: False}
+_FIXED_WIDTH: Dict[int, struct.Struct] = {_INT: _I64, _FLOAT: _F64}
+_SEQUENCE_TAGS: Dict[_Class, int] = {
+    tuple: _TUPLE, list: _LIST, set: _SET, frozenset: _FROZENSET,
+}
+_SEQUENCE_TYPES: Dict[int, _Class] = {tag: kind for kind, tag in _SEQUENCE_TAGS.items()}
+
+#: Every wire dataclass: the message modules' own, the value types they
+#: embed and the transport envelope.  The on-wire class index is the
+#: position here, so all processes on a fabric run the same modules.
+WIRE_CLASSES: Tuple[_Class, ...] = (ViewId, View, MappingRecord, _Segment) + tuple(
+    obj
+    for module in (vsync_messages, core_messages, naming_messages)
+    for obj in vars(module).values()
+    if isinstance(obj, type)
+    and dataclasses.is_dataclass(obj)
+    and obj.__module__ == module.__name__
+)
+if len(WIRE_CLASSES) > 256:
+    raise RuntimeError("the u8 class index cannot address every wire class")
+
+_CLASS_INDEX: Dict[_Class, int] = {cls: index for index, cls in enumerate(WIRE_CLASSES)}
+_FIELD_NAMES: Tuple[Tuple[str, ...], ...] = tuple(
+    tuple(f.name for f in dataclasses.fields(cls)) for cls in WIRE_CLASSES
+)
 
 
 class CodecError(ValueError):
-    """A datagram could not be decoded (truncated, bad tag, bad magic)."""
+    """A payload is not encodable, or a datagram is not decodable."""
 
 
 class OversizeDatagramError(ValueError):
     """An encoded datagram exceeds the fabric's ceiling.
 
     Carries the measured size so callers can report or split; raised by
-    the fabric (which owns the ceiling), not by the codecs themselves.
+    the fabric (which owns the ceiling), not by the codec itself.
     """
 
     def __init__(self, src: NodeId, encoded_bytes: int, limit: int):
@@ -100,167 +124,54 @@ class OversizeDatagramError(ValueError):
 # ----------------------------------------------------------------------
 # Value encoding
 # ----------------------------------------------------------------------
-def _w_str(out: List[bytes], text: str) -> None:
-    raw = text.encode("utf-8")
-    out.append(_U32.pack(len(raw)))
-    out.append(raw)
-
-
-def _w_view_id(out: List[bytes], view_id: ViewId) -> None:
-    _w_str(out, view_id.coordinator)
-    out.append(_I64.pack(view_id.seq))
-
-
-def _w_lwg_data_body(out: List[bytes], message: LwgData) -> None:
-    _w_str(out, message.lwg)
-    _w_view_id(out, message.view_id)
-    _w_str(out, message.sender)
-    _w_value(out, message.payload)
-    out.append(_I64.pack(message.payload_size))
-
-
-def _w_mapping_record_body(out: List[bytes], record: MappingRecord) -> None:
-    _w_str(out, record.lwg)
-    _w_view_id(out, record.lwg_view)
-    out.append(_U32.pack(len(record.lwg_members)))
-    for member in record.lwg_members:
-        _w_str(out, member)
-    _w_str(out, record.hwg)
-    _w_view_id(out, record.hwg_view)
-    out.append(_I64.pack(record.version))
-    _w_str(out, record.writer)
-    out.append(bytes((_TRUE if record.deleted else _FALSE,)))
-
-
-def _w_value(out: List[bytes], value: Any) -> None:
+def _w_value(out: bytearray, value: Any, depth: int) -> None:
     kind = type(value)
-    if value is None:
-        out.append(bytes((_NONE,)))
+    if kind is str:
+        raw = value.encode("utf-8", "surrogatepass")
+        out.append(_STR)
+        out += _U32.pack(len(raw))
+        out += raw
+    elif kind is int and -(1 << 63) <= value < (1 << 63):
+        out.append(_INT)
+        out += _I64.pack(value)
+    elif kind is int:
+        raw = value.to_bytes(value.bit_length() // 8 + 1, "big", signed=True)
+        out.append(_BIGINT)
+        out += _U32.pack(len(raw))
+        out += raw
+    elif value is None:
+        out.append(_NONE)
     elif kind is bool:
-        out.append(bytes((_TRUE if value else _FALSE,)))
-    elif kind is int and _I64_MIN <= value <= _I64_MAX:
-        out.append(bytes((_INT,)))
-        out.append(_I64.pack(value))
-    elif kind is str:
-        out.append(bytes((_STR,)))
-        _w_str(out, value)
+        out.append(_TRUE if value else _FALSE)
     elif kind is bytes:
-        out.append(bytes((_BYTES,)))
-        out.append(_U32.pack(len(value)))
-        out.append(value)
-    elif kind is tuple:
-        out.append(bytes((_TUPLE,)))
-        out.append(_U32.pack(len(value)))
+        out.append(_BYTES)
+        out += _U32.pack(len(value))
+        out += value
+    elif kind is float:
+        out.append(_FLOAT)
+        out += _F64.pack(value)
+    elif depth >= MAX_DEPTH:
+        raise CodecError(f"payload nests deeper than {MAX_DEPTH} levels")
+    elif kind in _CLASS_INDEX:
+        index = _CLASS_INDEX[kind]
+        out.append(_OBJECT)
+        out.append(index)
+        for name in _FIELD_NAMES[index]:
+            _w_value(out, getattr(value, name), depth + 1)
+    elif kind in _SEQUENCE_TAGS:
+        out.append(_SEQUENCE_TAGS[kind])
+        out += _U32.pack(len(value))
         for item in value:
-            _w_value(out, item)
+            _w_value(out, item, depth + 1)
     elif kind is dict:
-        out.append(bytes((_DICT,)))
-        out.append(_U32.pack(len(value)))
+        out.append(_DICT)
+        out += _U32.pack(len(value))
         for key, item in value.items():
-            _w_value(out, key)
-            _w_value(out, item)
-    elif kind is ViewId:
-        out.append(bytes((_VIEW_ID,)))
-        _w_view_id(out, value)
-    elif kind is MappingRecord:
-        out.append(bytes((_MAPPING_RECORD,)))
-        _w_mapping_record_body(out, value)
-    elif kind is SyncRequest:
-        out.append(bytes((_SYNC_REQUEST,)))
-        _w_str(out, value.sender)
-        out.append(_I64.pack(value.sync_id))
-        _w_str(out, value.db_hash)
-        _w_value(out, value.expansions)
-        _w_value(out, value.genealogy_children)
-    elif kind is SyncReply:
-        out.append(bytes((_SYNC_REPLY,)))
-        _w_str(out, value.sender)
-        out.append(_I64.pack(value.sync_id))
-        out.append(_I64.pack(value.round_no))
-        out.append(bytes((_TRUE if value.in_sync else _FALSE,)))
-        _w_value(out, value.expansions)
-        _w_value(out, value.leaf_digests)
-        _w_value(out, value.records)
-        _w_value(out, value.genealogy)
-        _w_value(out, value.genealogy_children)
-    elif kind is NsRequest:
-        out.append(bytes((_NS_REQUEST,)))
-        out.append(_I64.pack(value.request_id))
-        _w_str(out, value.client)
-        _w_str(out, value.op)
-        _w_str(out, value.lwg)
-        _w_value(out, value.record)
-        _w_value(out, value.parents)
-        out.append(bytes((_TRUE if value.forwarded else _FALSE,)))
-    elif kind is NsResponse:
-        out.append(bytes((_NS_RESPONSE,)))
-        out.append(_I64.pack(value.request_id))
-        _w_str(out, value.server)
-        out.append(_U32.pack(len(value.records)))
-        for record in value.records:
-            _w_mapping_record_body(out, record)
-    elif kind is PushUpdate:
-        out.append(bytes((_PUSH_UPDATE,)))
-        _w_str(out, value.sender)
-        out.append(_U32.pack(len(value.records)))
-        for record in value.records:
-            _w_mapping_record_body(out, record)
-        _w_value(out, value.genealogy)
-    elif kind is LivenessDigest:
-        # The highest-rate zoned-topology message: one digest per gossip
-        # round per node, fanout-multicast.  Rows are fixed-shape
-        # (peer, incarnation, counter, suspect) quads.
-        out.append(bytes((_LIVENESS_DIGEST,)))
-        _w_str(out, value.group)
-        _w_str(out, value.sender)
-        out.append(_I64.pack(value.round_no))
-        out.append(_U32.pack(len(value.entries)))
-        for peer, incarnation, counter, suspect in value.entries:
-            _w_str(out, peer)
-            out.append(_I64.pack(incarnation))
-            out.append(_I64.pack(counter))
-            out.append(bytes((_TRUE if suspect else _FALSE,)))
-    elif kind is LwgData:
-        out.append(bytes((_LWG_DATA,)))
-        _w_lwg_data_body(out, value)
-    elif kind is LwgBatch:
-        out.append(bytes((_LWG_BATCH,)))
-        _w_str(out, value.lwg)
-        _w_str(out, value.sender)
-        out.append(_I64.pack(value.batch_seq))
-        out.append(_U32.pack(len(value.entries)))
-        for entry in value.entries:
-            _w_lwg_data_body(out, entry)
-    elif kind is Publish:
-        out.append(bytes((_PUBLISH,)))
-        _w_str(out, value.group)
-        _w_view_id(out, value.view_id)
-        _w_str(out, value.sender)
-        out.append(_I64.pack(value.sender_seq))
-        _w_value(out, value.payload)
-        out.append(_I64.pack(value.payload_size))
-        out.append(_I64.pack(value.acked_upto))
-    elif kind is Ordered:
-        out.append(bytes((_ORDERED,)))
-        _w_str(out, value.group)
-        _w_view_id(out, value.view_id)
-        out.append(_I64.pack(value.seq))
-        _w_str(out, value.sender)
-        out.append(_I64.pack(value.sender_seq))
-        _w_value(out, value.payload)
-        out.append(_I64.pack(value.payload_size))
-        out.append(_I64.pack(value.stable_floor))
-    elif kind is StabilityAck:
-        out.append(bytes((_STABILITY_ACK,)))
-        _w_str(out, value.group)
-        _w_view_id(out, value.view_id)
-        _w_str(out, value.member)
-        out.append(_I64.pack(value.delivered_upto))
+            _w_value(out, key, depth + 1)
+            _w_value(out, item, depth + 1)
     else:
-        raw = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        out.append(bytes((_PICKLE,)))
-        out.append(_U32.pack(len(raw)))
-        out.append(raw)
+        name = f"{kind.__module__}.{kind.__qualname__}"
+        raise CodecError(f"{name} is not plain data or a registered wire dataclass")
 
 
 # ----------------------------------------------------------------------
@@ -268,359 +179,102 @@ def _w_value(out: List[bytes], value: Any) -> None:
 # ----------------------------------------------------------------------
 def _need(data: bytes, offset: int, count: int) -> None:
     if offset + count > len(data):
-        raise CodecError(
-            f"truncated datagram: need {count} bytes at offset {offset}, "
-            f"have {len(data) - offset}"
-        )
+        raise CodecError(f"truncated datagram: need {count} bytes at offset {offset}")
 
 
-def _r_str(data: bytes, offset: int) -> Tuple[str, int]:
+def _r_count(data: bytes, offset: int, width: int) -> Tuple[int, int]:
+    """A u32 count of items at least ``width`` bytes each; one the bytes
+    that remain cannot hold is rejected before anything is allocated."""
     _need(data, offset, 4)
-    (length,) = _U32.unpack_from(data, offset)
-    offset += 4
-    _need(data, offset, length)
-    return data[offset : offset + length].decode("utf-8"), offset + length
+    (count,) = _U32.unpack_from(data, offset)
+    _need(data, offset + 4, count * width)
+    return count, offset + 4
 
 
-def _r_i64(data: bytes, offset: int) -> Tuple[int, int]:
-    _need(data, offset, 8)
-    (value,) = _I64.unpack_from(data, offset)
-    return value, offset + 8
-
-
-def _r_u32(data: bytes, offset: int) -> Tuple[int, int]:
-    _need(data, offset, 4)
-    (value,) = _U32.unpack_from(data, offset)
-    return value, offset + 4
-
-
-def _r_view_id(data: bytes, offset: int) -> Tuple[ViewId, int]:
-    coordinator, offset = _r_str(data, offset)
-    seq, offset = _r_i64(data, offset)
-    return ViewId(coordinator, seq), offset
-
-
-def _r_lwg_data_body(data: bytes, offset: int) -> Tuple[LwgData, int]:
-    lwg, offset = _r_str(data, offset)
-    view_id, offset = _r_view_id(data, offset)
-    sender, offset = _r_str(data, offset)
-    payload, offset = _r_value(data, offset)
-    payload_size, offset = _r_i64(data, offset)
-    return (
-        LwgData(
-            lwg=lwg, view_id=view_id, sender=sender,
-            payload=payload, payload_size=payload_size,
-        ),
-        offset,
-    )
-
-
-def _r_mapping_record_body(data: bytes, offset: int) -> Tuple[MappingRecord, int]:
-    lwg, offset = _r_str(data, offset)
-    lwg_view, offset = _r_view_id(data, offset)
-    count, offset = _r_u32(data, offset)
-    members: List[str] = []
+def _r_values(data: bytes, offset: int, count: int, depth: int) -> Tuple[List[Any], int]:
+    if depth >= MAX_DEPTH:
+        raise CodecError(f"datagram nests deeper than {MAX_DEPTH} levels")
+    values: List[Any] = []
     for _ in range(count):
-        member, offset = _r_str(data, offset)
-        members.append(member)
-    hwg, offset = _r_str(data, offset)
-    hwg_view, offset = _r_view_id(data, offset)
-    version, offset = _r_i64(data, offset)
-    writer, offset = _r_str(data, offset)
-    deleted, offset = _r_value(data, offset)
-    return (
-        MappingRecord(
-            lwg=lwg, lwg_view=lwg_view, lwg_members=tuple(members),
-            hwg=hwg, hwg_view=hwg_view, version=version, writer=writer,
-            deleted=deleted,
-        ),
-        offset,
-    )
+        value, offset = _r_value(data, offset, depth + 1)
+        values.append(value)
+    return values, offset
 
 
-def _r_value(data: bytes, offset: int) -> Tuple[Any, int]:
+def _build(factory: Callable[..., Any], *args: Any) -> Any:
+    """``factory(*args)``; an unhashable dict key or set member, or a
+    constructor's own check (``View.__post_init__``), is a bad frame."""
+    try:
+        return factory(*args)
+    except (TypeError, ValueError) as exc:
+        raise CodecError(f"undecodable value: {exc}") from None
+
+
+def _r_value(data: bytes, offset: int, depth: int) -> Tuple[Any, int]:
     _need(data, offset, 1)
     tag = data[offset]
     offset += 1
-    if tag == _NONE:
-        return None, offset
-    if tag == _TRUE:
-        return True, offset
-    if tag == _FALSE:
-        return False, offset
-    if tag == _INT:
-        return _r_i64(data, offset)
-    if tag == _STR:
-        return _r_str(data, offset)
-    if tag == _BYTES:
-        length, offset = _r_u32(data, offset)
-        _need(data, offset, length)
-        return data[offset : offset + length], offset + length
-    if tag == _TUPLE:
-        count, offset = _r_u32(data, offset)
-        items: List[Any] = []
-        for _ in range(count):
-            item, offset = _r_value(data, offset)
-            items.append(item)
-        return tuple(items), offset
+    if tag == _STR or tag == _BYTES or tag == _BIGINT:
+        length, offset = _r_count(data, offset, 1)
+        raw = data[offset : offset + length]
+        if tag == _STR:
+            return raw.decode("utf-8", "surrogatepass"), offset + length
+        if tag == _BIGINT:
+            return int.from_bytes(raw, "big", signed=True), offset + length
+        return raw, offset + length
+    if tag in _FIXED_WIDTH:
+        _need(data, offset, 8)
+        return _FIXED_WIDTH[tag].unpack_from(data, offset)[0], offset + 8
+    if tag in _CONSTANTS:
+        return _CONSTANTS[tag], offset
+    if tag == _OBJECT:
+        _need(data, offset, 1)
+        index = data[offset]
+        if index >= len(WIRE_CLASSES):
+            raise CodecError(f"unknown class index {index} at offset {offset}")
+        values, offset = _r_values(data, offset + 1, len(_FIELD_NAMES[index]), depth)
+        return _build(WIRE_CLASSES[index], *values), offset
+    if tag in _SEQUENCE_TYPES:
+        count, offset = _r_count(data, offset, 1)
+        values, offset = _r_values(data, offset, count, depth)
+        return _build(_SEQUENCE_TYPES[tag], values), offset
     if tag == _DICT:
-        count, offset = _r_u32(data, offset)
-        mapping: Dict[Any, Any] = {}
-        for _ in range(count):
-            key, offset = _r_value(data, offset)
-            item, offset = _r_value(data, offset)
-            mapping[key] = item
-        return mapping, offset
-    if tag == _VIEW_ID:
-        return _r_view_id(data, offset)
-    if tag == _MAPPING_RECORD:
-        return _r_mapping_record_body(data, offset)
-    if tag == _SYNC_REQUEST:
-        sender, offset = _r_str(data, offset)
-        sync_id, offset = _r_i64(data, offset)
-        db_hash, offset = _r_str(data, offset)
-        expansions, offset = _r_value(data, offset)
-        genealogy_children, offset = _r_value(data, offset)
-        return (
-            SyncRequest(
-                sender=sender, sync_id=sync_id, db_hash=db_hash,
-                expansions=expansions, genealogy_children=genealogy_children,
-            ),
-            offset,
-        )
-    if tag == _SYNC_REPLY:
-        sender, offset = _r_str(data, offset)
-        sync_id, offset = _r_i64(data, offset)
-        round_no, offset = _r_i64(data, offset)
-        in_sync, offset = _r_value(data, offset)
-        expansions, offset = _r_value(data, offset)
-        leaf_digests, offset = _r_value(data, offset)
-        records, offset = _r_value(data, offset)
-        genealogy, offset = _r_value(data, offset)
-        genealogy_children, offset = _r_value(data, offset)
-        return (
-            SyncReply(
-                sender=sender, sync_id=sync_id, round_no=round_no,
-                in_sync=in_sync, expansions=expansions,
-                leaf_digests=leaf_digests, records=records,
-                genealogy=genealogy, genealogy_children=genealogy_children,
-            ),
-            offset,
-        )
-    if tag == _NS_REQUEST:
-        request_id, offset = _r_i64(data, offset)
-        client, offset = _r_str(data, offset)
-        op, offset = _r_str(data, offset)
-        lwg, offset = _r_str(data, offset)
-        record, offset = _r_value(data, offset)
-        parents, offset = _r_value(data, offset)
-        forwarded, offset = _r_value(data, offset)
-        return (
-            NsRequest(
-                request_id=request_id, client=client, op=op, lwg=lwg,
-                record=record, parents=parents, forwarded=forwarded,
-            ),
-            offset,
-        )
-    if tag == _NS_RESPONSE:
-        request_id, offset = _r_i64(data, offset)
-        server, offset = _r_str(data, offset)
-        count, offset = _r_u32(data, offset)
-        ns_records: List[MappingRecord] = []
-        for _ in range(count):
-            record, offset = _r_mapping_record_body(data, offset)
-            ns_records.append(record)
-        return (
-            NsResponse(
-                request_id=request_id, server=server,
-                records=tuple(ns_records),
-            ),
-            offset,
-        )
-    if tag == _PUSH_UPDATE:
-        sender, offset = _r_str(data, offset)
-        count, offset = _r_u32(data, offset)
-        push_records: List[MappingRecord] = []
-        for _ in range(count):
-            record, offset = _r_mapping_record_body(data, offset)
-            push_records.append(record)
-        genealogy, offset = _r_value(data, offset)
-        return (
-            PushUpdate(
-                sender=sender, records=tuple(push_records),
-                genealogy=genealogy,
-            ),
-            offset,
-        )
-    if tag == _LIVENESS_DIGEST:
-        group, offset = _r_str(data, offset)
-        sender, offset = _r_str(data, offset)
-        round_no, offset = _r_i64(data, offset)
-        count, offset = _r_u32(data, offset)
-        rows: List[Tuple[str, int, int, bool]] = []
-        for _ in range(count):
-            peer, offset = _r_str(data, offset)
-            incarnation, offset = _r_i64(data, offset)
-            counter, offset = _r_i64(data, offset)
-            suspect, offset = _r_value(data, offset)
-            rows.append((peer, incarnation, counter, suspect))
-        return (
-            LivenessDigest(
-                group=group, sender=sender, round_no=round_no,
-                entries=tuple(rows),
-            ),
-            offset,
-        )
-    if tag == _LWG_DATA:
-        return _r_lwg_data_body(data, offset)
-    if tag == _LWG_BATCH:
-        lwg, offset = _r_str(data, offset)
-        sender, offset = _r_str(data, offset)
-        batch_seq, offset = _r_i64(data, offset)
-        count, offset = _r_u32(data, offset)
-        entries: List[LwgData] = []
-        for _ in range(count):
-            entry, offset = _r_lwg_data_body(data, offset)
-            entries.append(entry)
-        return (
-            LwgBatch(
-                lwg=lwg, sender=sender, batch_seq=batch_seq,
-                entries=tuple(entries),
-            ),
-            offset,
-        )
-    if tag == _PUBLISH:
-        group, offset = _r_str(data, offset)
-        view_id, offset = _r_view_id(data, offset)
-        sender, offset = _r_str(data, offset)
-        sender_seq, offset = _r_i64(data, offset)
-        payload, offset = _r_value(data, offset)
-        payload_size, offset = _r_i64(data, offset)
-        acked_upto, offset = _r_i64(data, offset)
-        return (
-            Publish(
-                group=group, view_id=view_id, sender=sender,
-                sender_seq=sender_seq, payload=payload,
-                payload_size=payload_size, acked_upto=acked_upto,
-            ),
-            offset,
-        )
-    if tag == _ORDERED:
-        group, offset = _r_str(data, offset)
-        view_id, offset = _r_view_id(data, offset)
-        seq, offset = _r_i64(data, offset)
-        sender, offset = _r_str(data, offset)
-        sender_seq, offset = _r_i64(data, offset)
-        payload, offset = _r_value(data, offset)
-        payload_size, offset = _r_i64(data, offset)
-        stable_floor, offset = _r_i64(data, offset)
-        return (
-            Ordered(
-                group=group, view_id=view_id, seq=seq, sender=sender,
-                sender_seq=sender_seq, payload=payload,
-                payload_size=payload_size, stable_floor=stable_floor,
-            ),
-            offset,
-        )
-    if tag == _STABILITY_ACK:
-        group, offset = _r_str(data, offset)
-        view_id, offset = _r_view_id(data, offset)
-        member, offset = _r_str(data, offset)
-        delivered_upto, offset = _r_i64(data, offset)
-        return (
-            StabilityAck(
-                group=group, view_id=view_id, member=member,
-                delivered_upto=delivered_upto,
-            ),
-            offset,
-        )
-    if tag == _PICKLE:
-        length, offset = _r_u32(data, offset)
-        _need(data, offset, length)
-        return pickle.loads(data[offset : offset + length]), offset + length
+        count, offset = _r_count(data, offset, 2)
+        values, offset = _r_values(data, offset, 2 * count, depth)
+        return _build(dict, zip(values[::2], values[1::2])), offset
     raise CodecError(f"unknown value tag 0x{tag:02x} at offset {offset - 1}")
 
 
 # ----------------------------------------------------------------------
 # Datagram framing
 # ----------------------------------------------------------------------
-def encode_compact(src: NodeId, payload: Any, size: int) -> bytes:
-    """Frame one datagram in the compact format."""
-    out: List[bytes] = [bytes((MAGIC, VERSION))]
+def encode_datagram(src: NodeId, payload: Any, size: int) -> bytes:
+    """Frame one datagram; :class:`CodecError` on a non-wire payload type."""
     raw_src = src.encode("utf-8")
-    out.append(_U16.pack(len(raw_src)))
-    out.append(raw_src)
-    out.append(_U32.pack(size))
-    _w_value(out, payload)
-    return b"".join(out)
+    out = bytearray((MAGIC, VERSION))
+    out += _U16.pack(len(raw_src))
+    out += raw_src
+    out += _U32.pack(size)
+    _w_value(out, payload, 0)
+    return bytes(out)
 
 
 def decode_datagram(data: bytes) -> Tuple[NodeId, Any, int]:
-    """Decode a datagram in either wire format (dispatch on magic byte)."""
-    if not data:
-        raise CodecError("empty datagram")
+    """Decode one datagram; :class:`CodecError` on anything malformed."""
+    _need(data, 0, 4)
     if data[0] != MAGIC:
-        try:
-            src, payload, size = pickle.loads(data)
-        except Exception as exc:
-            raise CodecError(f"undecodable datagram: {exc}") from exc
-        return src, payload, size
-    _need(data, 0, 2)
+        raise CodecError(f"bad magic byte 0x{data[0]:02x}")
     if data[1] != VERSION:
-        raise CodecError(f"unsupported compact-codec version {data[1]}")
-    offset = 2
-    _need(data, offset, 2)
-    (src_len,) = _U16.unpack_from(data, offset)
-    offset += 2
-    _need(data, offset, src_len)
-    src = data[offset : offset + src_len].decode("utf-8")
-    offset += src_len
-    size, offset = _r_u32(data, offset)
-    payload, offset = _r_value(data, offset)
+        raise CodecError(f"unsupported wire-format version {data[1]}")
+    (src_len,) = _U16.unpack_from(data, 2)
+    offset = 4 + src_len
+    _need(data, offset, 4)
+    try:
+        src = data[4:offset].decode("utf-8")
+        (size,) = _U32.unpack_from(data, offset)
+        payload, offset = _r_value(data, offset + 4, 0)
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"invalid UTF-8 in datagram: {exc}") from None
     if offset != len(data):
         raise CodecError(f"{len(data) - offset} trailing bytes after payload")
     return src, payload, size
-
-
-class PickleCodec:
-    """The original blanket-pickle wire format."""
-
-    name = "pickle"
-
-    def encode(self, src: NodeId, payload: Any, size: int) -> bytes:
-        return pickle.dumps((src, payload, size), protocol=pickle.HIGHEST_PROTOCOL)
-
-    def decode(self, data: bytes) -> Tuple[NodeId, Any, int]:
-        return decode_datagram(data)
-
-
-class CompactCodec:
-    """Tag-length-value encoding for hot messages, pickle for the rest."""
-
-    name = "compact"
-
-    def encode(self, src: NodeId, payload: Any, size: int) -> bytes:
-        return encode_compact(src, payload, size)
-
-    def decode(self, data: bytes) -> Tuple[NodeId, Any, int]:
-        return decode_datagram(data)
-
-
-#: Either codec satisfies the fabric's needs; both decode both formats.
-DatagramCodec = PickleCodec | CompactCodec
-
-_CODECS: Dict[str, Callable[[], DatagramCodec]] = {
-    "pickle": PickleCodec,
-    "compact": CompactCodec,
-}
-
-
-def make_codec(name: str) -> DatagramCodec:
-    """Codec instance by CLI name (``pickle`` or ``compact``)."""
-    try:
-        factory = _CODECS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown codec {name!r}; expected one of {sorted(_CODECS)}"
-        ) from None
-    return factory()

@@ -237,7 +237,6 @@ def _child_main(
     addrs: Dict[NodeId, Tuple[str, int]],
     out_path: str,
     seed: int,
-    codec: str = "pickle",
 ) -> int:
     """One OS process of the demo: child A hosts ns0+p0, child B hosts p1."""
     from ..core.baselines import make_dynamic_service
@@ -255,7 +254,7 @@ def _child_main(
     if delay > 0:
         time.sleep(delay)
 
-    env = AsyncioRuntime.create(seed=seed, node_addrs=addrs, epoch=epoch, codec=codec)
+    env = AsyncioRuntime.create(seed=seed, node_addrs=addrs, epoch=epoch)
     try:
         addressing = env.group_addressing()
         if role == "A":
@@ -307,9 +306,7 @@ def replay_through_checkers(records: Sequence[TraceRecord]) -> List[str]:
     return [str(violation) for violation in suite.violations]
 
 
-def run_asyncio_demo(
-    seed: int = 7, out_dir: Optional[str] = None, codec: str = "pickle"
-) -> int:
+def run_asyncio_demo(seed: int = 7, out_dir: Optional[str] = None) -> int:
     """The scripted scenario across two live OS processes over UDP."""
     from .asyncio_backend import free_udp_ports
 
@@ -331,7 +328,6 @@ def run_asyncio_demo(
                 "--addrs", addr_spec,
                 "--seed", str(seed),
                 "--out", str(traces[role]),
-                "--codec", codec,
             ],
         )
         for role in ("A", "B")
@@ -393,10 +389,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--backend", choices=("sim", "asyncio"), default="sim")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out-dir", default=None, help="directory for JSONL traces")
-    parser.add_argument(
-        "--codec", choices=("pickle", "compact"), default="pickle",
-        help="datagram wire format for the asyncio backend",
-    )
     # Internal: children of the asyncio demo re-enter through this module.
     parser.add_argument("--child", choices=("A", "B"), help=argparse.SUPPRESS)
     parser.add_argument("--epoch", type=float, help=argparse.SUPPRESS)
@@ -406,12 +398,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.child:
         return _child_main(
-            args.child, args.epoch, _parse_addrs(args.addrs), args.out,
-            args.seed, args.codec,
+            args.child, args.epoch, _parse_addrs(args.addrs), args.out, args.seed
         )
     if args.backend == "sim":
         return run_sim_demo(seed=args.seed)
-    return run_asyncio_demo(seed=args.seed, out_dir=args.out_dir, codec=args.codec)
+    return run_asyncio_demo(seed=args.seed, out_dir=args.out_dir)
 
 
 if __name__ == "__main__":

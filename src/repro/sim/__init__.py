@@ -12,13 +12,13 @@ to protocol code.  The real-time counterpart is
 :mod:`repro.runtime.asyncio_backend`.
 """
 
+from ..runtime.rng import RngRegistry
+from ..runtime.trace import NullTracer, TraceRecord, Tracer
 from .engine import MS, SECOND, EventHandle, Simulation, SimulationError
 from .failure import FailureEvent, FailureInjector
 from .network import LinkModel, Network, NodeId
 from .partition import PartitionEvent, PartitionSchedule
-from .process import Process, SimEnv, SimRuntime
-from .rng import RngRegistry
-from .trace import NullTracer, TraceRecord, Tracer
+from .process import Process, SimRuntime
 from .transport import ReliableTransport
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "PartitionEvent",
     "PartitionSchedule",
     "Process",
-    "SimEnv",
     "RngRegistry",
     "NullTracer",
     "TraceRecord",

@@ -2,7 +2,7 @@
 
 Time is measured in integer microseconds.  Events scheduled at the same
 instant fire in insertion order, which — together with the seeded RNG in
-:mod:`repro.sim.rng` — makes every run exactly reproducible from its seed.
+:mod:`repro.runtime.rng` — makes every run exactly reproducible from its seed.
 
 The engine is intentionally minimal: a priority queue of ``(time, seq,
 handle)`` entries plus cancellation handles.  Everything above it

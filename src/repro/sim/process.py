@@ -87,11 +87,6 @@ class SimRuntime:
         return GroupAddressing()
 
 
-#: Backward-compatible name: the environment bundle predates the
-#: backend-agnostic runtime layer.
-SimEnv = SimRuntime
-
-
 class Process:
     """Base class for a protocol process bound to one fabric node."""
 

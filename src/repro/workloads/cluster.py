@@ -58,7 +58,6 @@ class Cluster:
         process_prefix: str = "p",
         checkers: bool = True,
         env: Optional[Runtime] = None,
-        durable: bool = True,
         replication_factor: Optional[int] = None,
         zone_map: Optional[ZoneMap] = None,
     ):
@@ -85,14 +84,12 @@ class Cluster:
         self.shard_map: Optional[ShardMap] = None
         if replication_factor is not None:
             self.shard_map = ShardMap(self.name_server_ids, replication_factor)
-        # Per-node durable stores (crash-recovery state).  ``durable=False``
-        # restores the legacy volatile behaviour where a recovered node
-        # keeps its in-memory database and counters.
+        # Per-node durable stores (crash-recovery state).
         self.stores: Dict[NodeId, DurableStore] = {}
         self.name_servers: Dict[NodeId, NameServer] = {
             node: NameServer(
                 self.env, node, peers=self.name_server_ids,
-                store=self._make_store(node) if durable else None,
+                store=self._make_store(node),
                 shard_map=self.shard_map,
             )
             for node in self.name_server_ids
@@ -114,7 +111,7 @@ class Cluster:
         for node in self.process_ids:
             stack = ProtocolStack(
                 self.env, node, self.addressing, self.vsync_config,
-                node_store=self._make_store(node) if durable else None,
+                node_store=self._make_store(node),
                 zone_directory=self.zone_directory,
             )
             self.stacks[node] = stack

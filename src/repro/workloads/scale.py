@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Set
 
-from ..sim import MS, SECOND, SimEnv
+from ..sim import MS, SECOND, SimRuntime
 from ..sim.network import LinkModel
 from ..vsync.failure_detector import FailureDetector, GossipFailureDetector
 from ..vsync.messages import LivenessDigest, ProbePing, ProbeRequest
@@ -103,7 +103,7 @@ def fd_census(
     fabric schedules one delivery per destination), ``sends`` counts the
     multicast calls themselves.
     """
-    env = SimEnv.create(seed=seed, keep_trace=False)
+    env = SimRuntime.create(seed=seed, keep_trace=False)
     nodes = _node_ids(n)
     counters = {"datagrams": 0, "sends": 0}
 
@@ -142,7 +142,7 @@ class _Population:
         # A point-to-point link model: at hundreds of nodes the default
         # shared-medium serialization would swamp the measurement with
         # queueing artifacts that say nothing about the FD protocols.
-        self.env = SimEnv.create(
+        self.env = SimRuntime.create(
             seed=seed, keep_trace=False, shared_medium=False,
             link=LinkModel(),
         )

@@ -11,7 +11,7 @@ from repro.checkers import (
     MergeRoundChecker,
 )
 from repro.core.mapping_table import LwgState, MappingTable
-from repro.sim.trace import Tracer
+from repro.runtime.trace import Tracer
 from repro.vsync.view import View, ViewId
 
 

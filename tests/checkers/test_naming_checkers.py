@@ -11,7 +11,7 @@ from repro.checkers import (
 )
 from repro.naming.database import NamingDatabase
 from repro.naming.records import MappingRecord
-from repro.sim.trace import Tracer
+from repro.runtime.trace import Tracer
 from repro.vsync.view import ViewId
 
 

@@ -12,7 +12,7 @@ import pytest
 from repro.checkers import CheckerSuite, InvariantViolation
 from repro.checkers.recovery import RecoveryConvergenceChecker
 from repro.naming.persistence import inject_corruption
-from repro.sim.trace import TraceRecord
+from repro.runtime.trace import TraceRecord
 from repro.workloads import Cluster
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.checkers import Checker, CheckerSuite, InvariantViolation
-from repro.sim.trace import Tracer
+from repro.runtime.trace import Tracer
 
 
 class BoomChecker(Checker):

@@ -4,7 +4,7 @@ trace events (no simulated cluster)."""
 import pytest
 
 from repro.checkers import CheckerSuite, DeliveryChecker, InvariantViolation, ViewAgreementChecker
-from repro.sim.trace import Tracer
+from repro.runtime.trace import Tracer
 
 
 def rig(checker):

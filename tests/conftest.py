@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
-from repro.sim import SimEnv
+from repro.sim import SimRuntime
+
+# Tier-1 must be reproducible run to run, so the default profile draws
+# the same examples every time.  Random exploration is opt-in through
+# the Hypothesis plugin's own ``--hypothesis-profile explore``.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore")
+settings.load_profile("tier1")
 
 
 @pytest.fixture
-def env() -> SimEnv:
+def env() -> SimRuntime:
     """A fresh deterministic simulation environment."""
-    return SimEnv.create(seed=42)
+    return SimRuntime.create(seed=42)

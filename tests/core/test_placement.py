@@ -18,7 +18,7 @@ import subprocess
 import sys
 import textwrap
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import LwgConfig, PolicyEngine, PolicySnapshot, SwitchAction
@@ -233,6 +233,23 @@ def test_planning_is_deterministic(v):
 
 @settings(max_examples=100, deadline=None)
 @given(v=placement_views())
+@example(
+    # Found by ``--hypothesis-profile explore --hypothesis-seed=3``: the
+    # first plan splits the two identical 10-member LWGs, and re-planning
+    # from that state used to end above the cost it started from.
+    v=view(
+        lwgs=[
+            ("lwg:g0", fs(*PROCS)),
+            ("lwg:g1", fs(*PROCS)),
+            ("lwg:g2", fs("p0")),
+            ("lwg:g3", fs("p0", "p1", "p2", "p7", "p8")),
+            ("lwg:g4", fs("p0", "p1", "p2", "p7", "p8")),
+            ("lwg:g5", fs(*PROCS[:7])),
+        ],
+        current={f"lwg:g{i}": None for i in range(6)},
+        anchors=["hwg:00"],
+    )
+)
 def test_replanning_an_applied_plan_never_regresses(v):
     # Apply the plan as the new current assignment (fresh keys become
     # real anchors) and re-plan: the second plan must not cost more —

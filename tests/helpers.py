@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.sim import SECOND, SimEnv
+from repro.sim import SECOND, SimRuntime
 from repro.vsync import GroupAddressing, HwgListener, ProtocolStack
 
 
@@ -30,7 +30,7 @@ class RecordingListener(HwgListener):
         self.lefts += 1
 
 
-def make_group(env: SimEnv, n: int, group: str = "g", prefix: str = "p"):
+def make_group(env: SimRuntime, n: int, group: str = "g", prefix: str = "p"):
     """n stacks, all joined to one HWG; returns (stacks, endpoints, listeners)."""
     addressing = GroupAddressing()
     stacks = [ProtocolStack(env, f"{prefix}{i}", addressing) for i in range(n)]
@@ -50,7 +50,7 @@ def converged(endpoints, size: int) -> bool:
     return len(ids) == 1 and all(len(v.members) == size for v in views)
 
 
-def run_until(env: SimEnv, predicate, timeout_s: float = 10.0, step_us: int = 50_000) -> bool:
+def run_until(env: SimRuntime, predicate, timeout_s: float = 10.0, step_us: int = 50_000) -> bool:
     deadline = env.sim.now + int(timeout_s * SECOND)
     while env.sim.now < deadline:
         if predicate():

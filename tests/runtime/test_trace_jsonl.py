@@ -89,8 +89,8 @@ def test_blank_lines_are_skipped(tmp_path):
     assert len(Tracer.from_jsonl(path).records) == 1
 
 
-def test_round_trip_via_sim_shim_import(tmp_path):
-    # The relocated module stays importable from its old home.
-    from repro.sim.trace import Tracer as ShimTracer
+def test_round_trip_via_sim_shim_import():
+    # The sim package keeps re-exporting the relocated tracer.
+    from repro.sim import Tracer as SimTracer
 
-    assert ShimTracer is Tracer
+    assert SimTracer is Tracer

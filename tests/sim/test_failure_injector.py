@@ -3,7 +3,7 @@ crash racing a heal, and in-flight message drops."""
 
 import pytest
 
-from repro.sim import Process, SimEnv
+from repro.sim import Process, SimRuntime
 
 
 class Counter(Process):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import LinkModel, Network, RngRegistry, SimEnv, Simulation
+from repro.sim import LinkModel, Network, RngRegistry, SimRuntime, Simulation
 
 
 def make_net(seed=0, **link_kwargs):

@@ -1,6 +1,6 @@
 """Tests for scripted partition schedules."""
 
-from repro.sim import PartitionSchedule, SimEnv
+from repro.sim import PartitionSchedule, SimRuntime
 
 
 def test_split_applies_at_scheduled_time(env):

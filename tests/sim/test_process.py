@@ -1,6 +1,6 @@
 """Tests for the Process actor base class."""
 
-from repro.sim import Process, SimEnv
+from repro.sim import Process, SimRuntime
 
 
 class Echo(Process):

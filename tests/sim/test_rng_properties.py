@@ -1,7 +1,7 @@
 """Property-based tests for the stream-split RNG registry.
 
 The fuzzer's reproducibility rests entirely on three properties of
-:class:`~repro.sim.rng.RngRegistry`:
+:class:`~repro.runtime.rng.RngRegistry`:
 
 * a ``(seed, stream-name)`` pair identifies one draw sequence,
   regardless of how many other streams exist or in what order they were
@@ -15,8 +15,8 @@ The fuzzer's reproducibility rests entirely on three properties of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtime.rng import _derive_seed
 from repro.sim import RngRegistry
-from repro.sim.rng import _derive_seed
 
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
 names = st.text(

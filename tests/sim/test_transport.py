@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import LinkModel, Process, ReliableTransport, SimEnv
+from repro.sim import LinkModel, Process, ReliableTransport, SimRuntime
 from repro.sim.transport import _Segment
 
 
@@ -22,7 +22,7 @@ class Host(Process):
 
 
 def make_pair(seed=0, loss=0.0, **kwargs):
-    env = SimEnv.create(seed=seed, link=LinkModel(loss_probability=loss, jitter_us=0))
+    env = SimRuntime.create(seed=seed, link=LinkModel(loss_probability=loss, jitter_us=0))
     return env, Host(env, "a", **kwargs), Host(env, "b", **kwargs)
 
 
@@ -209,7 +209,7 @@ def test_receiver_resets_state_on_peer_incarnation_bump():
 
 
 def test_many_peers():
-    env = SimEnv.create(seed=1, link=LinkModel(jitter_us=0))
+    env = SimRuntime.create(seed=1, link=LinkModel(jitter_us=0))
     hub = Host(env, "hub")
     spokes = [Host(env, f"s{i}") for i in range(5)]
     for i, spoke in enumerate(spokes):

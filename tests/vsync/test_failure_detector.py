@@ -1,6 +1,6 @@
 """Tests for the shared heartbeat failure detector."""
 
-from repro.sim import SimEnv
+from repro.sim import SimRuntime
 from repro.vsync.failure_detector import FailureDetector
 from repro.vsync.messages import Heartbeat
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import SimEnv
+from repro.sim import SimRuntime
 from repro.vsync.flush import BranchFlushLeader, FlushParticipant
 from repro.vsync.messages import FlushDone, FlushFill, FlushState, Ordered, Stop
 from repro.vsync.total_order import OrderedChannel

@@ -10,12 +10,12 @@ import pytest
 
 from tests.helpers import RecordingListener, converged, run_until
 
-from repro.sim import LinkModel, SECOND, SimEnv
+from repro.sim import LinkModel, SECOND, SimRuntime
 from repro.vsync import GroupAddressing, ProtocolStack
 
 
 def lossy_group(n, loss, seed=7):
-    env = SimEnv.create(seed=seed, link=LinkModel(loss_probability=loss, jitter_us=100))
+    env = SimRuntime.create(seed=seed, link=LinkModel(loss_probability=loss, jitter_us=100))
     addressing = GroupAddressing()
     stacks = [ProtocolStack(env, f"p{i}", addressing) for i in range(n)]
     listeners = [RecordingListener(s.node) for s in stacks]

@@ -1,6 +1,6 @@
 """Unit tests for ViewChangeManager decision logic (fake endpoint)."""
 
-from repro.sim import SimEnv
+from repro.sim import SimRuntime
 from repro.vsync.flush import FlushParticipant
 from repro.vsync.membership import EndpointState, ViewChangeManager
 from repro.vsync.stack import VsyncConfig

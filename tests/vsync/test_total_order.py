@@ -7,7 +7,7 @@ membership machinery.
 
 import pytest
 
-from repro.sim import SimEnv
+from repro.sim import SimRuntime
 from repro.vsync.messages import Nack, Ordered, Publish
 from repro.vsync.total_order import OrderedChannel
 from repro.vsync.view import View, ViewId

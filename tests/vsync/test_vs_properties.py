@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from tests.helpers import RecordingListener, make_group, run_until
 
-from repro.sim import SECOND, SimEnv
+from repro.sim import SECOND, SimRuntime
 from repro.vsync import HwgListener
 
 
@@ -83,7 +83,7 @@ PARTITION_CHOICES = [
     ),
 )
 def test_virtual_synchrony_under_random_partitions(seed, schedule):
-    env = SimEnv.create(seed=seed)
+    env = SimRuntime.create(seed=seed)
     from repro.vsync import GroupAddressing, ProtocolStack
 
     addressing = GroupAddressing()
