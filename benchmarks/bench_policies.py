@@ -19,6 +19,7 @@ from conftest import SEED
 
 from repro.core import LwgConfig, PolicyEngine, PolicySnapshot
 from repro.metrics import format_table, shape_check
+from repro.runtime.rng import RngRegistry
 from repro.sim import SECOND
 from repro.workloads import Cluster
 from repro.workloads.placement import build_placement_scenario, measure_placement
@@ -119,6 +120,75 @@ def test_figure1_policy_evaluation_cost(benchmark):
     engine = PolicyEngine(LwgConfig())
     result = benchmark(engine.evaluate, snapshot)
     assert isinstance(result, list)
+
+
+POLICY_LWGS = 200
+POLICY_PROCS = 24
+POLICY_HWGS = 12
+
+
+def policy_scale_snapshot(seed):
+    """A high-group-count local state: 200 LWGs over 24 processes.
+
+    Deterministic from ``seed`` alone (a dedicated RNG stream — never
+    Python's hash order), shaped like the placement workload: nested
+    member windows per 12-process zone, LWG counts skewed toward the
+    narrow windows.
+    """
+    rng = RngRegistry(seed).stream("bench:policy_scale")
+    procs = [f"p{i}" for i in range(POLICY_PROCS)]
+    hwgs = {}
+    for i in range(POLICY_HWGS):
+        zone = (i % 2) * 12
+        width = 4 + (i * 5) % 9  # 4..12
+        hwgs[f"hwg:{i:02d}"] = frozenset(procs[zone : zone + width])
+    hwg_names = sorted(hwgs)
+    coordinated = {}
+    for g in range(POLICY_LWGS):
+        hwg = hwg_names[rng.randrange(POLICY_HWGS)]
+        pool = sorted(hwgs[hwg])
+        width = max(1, len(pool) - rng.randrange(3))
+        coordinated[f"lwg:g{g:03d}"] = (frozenset(pool[:width]), hwg)
+    return PolicySnapshot(
+        node="p0",
+        now_us=60 * SECOND,
+        coordinated_lwgs=coordinated,
+        hwg_members=hwgs,
+        local_lwgs_per_hwg={
+            h: sum(1 for _, (_, u) in coordinated.items() if u == h)
+            for h in hwg_names
+        },
+        hwg_idle_since={h: 0 for h in hwg_names},
+        hwg_pinned={h: () for h in hwg_names},
+    )
+
+
+def test_policy_evaluation_at_scale(benchmark):
+    """One evaluation of each placement policy over 200 LWGs / 12 HWGs.
+
+    Each evaluation builds a fresh snapshot (the cached-property derived
+    data is part of the cost being measured, exactly as in production
+    where every policy tick starts from a new snapshot).  Wall-clock is
+    the trend; the action counts are the deterministic half.
+    """
+    paper = PolicyEngine(LwgConfig())
+    optimizer = PolicyEngine(LwgConfig(placement_policy="optimizer"))
+
+    def run():
+        return (
+            len(paper.evaluate(policy_scale_snapshot(SEED))),
+            len(
+                optimizer.evaluate(
+                    policy_scale_snapshot(SEED), mint=lambda: "hwg:minted"
+                )
+            ),
+        )
+
+    paper_actions, optimizer_actions = benchmark(run)
+    print(f"\nactions per evaluation: paper {paper_actions}, optimizer {optimizer_actions}")
+    assert paper_actions == 170
+    # The optimizer's plan is larger; it is drained a bounded batch per tick.
+    assert optimizer_actions == LwgConfig().placement_max_switches == 4
 
 
 def run_placement_comparison():

@@ -6,9 +6,10 @@ flavours).  Absolute numbers come from the simulator's cost model, not
 the authors' 1996 testbed — the assertions check the *shape*: who wins,
 by roughly what factor, and how curves grow with n.
 
-Run with::
+Run with (``benchmarks/e2e`` is the ledger, a separate surface — see
+docs/PERFORMANCE.md §Measuring)::
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/ --ignore=benchmarks/e2e --benchmark-only -s
 """
 
 from __future__ import annotations

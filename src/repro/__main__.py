@@ -7,7 +7,6 @@ Usage::
     python -m repro fuzz --seed 7 --iters 50 --profile mixed
     python -m repro run --backend sim       # partition/heal demo, simulated
     python -m repro run --backend asyncio   # same demo over live UDP processes
-    python -m repro bench --fast --check-against benchmarks/baseline.json
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ def _usage() -> None:
     print("usage: python -m repro <example>")
     print("       python -m repro fuzz [--seed N --iters K --profile P ...]")
     print("       python -m repro run [--backend sim|asyncio ...]")
-    print("       python -m repro bench [--fast --check-against BASELINE ...]")
     print("\navailable examples:")
     for name, blurb in EXAMPLES.items():
         print(f"  {name:18s} {blurb}")
@@ -75,10 +73,6 @@ def main(argv) -> int:
         from .runtime.demo import main as demo_main
 
         return demo_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from .bench.cli import main as bench_main
-
-        return bench_main(argv[1:])
     if len(argv) != 1 or argv[0] not in EXAMPLES:
         _usage()
         return 0 if not argv else 1

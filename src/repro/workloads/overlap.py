@@ -25,7 +25,7 @@ from ..metrics.collectors import SummaryStats
 from ..sim.engine import MS, SECOND
 from ..vsync.stack import VsyncConfig
 from .cluster import Cluster
-from .scenarios import _scaled_lwg_config
+from .scenarios import _paper_lwg_config
 from .traffic import ProbeHub, ProbeListener, probe_payload
 
 SET_A = ["p0", "p1", "p2", "p3"]
@@ -78,7 +78,7 @@ def build_overlap(
     (PROTOCOLS.md §19); the default leaves every flavour exactly as
     the paper ran it.
     """
-    config = _scaled_lwg_config()
+    config = _paper_lwg_config()
     config.placement_policy = placement
     cluster = Cluster(
         num_processes=6,
@@ -129,30 +129,6 @@ def build_overlap(
     # rules act immediately; their window stays exactly as before.
     cluster.run_for_seconds(2.0 if placement == "paper" else 14.0)
     return setup
-
-
-def measure_overlap_throughput(
-    setup: OverlapSetup,
-    burst_per_group: int = 30,
-    timeout_seconds: float = 60.0,
-) -> float:
-    """Saturating drain rate, as in Figure 2b (deliveries/second)."""
-    cluster = setup.cluster
-    start = cluster.env.now
-    baseline = setup.hub.deliveries
-    expected = burst_per_group * 4 * len(setup.all_groups)
-    for group in setup.all_groups:
-        handle = setup.handles[(group, setup.sender_of(group))]
-        for seq in range(burst_per_group):
-            handle.send(probe_payload(cluster.env, seq))
-    cluster.run_until(
-        lambda: setup.hub.deliveries - baseline >= expected,
-        timeout_us=int(timeout_seconds * SECOND),
-        step_us=20 * MS,
-    )
-    delivered = setup.hub.deliveries - baseline
-    elapsed = cluster.env.now - start
-    return delivered * 1_000_000 / max(1, elapsed)
 
 
 def measure_overlap_recovery(setup: OverlapSetup, timeout_seconds: float = 60.0) -> int:

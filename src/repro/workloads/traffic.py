@@ -28,9 +28,6 @@ class ProbeHub:
     deliveries: int = 0
     views_seen: int = 0
 
-    def delivered_in_group(self, group: str) -> int:
-        return len(self.latency.samples(group))
-
 
 class ProbeListener(LwgListener):
     """Per-(node, group) listener wired into a :class:`ProbeHub`."""

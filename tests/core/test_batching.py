@@ -1,8 +1,12 @@
-"""Unit tests for the data-path batch packer (PROTOCOLS.md §15)."""
+"""The data-path batch packer (PROTOCOLS.md §15): unit tests, plus one
+end-to-end check that co-mapped traffic really coalesces on the fabric."""
 
 from repro.core.batching import BatchPacker
+from repro.core.config import LwgConfig
 from repro.core.messages import MIXED_BATCH, LwgBatch, LwgData
+from repro.sim import SECOND
 from repro.vsync.view import ViewId
+from repro.workloads import Cluster
 
 
 class FakeTimers:
@@ -162,3 +166,47 @@ def test_flush_all_covers_every_hwg():
     packer.enqueue("h1", data(payload="a"))
     packer.flush_all()
     assert [hwg for hwg, _ in sent] == ["h1", "h2"]
+
+
+def comapped_traffic(config):
+    """Six LWGs statically co-mapped on ONE HWG, every member chatty.
+
+    The shape the paper's amortization argument lives on: each
+    process's per-burst payloads (across all its LWGs) can share HWG
+    multicasts instead of paying ``groups x burst_size`` of them.
+    """
+    cluster = Cluster(
+        num_processes=4,
+        seed=2000,
+        flavour="static",
+        lwg_config=config,
+        keep_trace=False,
+    )
+    groups = [f"g{i}" for i in range(6)]
+    for node in cluster.process_ids:
+        for group in groups:
+            cluster.services[node].join(group)
+    cluster.run_for(8 * SECOND)
+    for burst in range(25):
+        for node in cluster.process_ids:
+            for group in groups:
+                for k in range(4):
+                    cluster.services[node].send(group, f"m:{burst}:{k}")
+        cluster.run_for(SECOND // 2)
+    cluster.run_for(2 * SECOND)
+    cluster.check_invariants()
+    deliveries = sum(
+        entry.delivered
+        for service in cluster.services.values()
+        for entry in service.table.locals.values()
+    )
+    return deliveries, cluster.env.network.messages_sent
+
+
+def test_comapped_traffic_coalesces_on_the_fabric():
+    delivered_on, fabric_on = comapped_traffic(LwgConfig())  # default: batching
+    delivered_off, fabric_off = comapped_traffic(LwgConfig(enable_batching=False))
+    # 4 senders x 6 groups x 25 bursts x 4 sends, delivered at 4 members.
+    assert delivered_on == delivered_off == 9_600
+    # Measured 2 081 vs 13 157 fabric messages (0.158x).
+    assert fabric_on <= 0.25 * fabric_off

@@ -91,6 +91,16 @@ def test_usage_on_unknown_example(capsys):
     assert "quickstart" in out
 
 
+def test_retired_bench_subcommand_is_an_unknown_name(capsys):
+    # The wall-clock harness is gone (docs/PERFORMANCE.md §Measuring):
+    # `bench` gets the usage like any other unknown name, and the usage
+    # does not advertise it.
+    assert main(["bench"]) == 1
+    out = capsys.readouterr().out
+    assert "usage:" in out
+    assert "bench" not in out
+
+
 def test_bare_invocation_lists_examples(capsys):
     assert main([]) == 0
     assert "available examples" in capsys.readouterr().out
