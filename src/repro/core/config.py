@@ -38,9 +38,6 @@ class LwgConfig:
     #: (with an absolute floor below) before any switch is emitted.
     placement_hysteresis: float = 0.05
     placement_min_gain: float = 1.0
-    #: Local-search bounds: refinement passes and swap-pair budget.
-    placement_max_passes: int = 3
-    placement_swap_budget: int = 256
     #: An LWG is only movable once its view has been stable this long.
     #: Moving a group mid-join churns the member set of two HWGs at
     #: once and races the joiners' own HWG joins; waiting out the churn

@@ -68,6 +68,11 @@ _FRESH_PREFIX = "fresh:"
 
 _EPSILON = 1e-9
 
+#: Local-search bounds: refinement passes per plan, and swap pairs
+#: evaluated per pass.
+_MAX_PASSES = 3
+_SWAP_BUDGET = 256
+
 
 @dataclass(frozen=True)
 class PlacementCost:
@@ -538,7 +543,7 @@ class PlacementOptimizer:
         slots: Dict[str, _Slot],
         assign: Dict[LwgId, str],
     ) -> None:
-        for _ in range(max(0, self.config.placement_max_passes)):
+        for _ in range(_MAX_PASSES):
             moved = self._move_pass(view, weights, slots, assign)
             swapped = self._swap_pass(view, weights, slots, assign)
             if not moved and not swapped:
@@ -638,13 +643,9 @@ class PlacementOptimizer:
         alone violates feasibility or raises cost).  One representative
         per (membership class, slot) suffices — identical sets in the
         same slot are interchangeable — and evaluation stops after
-        ``placement_swap_budget`` pairs, scanning representatives from
-        the most-loaded groups first so the budget goes where the skew
-        is.
+        ``_SWAP_BUDGET`` pairs, scanning representatives from the
+        most-loaded groups first so the budget goes where the skew is.
         """
-        budget = self.config.placement_swap_budget
-        if budget <= 0:
-            return False
         reps: Dict[Tuple[str, Members], LwgId] = {}
         for lwg, m in view.lwgs:
             key = (assign[lwg], m)
@@ -662,13 +663,13 @@ class PlacementOptimizer:
         any_swapped = False
         evaluated = 0
         for i in range(len(rep_list)):
-            if evaluated >= budget:
+            if evaluated >= _SWAP_BUDGET:
                 break
             lwg_a, key_a, m_a = rep_list[i]
             if assign[lwg_a] != key_a:
                 continue  # displaced by an earlier accepted swap
             for j in range(i + 1, len(rep_list)):
-                if evaluated >= budget:
+                if evaluated >= _SWAP_BUDGET:
                     break
                 lwg_b, key_b, m_b = rep_list[j]
                 if key_b == key_a or assign[lwg_b] != key_b or m_a == m_b:

@@ -126,7 +126,6 @@ class ScheduleRunner:
             replication_factor=schedule.replication_factor or None,
             lwg_config=_scaled_config(schedule.placement),
             vsync_config=VsyncConfig(
-                heal_hardening=(schedule.placement == "optimizer"),
                 topology=schedule.topology,
                 num_zones=schedule.zones or 4,
             ),

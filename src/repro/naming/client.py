@@ -36,16 +36,14 @@ from .sharding import ShardMap
 ReplyCallback = Callable[[Tuple[MappingRecord, ...]], None]
 MultipleMappingsHandler = Callable[[MultipleMappings], None]
 
-#: Per-attempt RPC timeout before rotating to the next server.
-RPC_TIMEOUT_US = 150_000
-
-#: Hardened-mode (VsyncConfig.heal_hardening) retry backoff cap.  The
-#: fixed-interval retry above is fine when a timeout means "server
+#: Per-attempt RPC timeout before rotating to the next server; doubled
+#: on every retry of the same call up to the cap.  A fixed retry
+#: interval would be fine if a timeout only ever meant "server
 #: unreachable", but during a mass heal it means "wire congested" — and
 #: re-sending every 150 ms then multiplies every in-flight request by
 #: the latency/timeout ratio, which is what *keeps* the wire congested
-#: (classic retry-induced congestion collapse).  Hardened clients double
-#: the per-attempt timeout instead, capped here.
+#: (classic retry-induced congestion collapse).
+RPC_TIMEOUT_US = 150_000
 RPC_BACKOFF_CAP_US = 4_800_000
 
 
@@ -185,11 +183,7 @@ class NamingClient:
             self.retries += 1
         self.requests_sent += 1
         self.stack.send(server, call.request, call.request.size_bytes())
-        delay = RPC_TIMEOUT_US
-        if getattr(getattr(self.stack, "config", None), "heal_hardening", False):
-            delay = min(
-                RPC_TIMEOUT_US << min(call.attempts - 1, 5), RPC_BACKOFF_CAP_US
-            )
+        delay = min(RPC_TIMEOUT_US << (call.attempts - 1), RPC_BACKOFF_CAP_US)
         call.timer = self.stack.set_timer(delay, lambda: self._attempt(call))
 
     def _handle_message(self, src: NodeId, msg: Any) -> bool:

@@ -15,7 +15,10 @@ discovered through presence beacons) and, whenever this endpoint is the
 The *acting coordinator* is the most senior view member not currently
 suspected; when the real coordinator is partitioned away, seniority
 hands leadership to the next survivor, which is how each partition side
-keeps making progress and how concurrent views arise.
+keeps making progress and how concurrent views arise.  Concurrent merge
+leaders are totally ordered by process id: the smaller absorbs, the
+larger yields its round and defers its own merges (PROTOCOLS.md §5
+lists the livelock each such rule prevents).
 
 Failure handling is uniformly timeout-and-restart: stalled flushes are
 retried once, then retried without the silent members; foreign branches
@@ -47,28 +50,11 @@ MERGE_BRANCH_TIMEOUT_US = 900_000
 #: How long a subordinate branch waits for the merge leader's InstallView.
 INSTALL_TIMEOUT_US = 1_500_000
 
-#: Hardened-mode (VsyncConfig.heal_hardening) overrides.  A mass heal
-#: congests the shared medium far past the single-round-trip budgets
-#: above: dropping branches at 900 ms when the wire is running
-#: second-plus one-way latencies only restarts the chase and adds its
-#: own retry traffic.  The leader waits several uncongested round
-#: trips; the subordinate waits past the *leader's* whole round budget
-#: (plus install latency) before concluding the leader is gone.
-HARDENED_MERGE_TIMEOUT_US = 3 * MERGE_BRANCH_TIMEOUT_US
-HARDENED_INSTALL_TIMEOUT_US = 2 * HARDENED_MERGE_TIMEOUT_US
-
-#: Hardened abandoned-branch confirmation window: a member keeps
-#: treating a coordinator beacon for an unknown view as inconclusive
-#: until sightings of it span this long (a congested InstallView can
-#: trail the beacons announcing it by seconds; seceding early shatters
-#: a view that was about to complete).
-ABANDONED_CONFIRM_US = 3_000_000
-
-#: How long a hardened leader-eligible coordinator keeps deferring its
-#: own merge rounds after sighting a beacon from a *smaller* live
-#: coordinator (who will absorb us; our competing round would only add
-#: traffic).  A few beacon periods: if the smaller leader dies, its
-#: beacons stop and the window lapses.
+#: How long a leader-eligible coordinator keeps deferring its own merge
+#: rounds after sighting a beacon from a *smaller* live coordinator
+#: (who will absorb us; our competing round would only add traffic).
+#: A few beacon periods: if the smaller leader dies, its beacons stop
+#: and the window lapses.
 MERGE_DEFER_WINDOW_US = 2_000_000
 
 
@@ -151,15 +137,9 @@ class ViewChangeManager:
         self._epoch_counter = 0
         self.refresh_requested = False
         self._abandoned_evidence: Optional[ViewId] = None
-        self._abandoned_seen_at = 0
-        #: Hardened mode: sim-time until which merge-only rounds are
-        #: deferred because a smaller live coordinator was sighted.
+        #: Sim-time until which merge-only rounds are deferred because a
+        #: smaller live coordinator was sighted.
         self._defer_until = 0
-
-    @property
-    def _hardened(self) -> bool:
-        """Mass-heal hardening enabled (see VsyncConfig.heal_hardening)."""
-        return self.ep.stack.config.heal_hardening
 
     # ------------------------------------------------------------------
     # Role queries
@@ -261,39 +241,22 @@ class ViewChangeManager:
         if msg.view_id in self.ep.known_ancestors:
             return  # a stale beacon from a view we already superseded
         included = self.ep.node in msg.members
-        if (not included or self._hardened) and src == self.acting_coordinator():
-            # Our own coordinator is beaconing a view that is neither
-            # ours nor one we superseded: it moved on without us.  Either
-            # the view excludes us (we were dropped from a flush while
-            # alive — a deferred StopOk, or a one-way reachability
-            # glitch), or — under heal hardening — it *includes* us but
-            # we never installed it (a leave/rejoin race: the
-            # intermediate view that cut us was ignored while we sat in
-            # MEMBER state, so the re-adding install arrived via a
-            # branch we don't descend from and was refused).  Either way
-            # we are deaf on a stale branch and no retransmission is
-            # coming.  Two consecutive sightings (beacons are periodic;
-            # a racing InstallView lands in between) confirm the strand
-            # — then we secede into a singleton view and let the merge
-            # machinery reunite us.  Hardened mode additionally demands
-            # that the sightings span a real confirmation window: during
-            # a congested mass heal an InstallView can trail the beacons
-            # announcing it by several seconds, and seceding on two
-            # quick sightings would shatter views the install was about
-            # to complete.
+        if not included and src == self.acting_coordinator():
+            # Our own coordinator is beaconing a view that excludes us
+            # and is neither ours nor one we superseded: it moved on
+            # without us (we were dropped from a flush while alive — a
+            # deferred StopOk, or a one-way reachability glitch).  We are
+            # deaf on a stale branch and no retransmission is coming.
+            # Two consecutive sightings (beacons are periodic; a racing
+            # InstallView lands in between) confirm the strand — then we
+            # secede into a singleton view and let the merge machinery
+            # reunite us.
             if self._abandoned_evidence == msg.view_id:
-                if (
-                    self._hardened
-                    and self.ep.env.now - self._abandoned_seen_at
-                    < ABANDONED_CONFIRM_US
-                ):
-                    return  # keep the evidence; the window is still open
                 self._abandoned_evidence = None
                 self.ep.trace("abandoned_secede", stale_view=str(view.view_id))
                 self.ep.secede()
             else:
                 self._abandoned_evidence = msg.view_id
-                self._abandoned_seen_at = self.ep.env.now
             return
         if not self.am_leader():
             return
@@ -302,7 +265,7 @@ class ViewChangeManager:
         if self.ep.node < src:
             self.pending_merges[src] = msg
             self.maybe_start()
-        elif self._hardened:
+        else:
             # A smaller live coordinator is beaconing.  It will absorb
             # us (everyone yields to the smaller leader), so starting
             # our own merge round toward third parties only adds a
@@ -342,8 +305,7 @@ class ViewChangeManager:
         if not (suspects or joins or leaves or merges or refresh):
             return
         if (
-            self._hardened
-            and merges
+            merges
             and not (suspects or joins or leaves or refresh)
             and self.ep.env.now < self._defer_until
         ):
@@ -353,9 +315,7 @@ class ViewChangeManager:
             return
         self.refresh_requested = False
         self._epoch_counter += 1
-        round_no = self.highest_round_seen + 1
-        self.highest_round_seen = round_no
-        rnd = _Round(round_no, self._epoch_counter)
+        rnd = _Round(self._next_round_no(), self._epoch_counter)
         rnd.joins = joins
         rnd.leaves = leaves
         rnd.suspects = suspects
@@ -364,7 +324,7 @@ class ViewChangeManager:
         self.pending_leaves -= leaves
         self.pending_merges.clear()
         self.round = rnd
-        self.ep.trace("round_start", round_no=round_no, joins=sorted(joins),
+        self.ep.trace("round_start", round_no=rnd.round_no, joins=sorted(joins),
                       leaves=sorted(leaves), suspects=sorted(suspects),
                       merges=sorted(merges))
         for coordinator, presence in merges.items():
@@ -382,28 +342,38 @@ class ViewChangeManager:
             )
         if rnd.foreign:
             rnd.merge_timer = self.ep.env.scheduler.schedule(
-                HARDENED_MERGE_TIMEOUT_US if self._hardened
-                else MERGE_BRANCH_TIMEOUT_US,
-                lambda: self._merge_timeout(rnd),
+                MERGE_BRANCH_TIMEOUT_US, lambda: self._merge_timeout(rnd)
             )
-        self._start_own_flush(rnd)
+        # _current_suspects() never names us, so we always take part.
+        participants = set(view.members) - suspects
+        self._flush_branch(rnd, participants, self._own_flush_done, self._own_flush_stalled)
 
-    def _start_own_flush(self, rnd: _Round) -> None:
+    def _next_round_no(self) -> int:
+        """A round number above every one seen, so that the flush it
+        labels supersedes any earlier attempt at its participants."""
+        self.highest_round_seen += 1
+        return self.highest_round_seen
+
+    def _flush_branch(self, owner, participants: Set[NodeId], on_done, on_stalled) -> None:
+        """(Re)start flushing our current view among ``participants``.
+
+        ``owner`` is the record the flush runs for — our own
+        :class:`_Round` or a :class:`_Subordinate` — and is handed back
+        to ``on_done(owner, survivors, dedup)`` / ``on_stalled(owner,
+        missing)``, which drop results of a record that is no longer
+        current.
+        """
         view = self.ep.current_view
         assert view is not None
-        participants = set(view.members) - rnd.suspects
-        if self.ep.node not in participants:
-            self._abandon_round(rnd)
-            return
-        rnd.flush = BranchFlushLeader(
+        owner.flush = BranchFlushLeader(
             host=self.ep,
             old_view=view,
-            round_no=rnd.round_no,
+            round_no=owner.round_no,
             participants=participants,
-            on_complete=lambda survivors, dedup: self._own_flush_done(rnd, survivors, dedup),
-            on_stall=lambda missing: self._own_flush_stalled(rnd, missing),
+            on_complete=lambda survivors, dedup: on_done(owner, survivors, dedup),
+            on_stall=lambda missing: on_stalled(owner, missing),
         )
-        rnd.flush.start()
+        owner.flush.start()
 
     def _own_flush_done(
         self, rnd: _Round, survivors: Tuple[NodeId, ...], dedup: Dict[NodeId, int]
@@ -433,19 +403,8 @@ class ViewChangeManager:
         if self.ep.node not in participants or not participants:
             self._abandon_round(rnd)
             return
-        rnd.round_no = self.highest_round_seen + 1
-        self.highest_round_seen = rnd.round_no
-        view = self.ep.current_view
-        assert view is not None
-        rnd.flush = BranchFlushLeader(
-            host=self.ep,
-            old_view=view,
-            round_no=rnd.round_no,
-            participants=participants,
-            on_complete=lambda survivors, dedup: self._own_flush_done(rnd, survivors, dedup),
-            on_stall=lambda miss: self._own_flush_stalled(rnd, miss),
-        )
-        rnd.flush.start()
+        rnd.round_no = self._next_round_no()
+        self._flush_branch(rnd, participants, self._own_flush_done, self._own_flush_stalled)
 
     def _merge_timeout(self, rnd: _Round) -> None:
         if self.round is not rnd:
@@ -460,10 +419,7 @@ class ViewChangeManager:
         rnd = self.round
         if rnd is None or msg.epoch > rnd.epoch:
             return
-        if msg.epoch != rnd.epoch and not self._hardened:
-            return
-        # Under hardening, a report paired with an *older* epoch of ours
-        # is still good:
+        # A report paired with an *older* epoch of ours is still good:
         # the branch froze at its cut when it flushed and stays frozen
         # until our install, so a reply that congestion pushed past the
         # merge timeout of the round that requested it answers the
@@ -510,8 +466,7 @@ class ViewChangeManager:
             b.status is _BranchStatus.FLUSHED for b in rnd.foreign.values()
         )
         if (
-            self._hardened
-            and rnd.foreign
+            rnd.foreign
             and not flushed_any
             and not rnd.joins
             and not rnd.leaves
@@ -659,22 +614,6 @@ class ViewChangeManager:
     def on_merge_request(self, src: NodeId, msg: MergeRequest) -> None:
         view = self.ep.current_view
         decline = MergeDecline(group=self.ep.group, decliner=self.ep.node, epoch=msg.epoch)
-        if not self._hardened:
-            # Conservative baseline: decline anything but an exact-target
-            # request to an idle leader.
-            if (
-                self.ep.state is not EndpointState.MEMBER
-                or view is None
-                or view.view_id != msg.target_view_id
-                or not self.am_leader()
-                or self.round is not None
-                or self.subordinate is not None
-                or not (msg.leader < self.ep.node)
-            ):
-                self.ep.reliable_send(src, decline)
-                return
-            self._accept_merge(msg)
-            return
         sub = self.subordinate
         if sub is not None:
             if sub.leader == msg.leader:
@@ -722,21 +661,11 @@ class ViewChangeManager:
         """Become the subordinate of ``msg.leader``: flush our branch."""
         view = self.ep.current_view
         assert view is not None
-        round_no = self.highest_round_seen + 1
-        self.highest_round_seen = round_no
-        sub = _Subordinate(leader=msg.leader, epoch=msg.epoch, round_no=round_no)
+        sub = _Subordinate(leader=msg.leader, epoch=msg.epoch, round_no=self._next_round_no())
         self.subordinate = sub
         participants = set(view.members) - self._current_suspects()
-        sub.flush = BranchFlushLeader(
-            host=self.ep,
-            old_view=view,
-            round_no=round_no,
-            participants=participants,
-            on_complete=lambda survivors, dedup: self._subordinate_flushed(sub, survivors, dedup),
-            on_stall=lambda missing: self._subordinate_stalled(sub, missing),
-        )
         self.ep.trace("merge_accept", leader=msg.leader, epoch=msg.epoch)
-        sub.flush.start()
+        self._flush_branch(sub, participants, self._subordinate_flushed, self._subordinate_stalled)
 
     def _subordinate_flushed(
         self, sub: _Subordinate, survivors: Tuple[NodeId, ...], dedup: Dict[NodeId, int]
@@ -767,7 +696,7 @@ class ViewChangeManager:
         if sub.install_timer is not None:
             sub.install_timer.cancel()
         sub.install_timer = self.ep.env.scheduler.schedule(
-            HARDENED_INSTALL_TIMEOUT_US if self._hardened else INSTALL_TIMEOUT_US,
+            INSTALL_TIMEOUT_US,
             lambda: self._subordinate_install_timeout(sub, sub.survivors, sub.dedup),
         )
 
@@ -781,19 +710,8 @@ class ViewChangeManager:
         if self.ep.node not in participants or not participants:
             self._clear_subordinate()
             return
-        sub.round_no = self.highest_round_seen + 1
-        self.highest_round_seen = sub.round_no
-        view = self.ep.current_view
-        assert view is not None
-        sub.flush = BranchFlushLeader(
-            host=self.ep,
-            old_view=view,
-            round_no=sub.round_no,
-            participants=participants,
-            on_complete=lambda survivors, dedup: self._subordinate_flushed(sub, survivors, dedup),
-            on_stall=lambda miss: self._subordinate_stalled(sub, miss),
-        )
-        sub.flush.start()
+        sub.round_no = self._next_round_no()
+        self._flush_branch(sub, participants, self._subordinate_flushed, self._subordinate_stalled)
 
     def _subordinate_install_timeout(
         self, sub: _Subordinate, survivors: Tuple[NodeId, ...], dedup: Dict[NodeId, int]
@@ -803,11 +721,7 @@ class ViewChangeManager:
             return
         view = self.ep.current_view
         assert view is not None
-        if (
-            self._hardened
-            and view.members == (self.ep.node,)
-            and tuple(survivors) == view.members
-        ):
+        if view.members == (self.ep.node,) and tuple(survivors) == view.members:
             # Singleton branch: there is nobody a recovery *install*
             # would tell anything new — minting a fresh view id here
             # only invalidates the (still retrying, merely congested)

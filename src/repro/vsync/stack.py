@@ -57,16 +57,6 @@ class VsyncConfig:
     #: long.  Kept below stability_period_us so an idle channel still
     #: converges within one tick.
     ack_idle_timeout_us: int = 400_000
-    #: Mass-heal hardening for the merge machinery.  Off by default: the
-    #: conservative rules are the validated baseline and every pinned
-    #: trace digest was recorded under them.  The placement optimizer's
-    #: switch churn can shatter HWGs into dozens of concurrently healing
-    #: singleton views, where the conservative rules livelock (busy
-    #: declines, beacon-lag target mismatches, view-id churn that
-    #: invalidates in-flight merges); optimizer configurations turn this
-    #: on to enable yield-to-smaller-leader, stale-target tolerance,
-    #: flush re-reports, late-reply acceptance and no-op-round elision.
-    heal_hardening: bool = False
     #: Membership topology: "flat" (the paper's all-to-all substrate,
     #: bit-identical to every pinned trace) or "zoned" (two-level zoned
     #: membership with gossip failure detection, PROTOCOLS.md §20).
@@ -78,7 +68,7 @@ class VsyncConfig:
     fd_probe_timeout_us: int = 150_000
 
     #: Non-timer knobs excluded from :meth:`scaled`.
-    _FLAGS = ("heal_hardening", "topology", "num_zones")
+    _FLAGS = ("topology", "num_zones")
 
     def scaled(self, factor: float) -> "VsyncConfig":
         """A copy with every timer multiplied by ``factor``."""
@@ -88,7 +78,6 @@ class VsyncConfig:
                 for name in vars(self)
                 if name not in self._FLAGS
             },
-            heal_hardening=self.heal_hardening,
             topology=self.topology,
             num_zones=self.num_zones,
         )

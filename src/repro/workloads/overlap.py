@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..metrics.collectors import SummaryStats
 from ..sim.engine import MS, SECOND
-from ..vsync.stack import VsyncConfig
 from .cluster import Cluster
 from .scenarios import _paper_lwg_config
 from .traffic import ProbeHub, ProbeListener, probe_payload
@@ -85,7 +84,6 @@ def build_overlap(
         seed=seed,
         flavour=flavour,
         lwg_config=config,
-        vsync_config=VsyncConfig(heal_hardening=(placement == "optimizer")),
         keep_trace=False,
     )
     hub = ProbeHub(env=cluster.env)

@@ -36,7 +36,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.config import LwgConfig
 from ..sim.engine import MS, SECOND
-from ..vsync.stack import VsyncConfig
 from .cluster import Cluster
 from .traffic import ProbeHub, ProbeListener, probe_payload
 
@@ -308,19 +307,6 @@ def _placement_lwg_config(placement: str) -> LwgConfig:
     return config
 
 
-def _placement_vsync_config(placement: str) -> VsyncConfig:
-    """Vsync substrate config for the scenario.
-
-    The optimizer's switch churn shatters HWGs into many concurrently
-    healing views; the merge machinery needs the mass-heal hardening to
-    reconverge from that (see :class:`VsyncConfig`).  The paper rules
-    never split an established HWG, so they run the validated baseline
-    substrate — the same pairing production would use, and the same one
-    every other benchmark and the frozen fuzz corpus measure.
-    """
-    return VsyncConfig(heal_hardening=(placement == "optimizer"))
-
-
 def build_placement_scenario(
     placement: str,
     num_lwgs: int = 120,
@@ -341,7 +327,6 @@ def build_placement_scenario(
         num_processes=zones * ZONE_SIZE,
         seed=seed,
         lwg_config=_placement_lwg_config(placement),
-        vsync_config=_placement_vsync_config(placement),
         keep_trace=False,
     )
     meter = FabricMeter(cluster)

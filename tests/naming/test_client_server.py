@@ -3,7 +3,8 @@
 from tests.helpers import run_until
 
 from repro.naming import MappingRecord, NameServer, NamingClient, databases_consistent
-from repro.sim import SECOND
+from repro.naming.messages import NsResponse
+from repro.sim import MS, SECOND
 from repro.vsync import GroupAddressing, ProtocolStack
 from repro.vsync.view import ViewId
 
@@ -102,6 +103,57 @@ def test_client_retries_on_unreachable_server(env):
     assert run_until(env, lambda: bool(replies), timeout_s=5)
     assert client.retries >= 0  # rotation may or may not have been needed
     assert len(servers["ns1"].db) == 1
+
+
+class SilentStack:
+    """The slice of ProtocolStack a NamingClient uses, on a wire that
+    swallows every request: ``sent`` logs (sim-time, server)."""
+
+    def __init__(self, env, node="p0"):
+        self.env = env
+        self.node = node
+        self.sent = []
+
+    def register_handler(self, handler):
+        self.handler = handler
+
+    def send(self, dst, msg, size):
+        self.sent.append((self.env.now, dst))
+
+    def set_timer(self, delay, callback):
+        return self.env.scheduler.schedule(delay, callback)
+
+
+def test_unanswered_request_backs_off_and_rotates(env):
+    """One retry rule: the per-attempt timeout doubles from 150 ms to a
+    4.8 s cap (a timeout under load means congestion, and a fixed-rate
+    retry feeds it), each attempt going to the next server."""
+    roster = ["ns0", "ns1", "ns2"]
+    stack = SilentStack(env)
+    client = NamingClient(stack, roster)
+    client.read("lwg:a", lambda records: None)
+    env.run_for(20 * SECOND)
+    times = [at for at, _ in stack.sent[:8]]
+    gaps_ms = [(b - a) // MS for a, b in zip(times, times[1:])]
+    assert gaps_ms == [150, 300, 600, 1200, 2400, 4800, 4800]
+    first = roster.index(stack.sent[0][1])
+    assert [dst for _, dst in stack.sent[:8]] == [
+        roster[(first + i) % 3] for i in range(8)
+    ]
+    assert client.retries == len(stack.sent) - 1
+
+
+def test_reply_cancels_the_pending_retry(env):
+    stack = SilentStack(env)
+    client = NamingClient(stack, ["ns0", "ns1"])
+    replies = []
+    client.read("lwg:a", replies.append)
+    env.run_for(1 * SECOND)  # three attempts out, the fourth armed
+    assert len(stack.sent) == 3
+    assert stack.handler("ns0", NsResponse(request_id=1, server="ns0", records=()))
+    assert replies == [()]
+    env.run_for(20 * SECOND)
+    assert len(stack.sent) == 3
 
 
 def test_gossip_reconciles_after_partition(env):

@@ -2,10 +2,17 @@
 
 from repro.sim import SimRuntime
 from repro.vsync.flush import FlushParticipant
-from repro.vsync.membership import EndpointState, ViewChangeManager
-from repro.vsync.stack import VsyncConfig
+from repro.vsync.membership import (
+    INSTALL_TIMEOUT_US,
+    MERGE_BRANCH_TIMEOUT_US,
+    MERGE_DEFER_WINDOW_US,
+    EndpointState,
+    ViewChangeManager,
+)
 from repro.vsync.messages import (
+    BranchFlushed,
     InstallView,
+    JoinRequest,
     LeaveRequest,
     MergeDecline,
     MergeRequest,
@@ -26,7 +33,6 @@ class FakeFd:
 class FakeStack:
     def __init__(self):
         self.seq = 100
-        self.config = VsyncConfig()
 
     def next_view_seq(self):
         self.seq += 1
@@ -105,6 +111,18 @@ def presence(view_id, members, ):
     return Presence(group="g", view_id=view_id, members=tuple(members))
 
 
+def merge_request(endpoint, leader, epoch, target_view_id=None):
+    return MergeRequest(
+        group="g", leader=leader, leader_view_id=ViewId(leader, 5),
+        target_view_id=target_view_id or endpoint.current_view.view_id,
+        epoch=epoch,
+    )
+
+
+def sent_of(endpoint, kind):
+    return [m for _, m in endpoint.sent if isinstance(m, kind)]
+
+
 def test_acting_coordinator_skips_suspects(env):
     endpoint = make(env, node="p1")
     assert endpoint.vcm.acting_coordinator() == "p0"
@@ -178,15 +196,17 @@ def test_merge_request_declined_when_not_leader(env):
     assert len(declines) == 1
 
 
-def test_merge_request_declined_on_stale_target_view(env):
-    endpoint = make(env, node="p0")
-    request = MergeRequest(
-        group="g", leader="pA", leader_view_id=ViewId("pA", 5),
-        target_view_id=ViewId("p0", 99), epoch=1,  # not our current view
-    )
-    endpoint.vcm.on_merge_request("pA", request)
-    declines = [m for _, m in endpoint.sent if isinstance(m, MergeDecline)]
-    assert len(declines) == 1
+def test_merge_request_with_stale_target_view_accepted_from_smaller_leader(env):
+    """The target names whatever beacon the leader saw last; our view id
+    may have moved on since.  The flush covers the *current* view, so a
+    stale hint from a leader entitled to absorb us is not a reason to
+    decline."""
+    endpoint = make(env, node="p5", members=("p5", "p6"))
+    request = merge_request(endpoint, "p0", epoch=1, target_view_id=ViewId("p5", 99))
+    endpoint.vcm.on_merge_request("p0", request)
+    assert endpoint.vcm.subordinate is not None
+    assert endpoint.vcm.subordinate.leader == "p0"
+    assert sent_of(endpoint, MergeDecline) == []
 
 
 def test_merge_request_declined_when_leader_id_larger(env):
@@ -211,6 +231,172 @@ def test_merge_request_accepted_starts_subordinate_flush(env):
     assert endpoint.vcm.subordinate.leader == "p0"
     declines = [m for _, m in endpoint.sent if isinstance(m, MergeDecline)]
     assert declines == []
+
+
+def test_leader_mid_round_yields_to_smaller_merge_leader(env):
+    """Leader order is total: N leaders each mid-round would otherwise
+    decline each other forever."""
+    endpoint = make(env, node="p5", members=("p5", "p6"))
+    endpoint.vcm.request_refresh()  # our own round, flush waiting on p6
+    own_round = endpoint.vcm.round
+    assert own_round is not None
+    endpoint.vcm.on_merge_request("p0", merge_request(endpoint, "p0", epoch=3))
+    assert endpoint.vcm.round is None
+    assert own_round.flush.aborted
+    assert endpoint.vcm.subordinate.leader == "p0"
+    assert sent_of(endpoint, MergeDecline) == []
+
+
+def test_same_leader_retry_repairs_epoch_without_report_while_flushing(env):
+    endpoint = make(env, node="p5", members=("p5", "p6"))
+    endpoint.vcm.on_merge_request("p0", merge_request(endpoint, "p0", epoch=7))
+    sub = endpoint.vcm.subordinate
+    assert not sub.reported  # branch flush still waiting on p6
+    endpoint.vcm.on_merge_request("p0", merge_request(endpoint, "p0", epoch=8))
+    assert endpoint.vcm.subordinate is sub and sub.epoch == 8
+    assert sent_of(endpoint, BranchFlushed) == []
+    assert sent_of(endpoint, MergeDecline) == []
+
+
+def test_same_leader_retry_is_rereported_once_flushed(env):
+    endpoint = make(env, node="p5", members=("p5",))
+    endpoint.vcm.on_merge_request("p0", merge_request(endpoint, "p0", epoch=7))
+    # A singleton branch flushes on the spot and reports under epoch 7.
+    assert [m.epoch for m in sent_of(endpoint, BranchFlushed)] == [7]
+    endpoint.vcm.on_merge_request("p0", merge_request(endpoint, "p0", epoch=8))
+    reports = sent_of(endpoint, BranchFlushed)
+    assert [m.epoch for m in reports] == [7, 8]
+    assert reports[1].branch_view == endpoint.current_view
+    assert sent_of(endpoint, MergeDecline) == []
+
+
+def test_subordinate_declines_a_different_leader(env):
+    endpoint = make(env, node="p5", members=("p5", "p6"))
+    endpoint.vcm.on_merge_request("p0", merge_request(endpoint, "p0", epoch=7))
+    endpoint.vcm.on_merge_request("p2", merge_request(endpoint, "p2", epoch=4))
+    assert endpoint.vcm.subordinate.leader == "p0"
+    assert endpoint.sent[-1] == (
+        "p2", MergeDecline(group="g", decliner="p5", epoch=4)
+    )
+
+
+def _singleton_leader_in_second_merge_round(env):
+    """p0 alone, leading its second merge round toward p5's branch: the
+    first one (epoch 1) timed out waiting for BranchFlushed."""
+    endpoint = make(env, node="p0", members=("p0",))
+    foreign = presence(ViewId("p5", 3), ["p5", "p6"])
+    endpoint.vcm.on_presence("p5", foreign)
+    env.run_for(MERGE_BRANCH_TIMEOUT_US)
+    assert endpoint.vcm.round is None
+    endpoint.vcm.on_presence("p5", foreign)
+    assert endpoint.vcm.round.epoch == 2
+    return endpoint
+
+
+def _flushed(epoch):
+    branch = View("g", ViewId("p5", 3), ("p5", "p6"))
+    return BranchFlushed(
+        group="g", epoch=epoch, branch_view=branch,
+        survivors=branch.members, dedup={}, branch_coordinator="p5",
+    )
+
+
+def test_branch_flushed_for_an_older_epoch_answers_the_live_round(env):
+    """The branch stays frozen at its cut until we install, so a report
+    that outlived the round that asked for it is still good — demanding
+    the exact epoch livelocks when every reply lands just after its
+    round timed out."""
+    endpoint = _singleton_leader_in_second_merge_round(env)
+    endpoint.vcm.on_branch_flushed(_flushed(epoch=1))
+    assert [m.view.members for m in endpoint.installed] == [("p0", "p5", "p6")]
+
+
+def test_branch_flushed_for_a_newer_epoch_is_ignored(env):
+    endpoint = _singleton_leader_in_second_merge_round(env)
+    live_round = endpoint.vcm.round
+    endpoint.vcm.on_branch_flushed(_flushed(epoch=3))
+    assert endpoint.vcm.round is live_round
+    assert endpoint.installed == []
+
+
+def test_fruitless_singleton_merge_round_keeps_its_view(env):
+    """A new view id would invalidate the Presence every other leader is
+    about to target us with; N healing singletons would churn each
+    other's merge targets forever."""
+    endpoint = make(env, node="p0", members=("p0",))
+    view_id = endpoint.current_view.view_id
+    endpoint.vcm.on_presence("p5", presence(ViewId("p5", 3), ["p5", "p6"]))
+    assert endpoint.channel.frozen  # own flush done, waiting on p5
+    epoch = endpoint.vcm.round.epoch
+    endpoint.vcm.on_merge_decline(MergeDecline(group="g", decliner="p5", epoch=epoch))
+    assert endpoint.vcm.round is None
+    assert endpoint.installed == []
+    assert endpoint.current_view.view_id == view_id
+    assert endpoint.stack.seq == 100  # no view id consumed
+    assert not endpoint.channel.frozen
+
+
+def test_singleton_subordinate_resumes_when_leader_goes_quiet(env):
+    """Same reasoning on the other side: a recovery view of one member
+    tells nobody anything and strands the (merely congested) leader's
+    retry."""
+    endpoint = make(env, node="p5", members=("p5",))
+    view_id = endpoint.current_view.view_id
+    endpoint.vcm.on_merge_request("p0", merge_request(endpoint, "p0", epoch=7))
+    assert endpoint.channel.frozen and endpoint.vcm.subordinate.reported
+    env.run_for(INSTALL_TIMEOUT_US)
+    assert endpoint.vcm.subordinate is None and endpoint.vcm.round is None
+    assert endpoint.installed == []
+    assert endpoint.current_view.view_id == view_id
+    assert endpoint.stack.seq == 100
+    assert not endpoint.channel.frozen
+
+
+def test_subordinate_shedding_a_suspect_still_installs_a_recovery_view(env):
+    endpoint = make(env, node="p5", members=("p5", "p6"))
+    endpoint.fd.suspected.add("p6")  # we flush alone, but the view is wider
+    endpoint.vcm.on_merge_request("p0", merge_request(endpoint, "p0", epoch=7))
+    env.run_for(INSTALL_TIMEOUT_US)
+    assert [m.view.members for m in endpoint.installed] == [("p5",)]
+    assert endpoint.stack.seq == 101
+
+
+def _larger_leader_with_deferred_merge(env):
+    """p3 leads (p3, p4), has sighted smaller coordinator p0 and then a
+    mergeable larger one, p7."""
+    endpoint = make(env, node="p3", members=("p3", "p4"))
+    endpoint.vcm.on_presence("p0", presence(ViewId("p0", 3), ["p0", "p1"]))
+    endpoint.vcm.on_presence("p7", presence(ViewId("p7", 2), ["p7"]))
+    return endpoint
+
+
+def test_merge_only_round_deferred_while_smaller_coordinator_is_fresh(env):
+    """p0 will absorb both of us; a competing round toward p7 only adds
+    a leader to the heal storm."""
+    endpoint = _larger_leader_with_deferred_merge(env)
+    assert endpoint.vcm.round is None
+    assert "p7" in endpoint.vcm.pending_merges  # queued, not dropped
+    env.run_for(MERGE_DEFER_WINDOW_US - 1)
+    endpoint.vcm.maybe_start()
+    assert endpoint.vcm.round is None
+    env.run_for(1)  # p0's beacons stopped: the window lapses
+    endpoint.vcm.maybe_start()
+    assert [m.target_view_id for m in sent_of(endpoint, MergeRequest)] == [ViewId("p7", 2)]
+
+
+def test_deferral_never_holds_back_a_suspicion(env):
+    endpoint = _larger_leader_with_deferred_merge(env)
+    endpoint.fd.suspected.add("p4")
+    endpoint.vcm.on_suspicion_change("p4", True)
+    assert endpoint.vcm.round is not None
+    assert endpoint.vcm.round.suspects == {"p4"}
+
+
+def test_deferral_never_holds_back_a_join(env):
+    endpoint = _larger_leader_with_deferred_merge(env)
+    endpoint.vcm.on_join_request(JoinRequest(group="g", joiner="p9"))
+    assert endpoint.vcm.round is not None
+    assert endpoint.vcm.round.joins == {"p9"}
 
 
 def test_no_round_without_triggers(env):
