@@ -2,12 +2,14 @@
 
 The paper's economics argue that many light-weight groups amortize one
 heavy-weight group's machinery — membership, failure detection, flush.
-This module extends the amortization to the data path: every LWG
-``send()`` within a short flush window whose encapsulated ``LwgData``
-is bound for the *same* HWG is coalesced into a single
-:class:`~repro.core.messages.LwgBatch` occupying one slot of the HWG's
-total order (one Publish, one Ordered multicast, one piggybacked ack),
-instead of one full protocol round-trip per payload.
+This module extends the amortization to the data path: LWG ``send()``
+calls whose encapsulated ``LwgData`` is bound for the *same* HWG and
+that fall in the same instant, or behind a publish of this process that
+is still in flight on that HWG (Nagle's rule, RFC 896), are coalesced
+into a single :class:`~repro.core.messages.LwgBatch` occupying one slot
+of the HWG's total order (one Publish, one Ordered multicast, one
+piggybacked ack), instead of one full protocol round-trip per payload.
+A send on an idle HWG waits for nothing.
 
 Correctness rules (PROTOCOLS.md §15):
 
@@ -37,13 +39,36 @@ from ..naming.records import HwgId
 from .messages import MIXED_BATCH, LwgBatch, LwgData
 
 
+class _HwgBuffer:
+    """What the packer holds for one HWG."""
+
+    __slots__ = ("entries", "buffered_bytes", "timer")
+
+    def __init__(self) -> None:
+        self.entries: List[LwgData] = []
+        self.buffered_bytes = 0
+        #: Token of the armed flush timer, 0 when none is.  Tokens are
+        #: unique per packer and cleared by every flush, and a firing
+        #: timer is ignored unless it still holds the buffer's token: a
+        #: byte-cap or control-message flush, a crash or a left HWG
+        #: cannot leave a stale timer that cuts the next batch short.
+        self.timer = 0
+
+
 class BatchPacker:
-    """Per-HWG time- and byte-bounded coalescing of :class:`LwgData`.
+    """Per-HWG coalescing of :class:`LwgData`, flushed by Nagle's rule.
 
     ``transmit(hwg, message)`` forwards a flushed message (a raw
     ``LwgData`` for singleton flushes, an ``LwgBatch`` otherwise) to the
     HWG's ordered channel; ``set_timer(delay_us, callback)`` arms the
-    flush-window timer.
+    flush timer; ``in_flight(hwg)`` says whether this process has a
+    publish on ``hwg`` that has not been delivered back to it yet.
+
+    A payload enqueued on an idle HWG leaves at the end of the current
+    instant (a zero-delay timer, so a same-instant burst is still one
+    batch); one enqueued behind an in-flight publish is held until that
+    publish returns (:meth:`on_own_delivery`), bounded by ``window_us``
+    and ``max_bytes``.
     """
 
     def __init__(
@@ -51,23 +76,18 @@ class BatchPacker:
         node: str,
         transmit: Callable[[HwgId, LwgData | LwgBatch], None],
         set_timer: Callable[[int, Callable[[], None]], object],
+        in_flight: Callable[[HwgId], bool],
         window_us: int,
         max_bytes: int,
     ):
         self.node = node
         self._transmit = transmit
         self._set_timer = set_timer
+        self._in_flight = in_flight
         self.window_us = window_us
         self.max_bytes = max_bytes
-        self._buffers: Dict[HwgId, List[LwgData]] = {}
-        self._buffered_bytes: Dict[HwgId, int] = {}
-        self._timer_armed: Dict[HwgId, bool] = {}
-        #: Per-HWG window generation.  Every flush (and crash reset)
-        #: bumps it; an armed timer captures the generation at arm time
-        #: and its firing is ignored if they no longer match, so a
-        #: byte-cap or control-message flush cannot leave a stale timer
-        #: that silently shortens the next batch's window.
-        self._timer_gen: Dict[HwgId, int] = {}
+        self._buffers: Dict[HwgId, _HwgBuffer] = {}
+        self._timer_tokens = 0
         self._batch_seq = 0
         # Counters (surfaced through LwgStats by the service).
         self.batches_sent = 0
@@ -79,32 +99,39 @@ class BatchPacker:
     # ------------------------------------------------------------------
     def enqueue(self, hwg: HwgId, message: LwgData) -> None:
         """Buffer ``message`` for ``hwg``; flush on byte cap, else arm timer."""
-        buffer = self._buffers.setdefault(hwg, [])
-        buffer.append(message)
-        total = self._buffered_bytes.get(hwg, 0) + message.payload_size
-        self._buffered_bytes[hwg] = total
-        if total >= self.max_bytes:
+        buffer = self._buffers.get(hwg)
+        if buffer is None:
+            buffer = self._buffers[hwg] = _HwgBuffer()
+        buffer.entries.append(message)
+        buffer.buffered_bytes += message.payload_size
+        if buffer.buffered_bytes >= self.max_bytes:
             self.flush(hwg)
             return
-        if not self._timer_armed.get(hwg, False):
-            self._timer_armed[hwg] = True
-            generation = self._timer_gen.get(hwg, 0)
-            self._set_timer(self.window_us, lambda: self._on_timer(hwg, generation))
+        if not buffer.timer:
+            self._timer_tokens += 1
+            token = buffer.timer = self._timer_tokens
+            delay = self.window_us if self._in_flight(hwg) else 0
+            self._set_timer(delay, lambda: self._on_timer(hwg, token))
 
-    def _on_timer(self, hwg: HwgId, generation: int) -> None:
-        if generation != self._timer_gen.get(hwg, 0):
-            return  # stale: the window this timer was arming already flushed
+    def _on_timer(self, hwg: HwgId, token: int) -> None:
+        buffer = self._buffers.get(hwg)
+        if buffer is None or buffer.timer != token:
+            return  # stale: the buffer this timer was armed for is gone
         self.flush(hwg)
+
+    def on_own_delivery(self, hwg: HwgId) -> None:
+        """One of our publishes on ``hwg`` came back: flush if it was the last."""
+        if not self._in_flight(hwg):
+            self.flush(hwg)
 
     def flush(self, hwg: HwgId) -> None:
         """Emit the pending buffer for ``hwg`` (no-op when empty)."""
         buffer = self._buffers.get(hwg)
-        if not buffer:
+        if buffer is None or not buffer.entries:
             return
-        self._timer_armed[hwg] = False
-        self._timer_gen[hwg] = self._timer_gen.get(hwg, 0) + 1
-        entries, self._buffers[hwg] = buffer, []
-        self._buffered_bytes[hwg] = 0
+        buffer.timer = 0
+        entries, buffer.entries = buffer.entries, []
+        buffer.buffered_bytes = 0
         if len(entries) == 1:
             # No packing win for a singleton: send the bare LwgData and
             # skip the batch envelope (and the unpack accounting).
@@ -125,19 +152,17 @@ class BatchPacker:
 
     def flush_all(self) -> None:
         """Flush every HWG's pending buffer (quiesce / shutdown)."""
-        for hwg in sorted(h for h, b in self._buffers.items() if b):
+        for hwg in sorted(h for h, b in self._buffers.items() if b.entries):
             self.flush(hwg)
+
+    def forget(self, hwg: HwgId) -> None:
+        """Drop ``hwg``'s buffer: this process left the HWG."""
+        self._buffers.pop(hwg, None)
 
     def reset(self) -> None:
         """Drop all buffered payloads (fail-stop crash semantics)."""
         self._buffers.clear()
-        self._buffered_bytes.clear()
-        # Invalidate every armed window, not just clear the flags: a
-        # timer surviving the reset (or re-arming races around recovery)
-        # must not flush a post-recovery buffer early.
-        for hwg in self._timer_armed:
-            self._timer_gen[hwg] = self._timer_gen.get(hwg, 0) + 1
-        self._timer_armed.clear()
 
     def pending_entries(self, hwg: HwgId) -> int:
-        return len(self._buffers.get(hwg, ()))
+        buffer = self._buffers.get(hwg)
+        return len(buffer.entries) if buffer is not None else 0

@@ -82,15 +82,13 @@ class LwgConfig:
     mapping_audit_period_us: int = 4 * SECOND
     #: Default payload size assumed for user messages without one.
     default_payload_bytes: int = 256
-    #: Data-path batching: coalesce LWG DATA payloads bound for the same
-    #: HWG into one multicast.  The window/byte cap bound the added
-    #: latency; batches also flush eagerly before any LWG control
-    #: message and before an HWG view change (the flush-before-view-
-    #: change rule, PROTOCOLS.md §15).
-    enable_batching: bool = True
-    #: How long the packer may hold the first buffered payload before
-    #: flushing.  Deliberately *not* scaled by :meth:`scaled` — it bounds
-    #: data latency, not protocol timeouts.
+    #: Data-path batching (PROTOCOLS.md §15): LWG DATA payloads bound for
+    #: the same HWG are coalesced into one multicast.  A payload on an
+    #: idle HWG leaves at the end of the instant it was sent in; one sent
+    #: while an own publish is in flight on that HWG is held until the
+    #: publish is delivered back, for at most this long.  Deliberately
+    #: *not* scaled by :meth:`scaled` — it bounds data latency, not
+    #: protocol timeouts.
     batch_window_us: int = 2_000
     #: Flush immediately once the buffered payload bytes reach this cap
     #: (keeps batches under transport datagram ceilings).

@@ -65,13 +65,13 @@ class LwgData(LwgMessage):
 class LwgBatch(LwgMessage):
     """Several :class:`LwgData` payloads packed into one HWG multicast.
 
-    All entries were sent by ``sender`` within one flush window and are
+    All entries were sent by ``sender`` between two packer flushes and are
     bound for the same HWG (possibly for different LWGs mapped on it).
     The batch occupies a single slot in the HWG's total order, so
     unpacking the entries in tuple order preserves the sender's FIFO
     order and the group-wide total order.  ``batch_seq`` is a per-sender
     counter used by the batch-accounting checker; ``lwg`` is the
-    entries' common group, or :data:`MIXED_BATCH` when the window
+    entries' common group, or :data:`MIXED_BATCH` when the flush
     coalesced payloads of several co-mapped LWGs — receivers always
     demultiplex per entry, never by this label.
     """

@@ -197,6 +197,7 @@ class LwgService:
             node=self.node,
             transmit=self._transmit_packed,
             set_timer=stack.set_timer,
+            in_flight=self._publish_in_flight,
             window_us=self.config.batch_window_us,
             max_bytes=self.config.batch_max_bytes,
         )
@@ -332,10 +333,14 @@ class LwgService:
             payload=payload,
             payload_size=size,
         )
-        if self.config.enable_batching:
-            self.packer.enqueue(local.hwg, message)
-        else:
-            self.hwg_send(local.hwg, message)
+        self.packer.enqueue(local.hwg, message)
+
+    def _publish_in_flight(self, hwg: HwgId) -> bool:
+        """Nagle's test for the packer: an own publish on ``hwg`` not yet
+        delivered back.  Read off the ordered channel, which re-publishes
+        across view changes and is wiped by a crash, so it cannot stick."""
+        endpoint = self.hwg_endpoint(hwg)
+        return endpoint is not None and bool(endpoint.channel.pending)
 
     def _transmit_packed(self, hwg: HwgId, message: Any) -> None:
         """Packer flush sink: hand one LwgData/LwgBatch to the channel.
@@ -468,6 +473,8 @@ class LwgService:
             self._on_switch_commit(hwg, payload)
         elif isinstance(payload, SwitchAbort):
             self._on_switch_abort(hwg, payload)
+        if src == self.node:
+            self.packer.on_own_delivery(hwg)
 
     # -- data path -------------------------------------------------------
     def _on_lwg_batch(self, hwg: HwgId, batch: LwgBatch) -> None:
@@ -1096,6 +1103,7 @@ class LwgService:
     def _on_hwg_left(self, hwg: HwgId) -> None:
         self.table.directory.pop(hwg, None)
         self._hwg_last_views.pop(hwg, None)
+        self.packer.forget(hwg)
         self.stack.drop_endpoint(hwg)
         self.trace("hwg_left", hwg=hwg)
         if hwg in self._rejoin_after_leave:

@@ -44,12 +44,18 @@ class OrderedChannel:
         self.view: Optional[View] = None
         self.log: Dict[int, Ordered] = {}
         self.delivered_upto = -1
+        #: Highest sequence number received in this view; anything held
+        #: above ``delivered_upto`` sits behind a missing sequence.
+        self._highest_held = -1
         self.next_order_seq = 0  # meaningful at the sequencer only
         self.dedup_floor: Dict[NodeId, int] = {}
         self.my_send_seq = 0
         # sender_seq -> (payload, size): sent but not yet seen delivered.
         self.pending: "OrderedDict[int, Tuple[Any, int]]" = OrderedDict()
         self.frozen = False
+        #: Sequencer only: publishes ordered in this view that the
+        #: sequencer has not delivered yet (after that ``dedup_floor``
+        #: rejects a replay, so :meth:`_deliver` drops the pair).
         self._ordered_in_view: Set[Tuple[NodeId, int]] = set()
         self._nack_armed = False
         self.delivered_count = 0
@@ -76,6 +82,7 @@ class OrderedChannel:
         self.view = view
         self.log.clear()
         self.delivered_upto = -1
+        self._highest_held = -1
         self.next_order_seq = 0
         self._ordered_in_view.clear()
         self.frozen = False
@@ -218,6 +225,8 @@ class OrderedChannel:
         if msg.seq <= self.delivered_upto or msg.seq in self.log:
             return
         self.log[msg.seq] = msg
+        if msg.seq > self._highest_held:
+            self._highest_held = msg.seq
         self._try_deliver()
         if self.log_gap_exists() and not self._nack_armed:
             self._arm_nack()
@@ -235,6 +244,8 @@ class OrderedChannel:
             self.dedup_floor[msg.sender] = msg.sender_seq
         if msg.sender == self.host.node:
             self.pending.pop(msg.sender_seq, None)
+        if self._ordered_in_view:
+            self._ordered_in_view.discard((msg.sender, msg.sender_seq))
         self.delivered_count += 1
         tracer = self.host.env.tracer
         # Hottest emit in the stack — one per delivered message.  The
@@ -255,7 +266,7 @@ class OrderedChannel:
 
     def log_gap_exists(self) -> bool:
         """True if we hold out-of-order messages past a missing sequence."""
-        return any(seq > self.delivered_upto + 1 for seq in self.log)
+        return self._highest_held > self.delivered_upto
 
     def _arm_nack(self) -> None:
         self._nack_armed = True
@@ -267,7 +278,7 @@ class OrderedChannel:
                 return
             if not self.log_gap_exists():
                 return
-            missing_to = max(s for s in self.log if s > self.delivered_upto + 1) - 1
+            missing_to = self._highest_held - 1
             nack = Nack(
                 group=self.host.group,
                 view_id=self.view.view_id,
@@ -355,10 +366,12 @@ class OrderedChannel:
         """Advance ``stable_upto`` and prune the log (monotone, idempotent)."""
         if self.view is None or floor <= self.stable_upto:
             return
+        # Everything at or below the old floor is already gone, and the
+        # log never regains it: a fill only supplies undelivered messages.
+        for seq in range(self.stable_upto + 1, floor + 1):
+            if self.log.pop(seq, None) is not None:
+                self.log_pruned += 1
         self.stable_upto = floor
-        for seq in [s for s in self.log if s <= floor]:
-            del self.log[seq]
-            self.log_pruned += 1
 
     def on_stability_announce(self, msg: StabilityAnnounce) -> None:
         """Prune the log up to the announced floor."""
@@ -388,6 +401,7 @@ class OrderedChannel:
         # the branch-wide agreement on the delivered set.
         for seq in [s for s in self.log if s > cut]:
             del self.log[seq]
+        self._highest_held = min(self._highest_held, cut)
         for seq, msg in missing.items():
             if seq not in self.log and seq <= cut:
                 self.log[seq] = msg

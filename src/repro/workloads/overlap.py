@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from ..metrics.collectors import SummaryStats
 from ..sim.engine import MS, SECOND
 from .cluster import Cluster
-from .scenarios import _paper_lwg_config
+from .scenarios import _scaled_lwg_config
 from .traffic import ProbeHub, ProbeListener, probe_payload
 
 SET_A = ["p0", "p1", "p2", "p3"]
@@ -77,7 +77,7 @@ def build_overlap(
     (PROTOCOLS.md §19); the default leaves every flavour exactly as
     the paper ran it.
     """
-    config = _paper_lwg_config()
+    config = _scaled_lwg_config()
     config.placement_policy = placement
     cluster = Cluster(
         num_processes=6,

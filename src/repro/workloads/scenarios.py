@@ -70,13 +70,6 @@ def _scaled_lwg_config() -> LwgConfig:
     return config
 
 
-def _paper_lwg_config() -> LwgConfig:
-    """The paper's data path: its prototype had no batch window."""
-    config = _scaled_lwg_config()
-    config.enable_batching = False
-    return config
-
-
 def build_figure2(
     n: int,
     flavour: str,
@@ -96,7 +89,7 @@ def build_figure2(
         num_processes=2 * GROUP_SIZE,
         seed=seed,
         flavour=flavour,
-        lwg_config=_paper_lwg_config(),
+        lwg_config=_scaled_lwg_config(),
         keep_trace=keep_trace,
     )
     hub = ProbeHub(env=cluster.env)

@@ -203,8 +203,9 @@ def test_crash_between_batch_flush_and_ack():
     assert cluster.run_until(lambda: converged(handles, 3), timeout_us=20 * SECOND)
     for value in (1, 2, 3):
         handles[0].send(value, size=16)
-    # The batch window is 2ms: at +3ms the flush has been multicast but
-    # its acks are still in flight back to p0.
+    # The burst left as one batch at the end of the send instant: at
+    # +3ms it has been multicast but its acks are still in flight back
+    # to p0.
     cluster.run_for(3_000)
     cluster.crash("p0")
     assert cluster.run_until(

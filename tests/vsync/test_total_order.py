@@ -5,6 +5,8 @@ ordering, dedup-floor and flush-support logic are tested without the
 membership machinery.
 """
 
+import itertools
+
 import pytest
 
 from repro.sim import SimRuntime
@@ -209,3 +211,82 @@ def test_apply_fill_raises_if_cut_unreachable(seq_host):
     channel.send("a", 1)
     with pytest.raises(RuntimeError):
         channel.apply_fill(cut=5, missing={})
+
+
+# ----------------------------------------------------------------------
+# Constant-time bookkeeping agrees with the definitions it replaced
+# ----------------------------------------------------------------------
+def ordered(view, seq, floor=-1):
+    return Ordered(
+        group="g", view_id=view.view_id, seq=seq, sender="p0", sender_seq=seq + 1,
+        payload=seq, stable_floor=floor,
+    )
+
+
+def gap_by_definition(channel):
+    """We hold a message past a sequence number we are still missing."""
+    return any(seq > channel.delivered_upto + 1 for seq in channel.log)
+
+
+def test_log_gap_exists_matches_its_definition_on_every_arrival_order(env):
+    """Every length-5 arrival sequence over four messages (so duplicates and
+    losses both occur), with floors pruning the log along the way, then the
+    flush fill at every cut, then a view change."""
+    view = View("g", ViewId("p0", 1), ("p0", "p1"))
+    successor = View("g", ViewId("p0", 2), ("p0", "p1"), parents=(view.view_id,))
+    for arrivals in itertools.product(range(4), repeat=5):
+        for cut in range(-1, 4):
+            channel = OrderedChannel(FakeHost(env, "p1"))
+            channel.install_view(view, {})
+            for seq in arrivals:
+                channel.on_ordered(ordered(view, seq, floor=channel.delivered_upto - 1))
+                assert channel.log_gap_exists() == gap_by_definition(channel)
+            if cut < channel.delivered_upto:
+                continue  # a cut is never below a member's own coverage
+            channel.freeze()
+            missing = {
+                seq: ordered(view, seq)
+                for seq in range(channel.delivered_upto + 1, cut + 1)
+                if seq not in channel.log
+            }
+            channel.apply_fill(cut, missing)
+            assert channel.log_gap_exists() == gap_by_definition(channel) is False
+            channel.install_view(successor, channel.floor_snapshot())
+            assert channel.log_gap_exists() is False
+            channel.on_ordered(ordered(successor, 1))
+            assert channel.log_gap_exists() == gap_by_definition(channel) is True
+
+
+def test_floor_prunes_exactly_the_entries_at_or_below_it(env):
+    view = View("g", ViewId("p0", 1), ("p0", "p1"))
+    channel = OrderedChannel(FakeHost(env, "p1"))
+    channel.install_view(view, {})
+    for seq in range(10):
+        channel.on_ordered(ordered(view, seq))
+    channel.on_ordered(ordered(view, 10, floor=6))
+    assert sorted(channel.log) == [7, 8, 9, 10] and channel.log_pruned == 7
+    channel.on_ordered(ordered(view, 4, floor=3))  # stale retransmit: no effect
+    assert sorted(channel.log) == [7, 8, 9, 10] and channel.stable_upto == 6
+    channel.on_ordered(ordered(view, 11, floor=9))
+    assert sorted(channel.log) == [10, 11] and channel.log_pruned == 10
+
+
+def test_sequencer_dedup_set_holds_only_undelivered_publishes(seq_host):
+    """1 000 messages in one view, at most four of them ordered but not yet
+    looped back: the set never outgrows that window, and a replay of a
+    long-delivered Publish is still dropped (by the dedup floor)."""
+    host, channel, view = seq_host
+    first = Publish(group="g", view_id=view.view_id, sender="p1", sender_seq=1, payload=0)
+    for k in range(500):
+        channel.send(f"own-{k}", 1)
+        channel.on_publish(
+            "p1",
+            Publish(group="g", view_id=view.view_id, sender="p1", sender_seq=k + 1, payload=k),
+        )
+        assert len(channel._ordered_in_view) <= 4
+        if k % 2:
+            feed_own_multicasts(channel, host)
+            assert not channel._ordered_in_view
+    assert channel.delivered_count == len(host.delivered) == 1000
+    channel.on_publish("p1", first)
+    assert host.multicasts == []
