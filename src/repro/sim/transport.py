@@ -12,8 +12,9 @@ detector's job, not the transport's.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Deque, Dict, Tuple
 
 from ..runtime.interfaces import NodeId, Runtime
 
@@ -28,6 +29,10 @@ class _Segment:
     skips the abandoned gap instead of waiting forever.  Without this, a
     single drop during a partition would permanently wedge the channel —
     exactly what must NOT happen to the post-heal merge traffic.
+
+    On an ack the same field names the receiver's hole instead: one past
+    the highest sequence number it holds out of order, 0 when it holds
+    none (see :meth:`ReliableTransport._fill_hole`).
     """
 
     kind: str  # "data" | "ack"
@@ -44,7 +49,9 @@ class _PeerState:
 
     next_send_seq: int = 0
     acked_up_to: int = -1  # highest cumulatively acked seq
-    unacked: Dict[int, Tuple[Any, int, int]] = field(default_factory=dict)
+    #: seq -> (payload, size, attempts, filled), in increasing seq order;
+    #: ``filled`` is the attempt count at the last hole-fill copy.
+    unacked: Dict[int, Tuple[Any, int, int, int]] = field(default_factory=dict)
     # receiver side
     delivered_up_to: int = -1
     out_of_order: Dict[int, Tuple[Any, int]] = field(default_factory=dict)
@@ -77,7 +84,7 @@ class ReliableTransport:
         self.max_retries = max_retries
         self.window = window
         self._peers: Dict[NodeId, _PeerState] = {}
-        self._queued: Dict[NodeId, List[Tuple[Any, int]]] = {}
+        self._queued: Dict[NodeId, Deque[Tuple[Any, int]]] = {}
         self.retransmissions = 0
         self.gave_up = 0
         self._stopped = False
@@ -110,23 +117,29 @@ class ReliableTransport:
         state = self._peer(dst)
         in_flight = state.next_send_seq - state.acked_up_to - 1
         if in_flight >= self.window:
-            self._queued.setdefault(dst, []).append((payload, size))
+            self._queued.setdefault(dst, deque()).append((payload, size))
             return
         self._transmit(dst, payload, size)
 
     def _sender_floor(self, state: _PeerState) -> int:
-        return min(state.unacked) if state.unacked else state.next_send_seq
+        # ``unacked`` is filled in seq order, so its first key is the lowest.
+        return next(iter(state.unacked), state.next_send_seq)
 
     def _transmit(self, dst: NodeId, payload: Any, size: int) -> None:
         state = self._peer(dst)
         seq = state.next_send_seq
         state.next_send_seq += 1
-        state.unacked[seq] = (payload, size, 0)
+        state.unacked[seq] = (payload, size, 0, 0)
+        self._put_on_wire(dst, state, seq, payload, size)
+        self._arm_retransmit(dst, seq)
+
+    def _put_on_wire(
+        self, dst: NodeId, state: _PeerState, seq: int, payload: Any, size: int
+    ) -> None:
         segment = _Segment(
             "data", seq, payload, size, self._sender_floor(state), self.incarnation
         )
         self.env.fabric.send(self.node, dst, segment, size)
-        self._arm_retransmit(dst, seq)
 
     #: Exponential-backoff cap for retransmissions, microseconds.
     MAX_BACKOFF_US = 1_000_000
@@ -150,27 +163,24 @@ class ReliableTransport:
             entry = state.unacked.get(seq)
             if entry is None:
                 return  # acked meanwhile
-            payload, size, attempts = entry
+            payload, size, attempts, filled = entry
             if attempts >= self.max_retries:
                 del state.unacked[seq]
                 self.gave_up += 1
                 self._drain_queue(dst)
                 return
-            state.unacked[seq] = (payload, size, attempts + 1)
+            state.unacked[seq] = (payload, size, attempts + 1, filled)
             self.retransmissions += 1
-            segment = _Segment(
-                "data", seq, payload, size, self._sender_floor(state), self.incarnation
-            )
-            self.env.fabric.send(self.node, dst, segment, size)
+            self._put_on_wire(dst, state, seq, payload, size)
             self.env.scheduler.schedule(self._backoff(attempts + 1), retry)
 
         self.env.scheduler.schedule(self._backoff(0), retry)
 
     def _drain_queue(self, dst: NodeId) -> None:
         state = self._peer(dst)
-        queued = self._queued.get(dst, [])
+        queued = self._queued.get(dst)
         while queued and (state.next_send_seq - state.acked_up_to - 1) < self.window:
-            payload, size = queued.pop(0)
+            payload, size = queued.popleft()
             self._transmit(dst, payload, size)
 
     # ------------------------------------------------------------------
@@ -182,7 +192,7 @@ class ReliableTransport:
             return
         if segment.kind == "ack":
             if segment.incarnation == self.incarnation:
-                self._on_ack(src, segment.seq)
+                self._on_ack(src, segment.seq, segment.floor)
             return
         state = self._peer(src)
         if segment.incarnation > state.peer_incarnation:
@@ -213,16 +223,43 @@ class ReliableTransport:
         # The ack echoes the *peer's* incarnation so a restarted sender
         # never credits acknowledgements meant for its previous life.
         state = self._peer(dst)
-        ack = _Segment("ack", up_to, incarnation=state.peer_incarnation)
+        hole = max(state.out_of_order) + 1 if state.out_of_order else 0
+        ack = _Segment("ack", up_to, floor=hole, incarnation=state.peer_incarnation)
         self.env.fabric.send(self.node, dst, ack, self.ACK_SIZE)
 
-    def _on_ack(self, src: NodeId, up_to: int) -> None:
+    def _on_ack(self, src: NodeId, up_to: int, hole: int) -> None:
         state = self._peer(src)
         if up_to > state.acked_up_to:
+            # (Clamped to what was sent: a forged ack buys no long loop.)
+            newest = min(up_to, state.next_send_seq - 1)
+            for seq in range(state.acked_up_to + 1, newest + 1):
+                state.unacked.pop(seq, None)
             state.acked_up_to = up_to
-            for seq in [s for s in state.unacked if s <= up_to]:
-                del state.unacked[seq]
             self._drain_queue(src)
+        if hole:
+            self._fill_hole(src, state, hole)
+
+    def _fill_hole(self, dst: NodeId, state: _PeerState, hole: int) -> None:
+        """Resend at once what the peer is holding later segments behind.
+
+        The peer has ``hole - 1`` buffered out of order, so it is reachable
+        and what is unacked below that is what it waits for — missing, not
+        merely slow, once the first copy is known lost (``attempts >= 1``:
+        jitter reordering fresh segments triggers nothing).  Without this a
+        segment sent into a partition sleeps out its backoff, up to
+        ``MAX_BACKOFF_US``, after the heal, and the merge traffic queued
+        behind it waits too.  One copy per segment per backoff interval, so
+        a stream of such acks is no storm; the timer chain is left alone
+        (under congestion the peer is never silent, so resetting backoff on
+        inbound traffic would bring back the storm ``_backoff`` describes).
+        """
+        for seq, (payload, size, attempts, filled) in state.unacked.items():
+            if seq >= hole - 1:
+                break  # the peer holds ``hole - 1`` itself
+            if filled < attempts:
+                state.unacked[seq] = (payload, size, attempts, attempts)
+                self.retransmissions += 1
+                self._put_on_wire(dst, state, seq, payload, size)
 
     @staticmethod
     def is_segment(payload: Any) -> bool:

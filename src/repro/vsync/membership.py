@@ -181,7 +181,10 @@ class ViewChangeManager:
             # is then admitted as a genuine joiner (fresh floor, state
             # snapshot) once the view has forgotten its previous life.
             self.ep.trace("rejoin_evicts_stale_member", joiner=msg.joiner)
-            self.pending_leaves.add(msg.joiner)
+            if self.round is None or msg.joiner not in self.round.leaves:
+                # (A retry landing while the eviction round runs must not
+                # queue a second one: it would expel the new life too.)
+                self.pending_leaves.add(msg.joiner)
             self.maybe_start()
             return
         self.pending_joins.add(msg.joiner)

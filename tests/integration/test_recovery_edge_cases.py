@@ -138,23 +138,28 @@ def test_stale_install_view_rejected_after_incarnation_bump():
     cluster.env.tracer.subscribe(
         lambda r: rejected.append(r) if r.event == "stale_install_rejected" else None
     )
-    handles[2] = cluster.service("p2").join("g")
-    # While the endpoint is (re)joining, replay the pre-crash install as
-    # if it had been delayed in the fabric across the crash.
+    # The instant the endpoint starts (re)joining, replay the pre-crash
+    # install as if it had been delayed in the fabric across the crash.
+    # (The JOINING window is a few milliseconds wide — the real install
+    # arrives as soon as the coordinator's round ends — so polling for it
+    # would be a race; the trace hook lands inside it by construction.)
     injected = []
 
-    def poke():
-        endpoint = stack.endpoints.get(hwg)
-        if endpoint is not None and endpoint.state is EndpointState.JOINING:
-            endpoint.apply_install(
-                "p0", InstallView(group=hwg, view=old_view, via_branch=None)
-            )
-            injected.append(True)
-            return endpoint.current_view is None
-        return False
+    def replay_old_install(record):
+        fields = record.fields
+        if (record.event, fields.get("node"), fields.get("group")) != ("join_start", "p2", hwg):
+            return
+        endpoint = stack.endpoints[hwg]
+        assert endpoint.state is EndpointState.JOINING
+        endpoint.apply_install(
+            "p0", InstallView(group=hwg, view=old_view, via_branch=None)
+        )
+        injected.append(endpoint.current_view)
 
-    assert cluster.run_until(poke, timeout_us=20 * SECOND, step_us=5_000)
-    assert injected and rejected, "stale install never exercised"
+    cluster.env.tracer.subscribe(replay_old_install, categories=["hwg"])
+    handles[2] = cluster.service("p2").join("g")
+    assert cluster.run_until(lambda: bool(injected), timeout_us=20 * SECOND, step_us=1_000)
+    assert injected == [None] and rejected, "stale install never exercised"
     # The real join still completes — on a view minted by the new life.
     assert cluster.run_until(lambda: converged(handles, 3), timeout_us=40 * SECOND)
     assert handles[2].view.view_id != old_view.view_id
@@ -183,7 +188,8 @@ def test_fast_rejoin_evicts_stale_membership_first():
         else None
     )
     cluster.crash("p2")
-    cluster.run_for_seconds(2)  # well under the suspicion timeout
+    cluster.run_for(100_000)  # well under the suspicion timeout
+    assert "p2" in handles[0].view.members  # nobody noticed the crash
     cluster.recover("p2")
     handles[2] = cluster.service("p2").join("g")
     assert cluster.run_until(lambda: converged(handles, 3), timeout_us=90 * SECOND)

@@ -3,6 +3,7 @@
 from tests.helpers import RecordingListener, converged, make_group, run_until
 
 from repro.sim import SECOND
+from repro.vsync import GroupAddressing, ProtocolStack
 
 
 def split(env, endpoints, listeners, sides):
@@ -135,3 +136,45 @@ def test_crash_during_partition_then_heal(env):
     env.network.heal()
     survivors = endpoints[:3]
     assert run_until(env, lambda: converged(survivors, 3), timeout_s=30)
+
+
+def test_merge_request_is_not_parked_behind_pre_partition_segments(env):
+    """After a heal the merge handshake costs round trips, not a backoff.
+
+    p4 is the senior member, so before the cut everyone publishes through
+    it; the four that end up on p0's side keep retransmitting those
+    publishes into the partition.  p0 then leads the merge, and its
+    MergeRequest shares a FIFO channel with the segments p4 never got.
+    """
+    addressing = GroupAddressing()
+    stacks = [ProtocolStack(env, f"p{i}", addressing) for i in range(8)]
+    endpoints = [s.endpoint("g", RecordingListener(s.node)) for s in stacks]
+    endpoints[4].join()
+    assert run_until(env, lambda: endpoints[4].current_view is not None)
+    for endpoint in endpoints:
+        endpoint.join()
+    assert run_until(env, lambda: converged(endpoints, 8), timeout_s=20)
+    assert endpoints[0].current_view.coordinator == "p4"
+
+    env.network.set_partitions([["p0", "p1", "p2", "p3"], ["p4", "p5", "p6", "p7"]])
+    for endpoint in endpoints:
+        endpoint.send(f"cut-{endpoint.node}")
+    env.sim.run_until(env.sim.now + 3 * SECOND)
+    assert converged(endpoints[:4], 4) and converged(endpoints[4:], 4)
+    assert stacks[0].transport._peer("p4").unacked, "nothing in flight across the cut"
+
+    asked_at = {}
+    waits = []
+
+    def on_record(record):
+        fields = record.fields
+        if record.event == "round_start":
+            for node in fields["merges"]:
+                asked_at[node] = record.time
+        elif record.event == "merge_accept":
+            waits.append(record.time - asked_at[fields["node"]])
+
+    env.tracer.subscribe(on_record, categories=["hwg"])
+    env.network.heal()
+    assert run_until(env, lambda: converged(endpoints, 8), timeout_s=20)
+    assert waits and max(waits) < 10_000, waits
