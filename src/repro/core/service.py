@@ -515,12 +515,13 @@ class LwgService:
             local.delivered += 1
             if message.sender == local.coordinator():
                 local.last_coordinator_heard = self.env.now
-            self.trace(
-                "lwg_data_delivered",
-                lwg=message.lwg,
-                view=str(local.view.view_id),
-                sender=message.sender,
-            )
+            if self.env.tracer.enabled("lwg"):
+                self.trace(
+                    "lwg_data_delivered",
+                    lwg=message.lwg,
+                    view=str(local.view.view_id),
+                    sender=message.sender,
+                )
             local.listener.on_data(
                 message.lwg, message.sender, message.payload, message.payload_size
             )

@@ -8,13 +8,19 @@ strict ancestor of another *recorded* view of the same LWG, which is how
 the paper discards stale mappings after merges ("the naming service
 must be aware of the partial order of views").
 
-Two digest structures ride the same mutation funnel:
+Derived structures ride the same mutation funnel, each a pure function
+of the records and edges (:meth:`NamingDatabase.verify_integrity`
+recomputes them all):
 
 * a per-LWG key index, so GC and live-record queries touch only the
-  records of one group instead of scanning the whole store, and
+  records of one group instead of scanning the whole store, and beside
+  it the set of LWGs with two or more keys — the only ones GC or
+  ``conflicts()`` ever need to look at;
 * a :class:`~repro.naming.merkle.MerklePrefixTree` over the record
   keyspace, which anti-entropy uses to localize divergence without
-  shipping a flat full-database digest.
+  shipping a flat full-database digest;
+* per genealogy edge, the bytes it contributes to the genealogy digest
+  and to a snapshot, encoded once when the edge is learned.
 
 ``content_hash`` is derived from the Merkle root plus a genealogy
 digest, so it stays O(1) to read between mutations while still covering
@@ -24,11 +30,19 @@ records, tombstones and ancestry knowledge byte-for-byte.
 from __future__ import annotations
 
 import hashlib
+from bisect import insort
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..vsync.view import ViewGenealogy, ViewId
 from .merkle import MerklePrefixTree
-from .records import HwgId, LwgId, MappingRecord, RecordKey
+from .records import (
+    HwgId,
+    LwgId,
+    MappingRecord,
+    RecordKey,
+    canonical_json,
+    encode_edge,
+)
 
 
 class NamingDatabase:
@@ -38,7 +52,17 @@ class NamingDatabase:
         self._records: Dict[RecordKey, MappingRecord] = {}
         #: lwg -> keys of every stored record of that group.
         self._by_lwg: Dict[LwgId, Set[RecordKey]] = {}
+        #: LWGs holding at least two stored keys — the only ones GC can
+        #: shrink or :meth:`conflicts` can report.
+        self._contested: Set[LwgId] = set()
         self.genealogy = ViewGenealogy()
+        #: Every recorded genealogy child in ``ViewId`` order, and per
+        #: child the two byte forms of its edge: the digest input
+        #: (``repr((child, parents))``) and the canonical-JSON fragment
+        #: snapshots are assembled from.  Refreshed by :meth:`_record_edge`.
+        self._edge_children: List[ViewId] = []
+        self._edge_digest: Dict[ViewId, bytes] = {}
+        self._edge_json: Dict[ViewId, bytes] = {}
         #: Merkle-prefix digest tree over the record keyspace, updated
         #: through the same funnel as ``content_hash``.
         self.merkle = MerklePrefixTree()
@@ -78,9 +102,7 @@ class NamingDatabase:
         parents = tuple(parents)
         genealogy_changed = False
         if parents:
-            self.genealogy.record(record.lwg_view, parents)
-            self._content_hash = None
-            self._genealogy_hash = None
+            self._record_edge(record.lwg_view, parents)
             genealogy_changed = True
             if self.on_edge is not None:
                 self.on_edge(record.lwg_view, parents)
@@ -102,10 +124,25 @@ class NamingDatabase:
         self.garbage_collect(record.lwg)
         return True
 
+    def _record_edge(self, child: ViewId, parents: Iterable[ViewId]) -> None:
+        """Feed one edge to the genealogy; re-encode its bytes if it was news."""
+        if not self.genealogy.record(child, parents):
+            return
+        merged = self.genealogy.parents_of(child)
+        if child not in self._edge_digest:
+            insort(self._edge_children, child)
+        self._edge_digest[child] = repr((child, merged)).encode()
+        self._edge_json[child] = canonical_json(encode_edge(child, merged))
+        self._content_hash = None
+        self._genealogy_hash = None
+
     def _store(self, record: MappingRecord) -> None:
         key = record.key
         self._records[key] = record
-        self._by_lwg.setdefault(record.lwg, set()).add(key)
+        keys = self._by_lwg.setdefault(record.lwg, set())
+        keys.add(key)
+        if len(keys) > 1:
+            self._contested.add(record.lwg)
         self.merkle.update(key, record.order_key())
         self._content_hash = None
 
@@ -113,8 +150,10 @@ class NamingDatabase:
         del self._records[key]
         keys = self._by_lwg[key[0]]
         keys.discard(key)
-        if not keys:
-            del self._by_lwg[key[0]]
+        if len(keys) < 2:
+            self._contested.discard(key[0])
+            if not keys:
+                del self._by_lwg[key[0]]
         self.merkle.remove(key)
         self._content_hash = None
 
@@ -124,7 +163,7 @@ class NamingDatabase:
         Restricted to one LWG when given; returns the number removed.
         """
         removed = 0
-        targets = [lwg] if lwg is not None else sorted(self._by_lwg)
+        targets = [lwg] if lwg is not None else sorted(self._contested)
         for target in targets:
             keys = self._by_lwg.get(target)
             if not keys or len(keys) < 2:
@@ -186,7 +225,7 @@ class NamingDatabase:
         # Sorted so the notifier contacts conflicting LWGs in a fixed
         # order — set iteration would leak the interpreter's hash seed
         # into the shared latency-jitter draw order and break replay.
-        for lwg in sorted(self.lwgs()):
+        for lwg in sorted(self._contested):
             records = self.live_records(lwg)
             if len({r.hwg for r in records}) > 1:
                 out[lwg] = records
@@ -208,7 +247,11 @@ class NamingDatabase:
         out = NamingDatabase()
         out._records = dict(self._records)
         out._by_lwg = {lwg: set(keys) for lwg, keys in self._by_lwg.items()}
+        out._contested = set(self._contested)
         out.genealogy = self.genealogy.clone()
+        out._edge_children = list(self._edge_children)
+        out._edge_digest = dict(self._edge_digest)
+        out._edge_json = dict(self._edge_json)
         out.merkle = self.merkle.clone()
         out.applied = self.applied
         out.gc_removed = self.gc_removed
@@ -264,11 +307,11 @@ class NamingDatabase:
 
     def _genealogy_digest(self) -> str:
         if self._genealogy_hash is None:
-            hasher = hashlib.sha256()
-            edges = self.genealogy.edges()
-            for child in sorted(edges):
-                hasher.update(repr((child, edges[child])).encode())
-            self._genealogy_hash = hasher.hexdigest()
+            # One hash over the concatenation equals the chained
+            # per-edge ``update`` the digest is defined by.
+            self._genealogy_hash = hashlib.sha256(
+                b"".join(map(self._edge_digest.__getitem__, self._edge_children))
+            ).hexdigest()
         return self._genealogy_hash
 
     def records_missing_from(self, digest: Dict[RecordKey, tuple]) -> List[MappingRecord]:
@@ -304,12 +347,13 @@ class NamingDatabase:
     def genealogy_edges(self) -> Dict[ViewId, Tuple[ViewId, ...]]:
         return self.genealogy.edges()
 
+    def genealogy_edge_fragments(self) -> List[bytes]:
+        """Canonical JSON of every edge, in ``ViewId`` order of the child."""
+        return [self._edge_json[child] for child in self._edge_children]
+
     def absorb_genealogy(self, edges: Dict[ViewId, Tuple[ViewId, ...]]) -> None:
-        if edges:
-            self._content_hash = None
-            self._genealogy_hash = None
         for child, parents in edges.items():
-            self.genealogy.record(child, parents)
+            self._record_edge(child, parents)
             if self.on_edge is not None and parents:
                 self.on_edge(child, tuple(parents))
         if edges and self.on_edges is not None:
@@ -322,7 +366,9 @@ class NamingDatabase:
         database is internally consistent).  Used by the recovery
         checker to assert that a reloaded replica is not merely
         hash-equal but structurally sound: index, Merkle tree and digest
-        caches all agree with the records.
+        caches all agree with the records, and the genealogy's level
+        index, the conflict candidates and the per-edge byte caches all
+        agree with recomputation from the edge map.
         """
         problems: List[str] = []
         for key in sorted(self._records):
@@ -343,6 +389,34 @@ class NamingDatabase:
         expected = {key: record.order_key() for key, record in self._records.items()}
         if self.merkle.leaf_digest("") != expected:
             problems.append("merkle leaves diverge from record store")
+        contested = {lwg for lwg, keys in self._by_lwg.items() if len(keys) > 1}
+        if self._contested != contested:
+            problems.append("conflict candidates diverge from per-lwg index")
+        brute = {}
+        for lwg in sorted(self._by_lwg):
+            live = self.live_records(lwg)
+            if len({r.hwg for r in live}) > 1:
+                brute[lwg] = live
+        if self.conflicts() != brute:
+            problems.append("conflicts() diverges from brute-force scan")
+        problems.extend(self.genealogy.verify_levels())
+        edges = self.genealogy.edges()
+        if self._edge_children != sorted(edges):
+            problems.append("cached edge order is not the sorted child set")
+        hasher = hashlib.sha256()
+        for child in sorted(edges):
+            fresh = repr((child, edges[child])).encode()
+            hasher.update(fresh)
+            if self._edge_digest.get(child) != fresh:
+                problems.append(f"cached digest bytes stale for edge {child}")
+            fragment = canonical_json(encode_edge(child, edges[child]))
+            if self._edge_json.get(child) != fragment:
+                problems.append(f"cached snapshot fragment stale for edge {child}")
+        if self._genealogy_hash not in (None, hasher.hexdigest()):
+            problems.append("cached genealogy digest is stale")
+        self._genealogy_hash = None
+        if self._genealogy_digest() != hasher.hexdigest():
+            problems.append("genealogy digest diverges from its chained definition")
         cached = self._content_hash
         if cached is not None:
             self._content_hash = None

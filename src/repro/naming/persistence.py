@@ -47,7 +47,13 @@ from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..vsync.view import ViewId
 from .database import NamingDatabase
-from .records import MappingRecord
+from .records import (
+    MappingRecord,
+    canonical_json,
+    decode_view_id,
+    encode_edge,
+    encode_view_id,
+)
 from .sharding import shard_of_lwg
 
 #: Snapshot header magic; the space-separated sha256 of the body follows.
@@ -75,17 +81,9 @@ CORRUPTION_MODES = (
 
 
 # ----------------------------------------------------------------------
-# Codec: canonical JSON forms for records, view ids and genealogy
+# Codec: canonical JSON forms for records (view ids and genealogy edges
+# have theirs in ``records``, shared with the database's edge cache)
 # ----------------------------------------------------------------------
-def encode_view_id(view_id: ViewId) -> List[Any]:
-    return [view_id.coordinator, view_id.seq]
-
-
-def decode_view_id(data: Any) -> ViewId:
-    coordinator, seq = data
-    return ViewId(coordinator=str(coordinator), seq=int(seq))
-
-
 def encode_record(record: MappingRecord) -> Dict[str, Any]:
     return {
         "lwg": record.lwg,
@@ -112,13 +110,9 @@ def decode_record(data: Dict[str, Any]) -> MappingRecord:
     )
 
 
-def _canonical(obj: Any) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def _frame(obj: Any) -> bytes:
     """One log line: ``crc32hex<space>json\\n`` (self-checking)."""
-    body = _canonical(obj)
+    body = canonical_json(obj)
     return f"{zlib.crc32(body):08x} ".encode("ascii") + body + b"\n"
 
 
@@ -296,10 +290,7 @@ class DurableStore:
         self._append(
             {
                 "k": "edges",
-                "e": sorted(
-                    [encode_view_id(c), [encode_view_id(p) for p in parents]]
-                    for c, parents in edges.items()
-                ),
+                "e": sorted(encode_edge(c, parents) for c, parents in edges.items()),
             }
         )
 
@@ -320,20 +311,22 @@ class DurableStore:
         whole foreign shard groups; genealogy edges stay global (GC
         needs the full ancestry regardless of which shards are loaded).
         """
-        edges = db.genealogy_edges()
         shards: Dict[str, List[Dict[str, Any]]] = {}
         for record in db.snapshot():
             shards.setdefault(shard_of_lwg(record.lwg), []).append(
                 encode_record(record)
             )
-        body = _canonical(
-            {
-                "shards": shards,
-                "edges": sorted(
-                    [encode_view_id(c), [encode_view_id(p) for p in parents]]
-                    for c, parents in edges.items()
-                ),
-            }
+        # Byte-for-byte ``canonical_json({"edges": [...], "shards":
+        # shards})``, with the edge list taken from the database's
+        # per-edge fragments instead of re-encoding all of history.
+        body = b"".join(
+            (
+                b'{"edges":[',
+                b",".join(db.genealogy_edge_fragments()),
+                b'],"shards":',
+                canonical_json(shards),
+                b"}",
+            )
         )
         digest = hashlib.sha256(body).hexdigest()
         data = f"{SNAPSHOT_MAGIC} {digest}\n".encode("ascii") + body

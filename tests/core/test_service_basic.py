@@ -1,6 +1,8 @@
 """Integration tests of the dynamic LWG service on a live cluster."""
 
 from repro.core import LwgListener, LwgState
+from repro.core.service import LwgService
+from repro.runtime import trace
 from repro.sim import SECOND
 from repro.workloads import Cluster
 
@@ -210,3 +212,49 @@ def test_disjoint_groups_get_disjoint_hwgs():
     b = [cluster.service(i).join("b") for i in (2, 3)]
     cluster.run_for_seconds(8)
     assert a[0].hwg != b[0].hwg
+
+
+# ----------------------------------------------------------------------
+# Delivery tracing is gated on Tracer.enabled like the rest of the data path
+# ----------------------------------------------------------------------
+def deliver_one(cluster):
+    recorder = Recorder()
+    handles = [cluster.service(0).join("g"), cluster.service(1).join("g", recorder)]
+    assert cluster.run_until(lambda: converged_lwg(handles, 2), timeout_us=10 * SECOND)
+    handles[0].send("hello")
+    assert cluster.run_until(lambda: recorder.data, timeout_us=5 * SECOND)
+    return handles
+
+
+def test_lwg_subscriber_still_sees_data_deliveries():
+    cluster = Cluster(num_processes=2, seed=5, keep_trace=False, checkers=False)
+    seen = []
+    cluster.env.tracer.subscribe(seen.append, categories=["lwg"])
+    handles = deliver_one(cluster)
+    delivered = [r for r in seen if r.event == "lwg_data_delivered"]
+    assert sorted(r.fields["node"] for r in delivered) == ["p0", "p1"]
+    for record in delivered:
+        assert record.fields == {
+            "node": record.fields["node"],
+            "lwg": "lwg:g",
+            "view": str(handles[0].view.view_id),
+            "sender": "p0",
+        }
+
+
+def test_unobserved_delivery_builds_no_trace_record(monkeypatch):
+    cluster = Cluster(num_processes=2, seed=5, keep_trace=False, checkers=False)
+    built, traced = [], []
+    real_record = trace.TraceRecord
+    monkeypatch.setattr(
+        trace, "TraceRecord", lambda *a, **kw: built.append(a) or real_record(*a, **kw)
+    )
+    real_trace = LwgService.trace
+    monkeypatch.setattr(
+        LwgService,
+        "trace",
+        lambda self, event, **fields: traced.append(event) or real_trace(self, event, **fields),
+    )
+    deliver_one(cluster)
+    assert built == []
+    assert "lwg_data_delivered" not in traced

@@ -57,3 +57,17 @@ def run_until(env: SimRuntime, predicate, timeout_s: float = 10.0, step_us: int 
             return True
         env.sim.run_until(min(deadline, env.sim.now + step_us))
     return predicate()
+
+
+class CountingParents(dict):
+    """A parent map that counts the lookups made through it."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)

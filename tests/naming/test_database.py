@@ -1,7 +1,11 @@
 """Tests for the naming database: LWW, genealogy GC, conflicts."""
 
+from tests.helpers import CountingParents
+
 from repro.naming import MappingRecord, NamingDatabase
+from repro.naming.messages import PushUpdate
 from repro.vsync.view import ViewId
+from repro.workloads import Cluster
 
 
 def rec(lwg, view, hwg, version=1, writer="w", members=("m0", "m1"), deleted=False,
@@ -212,3 +216,81 @@ def test_lww_losing_record_without_genealogy_skips_gc_scan():
     before = db.content_hash()
     assert not db.apply(rec("lwg:a", view, "hwg:OLD", version=1))
     assert db.content_hash() == before
+
+
+# ----------------------------------------------------------------------
+# Ageing: GC cost follows the records at stake, not the history behind them
+# ----------------------------------------------------------------------
+def split_after_history(lwgs, length):
+    """Each LWG: a chain of ``length`` views, then two concurrent mapped heads."""
+    db = NamingDatabase()
+    for index in range(lwgs):
+        lwg = f"lwg:{index:02d}"
+        history = [ViewId(f"h{index}", seq) for seq in range(length)]
+        db.absorb_genealogy(
+            {child: (parent,) for parent, child in zip(history, history[1:])}
+        )
+        for side, hwg in (("a", "hwg:1"), ("b", "hwg:2")):
+            db.apply(rec(lwg, ViewId(f"{side}{index}", 1), hwg), parents=[history[-1]])
+    db.genealogy._parents = CountingParents(db.genealogy._parents)
+    return db
+
+
+def gc_lookups(lwgs, length, target):
+    db = split_after_history(lwgs, length)
+    assert db.garbage_collect(target) == 0
+    assert len(db.conflicts()) == lwgs
+    return db.genealogy._parents.lookups
+
+
+def test_gc_of_concurrent_heads_does_not_walk_their_history():
+    assert gc_lookups(1, 10, "lwg:00") == gc_lookups(1, 1000, "lwg:00")
+
+
+def test_full_gc_sweep_does_not_walk_any_history():
+    assert gc_lookups(32, 10, None) == gc_lookups(32, 1000, None)
+
+
+def test_gc_still_finds_a_distant_ancestor():
+    db = split_after_history(1, 200)
+    db.apply(rec("lwg:00", ViewId("h0", 0), "hwg:0"))  # the root, mapped late
+    assert [r.lwg_view for r in db.live_records("lwg:00")] == [
+        ViewId("a0", 1),
+        ViewId("b0", 1),
+    ]
+
+
+# ----------------------------------------------------------------------
+# Hostile input: a cyclic genealogy off the wire
+# ----------------------------------------------------------------------
+def test_push_update_closing_a_genealogy_cycle_is_absorbed():
+    cluster = Cluster(num_processes=1, seed=7, num_name_servers=1)
+    server = cluster.name_servers["ns0"]
+    v1, v2, v3, v4 = (ViewId("p", seq) for seq in (1, 2, 3, 4))
+    server.on_message(
+        "evil",
+        PushUpdate(
+            sender="evil",
+            records=(rec("lwg:a", v1, "hwg:1"), rec("lwg:a", v3, "hwg:2")),
+            genealogy={v2: (v1,), v3: (v2,), v1: (v3,)},
+        ),
+        0,
+    )
+    db = server.db
+    assert db.genealogy._cyclic
+    # On a cycle each view is the other's ancestor: the plain walk
+    # collects both, exactly as it did before there was a level index.
+    assert db.live_records("lwg:a") == []
+    # Later decisions still follow the plain walk over the whole map.
+    server.on_message(
+        "evil",
+        PushUpdate(
+            sender="evil",
+            records=(rec("lwg:b", v2, "hwg:1"), rec("lwg:b", v4, "hwg:2", version=2)),
+            genealogy={v4: (v1,)},
+        ),
+        0,
+    )
+    assert [r.lwg_view for r in db.live_records("lwg:b")] == [v4]
+    assert db.verify_integrity() == []
+    assert cluster.checkers.violations == []

@@ -7,6 +7,8 @@ exchanges always converge replicas to the same state).  Hypothesis
 drives them with random record batches.
 """
 
+import hashlib
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,3 +121,108 @@ def test_gc_never_removes_maximal_views(batch):
         keys = [k for k in (r.key for r in db.snapshot()) if k[0] == lwg]
         if views:
             assert (lwg, max(set(views))) in keys  # the maximum survives
+
+
+# ----------------------------------------------------------------------
+# Incremental queries equal their from-scratch definitions
+# ----------------------------------------------------------------------
+view_ids = st.builds(ViewId, coordinator=writers, seq=st.integers(min_value=1, max_value=4))
+parent_lists = st.lists(view_ids, max_size=2, unique=True)
+mutations = st.lists(
+    st.one_of(
+        st.tuples(st.just("apply"), records(), parent_lists),
+        st.tuples(st.just("absorb"), st.dictionaries(view_ids, parent_lists, max_size=3)),
+    ),
+    max_size=16,
+)
+
+
+def brute_live_records(db, lwg):
+    return sorted(
+        (r for r in db.snapshot() if r.lwg == lwg and not r.deleted),
+        key=lambda r: (r.lwg_view, r.hwg_view),
+    )
+
+
+def brute_conflicts(db):
+    out = {}
+    for lwg in sorted({r.lwg for r in db.snapshot()}):
+        live = brute_live_records(db, lwg)
+        if len({r.hwg for r in live}) > 1:
+            out[lwg] = live
+    return out
+
+
+def reference_scope_hash(db, prefixes=("",)):
+    """``scope_hash`` as defined before any of it was cached per edge."""
+    genealogy = hashlib.sha256()
+    edges = db.genealogy.edges()
+    for child in sorted(edges):
+        genealogy.update(repr((child, edges[child])).encode())
+    hasher = hashlib.sha256()
+    for prefix in prefixes:
+        hasher.update(db.merkle.node_hash(prefix).encode("ascii"))
+    hasher.update(b"|")
+    hasher.update(genealogy.hexdigest().encode("ascii"))
+    return hasher.hexdigest()
+
+
+def assert_queries_match_definitions(db):
+    assert db.conflicts() == brute_conflicts(db)
+    assert list(db.conflicts()) == sorted(db.conflicts())
+    for lwg in ["lwg:a", "lwg:b", "lwg:c"]:
+        assert db.live_records(lwg) == brute_live_records(db, lwg)
+    assert db.content_hash() == reference_scope_hash(db)
+    assert db.scope_hash(("0", "7")) == reference_scope_hash(db, ("0", "7"))
+    assert db.verify_integrity() == []
+
+
+def mutate(db, step):
+    if step[0] == "apply":
+        db.apply(step[1], step[2])
+    else:
+        absorb(db, (), {c: tuple(p) for c, p in step[1].items()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(sequence=mutations, clone_at=st.integers(0, 16))
+def test_conflicts_and_hashes_equal_their_definitions_after_every_mutation(
+    sequence, clone_at
+):
+    db = NamingDatabase()
+    clone = None
+    for index, step in enumerate(sequence):
+        if index == clone_at:
+            clone = db.clone()
+        mutate(db, step)
+        assert_queries_match_definitions(db)
+    if clone is not None:
+        # The clone shares no derived state with the original: replaying
+        # the tail into it lands on the same database.
+        assert_queries_match_definitions(clone)
+        for step in sequence[clone_at:]:
+            mutate(clone, step)
+        assert_queries_match_definitions(clone)
+        assert clone.content_hash() == db.content_hash()
+        assert clone.snapshot() == db.snapshot()
+
+
+def test_lwg_dropping_to_one_key_through_gc_leaves_the_conflict_candidates():
+    db = NamingDatabase()
+    left, right, merged = ViewId("p0", 1), ViewId("p1", 1), ViewId("p0", 2)
+
+    def mapping(view, hwg):
+        return MappingRecord(
+            lwg="lwg:a", lwg_view=view, lwg_members=("p0",), hwg=hwg,
+            hwg_view=ViewId("h", 1), version=1, writer="p0",
+        )
+
+    db.apply(mapping(left, "hwg:x"))
+    db.apply(mapping(right, "hwg:y"))
+    assert list(db.conflicts()) == ["lwg:a"]
+    db.apply(mapping(merged, "hwg:x"), parents=(left,))
+    assert list(db.conflicts()) == ["lwg:a"]  # right is still concurrent
+    absorb(db, (), {merged: (right,)})
+    assert db.conflicts() == {}
+    assert [r.lwg_view for r in db.live_records("lwg:a")] == [merged]
+    assert_queries_match_definitions(db)
