@@ -59,6 +59,12 @@ from .messages import (
 from .policies import LeaveHwgAction, PolicyEngine, PolicySnapshot, SwitchAction
 from .switching import SwitchDriver
 
+# Bound once for the two per-message paths (``send`` and the per-entry
+# filter): on CPython 3.11 every attribute read on an Enum class goes
+# through the metaclass's ``__getattr__`` hook, ~100 ns a read.
+_IDLE = LwgState.IDLE
+_MEMBER = LwgState.MEMBER
+
 
 class LwgListener:
     """User-facing upcalls for one light-weight group (Table 1 shape)."""
@@ -208,7 +214,7 @@ class LwgService:
         self._hwg_last_views: Dict[HwgId, View] = {}
         self._rejoin_after_leave: Set[HwgId] = set()
         naming.on_multiple_mappings = self._on_multiple_mappings
-        stack.register_handler(self._handle_unicast)
+        stack.register_handler(RedirectLwg, self._handle_unicast)
         stack.env.failures.on_transition(self.node, self._on_crash_transition)
         if self.config.enable_policies:
             stack.set_periodic(
@@ -314,12 +320,17 @@ class LwgService:
     def send(self, name: str, payload: Any, size: Optional[int] = None) -> None:
         """Virtually synchronous multicast to the user group ``name``."""
         lwg = canonical_lwg_id(name)
-        local = self.table.local(lwg)
-        if local is None or local.state is LwgState.IDLE:
+        local = self.table.locals.get(lwg)
+        if local is None or local.state is _IDLE:
             raise RuntimeError(f"send to {lwg} before join")
         size = size if size is not None else self.config.default_payload_bytes
         self.stats.data_sent += 1
-        if not local.is_member or local.switch_epoch is not None:
+        # ``not local.is_member``, inlined: one frame less per send.
+        if (
+            local.state is not _MEMBER
+            or local.view is None
+            or local.switch_epoch is not None
+        ):
             local.pending_sends.append((payload, size))
             return
         self._transmit_data(local, payload, size)
@@ -495,17 +506,31 @@ class LwgService:
                 entries=len(batch.entries),
                 lwgs=batch.lwg_counts(),
             )
+        on_lwg_data = self._on_lwg_data
         for entry in batch.entries:
-            self._on_lwg_data(hwg, entry)
+            on_lwg_data(hwg, entry)
 
     def _on_lwg_data(self, hwg: HwgId, message: LwgData) -> None:
-        local = self.table.local(message.lwg)
-        if local is None or not local.is_member or local.hwg != hwg:
+        # The Section-3.1 filter, run once per delivered entry: the table
+        # lookup, ``is_member`` and ``coordinator()`` are inlined, and view
+        # ids compare by identity first — in the simulator a message
+        # carries the very ViewId object its view holds, so the dataclass
+        # ``__eq__`` frame is only paid for a decoded or foreign id.
+        local = self.table.locals.get(message.lwg)
+        if (
+            local is None
+            or local.state is not _MEMBER
+            or local.view is None
+            or local.hwg != hwg
+        ):
             self.stats.data_filtered += 1
             return
-        assert local.view is not None
-        if message.view_id == local.view.view_id:
-            if local.awaiting_state_for == local.view.view_id:
+        view = local.view
+        view_id = view.view_id
+        stamped = message.view_id
+        if stamped is view_id or stamped == view_id:
+            awaiting = local.awaiting_state_for
+            if awaiting is not None and (awaiting is view_id or awaiting == view_id):
                 # Fresh joiner: hold data until the state snapshot lands.
                 local.state_buffer.append(
                     (message.sender, message.payload, message.payload_size)
@@ -513,19 +538,18 @@ class LwgService:
                 return
             self.stats.data_delivered += 1
             local.delivered += 1
-            if message.sender == local.coordinator():
+            sender = message.sender
+            if sender == view.members[0]:
                 local.last_coordinator_heard = self.env.now
             if self.env.tracer.enabled("lwg"):
                 self.trace(
                     "lwg_data_delivered",
                     lwg=message.lwg,
-                    view=str(local.view.view_id),
-                    sender=message.sender,
+                    view=str(view_id),
+                    sender=sender,
                 )
-            local.listener.on_data(
-                message.lwg, message.sender, message.payload, message.payload_size
-            )
-        elif local.ancestors.is_stale(message.view_id):
+            local.listener.on_data(message.lwg, sender, message.payload, message.payload_size)
+        elif local.ancestors.is_stale(stamped):
             self.stats.data_stale += 1
             if message.sender == self.node and local.is_member:
                 # Our own send raced a view change: it was ordered after
@@ -1298,10 +1322,8 @@ class LwgService:
         if self.config.enable_reconciliation:
             self.reconciler.on_multiple_mappings(message)
 
-    def _handle_unicast(self, src: str, msg: Any) -> bool:
-        if isinstance(msg, RedirectLwg):
-            driver = self._join_drivers.get(msg.lwg)
-            if driver is not None:
-                driver.on_redirect(msg.to_hwg)
-            return True
-        return False
+    def _handle_unicast(self, src: str, msg: RedirectLwg) -> bool:
+        driver = self._join_drivers.get(msg.lwg)
+        if driver is not None:
+            driver.on_redirect(msg.to_hwg)
+        return True

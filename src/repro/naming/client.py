@@ -25,7 +25,7 @@ bit-identical to before.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..runtime.interfaces import NodeId
 from ..vsync.view import ViewId
@@ -83,7 +83,7 @@ class NamingClient:
         self.on_multiple_mappings: Optional[MultipleMappingsHandler] = None
         self.requests_sent = 0
         self.retries = 0
-        stack.register_handler(self._handle_message)
+        stack.register_handler(NamingMessage, self._handle_message)
 
     # ------------------------------------------------------------------
     # Public API (Table 2, view-augmented per Section 5.2)
@@ -186,7 +186,9 @@ class NamingClient:
         delay = min(RPC_TIMEOUT_US << (call.attempts - 1), RPC_BACKOFF_CAP_US)
         call.timer = self.stack.set_timer(delay, lambda: self._attempt(call))
 
-    def _handle_message(self, src: NodeId, msg: Any) -> bool:
+    def _handle_message(self, src: NodeId, msg: NamingMessage) -> bool:
+        # Registered for every NamingMessage: server-to-server traffic
+        # that reaches a client is consumed and ignored.
         if isinstance(msg, NsResponse):
             call = self._pending.pop(msg.request_id, None)
             if call is not None and not call.done:
@@ -195,12 +197,10 @@ class NamingClient:
                     call.timer.cancel()
                 if call.on_reply is not None:
                     call.on_reply(msg.records)
-            return True
-        if isinstance(msg, MultipleMappings):
+        elif isinstance(msg, MultipleMappings):
             if self.on_multiple_mappings is not None:
                 self.on_multiple_mappings(msg)
-            return True
-        return isinstance(msg, NamingMessage)
+        return True
 
     def cancel_all(self) -> None:
         """Drop every outstanding call (process shutdown)."""

@@ -94,7 +94,10 @@ class Simulation:
     """
 
     def __init__(self) -> None:
-        self._now = 0
+        #: Current simulation time in microseconds.  A plain attribute,
+        #: written only by the run loops: a time read is the most
+        #: frequent operation in the simulator and creates no frame.
+        self.now: int = 0
         self._seq = 0
         self._queue: List[Tuple[int, int, EventHandle]] = []
         self._running = False
@@ -104,18 +107,13 @@ class Simulation:
         # poll for quiescence).
         self._live = 0
 
-    @property
-    def now(self) -> int:
-        """Current simulation time in microseconds."""
-        return self._now
-
     def schedule(self, delay: int, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` microseconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}us in the past")
         if type(delay) is not int:
             delay = int(delay)
-        time = self._now + delay
+        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
@@ -133,9 +131,9 @@ class Simulation:
 
     def schedule_at(self, time: int, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute simulation ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time}us, now is t={self._now}us"
+                f"cannot schedule at t={time}us, now is t={self.now}us"
             )
         if type(time) is not int:
             time = int(time)
@@ -161,7 +159,7 @@ class Simulation:
         return None
 
     def _fire(self, handle: EventHandle) -> None:
-        self._now = handle.time
+        self.now = handle.time
         handle.fired = True
         self._live -= 1
         callback, handle.callback = handle.callback, None
@@ -181,7 +179,7 @@ class Simulation:
 
     def run_until(self, time: int) -> None:
         """Run every event with timestamp ``<= time``; advance clock to ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(f"cannot run backwards to t={time}us")
         # Hot loop: fire events inline (no ``_peek``/``_fire`` calls), one
         # heap pop per event.  ``callback is None`` doubles as the
@@ -201,12 +199,12 @@ class Simulation:
             if head_time > time:
                 _heappush(queue, head)
                 break
-            self._now = head_time
+            self.now = head_time
             handle.fired = True
             self._live -= 1
             handle.callback = None
             callback()
-        self._now = max(self._now, int(time))
+        self.now = max(self.now, int(time))
 
     def run(self, max_events: int = 10_000_000) -> int:
         """Run until the event queue drains.  Returns the number of events run.
@@ -224,7 +222,7 @@ class Simulation:
             count += 1
             if count > max_events:
                 raise SimulationError(f"exceeded {max_events} events; runaway protocol?")
-            self._now = handle.time
+            self.now = handle.time
             handle.fired = True
             self._live -= 1
             handle.callback = None
@@ -243,4 +241,4 @@ class Simulation:
         return self._live
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Simulation(now={self._now}us, pending={self.pending_events})"
+        return f"Simulation(now={self.now}us, pending={self.pending_events})"

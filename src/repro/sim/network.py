@@ -257,17 +257,36 @@ class Network:
 
     def _delivery_time(self, dst: NodeId, wire_done: int) -> int:
         """Arrival + receiver-processing completion time for one delivery."""
-        jitter = self._rng.randint(0, self.link.jitter_us) if self.link.jitter_us else 0
-        arrival = wire_done + self.link.latency_us + jitter
+        link = self.link
+        arrival = wire_done + link.latency_us
+        jitter_us = link.jitter_us
+        if jitter_us:
+            # ``randint(0, jitter_us)`` without its three Python frames:
+            # CPython's ``_randbelow`` rejection loop over ``getrandbits``,
+            # which consumes exactly the same stream (see multicast).
+            bound = jitter_us + 1
+            bits = bound.bit_length()
+            getrandbits = self._rng.getrandbits
+            jitter = getrandbits(bits)
+            while jitter >= bound:
+                jitter = getrandbits(bits)
+            arrival += jitter
         rx_start = max(arrival, self._rx_free_at.get(dst, 0))
-        rx_done = rx_start + self.link.rx_cost_us
+        rx_done = rx_start + link.rx_cost_us
         self._rx_free_at[dst] = rx_done
         return rx_done
 
     def _deliver(self, src: NodeId, dst: NodeId, payload: Any, size: int) -> None:
         # Re-check reachability at delivery: a partition or crash that
-        # happened while the message was in flight drops it.
-        if not self.reachable(src, dst):
+        # happened while the message was in flight drops it.  The test is
+        # ``reachable`` inlined — every delivery funnels through here.
+        alive = self._alive
+        partition_of = self._partition_of
+        if not (
+            alive.get(src, False)
+            and alive.get(dst, False)
+            and partition_of.get(src) == partition_of.get(dst)
+        ):
             self.messages_dropped += 1
             return
         callback = self._callbacks.get(dst)
@@ -336,6 +355,14 @@ class Network:
         latency_us = link.latency_us
         rx_cost_us = link.rx_cost_us
         rng = self._rng
+        # Jitter is ``rng.randint(0, jitter_us)`` spelled out as CPython's
+        # ``_randbelow`` rejection loop: ``getrandbits(k)`` for the bound's
+        # bit length, redrawn while out of range.  Same calls on the same
+        # generator, so the same stream, without the ``randint`` ->
+        # ``randrange`` -> ``_randbelow`` frames.
+        getrandbits = rng.getrandbits
+        jitter_bound = jitter_us + 1
+        jitter_bits = jitter_bound.bit_length()
         alive = self._alive
         partition_of = self._partition_of
         src_block = partition_of.get(src)
@@ -348,7 +375,10 @@ class Network:
                 # Loopback delivery skips the network but keeps rx cost.
                 arrival = self.sim.now + latency_us
                 if jitter_us:
-                    arrival += rng.randint(0, jitter_us)
+                    jitter = getrandbits(jitter_bits)
+                    while jitter >= jitter_bound:
+                        jitter = getrandbits(jitter_bits)
+                    arrival += jitter
             else:
                 if not alive.get(dst, False) or partition_of.get(dst) != src_block:
                     dropped += 1
@@ -358,7 +388,10 @@ class Network:
                     continue
                 arrival = wire_done + latency_us
                 if jitter_us:
-                    arrival += rng.randint(0, jitter_us)
+                    jitter = getrandbits(jitter_bits)
+                    while jitter >= jitter_bound:
+                        jitter = getrandbits(jitter_bits)
+                    arrival += jitter
             rx_start = rx_free_at.get(dst, 0)
             if arrival > rx_start:
                 rx_start = arrival

@@ -16,8 +16,9 @@ backend (:mod:`repro.runtime.asyncio_backend`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Tuple
 
 from ..runtime.interfaces import Addressing, NodeId, Runtime, TimerHandle
 from ..runtime.rng import RngRegistry
@@ -36,6 +37,12 @@ class SimRuntime:
     rng: RngRegistry
     tracer: Tracer
     failures: FailureInjector
+    #: The Runtime protocol views, fixed at construction: the simulation
+    #: is its own clock and scheduler, the simulated network the fabric.
+    #: Plain attributes, so reaching one costs no property frame.
+    clock: Simulation = field(init=False, repr=False, compare=False)
+    scheduler: Simulation = field(init=False, repr=False, compare=False)
+    fabric: Network = field(init=False, repr=False, compare=False)
 
     @classmethod
     def create(
@@ -53,28 +60,23 @@ class SimRuntime:
         failures = FailureInjector(sim, network)
         return cls(sim=sim, network=network, rng=rng, tracer=tracer, failures=failures)
 
-    # ------------------------------------------------------------------
-    # Runtime protocol views
-    # ------------------------------------------------------------------
-    @property
-    def clock(self) -> Simulation:
-        """The simulation is its own clock."""
-        return self.sim
+    def __post_init__(self) -> None:
+        self.clock = self.sim
+        self.scheduler = self.sim
+        self.fabric = self.network
 
-    @property
-    def scheduler(self) -> Simulation:
-        """The simulation is its own scheduler."""
-        return self.sim
+    if TYPE_CHECKING:
 
-    @property
-    def fabric(self) -> Network:
-        """The simulated network is the message fabric."""
-        return self.network
+        @property
+        def now(self) -> int:
+            """Current simulation time in microseconds."""
+            return self.sim.now
 
-    @property
-    def now(self) -> int:
-        """Current simulation time in microseconds."""
-        return self.sim.now
+    else:
+        # A C-level getter: reading the time creates no Python frame.
+        now = property(
+            attrgetter("sim.now"), doc="Current simulation time in microseconds."
+        )
 
     def run_for(self, duration_us: int) -> None:
         """Execute every event in the next ``duration_us`` microseconds."""
@@ -159,6 +161,7 @@ class Process:
                 delay += rng.randint(0, max(1, period // 10))
             handle = self.env.scheduler.schedule(delay, self._guard(tick))
             self._timers.append(handle)
+            self._prune_timers()
 
         first = period if rng is None else period + rng.randint(0, max(1, period // 10))
         self._timers.append(self.env.scheduler.schedule(first, self._guard(tick)))

@@ -260,8 +260,3 @@ class ReliableTransport:
                 state.unacked[seq] = (payload, size, attempts, attempts)
                 self.retransmissions += 1
                 self._put_on_wire(dst, state, seq, payload, size)
-
-    @staticmethod
-    def is_segment(payload: Any) -> bool:
-        """True if a raw network payload belongs to the reliable transport."""
-        return isinstance(payload, _Segment)

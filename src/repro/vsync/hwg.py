@@ -454,7 +454,9 @@ class HwgEndpoint:
 
     def multicast_view(self, msg: VsyncMessage, size: int) -> None:
         assert self.current_view is not None
-        self.stack.raw_multicast(set(self.current_view.members), msg, size)
+        # The member tuple as is: the fabric keys its fan-out on
+        # ``frozenset(dsts)`` and a View never holds a duplicate member.
+        self.stack.raw_multicast(self.current_view.members, msg, size)
 
     def deliver_data(self, sender: NodeId, payload: Any, size: int) -> None:
         self.listener.on_data(self.group, sender, payload, size)

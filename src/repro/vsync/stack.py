@@ -16,12 +16,12 @@ checks and presence beacons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Set
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Type, Union
 
 from ..naming.persistence import DurableStore
 from ..runtime.interfaces import Addressing, NodeId, Runtime
 from ..sim.process import Process
-from ..sim.transport import ReliableTransport
+from ..sim.transport import ReliableTransport, _Segment
 from .failure_detector import FailureDetector, GossipFailureDetector
 from .hwg import HwgEndpoint, HwgListener
 from .locator import GroupAddressing
@@ -36,6 +36,11 @@ from .messages import (
 )
 from .view import GroupId, ViewId
 from .zones import ZoneAgent, ZoneDirectory
+
+#: ``handler(src, msg) -> bool``: True when the handler consumed ``msg``.
+Handler = Callable[[NodeId, Any], bool]
+#: The message classes a handler consumes (``issubclass`` semantics).
+Kinds = Union[Type[Any], Tuple[Type[Any], ...]]
 
 
 @dataclass
@@ -131,8 +136,13 @@ class ProtocolStack(Process):
         #: list the mapping policies consult) without rescans.
         self.endpoint_epoch = 0
         # Components above vsync (naming client, LWG layer) register
-        # handlers here; a handler returning True consumes the message.
-        self.extra_handlers: list = []
+        # handlers here with the message classes they consume; a handler
+        # returning True consumes the message.  ``_routes`` memoizes, per
+        # concrete message class, the handlers whose kinds it subclasses,
+        # in registration order, so a message is offered only to the
+        # handlers that declared it.
+        self._handlers: List[Tuple[Kinds, Handler]] = []
+        self._routes: Dict[type, Tuple[Handler, ...]] = {}
         self._view_seq = 0
         if node_store is not None:
             # Booting over pre-existing meta IS a restart: resume the
@@ -233,7 +243,7 @@ class ProtocolStack(Process):
             return
         self.transport.send(dst, msg, size)
 
-    def raw_multicast(self, dsts: Set[NodeId], msg: VsyncMessage, size: int) -> None:
+    def raw_multicast(self, dsts: Iterable[NodeId], msg: VsyncMessage, size: int) -> None:
         self.multicast(dsts, msg, size)
 
     def _fd_multicast(self, peers: Set[NodeId], msg: Heartbeat, size: int) -> None:
@@ -244,7 +254,7 @@ class ProtocolStack(Process):
     # ------------------------------------------------------------------
     def on_message(self, src: NodeId, msg: Any, size: int) -> None:
         self.fd.on_heartbeat(src)  # any traffic is evidence of liveness
-        if ReliableTransport.is_segment(msg):
+        if type(msg) is _Segment:
             self.transport.on_segment(src, msg)
             return
         self._dispatch(src, msg)
@@ -257,7 +267,13 @@ class ProtocolStack(Process):
             return
         if self.zones is not None and self._dispatch_zoned(src, msg):
             return
-        for handler in self.extra_handlers:
+        kind = type(msg)
+        route = self._routes.get(kind)
+        if route is None:
+            route = self._routes[kind] = tuple(
+                handler for kinds, handler in self._handlers if issubclass(kind, kinds)
+            )
+        for handler in route:
             if handler(src, msg):
                 return
         if not isinstance(msg, VsyncMessage):
@@ -288,9 +304,15 @@ class ProtocolStack(Process):
             self.zones.maybe_forward_presence(src, msg)
         return False
 
-    def register_handler(self, handler) -> None:
-        """Register ``handler(src, msg) -> bool`` for non-vsync traffic."""
-        self.extra_handlers.append(handler)
+    def register_handler(self, kinds: Kinds, handler: Handler) -> None:
+        """Register ``handler(src, msg) -> bool`` for messages of ``kinds``.
+
+        ``kinds`` is a class or a tuple of classes; the handler is offered
+        exactly the messages that are instances of one of them, after
+        every earlier-registered handler that also claims the message.
+        """
+        self._handlers.append((kinds, handler))
+        self._routes.clear()
 
     # ------------------------------------------------------------------
     # Periodic machinery

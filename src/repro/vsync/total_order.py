@@ -210,25 +210,35 @@ class OrderedChannel:
     # ------------------------------------------------------------------
     def on_ordered(self, msg: Ordered) -> None:
         """Receive an ordered message; deliver contiguously, NACK gaps."""
-        if self.view is None or msg.view_id != self.view.view_id:
+        view = self.view
+        if view is None:
+            return
+        # Identity first: the sequencer stamps the very ViewId its view
+        # holds, so the dataclass ``__eq__`` frame is only paid by a
+        # decoded (asyncio) or foreign view id.
+        view_id = msg.view_id
+        if view_id is not view.view_id and view_id != view.view_id:
             return
         # Apply the piggybacked stability floor first — it is valid even
-        # for duplicates and retransmissions (the monotone guard in
-        # _apply_floor discards stale floors from log retransmits).
-        self._apply_floor(msg.stable_floor)
+        # for duplicates and retransmissions (stale floors from log
+        # retransmits fail the same monotone test _apply_floor makes).
+        if msg.stable_floor > self.stable_upto:
+            self._apply_floor(msg.stable_floor)
         if self.frozen:
             # Mid-flush: we already reported our delivery state, so any
             # delivery now would diverge from the branch-wide cut.  The
             # fill supplies everything at or below the cut; anything
             # above it is re-published by its sender in the next view.
             return
-        if msg.seq <= self.delivered_upto or msg.seq in self.log:
+        seq = msg.seq
+        if seq <= self.delivered_upto or seq in self.log:
             return
-        self.log[msg.seq] = msg
-        if msg.seq > self._highest_held:
-            self._highest_held = msg.seq
+        self.log[seq] = msg
+        if seq > self._highest_held:
+            self._highest_held = seq
         self._try_deliver()
-        if self.log_gap_exists() and not self._nack_armed:
+        # ``log_gap_exists()``, inlined.
+        if self._highest_held > self.delivered_upto and not self._nack_armed:
             self._arm_nack()
 
     def _try_deliver(self) -> None:

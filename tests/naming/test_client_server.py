@@ -114,7 +114,7 @@ class SilentStack:
         self.node = node
         self.sent = []
 
-    def register_handler(self, handler):
+    def register_handler(self, kinds, handler):
         self.handler = handler
 
     def send(self, dst, msg, size):

@@ -208,3 +208,61 @@ def test_partition_blocks_accessor():
     blocks = net.partition_blocks()
     assert frozenset({"a"}) in blocks
     assert frozenset({"b", "c"}) in blocks
+
+
+# -- jitter draws ------------------------------------------------------------
+# The fabric draws jitter with CPython's ``_randbelow`` rejection loop over
+# ``getrandbits`` instead of calling ``randint``.  That is only replay-
+# transparent if it consumes exactly the stream ``randint(0, w)`` would:
+# both delivery paths are checked against a twin generator, draw for draw,
+# and the two generators must end in the same state.  Width 0 draws nothing
+# at all (no jitter, no RNG call), as it always did.
+
+JITTER_WIDTHS = [0, 1, 2, 63, 64, 65, 100, 1000]
+JITTER_DRAWS = 10_000
+JITTER_SIZE = 100
+
+
+def _jitter_net(width):
+    sim = Simulation()
+    link = LinkModel(jitter_us=width, rx_cost_us=0)
+    net = Network(sim, RngRegistry(7), link=link)
+    twin = RngRegistry(7).stream("network")
+    expected = [twin.randint(0, width) if width else 0 for _ in range(JITTER_DRAWS)]
+    return sim, net, twin, expected
+
+
+def _base_arrival(sim, net):
+    # The medium is idle after ``sim.run()``: transmission starts now.
+    return sim.now + net.link.serialization_us(JITTER_SIZE) + net.link.latency_us
+
+
+@pytest.mark.parametrize("width", JITTER_WIDTHS)
+def test_unicast_jitter_consumes_the_randint_stream(width):
+    sim, net, twin, expected = _jitter_net(width)
+    jitters = []
+    net.attach("a", lambda src, p, s: None)
+    net.attach("b", lambda src, base, s: jitters.append(sim.now - base))
+    for _ in range(JITTER_DRAWS):
+        net.send("a", "b", _base_arrival(sim, net), JITTER_SIZE)
+        sim.run()
+    assert jitters == expected
+    assert net._rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("width", JITTER_WIDTHS)
+def test_multicast_jitter_consumes_the_randint_stream(width):
+    sim, net, twin, expected = _jitter_net(width)
+    dsts = [f"d{i:03}" for i in range(100)]
+    arrived = {}
+    net.attach("src", lambda src, p, s: None)
+    for dst in dsts:
+        net.attach(dst, lambda src, base, s, dst=dst: arrived.__setitem__(dst, sim.now - base))
+    jitters = []
+    for _ in range(JITTER_DRAWS // len(dsts)):
+        arrived.clear()
+        net.multicast("src", set(dsts), _base_arrival(sim, net), JITTER_SIZE)
+        sim.run()
+        jitters.extend(arrived[dst] for dst in dsts)  # draws go in sorted order
+    assert jitters == expected
+    assert net._rng.getstate() == twin.getstate()

@@ -113,3 +113,44 @@ def test_scheduled_failure_events(env):
     assert a.crashed
     env.sim.run_until(1000)
     assert not a.crashed
+
+
+def test_periodic_rearming_keeps_the_timer_list_bounded(env):
+    a = Echo(env, "a")
+    a.set_periodic(10, lambda: None)
+    env.sim.run_until(10 * 1000)  # 1000 re-arms, and no set_timer call
+    assert len(a._timers) <= 257
+    assert sum(t.pending for t in a._timers) == 1
+
+
+def test_idle_cluster_timer_lists_stay_bounded():
+    from repro.workloads import Cluster
+
+    cluster = Cluster(3, seed=3, checkers=False)
+    cluster.run_for_seconds(200)
+    processes = list(cluster.stacks.values()) + list(cluster.name_servers.values())
+    assert all(len(p._timers) <= 257 for p in processes)
+    # Pruning drops only fired handles, so a crash still cancels every
+    # pending one.
+    stack = cluster.stack(0)
+    pending = [t for t in stack._timers if t.pending]
+    assert pending
+    cluster.env.failures.crash_now(stack.node)
+    assert not any(t.pending for t in pending)
+    assert stack._timers == []
+
+
+def test_runtime_views_track_the_simulation():
+    env = SimRuntime.create(seed=1)
+    assert env.clock is env.sim and env.scheduler is env.sim
+    assert env.fabric is env.network
+    seen = []
+    env.scheduler.schedule(250, lambda: seen.append((env.now, env.clock.now)))
+    env.sim.run_until(1000)
+    assert seen == [(250, 250)]
+    assert env.now == env.clock.now == env.sim.now == 1000
+    env.scheduler.schedule(40, lambda: seen.append((env.now, env.clock.now)))
+    env.sim.run()
+    assert seen[-1] == (1040, 1040) and env.now == 1040
+    env.run_for(60)
+    assert env.now == env.scheduler.now == 1100

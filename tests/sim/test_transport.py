@@ -17,7 +17,7 @@ class Host(Process):
         )
 
     def on_message(self, src, msg, size):
-        if ReliableTransport.is_segment(msg):
+        if type(msg) is _Segment:
             self.transport.on_segment(src, msg)
 
 

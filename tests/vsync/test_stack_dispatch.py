@@ -19,7 +19,7 @@ def test_extra_handler_consumes_before_vsync(env):
             return True
         return False
 
-    stack.register_handler(handler)
+    stack.register_handler(str, handler)
     other = ProtocolStack(env, "p1", addressing)
     other.send("p0", "custom")
     env.sim.run_until(10_000)
@@ -78,3 +78,98 @@ def test_view_seq_is_monotonic_across_groups(env):
     values = [stack.next_view_seq() for _ in range(10)]
     assert values == sorted(values)
     assert len(set(values)) == 10
+
+
+# -- routing: a handler is offered exactly the message classes it declared ----
+
+
+class Base:
+    pass
+
+
+class Sub(Base):
+    pass
+
+
+class Unrelated:
+    pass
+
+
+def _pair(env):
+    addressing = GroupAddressing()
+    return ProtocolStack(env, "p0", addressing), ProtocolStack(env, "p1", addressing)
+
+
+def _recorder(log, name, consume):
+    def handler(src, msg):
+        log.append((name, type(msg).__name__))
+        return consume
+
+    return handler
+
+
+def _deliver(env, sender, *messages):
+    for msg in messages:
+        sender.send("p0", msg)
+    env.sim.run_until(env.sim.now + 10_000)
+
+
+def test_handler_sees_exactly_its_declared_kinds(env):
+    stack, other = _pair(env)
+    log = []
+    stack.register_handler(Base, _recorder(log, "base", True))
+    _deliver(env, other, Base(), Sub(), Unrelated(), "text")
+    assert log == [("base", "Base"), ("base", "Sub")]
+
+
+def test_overlapping_kinds_are_offered_in_registration_order(env):
+    stack, other = _pair(env)
+    log = []
+    stack.register_handler(Base, _recorder(log, "first", False))
+    stack.register_handler((Sub, str), _recorder(log, "second", True))
+    stack.register_handler(Base, _recorder(log, "third", True))
+    _deliver(env, other, Sub(), Base(), "text")
+    assert log == [
+        ("first", "Sub"), ("second", "Sub"),  # consumed: "third" never offered
+        ("first", "Base"), ("third", "Base"),
+        ("second", "str"),
+    ]
+
+
+def test_registration_after_traffic_clears_the_route_memo(env):
+    stack, other = _pair(env)
+    log = []
+    stack.register_handler(Base, _recorder(log, "base", False))
+    _deliver(env, other, Sub())
+    stack.register_handler(Sub, _recorder(log, "late", True))
+    _deliver(env, other, Sub())
+    assert log == [("base", "Sub"), ("base", "Sub"), ("late", "Sub")]
+
+
+class _EndpointProbe:
+    def __init__(self):
+        self.received = []
+
+    def on_message(self, src, msg):
+        self.received.append((src, msg))
+
+
+def test_unclaimed_vsync_message_still_reaches_its_endpoint(env):
+    stack, other = _pair(env)
+    log = []
+    stack.register_handler(str, _recorder(log, "text", True))
+    stack.register_handler(VsyncMessage, _recorder(log, "declines", False))
+    probe = stack.endpoints["g"] = _EndpointProbe()
+    msg = Ordered(group="g", view_id=ViewId("p1", 1), seq=0, sender="p1")
+    _deliver(env, other, msg)
+    assert log == [("declines", "Ordered")]
+    assert probe.received == [("p1", msg)]
+
+
+def test_unclaimed_foreign_payload_is_dropped_silently(env):
+    stack, other = _pair(env)
+    log = []
+    stack.register_handler(Base, _recorder(log, "base", True))
+    probe = stack.endpoints["g"] = _EndpointProbe()
+    _deliver(env, other, Unrelated(), {"group": "g"})
+    assert log == [] and probe.received == []
