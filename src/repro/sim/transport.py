@@ -18,6 +18,21 @@ from typing import Any, Callable, Deque, Dict, Tuple
 
 from ..runtime.interfaces import NodeId, Runtime
 
+#: Exponential-backoff cap for retransmissions, microseconds.
+MAX_BACKOFF_US = 1_000_000
+
+
+def backoff_us(base_us: int, attempts: int) -> int:
+    """Retransmission delay after ``attempts`` earlier tries.
+
+    Exponential backoff is essential on a shared medium: a fixed
+    timeout shorter than the congestion-induced ACK delay turns every
+    burst into a retransmission storm that further congests the
+    medium (measured: thousands of spurious retransmissions and even
+    give-ups with zero real loss).
+    """
+    return min(base_us << attempts, MAX_BACKOFF_US)
+
 
 @dataclass(frozen=True)
 class _Segment:
@@ -141,20 +156,6 @@ class ReliableTransport:
         )
         self.env.fabric.send(self.node, dst, segment, size)
 
-    #: Exponential-backoff cap for retransmissions, microseconds.
-    MAX_BACKOFF_US = 1_000_000
-
-    def _backoff(self, attempts: int) -> int:
-        """Retransmission delay for the given attempt count.
-
-        Exponential backoff is essential on a shared medium: a fixed
-        timeout shorter than the congestion-induced ACK delay turns every
-        burst into a retransmission storm that further congests the
-        medium (measured: thousands of spurious retransmissions and even
-        give-ups with zero real loss).
-        """
-        return min(self.retransmit_timeout_us << attempts, self.MAX_BACKOFF_US)
-
     def _arm_retransmit(self, dst: NodeId, seq: int) -> None:
         def retry() -> None:
             if self._stopped:
@@ -172,9 +173,11 @@ class ReliableTransport:
             state.unacked[seq] = (payload, size, attempts + 1, filled)
             self.retransmissions += 1
             self._put_on_wire(dst, state, seq, payload, size)
-            self.env.scheduler.schedule(self._backoff(attempts + 1), retry)
+            self.env.scheduler.schedule(
+                backoff_us(self.retransmit_timeout_us, attempts + 1), retry
+            )
 
-        self.env.scheduler.schedule(self._backoff(0), retry)
+        self.env.scheduler.schedule(backoff_us(self.retransmit_timeout_us, 0), retry)
 
     def _drain_queue(self, dst: NodeId) -> None:
         state = self._peer(dst)
@@ -251,7 +254,7 @@ class ReliableTransport:
         behind it waits too.  One copy per segment per backoff interval, so
         a stream of such acks is no storm; the timer chain is left alone
         (under congestion the peer is never silent, so resetting backoff on
-        inbound traffic would bring back the storm ``_backoff`` describes).
+        inbound traffic would bring back the storm ``backoff_us`` describes).
         """
         for seq, (payload, size, attempts, filled) in state.unacked.items():
             if seq >= hole - 1:

@@ -235,10 +235,19 @@ class HwgEndpoint:
     def _leave_attempt(self) -> None:
         if self.state is not EndpointState.LEAVING:
             return
+        if self._leave_timer is not None:
+            self._leave_timer.cancel()
         coordinator = self.vcm.acting_coordinator()
         msg = LeaveRequest(group=self.group, leaver=self.node)
         if coordinator == self.node:
             self.vcm.on_leave_request(msg)
+        elif self.channel.pending:
+            # Our publishes are raw datagrams and the LeaveRequest is not:
+            # sent now, it could reach the coordinator ahead of a lost or
+            # reordered publish, and the leave's flush would strand it.
+            # Ask once the last one is delivered (its Ordered is the ack),
+            # after the delivery that drained it has run to completion.
+            self.channel.on_drained = lambda: self.stack.set_timer(0, self._leave_attempt)
         elif coordinator is not None:
             self.reliable_send(coordinator, msg)
         self._leave_timer = self.stack.set_timer(
@@ -254,6 +263,7 @@ class HwgEndpoint:
         self.current_view = None
         self.vcm.reset()
         self.participant.reset()
+        self.channel.freeze()  # stops its re-publish and NACK timers
         self.channel = OrderedChannel(self)
         for peer in self._monitored:  # already sorted (see __init__)
             self.fd.unmonitor(peer)
@@ -367,7 +377,10 @@ class HwgEndpoint:
         self.channel.install_view(view, dedup)
         self._update_monitoring(view)
         was_joining = self.state is EndpointState.JOINING
-        self.state = EndpointState.MEMBER
+        # A leave survives the install: a LEAVING endpoint keeps retrying
+        # until a view without it (or InstallView(view=None)) arrives.
+        if self.state is not EndpointState.LEAVING:
+            self.state = EndpointState.MEMBER
         if was_joining and self._join_timer is not None:
             self._join_timer.cancel()
         self.views_installed += 1
@@ -451,6 +464,9 @@ class HwgEndpoint:
     # ------------------------------------------------------------------
     def reliable_send(self, dst: NodeId, msg: VsyncMessage) -> None:
         self.stack.reliable_send(dst, msg, msg.size_bytes())
+
+    def raw_send(self, dst: NodeId, msg: VsyncMessage) -> None:
+        self.stack.send(dst, msg, msg.size_bytes())
 
     def multicast_view(self, msg: VsyncMessage, size: int) -> None:
         assert self.current_view is not None

@@ -324,7 +324,9 @@ class ViewChangeManager:
         rnd.suspects = suspects
         rnd.refresh = refresh
         self.pending_joins -= joins
-        self.pending_leaves -= leaves
+        # Every queued leave is spent here: one for a node this view no
+        # longer holds must not survive to expel that node once it rejoins.
+        self.pending_leaves.clear()
         self.pending_merges.clear()
         self.round = rnd
         self.ep.trace("round_start", round_no=rnd.round_no, joins=sorted(joins),

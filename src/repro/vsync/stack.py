@@ -335,6 +335,8 @@ class ProtocolStack(Process):
     def on_crash(self) -> None:
         self.transport.stop()
         self.addressing.unsubscribe_all(self.node)
+        for endpoint in self.endpoints.values():
+            endpoint.channel.freeze()  # its timers must not outlive this life
         self.endpoints.clear()
         self.fd.reset()
         if self.zones is not None:

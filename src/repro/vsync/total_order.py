@@ -1,9 +1,13 @@
 """Totally-ordered delivery within an installed view.
 
 Within each view the view coordinator acts as *sequencer*: members send
-``Publish`` requests to it over reliable FIFO channels, the sequencer
+``Publish`` requests to it as raw unicast datagrams, the sequencer
 assigns a view-local sequence number and multicasts ``Ordered`` messages
-to the whole view.  Receivers deliver in sequence order and NACK gaps.
+to the whole view.  That multicast reaches the publisher too and is its
+acknowledgement: the sequencer restores each sender's FIFO order and
+drops duplicates itself, and a per-channel timer re-publishes what a
+lost datagram left undelivered.  Receivers deliver in sequence order and
+NACK gaps.
 
 Cross-view safety is provided by two mechanisms used during flush:
 
@@ -17,30 +21,40 @@ Cross-view safety is provided by two mechanisms used during flush:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..runtime.interfaces import NodeId
+from ..runtime.interfaces import NodeId, TimerHandle
+from ..sim.transport import backoff_us
 from .messages import Nack, Ordered, Publish, StabilityAck, StabilityAnnounce
 from .view import View
 
 #: How long a receiver waits on a sequence gap before NACKing, microseconds.
 NACK_DELAY_US = 30_000
 
-#: Fallback idle-ack timeout when the host exposes no stack config
-#: (unit-test fake hosts).  Matches VsyncConfig.ack_idle_timeout_us.
+#: Fallback timers when the host exposes no stack config (unit-test fake
+#: hosts).  They match VsyncConfig's ack_idle_timeout_us and
+#: retransmit_timeout_us.
 DEFAULT_ACK_IDLE_TIMEOUT_US = 400_000
+DEFAULT_RETRANSMIT_TIMEOUT_US = 20_000
 
 
 class OrderedChannel:
     """Sequencer-based total order for one endpoint in one group.
 
     The ``host`` must provide: ``node``, ``group``, ``env``,
-    ``reliable_send(dst, msg)``, ``multicast_view(msg, size)`` and
-    ``deliver_data(sender, payload, size)``.
+    ``raw_send(dst, msg)``, ``reliable_send(dst, msg)``,
+    ``multicast_view(msg, size)`` and ``deliver_data(sender, payload, size)``.
     """
 
     def __init__(self, host) -> None:
         self.host = host
+        config = getattr(getattr(host, "stack", None), "config", None)
+        self._ack_idle_timeout_us: int = getattr(
+            config, "ack_idle_timeout_us", DEFAULT_ACK_IDLE_TIMEOUT_US
+        )
+        self._republish_base_us: int = getattr(
+            config, "retransmit_timeout_us", DEFAULT_RETRANSMIT_TIMEOUT_US
+        )
         self.view: Optional[View] = None
         self.log: Dict[int, Ordered] = {}
         self.delivered_upto = -1
@@ -52,11 +66,16 @@ class OrderedChannel:
         self.my_send_seq = 0
         # sender_seq -> (payload, size): sent but not yet seen delivered.
         self.pending: "OrderedDict[int, Tuple[Any, int]]" = OrderedDict()
+        #: Called once, then cleared, when a delivery next empties
+        #: ``pending`` (a leave waits on it: see HwgEndpoint._leave_attempt).
+        self.on_drained: Optional[Callable[[], None]] = None
         self.frozen = False
-        #: Sequencer only: publishes ordered in this view that the
-        #: sequencer has not delivered yet (after that ``dedup_floor``
-        #: rejects a replay, so :meth:`_deliver` drops the pair).
-        self._ordered_in_view: Set[Tuple[NodeId, int]] = set()
+        #: Sequencer only, reset per view: the highest sender_seq ordered
+        #: for each sender, and the publishes that arrived ahead of a gap
+        #: in a sender's numbering (sender -> sender_seq -> Publish).
+        self._ordered_upto: Dict[NodeId, int] = {}
+        self._held: Dict[NodeId, Dict[int, Publish]] = {}
+        self._republish_timer: Optional[TimerHandle] = None
         self._nack_armed = False
         self.delivered_count = 0
         # Stability tracking: log entries at or below the floor are
@@ -84,7 +103,8 @@ class OrderedChannel:
         self.delivered_upto = -1
         self._highest_held = -1
         self.next_order_seq = 0
-        self._ordered_in_view.clear()
+        self._ordered_upto.clear()
+        self._held.clear()
         self.frozen = False
         self.stable_upto = -1
         self._member_delivered.clear()
@@ -100,12 +120,16 @@ class OrderedChannel:
         my_floor = self.dedup_floor.get(self.host.node, -1)
         for sender_seq in [s for s in self.pending if s <= my_floor]:
             del self.pending[sender_seq]
+        # The re-publish below re-arms at the base delay, whatever an
+        # unreachable old coordinator had grown the backoff to.
+        self._cancel_republish()
         for sender_seq, (payload, size) in list(self.pending.items()):
             self._publish(sender_seq, payload, size)
 
     def freeze(self) -> None:
         """Stop ordering/publishing; called when a flush begins."""
         self.frozen = True
+        self._cancel_republish()
 
     def thaw(self) -> None:
         """Resume in the *same* view after an abandoned view change.
@@ -113,8 +137,8 @@ class OrderedChannel:
         Used when a flush completed but the round was dropped without
         installing a successor (e.g. a merge-only round whose foreign
         branches all declined).  Per-view state survives; sends queued
-        while frozen are (re-)published — the sequencer's
-        ``_ordered_in_view`` set makes replays idempotent.
+        while frozen are (re-)published — the sequencer orders each
+        sender_seq once, so replays are idempotent.
         """
         self.frozen = False
         my_floor = self.dedup_floor.get(self.host.node, -1)
@@ -155,13 +179,47 @@ class OrderedChannel:
         if self.host.node == self.view.coordinator:
             self.on_publish(self.host.node, msg)
         else:
-            self.host.reliable_send(self.view.coordinator, msg)
+            self.host.raw_send(self.view.coordinator, msg)
+            if self._republish_timer is None:
+                self._arm_republish(0)
+
+    def _arm_republish(self, attempts: int) -> None:
+        """Re-publish the pending window if it makes no progress.
+
+        One timer per channel, on the transport's backoff schedule from
+        ``retransmit_timeout_us``.  Progress (the oldest pending message
+        was delivered) re-arms it at the base delay; a window still stuck
+        is re-published in order and the delay doubles.  An empty window
+        disarms it; a freeze cancels it, and ``install_view`` and ``thaw``
+        re-publish and re-arm at the base delay.
+        """
+        oldest = next(iter(self.pending))
+
+        def fire() -> None:
+            self._republish_timer = None
+            if not self.pending:
+                return
+            if next(iter(self.pending)) != oldest:
+                self._arm_republish(0)
+                return
+            self._arm_republish(attempts + 1)
+            for sender_seq, (payload, size) in list(self.pending.items()):
+                self._publish(sender_seq, payload, size)
+
+        self._republish_timer = self.host.env.scheduler.schedule(
+            backoff_us(self._republish_base_us, attempts), fire
+        )
+
+    def _cancel_republish(self) -> None:
+        if self._republish_timer is not None:
+            self._republish_timer.cancel()
+            self._republish_timer = None
 
     # ------------------------------------------------------------------
     # Sequencer side
     # ------------------------------------------------------------------
     def on_publish(self, src: NodeId, msg: Publish) -> None:
-        """Sequencer: assign the next order number and multicast."""
+        """Sequencer: order each sender's publishes once, in its FIFO order."""
         if self.view is None or msg.view_id != self.view.view_id:
             return  # stale view: sender will re-publish after install
         # Absorb the piggybacked ack even for messages the dedup logic
@@ -172,13 +230,34 @@ class OrderedChannel:
             self._member_delivered[msg.sender] = msg.acked_upto
         if self.frozen or self.host.node != self.view.coordinator:
             return
-        if msg.sender_seq <= self.dedup_floor.get(msg.sender, -1):
+        # Publishes are raw datagrams, so they may arrive reordered or
+        # twice: order each sender's numbering exactly once and in order.
+        # It continues from the floor carried into the view (or from 0:
+        # sender_seq starts at 1), which also rejects replays of messages
+        # an earlier view delivered.
+        sender = msg.sender
+        upto = self._ordered_upto.get(sender)
+        if upto is None:
+            upto = self.dedup_floor.get(sender, 0)
+        if msg.sender_seq != upto + 1:
+            if msg.sender_seq > upto:
+                self._held.setdefault(sender, {})[msg.sender_seq] = msg
             return
-        if (msg.sender, msg.sender_seq) in self._ordered_in_view:
-            return
+        upto += 1
+        self._order(msg)
+        held = self._held.get(sender)
+        if held:
+            while upto + 1 in held:
+                upto += 1
+                self._order(held.pop(upto))
+            if not held:
+                del self._held[sender]
+        self._ordered_upto[sender] = upto
+
+    def _order(self, msg: Publish) -> None:
+        """Sequencer: assign ``msg`` the next order number and multicast it."""
         seq = self.next_order_seq
         self.next_order_seq += 1
-        self._ordered_in_view.add((msg.sender, msg.sender_seq))
         # Piggybacked stability floor: every Ordered carries the current
         # floor, so members prune their logs from the data stream itself.
         ordered = Ordered(
@@ -254,8 +333,9 @@ class OrderedChannel:
             self.dedup_floor[msg.sender] = msg.sender_seq
         if msg.sender == self.host.node:
             self.pending.pop(msg.sender_seq, None)
-        if self._ordered_in_view:
-            self._ordered_in_view.discard((msg.sender, msg.sender_seq))
+            if not self.pending and self.on_drained is not None:
+                drained, self.on_drained = self.on_drained, None
+                drained()
         self.delivered_count += 1
         tracer = self.host.env.tracer
         # Hottest emit in the stack — one per delivered message.  The
@@ -304,11 +384,6 @@ class OrderedChannel:
     # ------------------------------------------------------------------
     # Stability and log garbage collection
     # ------------------------------------------------------------------
-    def _ack_idle_timeout(self) -> int:
-        stack = getattr(self.host, "stack", None)
-        config = getattr(stack, "config", None)
-        return getattr(config, "ack_idle_timeout_us", DEFAULT_ACK_IDLE_TIMEOUT_US)
-
     def tick_stability(self) -> None:
         """Periodic: report delivery progress / announce the floor.
 
@@ -336,7 +411,7 @@ class OrderedChannel:
                 )
                 self.host.multicast_view(announce, announce.size_bytes())
         else:
-            if now - self._last_ack_sent_at < self._ack_idle_timeout():
+            if now - self._last_ack_sent_at < self._ack_idle_timeout_us:
                 return  # a recent Publish already carried our progress
             self._last_ack_sent_at = now
             self.standalone_acks += 1

@@ -158,3 +158,54 @@ def test_views_installed_counter(env):
     stacks, endpoints, _ = make_group(env, 2)
     assert run_until(env, lambda: converged(endpoints, 2))
     assert endpoints[0].views_installed >= 1
+
+
+def test_leaving_member_that_installs_a_merged_view_completes_its_leave(env):
+    """p3 starts leaving just as its side's coordinator agrees to a merge:
+    the merged view installs at p3 before any round takes the leave.  It
+    must stay LEAVING through that install and finish leaving after it."""
+    stacks, endpoints, listeners = make_group(env, 4)
+    assert run_until(env, lambda: converged(endpoints, 4))
+    env.network.set_partitions([["p0", "p1"], ["p2", "p3"]])
+    assert run_until(env, lambda: converged(endpoints[:2], 2), timeout_s=15)
+    assert run_until(env, lambda: converged(endpoints[2:], 2), timeout_s=15)
+    right = endpoints[2].current_view
+    leaver = next(e for e in endpoints[2:] if e.node != right.coordinator)
+    states_at_merge = []
+
+    def on_record(record):
+        if record.event == "merge_accept" and record.fields["node"] == right.coordinator:
+            leaver.leave()
+
+    def on_view(group, view, _on_view=leaver.listener.on_view):
+        if len(view.members) == 4:
+            states_at_merge.append(leaver.state)
+        _on_view(group, view)
+
+    leaver.listener.on_view = on_view
+    env.tracer.subscribe(on_record, categories=["hwg"])
+    env.network.heal()
+    survivors = [e for e in endpoints if e is not leaver]
+    assert run_until(env, lambda: converged(survivors, 3), timeout_s=20)
+    assert states_at_merge == [EndpointState.LEAVING]
+    assert run_until(env, lambda: leaver.listener.lefts == 1)
+    assert leaver.state is EndpointState.IDLE
+
+
+def test_coordinator_whose_own_leave_is_in_the_round_finishes_leaving(env):
+    """The coordinator asks to leave while it runs a refresh round: the
+    refreshed view installs with it still LEAVING, the next round takes
+    its leave, and it ends IDLE holding no round."""
+    stacks, endpoints, listeners = make_group(env, 3)
+    assert run_until(env, lambda: converged(endpoints, 3))
+    coordinator = next(
+        e for e in endpoints if e.node == endpoints[0].current_view.coordinator
+    )
+    coordinator.force_refresh()
+    assert coordinator.vcm.round is not None
+    coordinator.leave()
+    survivors = [e for e in endpoints if e is not coordinator]
+    assert run_until(env, lambda: converged(survivors, 2))
+    assert coordinator.state is EndpointState.IDLE
+    assert coordinator.vcm.round is None
+    assert listeners[endpoints.index(coordinator)].lefts == 1

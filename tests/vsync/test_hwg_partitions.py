@@ -4,6 +4,7 @@ from tests.helpers import RecordingListener, converged, make_group, run_until
 
 from repro.sim import SECOND
 from repro.vsync import GroupAddressing, ProtocolStack
+from repro.vsync.messages import StabilityAck
 
 
 def split(env, endpoints, listeners, sides):
@@ -141,10 +142,12 @@ def test_crash_during_partition_then_heal(env):
 def test_merge_request_is_not_parked_behind_pre_partition_segments(env):
     """After a heal the merge handshake costs round trips, not a backoff.
 
-    p4 is the senior member, so before the cut everyone publishes through
-    it; the four that end up on p0's side keep retransmitting those
-    publishes into the partition.  p0 then leads the merge, and its
-    MergeRequest shares a FIFO channel with the segments p4 never got.
+    p4 is the senior member, so before the cut everyone reports to it;
+    the four that end up on p0's side send it stability reports just as
+    the cut falls and keep retransmitting them into the partition.  p0
+    then leads the merge, and its MergeRequest shares a FIFO channel with
+    the segments p4 never got.  (Data is no test of this: a ``Publish``
+    is a raw datagram, and the sequencer's ``Ordered`` acknowledges it.)
     """
     addressing = GroupAddressing()
     stacks = [ProtocolStack(env, f"p{i}", addressing) for i in range(8)]
@@ -157,6 +160,15 @@ def test_merge_request_is_not_parked_behind_pre_partition_segments(env):
     assert endpoints[0].current_view.coordinator == "p4"
 
     env.network.set_partitions([["p0", "p1", "p2", "p3"], ["p4", "p5", "p6", "p7"]])
+    old_view = endpoints[0].current_view.view_id
+    for endpoint in endpoints[:4]:
+        endpoint.reliable_send(
+            "p4",
+            StabilityAck(
+                group="g", view_id=old_view, member=endpoint.node,
+                delivered_upto=endpoint.channel.delivered_upto,
+            ),
+        )
     for endpoint in endpoints:
         endpoint.send(f"cut-{endpoint.node}")
     env.sim.run_until(env.sim.now + 3 * SECOND)

@@ -446,3 +446,33 @@ def test_leave_request_at_non_leader_member_is_ignored(env):
     endpoint.vcm.on_leave_request(LeaveRequest(group="g", leaver="p2"))
     assert endpoint.vcm.round is None
     assert endpoint.sent == []
+
+
+def install_successor(endpoint, members):
+    """What HwgEndpoint._install does to the manager: a new view, round over."""
+    old = endpoint.current_view
+    endpoint.current_view = View(
+        "g", ViewId("p0", old.view_id.seq + 1), tuple(members), parents=(old.view_id,)
+    )
+    endpoint.participant.reset()
+    endpoint.vcm.round_completed()
+    endpoint.vcm.maybe_start()
+
+
+def test_spent_leave_does_not_expel_the_node_after_it_rejoins(env):
+    """A LeaveRequest retry that lands while its own round runs is spent
+    with that round: the node rejoins later and the next round keeps it."""
+    endpoint = make(env, node="p0")
+    vcm = endpoint.vcm
+    leave = LeaveRequest(group="g", leaver="p2")
+    vcm.on_leave_request(leave)
+    assert vcm.round.leaves == {"p2"}
+    vcm.on_leave_request(leave)  # the leaver's retry, while its round runs
+    install_successor(endpoint, ("p0", "p1"))
+    assert vcm.round is None
+    vcm.on_join_request(JoinRequest(group="g", joiner="p2"))
+    assert vcm.round.joins == {"p2"} and vcm.round.leaves == set()
+    install_successor(endpoint, ("p0", "p1", "p2"))
+    assert vcm.round is None  # no round expelling the rejoined node
+    vcm.request_refresh()
+    assert vcm.round.leaves == set()

@@ -1,15 +1,18 @@
 """Unit tests for the coordinator-sequencer ordered channel.
 
 These drive :class:`OrderedChannel` directly through a fake host, so
-ordering, dedup-floor and flush-support logic are tested without the
-membership machinery.
+ordering, dedup-floor, re-publish and flush-support logic are tested
+without the membership machinery.
 """
 
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import SimRuntime
+from repro.sim import SECOND, SimRuntime
+from repro.sim.transport import MAX_BACKOFF_US
 from repro.vsync.messages import Nack, Ordered, Publish
 from repro.vsync.total_order import OrderedChannel
 from repro.vsync.view import View, ViewId
@@ -24,10 +27,16 @@ class FakeHost:
         self.group = group
         self.multicasts = []
         self.reliable = []
+        self.raw = []
+        self.raw_sent_at = []
         self.delivered = []
 
     def multicast_view(self, msg, size):
         self.multicasts.append(msg)
+
+    def raw_send(self, dst, msg):
+        self.raw.append((dst, msg))
+        self.raw_sent_at.append(self.env.now)
 
     def reliable_send(self, dst, msg):
         self.reliable.append((dst, msg))
@@ -65,8 +74,9 @@ def test_non_coordinator_publishes_to_sequencer(env):
     channel = OrderedChannel(host)
     channel.install_view(View("g", ViewId("p0", 1), ("p0", "p1")), {})
     channel.send("m", 10)
-    assert len(host.reliable) == 1
-    dst, msg = host.reliable[0]
+    assert host.reliable == []  # a raw datagram, not a transport segment
+    assert len(host.raw) == 1
+    dst, msg = host.raw[0]
     assert dst == "p0" and isinstance(msg, Publish)
 
 
@@ -271,10 +281,10 @@ def test_floor_prunes_exactly_the_entries_at_or_below_it(env):
     assert sorted(channel.log) == [10, 11] and channel.log_pruned == 10
 
 
-def test_sequencer_dedup_set_holds_only_undelivered_publishes(seq_host):
-    """1 000 messages in one view, at most four of them ordered but not yet
-    looped back: the set never outgrows that window, and a replay of a
-    long-delivered Publish is still dropped (by the dedup floor)."""
+def test_sequencer_dedup_state_is_one_integer_per_sender(seq_host):
+    """1 000 messages in one view from two senders: the sequencer keeps one
+    integer per sender and holds nothing back, and a replay of a
+    long-delivered Publish is still dropped."""
     host, channel, view = seq_host
     first = Publish(group="g", view_id=view.view_id, sender="p1", sender_seq=1, payload=0)
     for k in range(500):
@@ -283,10 +293,170 @@ def test_sequencer_dedup_set_holds_only_undelivered_publishes(seq_host):
             "p1",
             Publish(group="g", view_id=view.view_id, sender="p1", sender_seq=k + 1, payload=k),
         )
-        assert len(channel._ordered_in_view) <= 4
+        assert channel._ordered_upto == {"p0": k + 1, "p1": k + 1}
+        assert channel._held == {}
         if k % 2:
             feed_own_multicasts(channel, host)
-            assert not channel._ordered_in_view
+    feed_own_multicasts(channel, host)
     assert channel.delivered_count == len(host.delivered) == 1000
     channel.on_publish("p1", first)
     assert host.multicasts == []
+
+
+# ----------------------------------------------------------------------
+# Raw publishes: per-sender FIFO and dedup at the sequencer
+# ----------------------------------------------------------------------
+def publish(view, sender_seq, sender="p1"):
+    return Publish(
+        group="g", view_id=view.view_id, sender=sender, sender_seq=sender_seq,
+        payload=sender_seq,
+    )
+
+
+def test_sequencer_orders_a_reordered_publish_after_its_predecessor(seq_host):
+    host, channel, view = seq_host
+    channel.on_publish("p1", publish(view, 2))
+    assert host.multicasts == [] and list(channel._held["p1"]) == [2]
+    channel.on_publish("p1", publish(view, 1))
+    assert [(m.seq, m.sender_seq) for m in host.multicasts] == [(0, 1), (1, 2)]
+    assert channel._held == {}
+
+
+def test_republish_racing_its_original_is_ordered_once(seq_host):
+    host, channel, view = seq_host
+    original = publish(view, 1)
+    channel.on_publish("p1", original)
+    channel.on_publish("p1", publish(view, 1))  # the re-publish
+    channel.on_publish("p1", publish(view, 3))  # held behind 2
+    channel.on_publish("p1", publish(view, 3))
+    channel.on_publish("p1", publish(view, 2))
+    channel.on_publish("p1", original)  # late duplicate of the original
+    assert [m.sender_seq for m in host.multicasts] == [1, 2, 3]
+
+
+def test_install_view_resets_sender_numbering_to_the_carried_floor(seq_host):
+    host, channel, view = seq_host
+    channel.on_publish("p1", publish(view, 3))
+    assert channel._held
+    successor = View("g", ViewId("p0", 2), ("p0", "p1"), parents=(view.view_id,))
+    channel.install_view(successor, {"p1": 4})
+    assert channel._held == {} and channel._ordered_upto == {}
+    channel.on_publish("p1", publish(successor, 4))  # delivered in an earlier view
+    channel.on_publish("p1", publish(successor, 6))
+    channel.on_publish("p1", publish(successor, 5))
+    assert [m.sender_seq for m in host.multicasts] == [5, 6]
+
+
+# ----------------------------------------------------------------------
+# Raw publishes: the re-publish timer
+# ----------------------------------------------------------------------
+@pytest.fixture
+def member_host(env):
+    """A channel whose host is a non-coordinator member of a 2-member view."""
+    host = FakeHost(env, "p1")
+    channel = OrderedChannel(host)
+    view = View("g", ViewId("p0", 1), ("p0", "p1"))
+    channel.install_view(view, {})
+    return host, channel, view
+
+
+def test_unacknowledged_publish_is_republished_with_backoff(member_host):
+    host, channel, _ = member_host
+    start = host.env.now
+    channel.send("a", 1)
+    host.env.sim.run_until(start + 19_999)
+    assert len(host.raw) == 1
+    host.env.sim.run_until(start + 300_000)
+    # 20 ms, then doubling: 20 / 40 / 80 / 160 ms between copies.
+    assert [t - start for t in host.raw_sent_at] == [0, 20_000, 60_000, 140_000, 300_000]
+    assert {msg.sender_seq for _, msg in host.raw} == {1}
+
+
+def test_republish_delay_is_capped_at_the_transport_backoff(member_host):
+    host, channel, _ = member_host
+    channel.send("a", 1)
+    host.env.sim.run_until(host.env.now + 10 * SECOND)
+    gaps = [b - a for a, b in zip(host.raw_sent_at, host.raw_sent_at[1:])]
+    assert max(gaps) == MAX_BACKOFF_US
+    assert gaps == sorted(gaps)
+
+
+def test_progress_rearms_the_timer_at_the_base_delay(member_host):
+    host, channel, view = member_host
+    start = host.env.now
+    channel.send("a", 1)
+    channel.send("b", 1)
+    host.env.sim.run_until(start + 10_000)
+    channel.on_ordered(Ordered(group="g", view_id=view.view_id, seq=0, sender="p1",
+                               sender_seq=1, payload="a"))
+    host.env.sim.run_until(start + 39_999)
+    assert len(host.raw) == 2  # 20 ms: progress, nothing re-sent
+    host.env.sim.run_until(start + 40_000)
+    assert [msg.sender_seq for _, msg in host.raw] == [1, 2, 2]
+
+
+def test_nothing_is_republished_while_frozen_and_the_timer_stops_when_delivered(
+    member_host,
+):
+    host, channel, view = member_host
+    channel.send("a", 1)
+    channel.freeze()
+    host.env.sim.run_until(host.env.now + SECOND)
+    assert len(host.raw) == 1 and channel._republish_timer is None
+    successor = View("g", ViewId("p0", 2), ("p0", "p1"), parents=(view.view_id,))
+    channel.install_view(successor, {})
+    assert len(host.raw) == 2 and channel._republish_timer is not None
+    channel.on_ordered(Ordered(group="g", view_id=successor.view_id, seq=0, sender="p1",
+                               sender_seq=1, payload="a"))
+    assert not channel.pending
+    host.env.sim.run_until(host.env.now + 2 * SECOND)
+    assert len(host.raw) == 2 and channel._republish_timer is None
+
+
+def test_a_new_view_restarts_the_republish_backoff_at_the_base_delay(member_host):
+    """An old coordinator unreachable for seconds has grown the delay to
+    1 s; the first retry to the next view's coordinator waits 20 ms."""
+    host, channel, view = member_host
+    channel.send("a", 1)
+    host.env.sim.run_until(host.env.now + 5 * SECOND)
+    successor = View("g", ViewId("p2", 2), ("p2", "p1"), parents=(view.view_id,))
+    installed_at, sent = host.env.now, len(host.raw)
+    channel.install_view(successor, {})
+    host.env.sim.run_until(installed_at + 20_000)
+    assert [t - installed_at for t in host.raw_sent_at[sent:]] == [0, 20_000]
+    assert [dst for dst, _ in host.raw[sent:]] == ["p2", "p2"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(count=st.integers(min_value=1, max_value=8), data=st.data())
+def test_sequencer_orders_one_senders_stream_exactly_once_under_any_schedule(count, data):
+    """Whatever reorders, drops and duplicates the first copies of one
+    sender's publishes suffer, the sequencer orders exactly that sender's
+    numbering, gap-free and once each, once the re-publish timer has
+    resent what was lost."""
+    env = SimRuntime.create(seed=0)
+    view = View("g", ViewId("p0", 1), ("p0", "p1"))
+    sequencer_host, sender_host = FakeHost(env, "p0"), FakeHost(env, "p1")
+    sequencer, sender = OrderedChannel(sequencer_host), OrderedChannel(sender_host)
+    sequencer.install_view(view, {})
+    sender.install_view(view, {})
+    for k in range(count):
+        sender.send(k, 1)
+    first_copies = [msg for _, msg in sender_host.raw]
+    for msg in data.draw(st.lists(st.sampled_from(first_copies), max_size=3 * count)):
+        sequencer.on_publish("p1", msg)
+    looped_back = 0
+    for _ in range(count + 2):
+        for msg in sequencer_host.multicasts[looped_back:]:
+            sender.on_ordered(msg)
+        looped_back = len(sequencer_host.multicasts)
+        if not sender.pending:
+            break
+        resent = len(sender_host.raw)
+        env.sim.run_until(env.now + MAX_BACKOFF_US)
+        for _, msg in sender_host.raw[resent:]:
+            sequencer.on_publish("p1", msg)
+    assert not sender.pending
+    assert [m.sender_seq for m in sequencer_host.multicasts] == list(range(1, count + 1))
+    assert [m.seq for m in sequencer_host.multicasts] == list(range(count))
+    assert sequencer._held == {}
