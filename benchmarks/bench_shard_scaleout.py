@@ -34,8 +34,8 @@ SCALEOUT_SETTLE_S = 4
 def shard_scaleout_workload(seed, num_servers, replication_factor):
     """Per-server naming load for one deployment shape.
 
-    ``replication_factor=0`` is the fully-replicated legacy deployment
-    (the comparison baseline).  One client writes
+    ``replication_factor=0`` means a fully replicated map — every
+    server owns every shard (the comparison baseline).  One client writes
     :data:`SCALEOUT_WRITES` distinct LWG mappings (no parents, so the
     exchange cost is records, not genealogy), the cluster settles
     through several gossip periods, and every server's outbound naming
@@ -45,9 +45,7 @@ def shard_scaleout_workload(seed, num_servers, replication_factor):
     """
     env = SimRuntime.create(seed=seed, keep_trace=False)
     server_ids = [f"ns{i}" for i in range(num_servers)]
-    shard_map = (
-        ShardMap(server_ids, replication_factor) if replication_factor else None
-    )
+    shard_map = ShardMap(server_ids, replication_factor or num_servers)
     bytes_sent = {node: 0 for node in server_ids}
     msgs_sent = {node: 0 for node in server_ids}
     servers = {}
@@ -83,7 +81,7 @@ def shard_scaleout_workload(seed, num_servers, replication_factor):
     env.run_for(SCALEOUT_SETTLE_S * SECOND)
     assert acked[0] == SCALEOUT_WRITES, f"{acked[0]} of {SCALEOUT_WRITES} acked"
     resident = [len(s.db) for s in servers.values()]
-    if shard_map is not None and not shard_map.fully_replicated:
+    if not shard_map.fully_replicated:
         # Each write must live on exactly its replica set, nowhere else.
         assert sum(resident) == SCALEOUT_WRITES * replication_factor
     return {

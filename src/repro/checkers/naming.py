@@ -83,9 +83,8 @@ class NamingConvergenceChecker(Checker):
     name = "naming-convergence"
 
     def at_quiesce(self, cluster) -> None:
-        shard_map = getattr(cluster, "shard_map", None)
-        if shard_map is not None and not shard_map.fully_replicated:
-            self._check_sharded(cluster, shard_map)
+        if not cluster.shard_map.fully_replicated:
+            self._check_sharded(cluster, cluster.shard_map)
             return
         network = cluster.env.fabric
         servers = [

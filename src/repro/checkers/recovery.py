@@ -106,13 +106,10 @@ class RecoveryConvergenceChecker(Checker):
                     f"server {node} database is internally inconsistent at "
                     f"quiesce: {problems}",
                 )
-            store = getattr(server, "store", None)
-            if store is None:
-                continue
             # Sharded servers reload only their owned shards, exactly as
             # the recovery path does (foreign journal entries contribute
             # genealogy only — see persistence.load).
-            result = store.load(owned=getattr(server, "owned", None))
+            result = server.store.load(owned=server.owned)
             if not result.clean:
                 self.fail(
                     "durable state clean",

@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help=(
             "replicas per naming shard (PROTOCOLS.md §18); "
-            "0 = legacy full replication"
+            "0 = every server owns every shard"
         ),
     )
     parser.add_argument(

@@ -95,8 +95,9 @@ class GeneratorConfig:
 
     num_processes: int = 6
     num_name_servers: int = 2
-    #: 0 = legacy fully-replicated naming; >0 shards the namespace with
-    #: this many replicas per shard (PROTOCOLS.md §18).
+    #: 0 = fully replicated naming (every server owns every shard); >0
+    #: shards the namespace with this many replicas per shard
+    #: (PROTOCOLS.md §18).
     replication_factor: int = 0
     #: LWG→HWG placement strategy ("paper" or "optimizer", §19).
     placement: str = "paper"

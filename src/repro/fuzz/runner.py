@@ -123,7 +123,7 @@ class ScheduleRunner:
             num_processes=schedule.num_processes,
             seed=schedule.seed,
             num_name_servers=schedule.num_name_servers,
-            replication_factor=schedule.replication_factor or None,
+            replication_factor=schedule.replication_factor,
             lwg_config=_scaled_config(schedule.placement),
             vsync_config=VsyncConfig(
                 topology=schedule.topology,
@@ -238,7 +238,7 @@ class ScheduleRunner:
         if mode not in CORRUPTION_MODES:
             return
         server = self.cluster.name_servers.get(node)
-        if server is None or server.store is None:
+        if server is None:
             return
         rng = self.cluster.env.rng.stream("fuzz:corrupt")
         detail = inject_corruption(server.store, mode, rng, db=server.db)

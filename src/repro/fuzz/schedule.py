@@ -161,9 +161,9 @@ class Schedule:
     seed: int
     num_processes: int = 6
     num_name_servers: int = 2
-    #: Shards-per-server replication (PROTOCOLS.md §18).  0 means the
-    #: legacy fully-replicated deployment (no shard map) — the default,
-    #: so every pre-sharding corpus schedule replays unchanged.
+    #: Shards-per-server replication (PROTOCOLS.md §18).  0 means "all
+    #: servers": a fully replicated map — the default, omitted from the
+    #: JSON form, so every pre-sharding corpus schedule replays unchanged.
     replication_factor: int = 0
     #: LWG→HWG placement strategy ("paper" or "optimizer", PROTOCOLS.md
     #: §19).  The paper default is omitted from the JSON form, so every

@@ -13,14 +13,14 @@ deployment assumption (Section 5.2) is that every partition retains at
 least one reachable server.  All operations are idempotent (records are
 versioned, testset re-proposes the same record), so retries are safe.
 
-With a :class:`~repro.naming.sharding.ShardMap` the client routes each
-request to the key's replica set instead of spraying the full roster:
-the fast path sends to one owner of the LWG's shard, a timeout rotates
-to the next owner, and only after every owner has been tried twice
-does the client fall back to the full roster — where any non-owner
-forwards to an owner on its behalf (owner-miss retry, PROTOCOLS.md
-§18).  Without a map the legacy rotate-everything behaviour is
-bit-identical to before.
+Routing follows a :class:`~repro.naming.sharding.ShardMap`: the client
+sends each request to the key's replica set — the fast path to one
+owner of the LWG's shard, a timeout rotating to the next owner — and
+only after every owner has been tried twice does it fall back to the
+full roster, where any non-owner forwards to an owner on its behalf
+(owner-miss retry, PROTOCOLS.md §18).  Under the default fully
+replicated map every server owns every shard, in roster order, so the
+client simply rotates the roster.
 """
 
 from __future__ import annotations
@@ -73,8 +73,9 @@ class NamingClient:
         self.env = stack.env
         self.node: NodeId = stack.node
         self.servers: List[NodeId] = list(servers)
-        #: Replica-set routing (PROTOCOLS.md §18); None = legacy rotation.
-        self.shard_map = shard_map
+        #: Replica-set routing (PROTOCOLS.md §18); fully replicated over
+        #: ``servers`` unless the caller passes a map.
+        self.shard_map: ShardMap = shard_map or ShardMap(servers, len(servers))
         self._request_counter = 0
         self._version_counter = 0
         self._pending: Dict[int, _PendingCall] = {}
@@ -165,10 +166,6 @@ class NamingClient:
         e.g. across a partition — it widens to the whole roster, where
         any reachable non-owner forwards to an owner for us.
         """
-        if self.shard_map is None:
-            return self.servers[
-                (self._server_offset + call.attempts) % len(self.servers)
-            ]
         owners = self.shard_map.owners_for_lwg(call.request.lwg)
         if call.attempts < 2 * len(owners):
             return owners[(self._server_offset + call.attempts) % len(owners)]

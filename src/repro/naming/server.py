@@ -13,15 +13,17 @@ the naming database.  Replicas are kept loosely consistent by
   healed cut *is* the reconciliation).  Identical replicas still
   short-circuit after two messages on the root content hash.
 
-Without a :class:`~repro.naming.sharding.ShardMap` the server is fully
-replicated — the paper-faithful configuration, bit-identical to the
-pre-sharding protocol.  With one, the server holds **only the shards
-it owns** (PROTOCOLS.md §18): pushes go to the record's shard
-co-owners, gossip runs only with servers sharing at least one shard
-and descends only their common subtrees (short-circuiting on the
-scoped hash), client requests for foreign shards are forwarded to an
-owner (which answers the client directly), and recovery reloads only
-owned shards from the durable store.
+Placement follows a :class:`~repro.naming.sharding.ShardMap`
+(PROTOCOLS.md §18).  A fully replicated map — the default, and the
+paper-faithful configuration — puts every record on every server:
+pushes reach every peer and gossip descends the whole tree.  A map
+with a smaller replication factor makes the server hold **only the
+shards it owns**: pushes go to the record's shard co-owners, gossip
+runs only with servers sharing at least one shard and descends only
+their common subtrees (short-circuiting on the scoped hash), client
+requests for foreign shards are forwarded to an owner (which answers
+the client directly), and recovery reloads only owned shards from the
+durable store.
 
 After every mutation the server checks for inconsistent mappings and
 fires MULTIPLE-MAPPINGS callbacks at the affected LWG-view coordinators.
@@ -72,38 +74,36 @@ class NameServer(Process):
         shard_map: Optional[ShardMap] = None,
     ):
         super().__init__(env, node)
-        #: Namespace partition (PROTOCOLS.md §18); None = full replication.
-        self.shard_map = shard_map
-        #: Shards this server replicates; None means "everything" (no
-        #: shard map, or a map whose replication factor covers the roster).
-        self.owned: Optional[FrozenSet[str]] = None
-        if shard_map is not None and not shard_map.fully_replicated:
-            self.owned = frozenset(shard_map.owned_shards(node))
-        #: Durable snapshot+log store; None preserves the legacy
-        #: volatile behaviour (the in-memory db survives a sim crash).
-        self.store = store
-        self.incarnation = 0
-        if store is not None:
-            restart = store.has_state()
-            result = store.load(owned=self.owned)
-            self._install_db(result.db)
-            if restart:
-                # Booting over pre-existing state IS a restart (the
-                # asyncio/FileStorage path): bump and recover exactly
-                # like the in-sim recovery hook does.
-                self.incarnation = store.bump_incarnation()
-                store.write_snapshot(self.db)
-                self._trace_recovery(result)
-            else:
-                self.incarnation = store.incarnation()
-        else:
-            self._install_db(NamingDatabase())
         self.peers: List[NodeId] = [p for p in peers if p != node]
+        #: Namespace partition (PROTOCOLS.md §18); fully replicated over
+        #: ``peers`` unless the caller passes a map.
+        self.shard_map: ShardMap = shard_map or ShardMap(
+            [node, *self.peers], len(self.peers) + 1
+        )
+        #: Shards this server replicates; None means "everything" (a map
+        #: whose replication factor covers the roster).
+        self.owned: Optional[FrozenSet[str]] = None
+        if not self.shard_map.fully_replicated:
+            self.owned = frozenset(self.shard_map.owned_shards(node))
+        #: Durable snapshot+log store: the database is rebuilt from it on
+        #: recovery.  In-memory unless the caller passes one.
+        self.store: DurableStore = store or DurableStore()
+        restart = self.store.has_state()
+        result = self.store.load(owned=self.owned)
+        self._install_db(result.db)
+        if restart:
+            # Booting over pre-existing state IS a restart (the
+            # asyncio/FileStorage path): bump and recover exactly like
+            # the in-sim recovery hook does.
+            self.incarnation = self.store.bump_incarnation()
+            self.store.write_snapshot(self.db)
+            self._trace_recovery(result)
+        else:
+            self.incarnation = self.store.incarnation()
         #: Anti-entropy partners: peers sharing at least one shard with
         #: us (everyone, when fully replicated).
         self._gossip_peers: List[NodeId] = [
-            p for p in self.peers
-            if shard_map is None or shard_map.scope(node, p)
+            p for p in self.peers if self.shard_map.scope(node, p)
         ]
         self.notifier = ConflictNotifier(
             server_id=node,
@@ -127,20 +127,11 @@ class NameServer(Process):
             self.set_periodic(gossip_period_us, self.gossip_tick, jitter_stream=f"ns:{node}")
         self.set_periodic(renotify_period_us, self._notifier_tick)
 
-    def add_peer(self, peer: NodeId) -> None:
-        """Introduce another replica (scenario construction helper)."""
-        if peer != self.node and peer not in self.peers:
-            self.peers.append(peer)
-            if self.shard_map is None or self.shard_map.scope(self.node, peer):
-                self._gossip_peers.append(peer)
-
     # ------------------------------------------------------------------
     # Shard scope helpers
     # ------------------------------------------------------------------
     def _scope(self, peer: NodeId) -> Tuple[str, ...]:
         """The Merkle prefixes ``peer`` and we reconcile over."""
-        if self.shard_map is None:
-            return ("",)
         return self.shard_map.scope(self.node, peer)
 
     def _accepts(self, record: MappingRecord) -> bool:
@@ -204,7 +195,6 @@ class NameServer(Process):
         self.notifier.check(self.db)
 
     def _forward(self, msg: NsRequest) -> None:
-        assert self.shard_map is not None
         owners = self.shard_map.owners_for_lwg(msg.lwg)
         target = owners[self._forward_index % len(owners)]
         self._forward_index += 1
@@ -222,14 +212,11 @@ class NameServer(Process):
 
     def _push_write(self, msg: NsRequest) -> None:
         assert msg.record is not None
-        if self.shard_map is None:
-            targets = set(self.peers)
-        else:
-            targets = {
-                owner
-                for owner in self.shard_map.owners_for_lwg(msg.record.lwg)
-                if owner != self.node
-            }
+        targets = {
+            owner
+            for owner in self.shard_map.owners_for_lwg(msg.record.lwg)
+            if owner != self.node
+        }
         if not targets:
             return
         parents = {msg.record.lwg_view: tuple(msg.parents)} if msg.parents else {}
@@ -348,8 +335,6 @@ class NameServer(Process):
         self._sessions.clear()
 
     def on_recover(self) -> None:
-        if self.store is None:
-            return
         # The volatile database died with the process: rebuild it from
         # the durable areas (quarantining any corruption), bump the
         # durable incarnation so this life is distinguishable from the
@@ -370,8 +355,7 @@ class NameServer(Process):
         self.db = db
         db.on_edge = self._trace_edge
         db.on_gc = self._trace_gc
-        if self.store is not None:
-            self.store.attach(db)
+        self.store.attach(db)
 
     def _trace_recovery(self, result: LoadResult) -> None:
         self.env.tracer.emit(

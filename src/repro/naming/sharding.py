@@ -68,9 +68,10 @@ class ShardMap:
     Built once per cluster from the server roster and the replication
     factor; every server and every client builds the identical map from
     the same inputs, which is what makes owners computable everywhere
-    without coordination.  ``replication_factor >= len(servers)``
-    degenerates to full replication (every server owns every shard and
-    the anti-entropy scope collapses back to the tree root).
+    without coordination.  ``replication_factor >= len(servers)`` is
+    full replication: every server owns every shard, each shard's
+    owners are the roster in roster order (so clients rotate the roster
+    as given), and the anti-entropy scope collapses to the tree root.
     """
 
     def __init__(self, servers: Sequence[NodeId], replication_factor: int):
@@ -81,17 +82,21 @@ class ShardMap:
             raise ValueError("replication factor must be >= 1")
         self.servers: Tuple[NodeId, ...] = tuple(roster)
         self.replication_factor = replication_factor
-        count = min(replication_factor, len(roster))
-        #: shard -> owners, highest rendezvous score first.  Ties (a
-        #: 256-bit hash collision) break on the server id so the map is
-        #: total-ordered and deterministic no matter what.
+        #: True when every server owns every shard (rf >= roster).
+        self.fully_replicated = replication_factor >= len(roster)
+        #: shard -> owners: the roster when fully replicated, else the
+        #: highest rendezvous scores first.  Ties (a 256-bit hash
+        #: collision) break on the server id so the map is total-ordered
+        #: and deterministic no matter what.
         self._owners: Dict[str, Tuple[NodeId, ...]] = {}
         self._owned: Dict[NodeId, List[str]] = {s: [] for s in self.servers}
         for shard in ALL_SHARDS:
-            ranked = sorted(
-                self.servers, key=lambda s: (_score(shard, s), s), reverse=True
-            )
-            owners = tuple(ranked[:count])
+            owners = self.servers
+            if not self.fully_replicated:
+                ranked = sorted(
+                    self.servers, key=lambda s: (_score(shard, s), s), reverse=True
+                )
+                owners = tuple(ranked[:replication_factor])
             self._owners[shard] = owners
             for owner in owners:
                 self._owned[owner].append(shard)
@@ -101,24 +106,18 @@ class ShardMap:
     # Ownership queries
     # ------------------------------------------------------------------
     @property
-    def fully_replicated(self) -> bool:
-        """True when every server owns every shard (rf >= roster)."""
-        return self.replication_factor >= len(self.servers)
-
-    @property
     def shards(self) -> Tuple[str, ...]:
         """Every shard name, in fixed lexicographic order."""
         return ALL_SHARDS
 
     def owners(self, shard: str) -> Tuple[NodeId, ...]:
-        """The replica set of ``shard``, best rendezvous score first."""
+        """The replica set of ``shard``, in routing order."""
         return self._owners[shard]
 
     def owners_for_lwg(self, lwg: LwgId) -> Tuple[NodeId, ...]:
+        if self.fully_replicated:
+            return self.servers  # no name hash on the write path
         return self._owners[shard_of_lwg(lwg)]
-
-    def owners_for_key(self, key: RecordKey) -> Tuple[NodeId, ...]:
-        return self._owners[shard_of_lwg(key[0])]
 
     def owns(self, server: NodeId, shard: str) -> bool:
         return server in self._owners[shard]

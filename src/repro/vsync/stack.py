@@ -104,9 +104,9 @@ class ProtocolStack(Process):
         self.addressing = addressing
         self.config = config or VsyncConfig()
         #: Durable per-node vsync identity (incarnation, view-seq,
-        #: installed-view history); None keeps the legacy volatile
-        #: behaviour where a recovered stack reuses its counters.
-        self.node_store = node_store
+        #: installed-view history).  In-memory unless the caller passes
+        #: a store.
+        self.node_store: DurableStore = node_store or DurableStore()
         self.transport = ReliableTransport(
             env, node, self._deliver_control,
             retransmit_timeout_us=self.config.retransmit_timeout_us,
@@ -143,16 +143,13 @@ class ProtocolStack(Process):
         # handlers that declared it.
         self._handlers: List[Tuple[Kinds, Handler]] = []
         self._routes: Dict[type, Tuple[Handler, ...]] = {}
-        self._view_seq = 0
-        if node_store is not None:
-            # Booting over pre-existing meta IS a restart: resume the
-            # view-seq counter (ViewIds must never repeat across lives)
-            # and come up one incarnation past the previous life.
-            self._view_seq = node_store.view_seq()
-            previous = node_store.incarnation()
-            if previous:
-                self.transport.incarnation = node_store.bump_incarnation()
-                self._trace_recovered()
+        # Booting over pre-existing meta IS a restart: resume the
+        # view-seq counter (ViewIds must never repeat across lives) and
+        # come up one incarnation past the previous life.
+        self._view_seq = self.node_store.view_seq()
+        if self.node_store.incarnation():
+            self.transport.incarnation = self.node_store.bump_incarnation()
+            self._trace_recovered()
         self.set_periodic(
             self.config.heartbeat_period_us,
             self.fd.tick_heartbeat,
@@ -197,20 +194,18 @@ class ProtocolStack(Process):
     def next_view_seq(self) -> int:
         """Monotonic per-process counter for minting view identifiers.
 
-        Persisted before use when a node store is attached, so a ViewId
-        minted after a crash can never collide with one from a previous
-        incarnation — which is what makes installed-view history a sound
-        staleness judgement (see :meth:`is_stale_view`).
+        Persisted before use, so a ViewId minted after a crash can never
+        collide with one from a previous incarnation — which is what
+        makes installed-view history a sound staleness judgement (see
+        :meth:`is_stale_view`).
         """
         self._view_seq += 1
-        if self.node_store is not None:
-            self.node_store.persist_view_seq(self._view_seq)
+        self.node_store.persist_view_seq(self._view_seq)
         return self._view_seq
 
     def note_view_installed(self, group: GroupId, view_id: ViewId) -> None:
         """Record an installed view in the durable per-node history."""
-        if self.node_store is not None:
-            self.node_store.record_view(group, view_id, self.transport.incarnation)
+        self.node_store.record_view(group, view_id, self.transport.incarnation)
 
     def is_stale_view(self, group: GroupId, view_id: ViewId) -> bool:
         """True if this node installed ``view_id`` in a *previous* life.
@@ -221,8 +216,6 @@ class ProtocolStack(Process):
         members have moved on — re-accepting it would fork the group's
         view history).
         """
-        if self.node_store is None:
-            return False
         current = self.transport.incarnation
         for entry_group, entry_view, entry_incarnation in self.node_store.view_history():
             if (
@@ -347,14 +340,13 @@ class ProtocolStack(Process):
         # re-join their groups, which the merge machinery treats like any
         # other concurrent-view bootstrap.
         self.transport.restart()
-        if self.node_store is not None:
-            # Fold the durable incarnation in: the new life must be
-            # distinguishable even if the meta area was corrupted (the
-            # bump is monotonic against the surviving volatile counter).
-            self.transport.incarnation = self.node_store.bump_incarnation(
-                at_least=self.transport.incarnation
-            )
-            self._trace_recovered()
+        # Fold the durable incarnation in: the new life must be
+        # distinguishable even if the meta area was corrupted (the bump
+        # is monotonic against the surviving volatile counter).
+        self.transport.incarnation = self.node_store.bump_incarnation(
+            at_least=self.transport.incarnation
+        )
+        self._trace_recovered()
         if self.zones is not None:
             self.zones.on_recover()
             self.fd.incarnation = self.transport.incarnation

@@ -21,7 +21,7 @@ from ..core.baselines import (
 from ..core.config import LwgConfig
 from ..core.service import LwgService
 from ..naming.client import NamingClient
-from ..naming.persistence import DurableStore, MemoryStorage
+from ..naming.persistence import DurableStore
 from ..naming.server import NameServer
 from ..naming.sharding import ShardMap
 from ..runtime.interfaces import SECOND, NodeId, Runtime
@@ -77,13 +77,13 @@ class Cluster:
         self.lwg_config = lwg_config or LwgConfig()
         self.vsync_config = vsync_config or VsyncConfig()
         self.name_server_ids = [f"ns{i}" for i in range(num_name_servers)]
-        # Replica-set scope (PROTOCOLS.md §18): ``replication_factor``
-        # turns on LWG-name sharding — each shard lives on ``rf`` of the
-        # name servers, chosen by rendezvous hashing.  ``None`` keeps the
-        # legacy fully-replicated deployment, bit-identical to before.
-        self.shard_map: Optional[ShardMap] = None
-        if replication_factor is not None:
-            self.shard_map = ShardMap(self.name_server_ids, replication_factor)
+        # Replica-set scope (PROTOCOLS.md §18): each LWG-name shard lives
+        # on ``replication_factor`` of the name servers, chosen by
+        # rendezvous hashing.  ``None`` (or any rf covering the roster)
+        # replicates every shard on every server, in roster order.
+        self.shard_map = ShardMap(
+            self.name_server_ids, replication_factor or num_name_servers
+        )
         # Per-node durable stores (crash-recovery state).
         self.stores: Dict[NodeId, DurableStore] = {}
         self.name_servers: Dict[NodeId, NameServer] = {
@@ -128,7 +128,7 @@ class Cluster:
                 self.services[node] = make_isolated_service(stack, client, self.lwg_config)
 
     def _make_store(self, node: NodeId) -> DurableStore:
-        store = DurableStore(MemoryStorage())
+        store = DurableStore()
         self.stores[node] = store
         return store
 

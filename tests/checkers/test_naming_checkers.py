@@ -11,6 +11,7 @@ from repro.checkers import (
 )
 from repro.naming.database import NamingDatabase
 from repro.naming.records import MappingRecord
+from repro.naming.sharding import ShardMap
 from repro.runtime.trace import Tracer
 from repro.vsync.view import ViewId
 
@@ -103,6 +104,7 @@ class FakeCluster:
         self.env = FakeEnv(down)
         self.services = {}
         self.name_servers = {server.node: server for server in servers}
+        self.shard_map = ShardMap(list(self.name_servers), len(servers))
 
 
 def record_of(coord, seq, hwg, version=1, lwg="lwg:a"):

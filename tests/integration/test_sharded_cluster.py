@@ -6,6 +6,10 @@ sharded branch of :class:`NamingConvergenceChecker` — with the recovery
 checker auditing every server's per-shard durable store along the way.
 """
 
+import hashlib
+
+import pytest
+
 from repro.core import LwgConfig
 from repro.sim import SECOND
 from repro.workloads import Cluster
@@ -58,9 +62,41 @@ def test_rf_covering_roster_stays_fully_replicated():
     cluster = Cluster(
         num_processes=1, seed=3, num_name_servers=2, replication_factor=2
     )
-    # rf >= roster: servers behave exactly like the legacy deployment.
+    # rf >= roster: every server owns everything.
     for server in cluster.name_servers.values():
         assert server.owned is None
+
+
+def _trace_digest(**cluster_args):
+    """Digest of every trace record of a short join/partition/heal run."""
+    digest = hashlib.sha256()
+    cluster = Cluster(
+        num_processes=4, seed=5, lwg_config=fast_config(), keep_trace=False,
+        **cluster_args,
+    )
+    cluster.env.tracer.subscribe(lambda record: digest.update(str(record).encode()))
+    for index, group in enumerate(("g0", "g1", "g2", "g3")):
+        for node in cluster.process_ids[index % 2:]:
+            cluster.service(node).join(group)
+    cluster.run_for_seconds(4)
+    cluster.partition(
+        cluster.process_ids[:2] + cluster.name_server_ids[:1],
+        cluster.process_ids[2:] + cluster.name_server_ids[1:],
+    )
+    cluster.run_for_seconds(3)
+    cluster.heal()
+    cluster.run_for_seconds(6)
+    cluster.check_invariants()
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("num_name_servers", [2, 3])
+def test_rf_covering_roster_replays_the_default_deployment(num_name_servers):
+    # A fully replicated map walks the roster in roster order, so naming
+    # rf = roster explicitly changes nothing observable.
+    assert _trace_digest(num_name_servers=num_name_servers) == _trace_digest(
+        num_name_servers=num_name_servers, replication_factor=num_name_servers
+    )
 
 
 def test_sharded_groups_converge_and_pass_checkers():

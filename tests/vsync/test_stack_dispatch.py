@@ -1,4 +1,5 @@
-"""Tests for the protocol stack's message dispatch and handler registry."""
+"""Tests for the protocol stack's message dispatch, handler registry and
+durable per-node identity."""
 
 from tests.helpers import RecordingListener, converged, make_group, run_until
 
@@ -173,3 +174,17 @@ def test_unclaimed_foreign_payload_is_dropped_silently(env):
     probe = stack.endpoints["g"] = _EndpointProbe()
     _deliver(env, other, Unrelated(), {"group": "g"})
     assert log == [] and probe.received == []
+
+
+def test_default_store_brands_previous_life_views_stale(env):
+    """A stack built without an explicit store still remembers, across a
+    crash, which views it installed in its previous life."""
+    stacks, endpoints, _ = make_group(env, 3)
+    assert run_until(env, lambda: converged(endpoints, 3))
+    stack = stacks[2]
+    old_view = endpoints[2].current_view.view_id
+    assert not stack.is_stale_view("g", old_view)
+    env.failures.crash_now(stack.node)
+    env.sim.run_until(env.sim.now + SECOND)
+    env.failures.recover_now(stack.node)
+    assert stack.is_stale_view("g", old_view) is True
