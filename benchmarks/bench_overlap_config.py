@@ -22,7 +22,7 @@ NS = (2, 4, 8)
 FLAVOURS = ("none", "static", "dynamic", "optimizer")
 
 #: Scan rows -> (cluster flavour, placement policy).  "optimizer" is
-#: the dynamic service with the §19 global placement search instead of
+#: the dynamic service with the §19 greedy placement pass instead of
 #: the Figure-1 rules; it must find the same partial-sharing structure.
 _VARIANTS = {
     "none": ("none", "paper"),
@@ -134,13 +134,12 @@ def test_overlap_configuration(benchmark):
             all(optimizer_purity),
         ),
         shape_check(
-            "optimizer keeps a bounded per-class pool, not 2n like "
-            # The §19 cost model may split a hot class in two for load
-            # balance (skew term) — partial sharing is preserved, the
-            # pool never grows with n the way no-service's does.
-            f"no-service: {hwg_counts['optimizer']} vs {hwg_counts['none']}",
-            all(c <= 4 for c in hwg_counts["optimizer"])
-            and hwg_counts["optimizer"][0] == 2,
+            # The §19 fill places each membership class whole, so the
+            # optimizer finds the same one-HWG-per-class structure as
+            # the Figure-1 rules at every n.
+            "optimizer uses one HWG per membership class: "
+            f"{hwg_counts['optimizer']}",
+            all(c == 2 for c in hwg_counts["optimizer"]),
         ),
         shape_check(
             "optimizer latency within 30% of the Figure-1 rules "

@@ -10,9 +10,10 @@ Two claims from Section 3.2 are checked:
 
 A third experiment goes past the paper: at high group counts the
 Figure-1 rules converge to a mapping they can never escape (see
-``repro/workloads/placement.py``), and the §19 global optimizer must
-beat them by at least 20% on crash-churn flush work while costing no
-more than 1.1x their steady-state fabric traffic, asserted below.
+``repro/workloads/placement.py``), and the §19 optimizer — one greedy
+pass that places each membership class whole — must beat them by at
+least 20% on crash-churn flush work while carrying no more steady-state
+fabric traffic than they do, asserted below.
 """
 
 from conftest import SEED
@@ -205,8 +206,7 @@ def run_placement_comparison():
 def test_placement_optimizer_vs_paper(benchmark):
     """§19 acceptance: over identical simulated windows, the global
     optimizer beats the stuck Figure-1 mapping by ≥20% on crash-churn
-    merge/flush work and costs no more than 1.1x its paced-phase fabric
-    messages."""
+    merge/flush work and sends no more paced-phase fabric messages."""
     results = benchmark.pedantic(run_placement_comparison, rounds=1, iterations=1)
     paper, opt = results["paper"], results["optimizer"]
     data_ratio = opt.data_messages / paper.data_messages
@@ -237,15 +237,16 @@ def test_placement_optimizer_vs_paper(benchmark):
             f"{opt.hwg_count} HWGs",
             opt.hwg_count > paper.hwg_count,
         ),
-        # Data traffic is no longer a win, only a cost to bound: the old
+        # Data traffic is a cost to bound, not the headline win: the old
         # 0.79x was made of per-Publish transport acks, paid by the paper
         # side's non-sequencer senders on one 12-member HWG and by none of
         # the optimizer side's senders (each sequences its own HWG).  With
         # the sequencer's Ordered as the acknowledgement both sides pay
-        # the same two datagrams per send.
+        # the same two datagrams per send, and the only fabric left to
+        # save is the sub-classes' slack fan-out.
         shape_check(
-            f"optimizer fabric messages <= 1.1x paper ({data_ratio:.3f})",
-            data_ratio <= 1.1,
+            f"optimizer fabric messages <= 1.0x paper ({data_ratio:.3f})",
+            data_ratio <= 1.0,
         ),
         shape_check(
             f"optimizer merge/flush work <= 0.8x paper ({flush_ratio:.3f})",

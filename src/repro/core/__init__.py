@@ -34,12 +34,10 @@ from .mapping_policy import (
     HintedMappingPolicy,
     InitialMappingPolicy,
     IsolatedMappingPolicy,
-    OptimizerMappingPolicy,
     StaticMappingPolicy,
 )
 from .placement import (
     OptimizerPlacementPolicy,
-    PlacementCost,
     PlacementOptimizer,
     PlacementPlan,
     PlacementView,
@@ -78,10 +76,8 @@ __all__ = [
     "HintedMappingPolicy",
     "InitialMappingPolicy",
     "IsolatedMappingPolicy",
-    "OptimizerMappingPolicy",
     "StaticMappingPolicy",
     "OptimizerPlacementPolicy",
-    "PlacementCost",
     "PlacementOptimizer",
     "PlacementPlan",
     "PlacementView",

@@ -34,10 +34,6 @@ class LwgConfig:
     #: switches are emitted per evaluation — convergence spreads over
     #: policy periods instead of storming the switch protocol.
     placement_max_switches: int = 4
-    #: The plan must beat the current assignment's cost by this fraction
-    #: (with an absolute floor below) before any switch is emitted.
-    placement_hysteresis: float = 0.05
-    placement_min_gain: float = 1.0
     #: An LWG is only movable once its view has been stable this long.
     #: Moving a group mid-join churns the member set of two HWGs at
     #: once and races the joiners' own HWG joins; waiting out the churn

@@ -52,29 +52,6 @@ class DynamicMappingPolicy(InitialMappingPolicy):
         return member_hwgs[-1] if member_hwgs else None
 
 
-class OptimizerMappingPolicy(InitialMappingPolicy):
-    """Initial mapping under the placement optimizer: least-damage reuse.
-
-    Where the paper's optimistic rule joins the *highest-gid* member
-    HWG, the optimizer pairs with the *smallest* one: a brand-new LWG is
-    a singleton whose membership is unknown, so the cheapest guess is
-    the HWG whose fan-out it inflates least — the periodic optimizer
-    re-places it once the membership is real.  Ties break on the
-    identifier total order (highest wins), like the dynamic policy.
-    """
-
-    def choose(self, lwg: LwgId, service) -> Optional[HwgId]:
-        best = None
-        for hwg in _member_hwgs(service):
-            endpoint = service.stack.endpoints.get(hwg)
-            if endpoint is None or endpoint.current_view is None:
-                continue
-            key = (-len(endpoint.current_view.members), hwg)
-            if best is None or key > best[0]:
-                best = (key, hwg)
-        return best[1] if best is not None else None
-
-
 class StaticMappingPolicy(InitialMappingPolicy):
     """Every LWG maps onto one fixed global HWG (the paper's static service)."""
 

@@ -181,16 +181,7 @@ class LwgService:
         self.node = stack.node
         self.naming = naming
         self.config = config or LwgConfig()
-        if mapping_policy is None:
-            # The optimizer pairs with the least-damage initial guess;
-            # the paper rules pair with the paper's optimistic reuse.
-            if self.config.placement_policy == "optimizer":
-                from .mapping_policy import OptimizerMappingPolicy
-
-                mapping_policy = OptimizerMappingPolicy()
-            else:
-                mapping_policy = DynamicMappingPolicy()
-        self.mapping_policy = mapping_policy
+        self.mapping_policy = mapping_policy or DynamicMappingPolicy()
         #: (endpoint epoch, sorted member HWGs) — the cached member-HWG
         #: set the mapping policies consult on every join.
         self._member_hwgs_cache: Optional[Tuple[int, Tuple[HwgId, ...]]] = None

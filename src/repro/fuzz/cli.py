@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="paper",
         help=(
             "LWG→HWG placement strategy (PROTOCOLS.md §19); "
-            "paper = Figure-1 rules, optimizer = global placement search"
+            "paper = Figure-1 rules, optimizer = greedy global placement pass"
         ),
     )
     parser.add_argument(

@@ -2,11 +2,12 @@
 
 Three layers:
 
-* unit tests pinning the deterministic tie-breaks the search promises
-  (sorted candidate order, anchors-before-fresh, stickiness);
+* unit tests pinning the deterministic tie-breaks the greedy fill
+  promises (sorted candidate order, anchors-before-fresh, stickiness)
+  and that a membership class is never split;
 * property tests (Hypothesis) over random PlacementViews: every plan
-  respects the k_m/k_c overlap constraints, assignments are total, and
-  planning is a pure function of the view;
+  respects the k_m/k_c overlap constraints, assignments are total,
+  classes stay whole and planning is a pure function of the view;
 * policy-level tests of the SwitchAction adapter: hysteresis gate,
   rate limit, fresh-group minting, and a cross-process determinism
   check that re-plans a fixed view under different PYTHONHASHSEEDs.
@@ -22,12 +23,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import LwgConfig, PolicyEngine, PolicySnapshot, SwitchAction
+from repro.core import placement
 from repro.core.placement import (
+    HYSTERESIS,
     OptimizerPlacementPolicy,
     PlacementOptimizer,
     PlacementView,
     is_fresh_key,
 )
+from repro.workloads.placement import zipf_classes
 
 PROCS = [f"p{i}" for i in range(10)]
 
@@ -80,7 +84,7 @@ class TestTieBreaks:
 
     def test_anchor_beats_equal_cost_fresh_group(self):
         # A single empty anchor costs exactly what a fresh group costs
-        # (same hwg_cost charge, same fan-out) — the anchor must win so
+        # (same HWG_COST charge, same fan-out) — the anchor must win so
         # the system reuses HWGs instead of minting churn.
         v = view(
             lwgs=[("lwg:g", fs("p0", "p1", "p2", "p3"))],
@@ -131,8 +135,8 @@ def test_separates_subclasses_the_paper_rules_are_stuck_with():
     # 8-member) plus a zone-spanning LWG.  Neither sub-class is ever a
     # k_m=4 minority (6*4 > 12) so the interference rule never moves
     # them — but every sub-class message fans out to 12.  The optimizer
-    # must split the classes onto right-sized groups (which class keeps
-    # the anchor is its choice; the separation is what matters).
+    # must take the sub-classes off the 12-wide union (which group keeps
+    # the anchor is its choice; the right-sized unions are what matter).
     zone = fs(*[f"p{i}" for i in range(12)])
     sub_a = fs(*[f"p{i}" for i in range(6)])
     sub_b = fs(*[f"p{i}" for i in range(8)])
@@ -157,8 +161,46 @@ def test_separates_subclasses_the_paper_rules_are_stuck_with():
         by_class.setdefault(members, set()).add(plan.assignment[lwg])
     for members, targets in by_class.items():
         assert len(targets) == 1, (sorted(members), targets)
-    # ...and the three classes end on three distinct groups.
-    assert len({plan.assignment[l] for l in lwg_class}) == 3
+    # ...and no sub-class rides a union wider than the 8-member window.
+    groups = final_groups(v, plan)
+    for members in (sub_a, sub_b):
+        (target,) = by_class[members]
+        assert len(groups[target][2]) <= 8, (sorted(members), target)
+
+
+# ----------------------------------------------------------------------
+# A membership class is placed whole
+# ----------------------------------------------------------------------
+def test_identical_member_sets_plan_into_one_group():
+    # Two LWGs over the same 10 processes, no anchors: one fresh group
+    # (64 + 20·10 = 264) beats two (2·64 + 2·10·10 = 328).
+    v = view(
+        lwgs=[("lwg:g0", fs(*PROCS)), ("lwg:g1", fs(*PROCS))],
+        current={"lwg:g0": None, "lwg:g1": None},
+        anchors=[],
+    )
+    plan = PlacementOptimizer(LwgConfig()).plan(v)
+    assert plan.assignment["lwg:g0"] == plan.assignment["lwg:g1"]
+    assert plan.cost == 264
+
+
+def test_zipf_zone_keeps_the_heavy_class_whole():
+    # One zone of the placement workload at 40 LWGs, collapsed onto its
+    # zone HWG as the Figure-1 rules leave it.  The heaviest class (9
+    # LWGs over 6 members) must land in a single group.
+    classes = [c for c in zipf_classes(num_lwgs=40) if c.zone == 0]
+    lwgs = [
+        (f"lwg:{cls.group_name(j)}", frozenset(cls.members))
+        for cls in classes
+        for j in range(cls.count)
+    ]
+    v = view(lwgs=lwgs, current={l: "hwg:zone" for l, _ in lwgs}, anchors=["hwg:zone"])
+    plan = PlacementOptimizer(LwgConfig()).plan(v)
+    (heavy,) = [c for c in classes if c.count == 9]
+    assert len(heavy.members) == 6
+    targets = {plan.assignment[f"lwg:{g}"] for g in heavy.group_names}
+    assert len(targets) == 1, targets
+    assert plan.cost < plan.current_cost
 
 
 # ----------------------------------------------------------------------
@@ -221,6 +263,26 @@ def test_plan_respects_overlap_constraints(v, k_m, k_c):
             assert (u - len(m)) * k_c <= u, (key, sorted(m), u)
 
 
+@settings(max_examples=150, deadline=None)
+@given(v=placement_views())
+@example(
+    v=view(
+        lwgs=[("lwg:g0", fs(*PROCS)), ("lwg:g1", fs(*PROCS))],
+        current={"lwg:g0": None, "lwg:g1": None},
+        anchors=[],
+    )
+)
+def test_moving_plan_keeps_each_membership_class_whole(v):
+    plan = PlacementOptimizer(LwgConfig()).plan(v)
+    if not plan.moves(v):
+        return  # "change nothing" keeps whatever split the view has
+    targets = {}
+    for lwg, m in v.lwgs:
+        targets.setdefault(m, set()).add(plan.assignment[lwg])
+    for m, keys in targets.items():
+        assert len(keys) == 1, (sorted(m), keys)
+
+
 @settings(max_examples=100, deadline=None)
 @given(v=placement_views())
 def test_planning_is_deterministic(v):
@@ -253,7 +315,7 @@ def test_planning_is_deterministic(v):
 def test_replanning_an_applied_plan_never_regresses(v):
     # Apply the plan as the new current assignment (fresh keys become
     # real anchors) and re-plan: the second plan must not cost more —
-    # the search always admits "change nothing".
+    # the plan always admits "change nothing".
     opt = PlacementOptimizer(LwgConfig())
     plan = opt.plan(v)
     renamed = {
@@ -273,8 +335,12 @@ def test_replanning_an_applied_plan_never_regresses(v):
 # ----------------------------------------------------------------------
 # Policy adapter: hysteresis, rate limit, minting
 # ----------------------------------------------------------------------
-def zone_snapshot(**config_kwargs):
-    """The motivating scenario as a PolicySnapshot (three classes)."""
+def zone_snapshot(zone_lwgs=1, foreign=0, **config_kwargs):
+    """The motivating scenario as a PolicySnapshot (three classes).
+
+    ``zone_lwgs`` LWGs span the zone; ``foreign`` more zone-wide LWGs are
+    pinned on the zone HWG (coordinated elsewhere, so not ours to move).
+    """
     zone = fs(*[f"p{i}" for i in range(12)])
     sub_a = fs(*[f"p{i}" for i in range(6)])
     sub_b = fs(*[f"p{i}" for i in range(8)])
@@ -284,16 +350,19 @@ def zone_snapshot(**config_kwargs):
         "lwg:a2": (sub_a, "hwg:zone"),
         "lwg:b0": (sub_b, "hwg:zone"),
         "lwg:b1": (sub_b, "hwg:zone"),
-        "lwg:z": (zone, "hwg:zone"),
     }
+    for j in range(zone_lwgs):
+        coordinated[f"lwg:z{j}"] = (zone, "hwg:zone")
+    pinned = tuple((f"lwg:foreign{j}", zone) for j in range(foreign))
     return (
         PolicySnapshot(
             node="p0",
             now_us=0,
             coordinated_lwgs=coordinated,
             hwg_members={"hwg:zone": zone},
-            local_lwgs_per_hwg={"hwg:zone": 6},
+            local_lwgs_per_hwg={"hwg:zone": len(coordinated)},
             hwg_idle_since={"hwg:zone": 0},
+            hwg_pinned={"hwg:zone": pinned},
         ),
         LwgConfig(placement_policy="optimizer", **config_kwargs),
     )
@@ -323,20 +392,39 @@ def test_policy_emits_switches_with_shared_minted_hwg():
 
 
 def test_policy_rate_limits_switches_per_evaluation():
-    snap, config = zone_snapshot(placement_max_switches=2)
-    actions = OptimizerPlacementPolicy(config).evaluate(snap, mint=lambda: "hwg:new")
+    # Three zone-wide LWGs keep the anchor; both sub-classes (five LWGs)
+    # move to one fresh group — more moves than the cap of two.
+    snap, config = zone_snapshot(zone_lwgs=3, placement_max_switches=2)
+    policy = OptimizerPlacementPolicy(config)
+    view = PlacementView.from_snapshot(snap)
+    assert len(policy.optimizer.plan(view).moves(view)) == 5
+    actions = policy.evaluate(snap, mint=lambda: "hwg:new")
     assert len([a for a in actions if isinstance(a, SwitchAction)]) == 2
 
 
-def test_policy_hysteresis_gate_blocks_marginal_plans(self=None):
-    snap, config = zone_snapshot(placement_hysteresis=10.0)
-    # A 1000x relative-gain requirement is unmeetable: no actions.
-    assert OptimizerPlacementPolicy(config).evaluate(snap, mint=lambda: "hwg:new") == []
+def test_policy_hysteresis_gate_blocks_marginal_plans():
+    # Ten foreign zone-wide LWGs inflate the current cost; the plan still
+    # gains 72 by peeling the sub-classes off, but that is under 5 %.
+    snap, config = zone_snapshot(foreign=10)
+    policy = OptimizerPlacementPolicy(config)
+    view = PlacementView.from_snapshot(snap)
+    plan = policy.optimizer.plan(view)
+    assert plan.moves(view)
+    assert 0 < plan.gain < HYSTERESIS * plan.current_cost
+    assert policy.evaluate(snap, mint=lambda: "hwg:new") == []
 
 
-def test_policy_min_gain_floor_blocks_tiny_plans():
-    snap, config = zone_snapshot(placement_min_gain=1e9)
-    assert OptimizerPlacementPolicy(config).evaluate(snap, mint=lambda: "hwg:new") == []
+def test_policy_min_gain_floor_blocks_tiny_plans(monkeypatch):
+    # The motivating scenario clears the 5 % gate by a wide margin; an
+    # absolute floor above its gain must still block every switch.
+    snap, config = zone_snapshot()
+    policy = OptimizerPlacementPolicy(config)
+    view = PlacementView.from_snapshot(snap)
+    plan = policy.optimizer.plan(view)
+    assert plan.moves(view)
+    assert plan.gain >= HYSTERESIS * plan.current_cost
+    monkeypatch.setattr(placement, "MIN_GAIN", plan.gain + 1)
+    assert policy.evaluate(snap, mint=lambda: "hwg:new") == []
 
 
 def test_policy_never_switches_onto_current_hwg():
