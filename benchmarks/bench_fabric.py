@@ -7,8 +7,8 @@ rewrite:
 * the per-call ``sorted(dsts)`` is memoized per distinct destination
   set (protocol layers multicast to the same view membership over and
   over);
-* delivery callbacks are pooled slotted objects instead of one lambda
-  closure per scheduled delivery;
+* each delivery is one handle-free heap entry that fires
+  ``Network._deliver`` directly (no closure, no ``EventHandle``);
 * the per-destination loop inlines the reachability check and the
   delivery-time model with hoisted attribute lookups.
 

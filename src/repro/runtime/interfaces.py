@@ -66,9 +66,6 @@ class Scheduler(Protocol):
     def schedule(self, delay: int, callback: Callable[[], None]) -> TimerHandle:
         """Run ``callback`` ``delay`` microseconds from now."""
 
-    def schedule_at(self, time: int, callback: Callable[[], None]) -> TimerHandle:
-        """Run ``callback`` at absolute time ``time`` (microseconds)."""
-
 
 class Fabric(Protocol):
     """The message plane: named nodes, unicast/multicast, drop-filters.

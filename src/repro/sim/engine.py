@@ -4,21 +4,27 @@ Time is measured in integer microseconds.  Events scheduled at the same
 instant fire in insertion order, which — together with the seeded RNG in
 :mod:`repro.runtime.rng` — makes every run exactly reproducible from its seed.
 
-The engine is intentionally minimal: a priority queue of ``(time, seq,
-handle)`` entries plus cancellation handles.  Everything above it
-(network, processes, protocol stacks) is built from ``schedule`` calls.
+The engine is intentionally minimal: a priority queue of heap entries
+plus cancellation handles.  Everything above it (network, processes,
+protocol stacks) is built from ``schedule`` and ``schedule_at`` calls.
 
 Heap entries are plain tuples so every sift comparison runs in C —
 pushing :class:`EventHandle` objects directly would invoke a Python
 ``__lt__`` per comparison, which dominated the event loop's profile.
 ``(time, seq)`` is unique per event, so comparisons never reach the
-handle in the third slot.
+third slot.  An entry has one of two shapes:
+
+* ``(time, seq, handle)`` — a cancellable event from :meth:`schedule`;
+* ``(time, seq, None, fn, args)`` — a handle-free post from
+  :meth:`Simulation.schedule_at`, fired as ``fn(*args)``.  Nothing can
+  cancel it, so it needs no handle, and the run loops call ``fn``
+  directly (a network delivery enters ``Network._deliver`` first).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 # Canonical time-base constants live in the backend-agnostic runtime
 # layer; re-exported here because the time base predates that layer.
@@ -28,6 +34,9 @@ __all__ = ["MS", "SECOND", "EventHandle", "Simulation", "SimulationError"]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+
+#: A heap entry, in either of the two shapes of the module docstring.
+_Entry = Tuple[Any, ...]
 
 
 class SimulationError(RuntimeError):
@@ -99,7 +108,7 @@ class Simulation:
         #: frequent operation in the simulator and creates no frame.
         self.now: int = 0
         self._seq = 0
-        self._queue: List[Tuple[int, int, EventHandle]] = []
+        self._queue: List[_Entry] = []
         self._running = False
         # Count of scheduled, not-yet-cancelled, not-yet-fired events,
         # maintained incrementally so ``pending_events`` is O(1) instead
@@ -129,8 +138,13 @@ class Simulation:
         _heappush(self._queue, (time, seq, handle))
         return handle
 
-    def schedule_at(self, time: int, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` at absolute simulation ``time``."""
+    def schedule_at(self, time: int, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` at absolute simulation ``time``.
+
+        The handle-free post: it returns no handle and cannot be
+        cancelled, and it takes a ``seq`` exactly like :meth:`schedule`,
+        so it fires in the same (time, insertion) order.
+        """
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time}us, now is t={self.now}us"
@@ -140,49 +154,39 @@ class Simulation:
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        handle = _new_handle(EventHandle)
-        handle.time = time
-        handle.seq = seq
-        handle.callback = callback
-        handle.cancelled = False
-        handle.fired = False
-        handle._sim = self
-        _heappush(self._queue, (time, seq, handle))
-        return handle
-
-    def _pop_runnable(self) -> Optional[EventHandle]:
-        queue = self._queue
-        while queue:
-            handle = heapq.heappop(queue)[2]
-            if not handle.cancelled:
-                return handle
-        return None
-
-    def _fire(self, handle: EventHandle) -> None:
-        self.now = handle.time
-        handle.fired = True
-        self._live -= 1
-        callback, handle.callback = handle.callback, None
-        assert callback is not None
-        callback()
+        _heappush(self._queue, (time, seq, None, fn, args))
 
     def step(self) -> bool:
         """Execute the single next pending event.
 
-        Returns False when the queue is empty.
+        Returns False when the queue is empty.  Fires inline, like the
+        run loops: the first frame it enters is the event's own.
         """
-        handle = self._pop_runnable()
-        if handle is None:
-            return False
-        self._fire(handle)
-        return True
+        queue = self._queue
+        while queue:
+            head = _heappop(queue)
+            handle = head[2]
+            if handle is None:
+                self.now = head[0]
+                self._live -= 1
+                head[3](*head[4])
+                return True
+            callback = handle.callback
+            if callback is not None:
+                self.now = head[0]
+                handle.fired = True
+                self._live -= 1
+                handle.callback = None
+                callback()
+                return True
+        return False
 
     def run_until(self, time: int) -> None:
         """Run every event with timestamp ``<= time``; advance clock to ``time``."""
         if time < self.now:
             raise SimulationError(f"cannot run backwards to t={time}us")
-        # Hot loop: fire events inline (no ``_peek``/``_fire`` calls), one
-        # heap pop per event.  ``callback is None`` doubles as the
+        # Hot loop: fire events inline (no helper calls), one heap pop
+        # per event.  For a handle, ``callback is None`` doubles as the
         # cancellation test — fired entries never sit in the heap, so a
         # None callback can only mean ``cancel()`` ran.  The one event
         # popped past the horizon is pushed back (once per call, not per
@@ -192,18 +196,22 @@ class Simulation:
         while queue:
             head = heappop(queue)
             handle = head[2]
-            callback = handle.callback
-            if callback is None:  # cancelled
-                continue
+            if handle is not None:
+                callback = handle.callback
+                if callback is None:  # cancelled
+                    continue
             head_time = head[0]
             if head_time > time:
                 _heappush(queue, head)
                 break
             self.now = head_time
-            handle.fired = True
             self._live -= 1
-            handle.callback = None
-            callback()
+            if handle is None:
+                head[3](*head[4])
+            else:
+                handle.fired = True
+                handle.callback = None
+                callback()
         self.now = max(self.now, int(time))
 
     def run(self, max_events: int = 10_000_000) -> int:
@@ -215,25 +223,24 @@ class Simulation:
         heappop = _heappop
         count = 0
         while queue:
-            handle = heappop(queue)[2]
-            callback = handle.callback
-            if callback is None:  # cancelled (see run_until)
-                continue
+            head = heappop(queue)
+            handle = head[2]
+            if handle is not None:
+                callback = handle.callback
+                if callback is None:  # cancelled (see run_until)
+                    continue
             count += 1
             if count > max_events:
                 raise SimulationError(f"exceeded {max_events} events; runaway protocol?")
-            self.now = handle.time
-            handle.fired = True
+            self.now = head[0]
             self._live -= 1
-            handle.callback = None
-            callback()
+            if handle is None:
+                head[3](*head[4])
+            else:
+                handle.fired = True
+                handle.callback = None
+                callback()
         return count
-
-    def _peek(self) -> Optional[EventHandle]:
-        queue = self._queue
-        while queue and queue[0][2].cancelled:
-            heapq.heappop(queue)
-        return queue[0][2] if queue else None
 
     @property
     def pending_events(self) -> int:

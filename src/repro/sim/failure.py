@@ -41,13 +41,13 @@ class FailureInjector:
     def crash_at(self, time: int, node: NodeId) -> "FailureInjector":
         """Schedule a fail-stop crash of ``node`` at ``time``."""
         self.events.append(FailureEvent(time, node, crash=True))
-        self.sim.schedule_at(time, lambda: self._apply(node, crash=True))
+        self.sim.schedule_at(time, self._apply, node, True)
         return self
 
     def recover_at(self, time: int, node: NodeId) -> "FailureInjector":
         """Schedule recovery of ``node`` at ``time``."""
         self.events.append(FailureEvent(time, node, crash=False))
-        self.sim.schedule_at(time, lambda: self._apply(node, crash=False))
+        self.sim.schedule_at(time, self._apply, node, False)
         return self
 
     def crash_now(self, node: NodeId) -> None:

@@ -35,38 +35,6 @@ __all__ = ["DeliveryCallback", "LinkModel", "Network", "NodeId"]
 #: workloads must not grow the cache without limit).
 _SORTED_DSTS_MEMO_MAX = 1024
 
-#: Bound on the recycled delivery-event pool.
-_DELIVERY_POOL_MAX = 4096
-
-
-class _Delivery:
-    """A reusable delivery event.
-
-    ``Network.multicast`` used to allocate one lambda closure (plus its
-    cells) per scheduled delivery; these slotted objects are cheaper to
-    fill in and are recycled through ``Network._delivery_pool`` once
-    fired.  Recycling is safe because the simulation engine drops its
-    reference to the callback the moment it fires, and a delivery event
-    is never cancelled.
-    """
-
-    __slots__ = ("net", "src", "dst", "payload", "size")
-
-    net: "Network"
-    src: NodeId
-    dst: NodeId
-    payload: Any
-    size: int
-
-    def __call__(self) -> None:
-        net = self.net
-        net._deliver(self.src, self.dst, self.payload, self.size)
-        self.payload = None  # do not pin message payloads while pooled
-        pool = net._delivery_pool
-        if len(pool) < _DELIVERY_POOL_MAX:
-            pool.append(self)
-
-
 @dataclass
 class LinkModel:
     """Cost model for message transmission and reception.
@@ -140,7 +108,6 @@ class Network:
         # partition map or the node population changes.
         self._sorted_dsts: Dict[FrozenSet[NodeId], Tuple[NodeId, ...]] = {}
         self._blocks_cache: Optional[List[FrozenSet[NodeId]]] = None
-        self._delivery_pool: List[_Delivery] = []
 
     # ------------------------------------------------------------------
     # Topology management
@@ -242,18 +209,21 @@ class Network:
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
-    def _transmission_start(self, src: NodeId, size: int) -> Tuple[int, int]:
-        """Reserve the medium; return (start_time, end_time) of serialization."""
-        serialization = self.link.serialization_us(size)
+    def _transmission_end(self, src: NodeId, size: int) -> int:
+        """Reserve the medium for ``size`` bytes; return when they are on the wire."""
+        link = self.link
+        # ``link.serialization_us(size)`` inlined: one frame per transmission.
+        serialization = max(
+            1,
+            int((size + link.per_message_overhead_bytes) * 8 * 1_000_000 / link.bandwidth_bps),
+        )
         if self.shared_medium:
-            start = max(self.sim.now, self._medium_free_at)
-            end = start + serialization
+            end = max(self.sim.now, self._medium_free_at) + serialization
             self._medium_free_at = end
         else:
-            start = max(self.sim.now, self._egress_free_at.get(src, 0))
-            end = start + serialization
+            end = max(self.sim.now, self._egress_free_at.get(src, 0)) + serialization
             self._egress_free_at[src] = end
-        return start, end
+        return end
 
     def _delivery_time(self, dst: NodeId, wire_done: int) -> int:
         """Arrival + receiver-processing completion time for one delivery."""
@@ -306,10 +276,9 @@ class Network:
         if self.link.loss_probability and self._rng.random() < self.link.loss_probability:
             self.messages_dropped += 1
             return False
-        _, wire_done = self._transmission_start(src, size)
-        done = self._delivery_time(dst, wire_done)
+        done = self._delivery_time(dst, self._transmission_end(src, size))
         self.deliveries_scheduled += 1
-        self.sim.schedule_at(done, self._delivery_event(src, dst, payload, size))
+        self.sim.schedule_at(done, self._deliver, src, dst, payload, size)
         return True
 
     def multicast(
@@ -327,7 +296,7 @@ class Network:
         if not self._alive.get(src, False):
             self.messages_dropped += 1
             return 0
-        _, wire_done = self._transmission_start(src, size)
+        wire_done = self._transmission_end(src, size)
         scheduled = 0
         # Iterate destinations in sorted order: callers often pass sets,
         # and the per-receiver jitter draws below must not depend on a
@@ -345,10 +314,12 @@ class Network:
         else:
             self.fanout_memo_hits += 1
         # The per-destination body below is ``_delivery_time`` +
-        # ``reachable`` + ``_delivery_event`` inlined with hoisted
-        # attribute lookups: the fan-out loop is the fabric's hottest
-        # code.  The logic (including the order of RNG draws) must stay
-        # exactly equivalent to the helper methods or replays diverge.
+        # ``reachable`` inlined with hoisted attribute lookups: the
+        # fan-out loop is the fabric's hottest code.  The logic (including
+        # the order of RNG draws) must stay exactly equivalent to the
+        # helper methods or replays diverge.  Each delivery is one
+        # handle-free heap entry firing ``self._deliver``, read here at
+        # send time so an instance-level wrap (``FabricMeter``) sees it.
         link = self.link
         loss = link.loss_probability
         jitter_us = link.jitter_us
@@ -367,7 +338,7 @@ class Network:
         partition_of = self._partition_of
         src_block = partition_of.get(src)
         rx_free_at = self._rx_free_at
-        pool = self._delivery_pool
+        deliver = self._deliver
         schedule_at = self.sim.schedule_at
         dropped = 0
         for dst in order:
@@ -397,36 +368,11 @@ class Network:
                 rx_start = arrival
             done = rx_start + rx_cost_us
             rx_free_at[dst] = done
-            if pool:
-                event = pool.pop()
-            else:
-                event = _Delivery()
-                event.net = self
-            event.src = src
-            event.dst = dst
-            event.payload = payload
-            event.size = size
-            schedule_at(done, event)
+            schedule_at(done, deliver, src, dst, payload, size)
             scheduled += 1
         self.messages_dropped += dropped
         self.deliveries_scheduled += scheduled
         return scheduled
-
-    def _delivery_event(
-        self, src: NodeId, dst: NodeId, payload: Any, size: int
-    ) -> "_Delivery":
-        """A filled-in (pooled) delivery event for the scheduler."""
-        pool = self._delivery_pool
-        if pool:
-            event = pool.pop()
-        else:
-            event = _Delivery()
-            event.net = self
-        event.src = src
-        event.dst = dst
-        event.payload = payload
-        event.size = size
-        return event
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

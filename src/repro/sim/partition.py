@@ -69,10 +69,7 @@ class PartitionSchedule:
             if event.is_heal:
                 sim.schedule_at(event.time, network.heal)
             else:
-                blocks = event.blocks
-                sim.schedule_at(
-                    event.time, lambda b=blocks: network.set_partitions(b)
-                )
+                sim.schedule_at(event.time, network.set_partitions, event.blocks)
 
     def __len__(self) -> int:
         return len(self.events)

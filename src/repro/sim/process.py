@@ -27,6 +27,9 @@ from .engine import Simulation
 from .failure import FailureInjector
 from .network import LinkModel, Network
 
+#: A process drops its fired timer handles once it holds more than this.
+_TIMERS_MAX = 256
+
 
 @dataclass
 class SimRuntime:
@@ -132,8 +135,10 @@ class Process:
     def set_timer(self, delay: int, callback: Callable[[], None]) -> TimerHandle:
         """Run ``callback`` after ``delay`` us unless the process crashes first."""
         handle = self.env.scheduler.schedule(delay, self._guard(callback))
-        self._timers.append(handle)
-        self._prune_timers()
+        timers = self._timers
+        timers.append(handle)
+        if len(timers) > _TIMERS_MAX:
+            self._prune_timers()
         return handle
 
     def set_periodic(
@@ -153,18 +158,34 @@ class Process:
         self, period: int, callback: Callable[[], None], jitter_stream: str = ""
     ) -> None:
         rng = self.env.rng.stream(jitter_stream) if jitter_stream else None
+        # The jitter is ``rng.randint(0, max(1, period // 10))`` spelled
+        # out as CPython's ``_randbelow`` rejection loop over
+        # ``getrandbits`` (as ``Network`` draws its jitter): the same
+        # calls on the same generator, so the same stream, without the
+        # three ``random.py`` frames.
+        getrandbits = rng.getrandbits if rng is not None else None
+        bound = max(1, period // 10) + 1
+        bits = bound.bit_length()
 
         def tick() -> None:
+            # Scheduled bare: the crash test of ``_guard`` is done here,
+            # so a tick is one frame.
+            if self.crashed:
+                return
             callback()
             delay = period
-            if rng is not None:
-                delay += rng.randint(0, max(1, period // 10))
-            handle = self.env.scheduler.schedule(delay, self._guard(tick))
-            self._timers.append(handle)
-            self._prune_timers()
+            if getrandbits is not None:
+                jitter = getrandbits(bits)
+                while jitter >= bound:
+                    jitter = getrandbits(bits)
+                delay += jitter
+            timers = self._timers
+            timers.append(self.env.scheduler.schedule(delay, tick))
+            if len(timers) > _TIMERS_MAX:
+                self._prune_timers()
 
-        first = period if rng is None else period + rng.randint(0, max(1, period // 10))
-        self._timers.append(self.env.scheduler.schedule(first, self._guard(tick)))
+        first = period if rng is None else period + rng.randint(0, bound - 1)
+        self._timers.append(self.env.scheduler.schedule(first, tick))
 
     def _guard(self, callback: Callable[[], None]) -> Callable[[], None]:
         def run() -> None:
@@ -174,8 +195,7 @@ class Process:
         return run
 
     def _prune_timers(self) -> None:
-        if len(self._timers) > 256:
-            self._timers = [t for t in self._timers if t.pending]
+        self._timers = [t for t in self._timers if t.pending]
 
     # ------------------------------------------------------------------
     # Crash / recovery

@@ -173,9 +173,11 @@ class FabricMeter:
 
     Wraps ``Network._deliver`` (the single funnel every scheduled
     delivery fires through), classifies each payload and forwards it
-    untouched.  Counts include deliveries dropped at fire time by a
-    concurrent crash/partition — a flush message the fabric carried is
-    work regardless of whether the receiver was still there.
+    untouched.  A delivery binds ``_deliver`` when it is sent, so build
+    the meter before the cluster carries traffic.  Counts include
+    deliveries dropped at fire time by a concurrent crash/partition — a
+    flush message the fabric carried is work regardless of whether the
+    receiver was still there.
     """
 
     def __init__(self, cluster: Cluster):

@@ -59,6 +59,50 @@ def test_schedule_at_in_past_rejected():
         sim.schedule_at(5, lambda: None)
 
 
+def test_schedule_at_is_a_handle_free_post():
+    sim = Simulation()
+    fired = []
+    assert sim.schedule_at(30, lambda *args: fired.append((sim.now, args)), "a", 1) is None
+    assert sim.pending_events == 1
+    sim.run()
+    assert fired == [(30, ("a", 1))]
+    assert sim.pending_events == 0
+
+
+def test_schedule_at_post_in_past_rejected_and_not_counted():
+    sim = Simulation()
+    sim.run_until(10)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(9, lambda value: None, "late")
+    assert sim.pending_events == 0
+    sim.schedule_at(10, lambda: None)  # the present is not the past
+    assert sim.run() == 1
+
+
+def test_posts_and_handles_interleave_by_insertion_order():
+    sim = Simulation()
+    order = []
+    sim.schedule(5, lambda: order.append("handle-1"))
+    sim.schedule_at(5, order.append, "post-2")
+    sim.schedule(5, lambda: order.append("handle-3")).cancel()
+    sim.schedule_at(5, order.append, "post-4")
+    sim.schedule_at(4, order.append, "post-0")
+    sim.run()
+    assert order == ["post-0", "handle-1", "post-2", "post-4"]
+
+
+def test_run_max_events_counts_posts():
+    sim = Simulation()
+
+    def repost():
+        sim.schedule_at(sim.now + 1, repost)
+
+    sim.schedule_at(1, repost)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=100)
+    assert sim.now == 100
+
+
 def test_run_until_backwards_rejected():
     sim = Simulation()
     sim.run_until(100)

@@ -1,5 +1,8 @@
 """Tests for the Process actor base class."""
 
+import pytest
+
+from repro.runtime.rng import RngRegistry
 from repro.sim import Process, SimRuntime
 
 
@@ -104,6 +107,33 @@ def test_periodic_jitter_stays_within_bounds(env):
     env.sim.run_until(20_000)
     gaps = [b - t for t, b in zip(ticks, ticks[1:])]
     assert all(1000 <= g <= 1100 for g in gaps)
+
+
+# The periodic jitter is drawn with CPython's ``_randbelow`` rejection loop
+# over ``getrandbits`` instead of ``randint``.  That is only replay-
+# transparent if it consumes exactly the stream ``randint(0, w)`` would, with
+# ``w = max(1, period // 10)``: the draws are checked against a twin
+# generator, draw for draw, and the two generators must end in the same
+# state (as ``tests/sim/test_network.py`` checks the fabric's jitter).
+
+PERIODIC_TICKS = 2_000
+
+
+@pytest.mark.parametrize("period, width", [(5, 1), (20, 2), (100, 10), (400, 40), (1000, 100)])
+def test_periodic_jitter_consumes_the_randint_stream(period, width):
+    env = SimRuntime.create(seed=11)
+    a = Echo(env, "a")
+    ticks = []
+    a.set_periodic(period, lambda: ticks.append(env.sim.now), jitter_stream="twin")
+    while len(ticks) < PERIODIC_TICKS:
+        env.sim.step()
+    twin = RngRegistry(11).stream("twin")
+    assert max(1, period // 10) == width
+    expected = [twin.randint(0, width) for _ in range(PERIODIC_TICKS)]
+    jitters = [b - t - period for t, b in zip([0] + ticks, ticks)]
+    assert jitters == expected
+    twin.randint(0, width)  # the last tick has drawn its successor's jitter
+    assert env.rng.stream("twin").getstate() == twin.getstate()
 
 
 def test_scheduled_failure_events(env):
