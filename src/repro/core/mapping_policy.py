@@ -25,21 +25,6 @@ class InitialMappingPolicy:
         raise NotImplementedError
 
 
-def _member_hwgs(service):
-    """The service's cached member-HWG tuple (sorted), with a fallback
-    scan for bare test harnesses that stub the service object."""
-    getter = getattr(service, "member_hwgs", None)
-    if getter is not None:
-        return getter()
-    return tuple(
-        sorted(
-            group
-            for group, endpoint in service.stack.endpoints.items()
-            if is_hwg_id(group) and endpoint.state is EndpointState.MEMBER
-        )
-    )
-
-
 class DynamicMappingPolicy(InitialMappingPolicy):
     """Optimistic reuse: join the highest-gid HWG we already belong to.
 
@@ -48,7 +33,7 @@ class DynamicMappingPolicy(InitialMappingPolicy):
     """
 
     def choose(self, lwg: LwgId, service) -> Optional[HwgId]:
-        member_hwgs = _member_hwgs(service)
+        member_hwgs = service.member_hwgs()
         return member_hwgs[-1] if member_hwgs else None
 
 
@@ -91,7 +76,6 @@ class HintedMappingPolicy(InitialMappingPolicy):
         self.hints[lwg] = frozenset(expected_members)
 
     def choose(self, lwg: LwgId, service) -> Optional[HwgId]:
-        from ..vsync.membership import EndpointState  # local import: no cycle
         from .policies import is_close_enough
 
         hint = self.hints.get(lwg)

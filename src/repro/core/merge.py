@@ -23,14 +23,15 @@ Two cooperating pieces:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import replace
+from typing import Callable, Dict, List, Set, Tuple
 
 from ..naming.messages import MultipleMappings
 from ..naming.records import HwgId, LwgId, MappingRecord
 from ..vsync.view import View, ViewId
 from .ids import highest_gid
 from .lwg_view import merge_lwg_views
-from .mapping_table import LocalLwg, LwgState
+from .mapping_table import LocalLwg
 from .messages import AllViewsMsg, MergeViewsMsg
 
 
@@ -57,6 +58,10 @@ class MergeManager:
         self._departed: Dict[HwgId, Set[ViewId]] = {}
         self.merges_completed = 0
         self.merge_rounds = 0
+
+    def handlers(self) -> Dict[type, Callable]:
+        """The ordered HWG messages this protocol handles, by exact type."""
+        return {MergeViewsMsg: self.on_merge_views, AllViewsMsg: self.on_all_views}
 
     def round_active(self, hwg: HwgId) -> bool:
         """True while a merge round is running on ``hwg``.
@@ -424,18 +429,7 @@ class ReconciliationHandler:
         self.svc.trace("reconcile_bury_dead_branch", lwg=lwg, buried=len(losers))
         for r in sorted(losers, key=lambda rec: (rec.lwg_view, rec.hwg)):
             self.branches_buried += 1
-            self.svc.naming.unset(
-                MappingRecord(
-                    lwg=r.lwg,
-                    lwg_view=r.lwg_view,
-                    lwg_members=r.lwg_members,
-                    hwg=r.hwg,
-                    hwg_view=r.hwg_view,
-                    version=r.version,
-                    writer=r.writer,
-                    deleted=True,
-                )
-            )
+            self.svc.naming.unset(replace(r, deleted=True))
 
     def _disown_defunct_views(self, message: MultipleMappings) -> Set[ViewId]:
         """Tombstone records citing views this node is entitled to retire.
@@ -497,18 +491,7 @@ class ReconciliationHandler:
                 lwg=message.lwg,
                 view=str(record.lwg_view),
             )
-            self.svc.naming.unset(
-                MappingRecord(
-                    lwg=record.lwg,
-                    lwg_view=record.lwg_view,
-                    lwg_members=record.lwg_members,
-                    hwg=record.hwg,
-                    hwg_view=record.hwg_view,
-                    version=version,
-                    writer=node,
-                    deleted=True,
-                )
-            )
+            self.svc.naming.unset(replace(record, version=version, writer=node, deleted=True))
             self.views_disowned += 1
             disowned.add(record.lwg_view)
         return disowned

@@ -11,18 +11,23 @@ a small pool of HWGs:
   view, data>`` multicast on the underlying HWG, and filters on receipt
   (Section 3.1);
 * **join/leave** are coordinated by each LWG view's coordinator through
-  LWG view messages riding the HWG's total order;
+  LWG view messages riding the HWG's total order
+  (:mod:`repro.core.join_leave`);
 * the **mapping policies** of Figure 1 run periodically and trigger the
   switch protocol (:mod:`repro.core.switching`);
 * **partition reconciliation** (Section 6) combines naming-service
   callbacks, the deterministic highest-gid switch, and the Figure-5
   merge-views protocol (:mod:`repro.core.merge`).
+
+Each protocol's state and handlers live with its module's owner object;
+the service keeps the API, the data path, view installation and naming
+registration, and routes each HWG message to its owner by exact type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..naming.client import NamingClient
 from ..naming.messages import MultipleMappings
@@ -34,30 +39,14 @@ from .batching import BatchPacker
 from .config import LwgConfig
 from .ids import lwg_id as canonical_lwg_id
 from .ids import hwg_in_zone, is_hwg_id, mint_hwg_id
-from .join_leave import JoinDriver
+from .join_leave import JoinLeaveManager
 from .lwg_view import restrict_view
 from .mapping_policy import DynamicMappingPolicy, InitialMappingPolicy
 from .mapping_table import LocalLwg, LwgState, MappingTable
 from .merge import MergeManager, ReconciliationHandler
-from .messages import (
-    AllViewsMsg,
-    LwgBatch,
-    LwgData,
-    LwgDissolved,
-    LwgJoinReq,
-    LwgLeaveReq,
-    LwgMessage,
-    LwgStateMsg,
-    LwgViewMsg,
-    MergeViewsMsg,
-    RedirectLwg,
-    SwitchAbort,
-    SwitchCommit,
-    SwitchReady,
-    SwitchStart,
-)
+from .messages import LwgBatch, LwgData, LwgMessage, LwgViewMsg, RedirectLwg
 from .policies import LeaveHwgAction, PolicyEngine, PolicySnapshot, SwitchAction
-from .switching import SwitchDriver
+from .switching import SwitchManager
 
 # Bound once for the two per-message paths (``send`` and the per-entry
 # filter): on CPython 3.11 every attribute read on an Enum class goes
@@ -129,15 +118,10 @@ class LwgStats:
     data_delivered: int = 0
     data_filtered: int = 0
     data_stale: int = 0
-    batches_sent: int = 0
-    batch_entries_sent: int = 0
-    batches_unpacked: int = 0
-    batch_entries_unpacked: int = 0
     lwg_views_installed: int = 0
     switches_started: int = 0
     switches_committed: int = 0
     switches_aborted: int = 0
-    rejoin_recoveries: int = 0
 
 
 class _HwgAdapter(HwgListener):
@@ -198,14 +182,14 @@ class LwgService:
             window_us=self.config.batch_window_us,
             max_bytes=self.config.batch_max_bytes,
         )
-        self._join_drivers: Dict[LwgId, JoinDriver] = {}
-        self._switch_drivers: Dict[LwgId, SwitchDriver] = {}
+        self.join_leave = JoinLeaveManager(self)
+        self.switching = SwitchManager(self)
+        self._handlers = self._route_table()
         self._hwg_counter = 0
-        self._switch_epoch_counter = 0
         self._hwg_last_views: Dict[HwgId, View] = {}
         self._rejoin_after_leave: Set[HwgId] = set()
         naming.on_multiple_mappings = self._on_multiple_mappings
-        stack.register_handler(RedirectLwg, self._handle_unicast)
+        stack.register_handler(RedirectLwg, self.join_leave.on_redirect)
         stack.env.failures.on_transition(self.node, self._on_crash_transition)
         if self.config.enable_policies:
             stack.set_periodic(
@@ -215,7 +199,7 @@ class LwgService:
             )
         stack.set_periodic(
             self.config.announce_period_us,
-            self._tick_announcements,
+            self.join_leave.tick_announcements,
             jitter_stream=f"announce:{self.node}",
         )
         if self.config.enable_reconciliation:
@@ -225,25 +209,42 @@ class LwgService:
                 jitter_stream=f"audit:{self.node}",
             )
 
+    def _route_table(self) -> Dict[type, Callable[[HwgId, Any], None]]:
+        """Exact payload type -> handler, one entry per protocol message.
+
+        Rebuilt when a crash replaces the MergeManager, so no bound
+        method of the old one survives."""
+        handlers: Dict[type, Callable[[HwgId, Any], None]] = {
+            LwgData: self._on_lwg_data,
+            LwgBatch: self._on_lwg_batch,
+        }
+        for owner in (self.join_leave, self.merge_mgr, self.switching):
+            handlers.update(owner.handlers())
+        return handlers
+
     def _on_crash_transition(self, crashed: bool) -> None:
         """Fail-stop semantics: a crashed process loses all LWG state.
 
         Recovery starts from a clean slate — the application re-joins its
         groups, receiving fresh views (and state transfer) like any new
-        member.
+        member.  The HWG-id and switch-epoch counters, the stats and the
+        reconciler survive.
         """
         if not crashed:
             return
-        for driver in self._join_drivers.values():
-            driver.cancel()
-        self._join_drivers.clear()
-        self._switch_drivers.clear()
+        self.join_leave.reset()
+        self.switching.reset()
         self.packer.reset()
         self.table = MappingTable()
         self.merge_mgr = MergeManager(self)
+        self._handlers = self._route_table()
         self._hwg_last_views.clear()
         self._rejoin_after_leave.clear()
         self.naming.cancel_all()
+
+    def _on_multiple_mappings(self, message: MultipleMappings) -> None:
+        if self.config.enable_reconciliation:
+            self.reconciler.on_multiple_mappings(message)
 
     # ==================================================================
     # Public API
@@ -253,27 +254,19 @@ class LwgService:
         lwg = canonical_lwg_id(name)
         local = self.table.ensure_local(lwg, listener or LwgListener())
         if local.state is LwgState.IDLE:
-            local.state = LwgState.JOINING
-            driver = JoinDriver(self, local)
-            self._join_drivers[lwg] = driver
-            driver.start()
+            self.join_leave.join(local)
         return LwgHandle(self, lwg)
 
     def leave(self, name: str) -> None:
         """Leave the user group ``name`` (async, completes via on_left)."""
         lwg = canonical_lwg_id(name)
         local = self.table.local(lwg)
-        if local is None or not local.is_member:
-            return
-        assert local.view is not None and local.hwg is not None
-        if local.view.members == (self.node,):
-            # Last member: dissolve the LWG entirely.
-            self.hwg_send(local.hwg, LwgDissolved(lwg=lwg, view_id=local.view.view_id))
-            self._unregister_mapping(local)
-            self._finish_lwg_leave(local)
-            return
-        local.state = LwgState.LEAVING
-        self._send_leave_request(local)
+        if local is not None and local.is_member:
+            self.join_leave.leave(local)
+
+    def start_switch(self, local: LocalLwg, to_hwg: Optional[HwgId], reason: str) -> None:
+        """Begin switching ``local`` to ``to_hwg`` (None mints a fresh HWG)."""
+        self.switching.start(local, to_hwg, reason)
 
     def groups(self) -> List[str]:
         """Names of every group this process currently belongs to."""
@@ -350,17 +343,14 @@ class LwgService:
         Deliberately does *not* go through :meth:`hwg_send`, whose
         flush-before-control rule would recurse into the packer.
         """
-        if isinstance(message, LwgBatch):
-            self.stats.batches_sent += 1
-            self.stats.batch_entries_sent += len(message.entries)
-            if self.env.tracer.enabled("lwg"):
-                self.trace(
-                    "batch_sent",
-                    hwg=hwg,
-                    batch_seq=message.batch_seq,
-                    entries=len(message.entries),
-                    lwgs=message.lwg_counts(),
-                )
+        if isinstance(message, LwgBatch) and self.env.tracer.enabled("lwg"):
+            self.trace(
+                "batch_sent",
+                hwg=hwg,
+                batch_seq=message.batch_seq,
+                entries=len(message.entries),
+                lwgs=message.lwg_counts(),
+            )
         endpoint = self.ensure_hwg(hwg)
         endpoint.send(message, message.size_bytes())
 
@@ -385,10 +375,6 @@ class LwgService:
 
     def mint_view_id(self) -> ViewId:
         return ViewId(self.node, self.stack.next_view_seq())
-
-    def next_switch_epoch(self) -> int:
-        self._switch_epoch_counter += 1
-        return self._switch_epoch_counter
 
     def ensure_hwg(self, hwg: HwgId) -> HwgEndpoint:
         """Return this node's endpoint for ``hwg``, joining if needed.
@@ -449,32 +435,9 @@ class LwgService:
     # HWG upcalls
     # ==================================================================
     def _on_hwg_data(self, hwg: HwgId, src: str, payload: Any, size: int) -> None:
-        if isinstance(payload, LwgData):
-            self._on_lwg_data(hwg, payload)
-        elif isinstance(payload, LwgBatch):
-            self._on_lwg_batch(hwg, payload)
-        elif isinstance(payload, LwgViewMsg):
-            self._on_lwg_view_msg(hwg, payload)
-        elif isinstance(payload, LwgJoinReq):
-            self._on_lwg_join_req(hwg, payload)
-        elif isinstance(payload, LwgLeaveReq):
-            self._on_lwg_leave_req(hwg, payload)
-        elif isinstance(payload, LwgStateMsg):
-            self._on_lwg_state(hwg, payload)
-        elif isinstance(payload, LwgDissolved):
-            self.table.dir_for(hwg).remove_lwg(payload.lwg)
-        elif isinstance(payload, MergeViewsMsg):
-            self.merge_mgr.on_merge_views(hwg, payload)
-        elif isinstance(payload, AllViewsMsg):
-            self.merge_mgr.on_all_views(hwg, payload)
-        elif isinstance(payload, SwitchStart):
-            self._on_switch_start(hwg, payload)
-        elif isinstance(payload, SwitchReady):
-            self._on_switch_ready(hwg, payload)
-        elif isinstance(payload, SwitchCommit):
-            self._on_switch_commit(hwg, payload)
-        elif isinstance(payload, SwitchAbort):
-            self._on_switch_abort(hwg, payload)
+        handler = self._handlers.get(type(payload))
+        if handler is not None:
+            handler(hwg, payload)
         if src == self.node:
             self.packer.on_own_delivery(hwg)
 
@@ -486,8 +449,6 @@ class LwgService:
         filtering, state-transfer buffering, stale restamp, merge
         triggering) exactly as if it had arrived unbatched.
         """
-        self.stats.batches_unpacked += 1
-        self.stats.batch_entries_unpacked += len(batch.entries)
         if self.env.tracer.enabled("lwg"):
             self.trace(
                 "batch_unpacked",
@@ -553,179 +514,6 @@ class LwgService:
             # A concurrent view of our LWG shares this HWG: Figure 5, 106.
             self.merge_mgr.trigger(hwg, message.lwg)
 
-    # -- view messages ----------------------------------------------------
-    def _on_lwg_view_msg(self, hwg: HwgId, message: LwgViewMsg) -> None:
-        view = message.view
-        assert view is not None
-        directory = self.table.dir_for(hwg)
-        # Keep an active merge round's collected set complete: ordered
-        # view messages are common knowledge at the coming flush point.
-        self.merge_mgr.observe_view(hwg, view)
-        # And lift any departure block: a view message delivered after a
-        # SWITCH-COMMIT proves the view returned to this HWG.
-        self.merge_mgr.observe_view_msg(hwg, view.view_id)
-        local = self.table.local(view.group)
-        if local is not None and local.view is not None and local.state in (
-            LwgState.MEMBER,
-            LwgState.LEAVING,
-        ):
-            current = local.view
-            if view.view_id == current.view_id:
-                if local.hwg == hwg:
-                    # Our coordinator's (re-)announce on the HWG we map
-                    # the view on: the view is alive.  An announce on a
-                    # *different* HWG deliberately does not count — it
-                    # means our mapping diverged from the coordinator's
-                    # (e.g. a switch committed asymmetrically across a
-                    # partition heal), which is exactly what the
-                    # coordinator-silence backstop must detect.
-                    local.last_coordinator_heard = self.env.now
-                directory.record_view(view)
-                return
-            if local.ancestors.is_stale(view.view_id):
-                return
-            if current.view_id in view.parents:
-                # Direct successor of our view.
-                directory.record_view(view)
-                local.minted_head = None
-                if self.node in view.members:
-                    self.install_local_view(local, view, reason="progress")
-                elif local.state is LwgState.LEAVING:
-                    self._finish_lwg_leave(local)
-                else:
-                    self._forced_out(local, hwg)
-                return
-            # Neither our view, nor stale, nor a successor: concurrent.
-            directory.record_view(view)
-            if local.hwg == hwg and local.is_member:
-                self.merge_mgr.trigger(hwg, view.group)
-            return
-        if (
-            local is not None
-            and local.state is LwgState.JOINING
-            and self.node in view.members
-            and local.hwg == hwg
-        ):
-            directory.record_view(view)
-            self._complete_join(local, view)
-            return
-        # Pure observer (an HWG member with no stake in this LWG).
-        directory.record_view(view)
-        if self.node in view.members and (
-            local is None or local.state is LwgState.IDLE
-        ):
-            # A merge of concurrent branches resurrected us into a group
-            # we already left (a leave raced a partition or a merge).
-            # Ask the coordinator to take us out again.
-            self.trace("ghost_eviction", lwg=view.group, view=str(view.view_id))
-            self.hwg_send(
-                hwg,
-                LwgLeaveReq(lwg=view.group, leaver=self.node, view_id=view.view_id),
-            )
-
-    def _forced_out(self, local: LocalLwg, hwg: HwgId) -> None:
-        """The coordinator dropped us (it believed us dead): rejoin."""
-        self.stats.rejoin_recoveries += 1
-        self.trace("lwg_forced_out", lwg=local.lwg, hwg=hwg)
-        # A switch in flight for this LWG cannot survive our reset: abort
-        # it while the view is still readable (the SwitchAbort unblocks
-        # the other members), and clear our own switch markers so the
-        # rejoined record starts clean.
-        driver = self._switch_drivers.pop(local.lwg, None)
-        if driver is not None and not driver.finished:
-            driver.abort("coordinator reset")
-        self._clear_switch_state(local)
-        local.state = LwgState.JOINING
-        local.view = None
-        driver = JoinDriver(self, local)
-        self._join_drivers[local.lwg] = driver
-        driver.start()
-
-    # -- join/leave requests (we may be the coordinator) -------------------
-    def _acting_coordinator_of(self, local: Optional[LocalLwg], hwg: HwgId) -> bool:
-        """True if we currently coordinate ``local``'s view on ``hwg``.
-
-        A LEAVING coordinator still serves — it must process its own
-        leave request (and any interleaved joins) until the view that
-        excludes it installs, or the group wedges.
-        """
-        return (
-            local is not None
-            and local.state in (LwgState.MEMBER, LwgState.LEAVING)
-            and local.view is not None
-            and local.hwg == hwg
-            and local.coordinator() == self.node
-            and local.switch_epoch is None
-        )
-
-    def _on_lwg_join_req(self, hwg: HwgId, message: LwgJoinReq) -> None:
-        if self.merge_mgr.round_active(hwg):
-            # No view minting during a merge round: the minted message
-            # would land after the flush and diverge from the merge.
-            self.merge_mgr.defer(hwg, "join", message)
-            return
-        local = self.table.local(message.lwg)
-        directory = self.table.dir_for(hwg)
-        if self._acting_coordinator_of(local, hwg):
-            assert local is not None
-            base = local.minted_head or local.view
-            assert base is not None
-            if message.joiner in base.members:
-                return  # duplicate request
-            new_view = View(
-                group=message.lwg,
-                view_id=self.mint_view_id(),
-                members=base.members + (message.joiner,),
-                parents=(base.view_id,),
-            )
-            local.minted_head = new_view
-            self.hwg_send(hwg, LwgViewMsg(lwg=message.lwg, view=new_view))
-            return
-        forward = directory.forward.get(message.lwg)
-        if forward is not None and message.joiner != self.node:
-            redirect = RedirectLwg(lwg=message.lwg, to_hwg=forward)
-            self.stack.send(message.joiner, redirect, redirect.size_bytes())
-
-    def _on_lwg_leave_req(self, hwg: HwgId, message: LwgLeaveReq) -> None:
-        if self.merge_mgr.round_active(hwg):
-            self.merge_mgr.defer(hwg, "leave", message)
-            return
-        local = self.table.local(message.lwg)
-        if not self._acting_coordinator_of(local, hwg):
-            return
-        assert local is not None
-        base = local.minted_head or local.view
-        assert base is not None
-        if message.leaver not in base.members:
-            return
-        remaining = tuple(m for m in base.members if m != message.leaver)
-        if not remaining:
-            return  # sole-member leaves are handled locally as dissolution
-        new_view = View(
-            group=message.lwg,
-            view_id=self.mint_view_id(),
-            members=remaining,
-            parents=(base.view_id,),
-        )
-        local.minted_head = new_view
-        self.hwg_send(hwg, LwgViewMsg(lwg=message.lwg, view=new_view))
-
-    def _send_leave_request(self, local: LocalLwg) -> None:
-        if local.state is not LwgState.LEAVING or local.hwg is None:
-            return
-        assert local.view is not None
-        self.hwg_send(
-            local.hwg,
-            LwgLeaveReq(lwg=local.lwg, leaver=self.node, view_id=local.view.view_id),
-        )
-        self.stack.set_timer(self.config.join_retry_us, lambda: self._send_leave_request(local))
-
-    def _finish_lwg_leave(self, local: LocalLwg) -> None:
-        self.table.locals.pop(local.lwg, None)
-        local.state = LwgState.IDLE
-        self.trace("lwg_left", lwg=local.lwg)
-        local.listener.on_left(local.lwg)
-
     # ==================================================================
     # View installation and naming registration
     # ==================================================================
@@ -734,7 +522,7 @@ class LwgService:
         if local.awaiting_state_for is not None and local.awaiting_state_for != view.view_id:
             # The admission view was superseded before its snapshot
             # arrived: release the held data in order before moving on.
-            self._release_state_buffer(local)
+            self.join_leave.release_state_buffer(local)
         old = local.view
         local.ancestors.advance(old, view)
         local.view = view
@@ -756,96 +544,25 @@ class LwgService:
             reason=reason,
         )
         local.listener.on_view(local.lwg, view)
-        if (
-            old is not None
-            and view.parents == (old.view_id,)
-            and view.members[0] == self.node
-        ):
-            joiners = tuple(m for m in view.members if m not in old.members)
-            if joiners:
-                # State transfer: this total-order position is exactly the
-                # joiners' admission point.
-                state = local.listener.get_state(local.lwg)
-                snapshot = LwgStateMsg(
-                    lwg=local.lwg,
-                    view_id=view.view_id,
-                    targets=joiners,
-                    state=state,
-                    state_size=256 if state is not None else 0,
-                )
-                assert local.hwg is not None
-                self.hwg_send(local.hwg, snapshot)
+        self.join_leave.transfer_state(local, old, view)
         if old is not None and old.members[0] == self.node:
             # We owned the naming record of the superseded view: retire it
             # explicitly.  (Genealogy GC also covers this when the full
             # parent chain reaches the servers, but the direct tombstone
             # keeps the database tight even when intermediate merge views
             # were never registered by their coordinators.)
-            self._tombstone_view(local, old)
+            self.tombstone_mapping(local, old)
         if local.coordinator() == self.node:
             self.register_mapping(local)
         if local.switch_epoch is None and local.pending_sends:
-            queued, local.pending_sends = local.pending_sends, []
-            for payload, size in queued:
-                self._transmit_data(local, payload, size)
-        driver = self._switch_drivers.get(local.lwg)
-        if driver is not None:
-            driver.on_lwg_view_changed()
+            self.release_pending_sends(local)
+        self.switching.on_view_installed(local)
 
-    def _complete_join(self, local: LocalLwg, view: View) -> None:
-        if view.parents and len(view.members) > 1:
-            # Admitted into an existing group: the coordinator's state
-            # snapshot follows in the same total order.  Buffer data for
-            # this view until it arrives (with a timeout guard in case
-            # the coordinator dies at exactly this moment).
-            local.awaiting_state_for = view.view_id
-            expected = view.view_id
-
-            def give_up() -> None:
-                if local.awaiting_state_for == expected:
-                    self.trace("state_transfer_timeout", lwg=local.lwg)
-                    self._release_state_buffer(local)
-
-            self.stack.set_timer(self.config.join_retry_us, give_up)
-        self.install_local_view(local, view, reason="join")
-        driver = self._join_drivers.pop(local.lwg, None)
-        if driver is not None:
-            driver.complete()
-
-    def _on_lwg_state(self, hwg: HwgId, message: LwgStateMsg) -> None:
-        local = self.table.local(message.lwg)
-        if (
-            local is None
-            or not local.is_member
-            or local.hwg != hwg
-            or local.awaiting_state_for != message.view_id
-            or self.node not in message.targets
-        ):
-            return
-        if message.state is not None:
-            local.listener.on_state(message.lwg, message.state)
-        self._release_state_buffer(local)
-
-    def _release_state_buffer(self, local: LocalLwg) -> None:
-        local.awaiting_state_for = None
-        buffered, local.state_buffer = local.state_buffer, []
-        for sender, payload, size in buffered:
-            self.stats.data_delivered += 1
-            local.delivered += 1
-            self.trace(
-                "lwg_data_delivered",
-                lwg=local.lwg,
-                view=str(local.view.view_id) if local.view else None,
-                sender=sender,
-            )
-            local.listener.on_data(local.lwg, sender, payload, size)
-
-    def adopt_created_view(self, local: LocalLwg, view: View, hwg: HwgId) -> None:
-        """JoinDriver won the creation race: we are the founding member."""
-        local.hwg = hwg
-        self._complete_join(local, view)
-        # Tell the HWG about the newborn LWG (directory + discovery).
-        self.hwg_send(hwg, LwgViewMsg(lwg=local.lwg, view=view, announce=True))
+    def release_pending_sends(self, local: LocalLwg) -> None:
+        """Transmit, in order, the sends queued while joining or mid-switch."""
+        queued, local.pending_sends = local.pending_sends, []
+        for payload, size in queued:
+            self._transmit_data(local, payload, size)
 
     def register_mapping(self, local: LocalLwg) -> None:
         """Coordinator duty: (re-)register our view-to-view mapping."""
@@ -854,213 +571,36 @@ class LwgService:
         endpoint = self.hwg_endpoint(local.hwg)
         if endpoint is None or endpoint.current_view is None:
             return
-        record = MappingRecord(
-            lwg=local.lwg,
-            lwg_view=local.view.view_id,
-            lwg_members=local.view.members,
-            hwg=local.hwg,
-            hwg_view=endpoint.current_view.view_id,
-            version=self.naming.next_version(),
-            writer=self.node,
-        )
+        view_id = endpoint.current_view.view_id
+        record = self.mapping_record(local.lwg, local.view, local.hwg, view_id)
         self.naming.set(record, parents=local.view.parents)
 
-    def _tombstone_view(self, local: LocalLwg, old_view: View) -> None:
-        """Delete the naming record of a view we coordinated, now superseded."""
-        tombstone = MappingRecord(
-            lwg=local.lwg,
-            lwg_view=old_view.view_id,
-            lwg_members=old_view.members,
-            hwg=local.hwg or "",
-            hwg_view=ViewId("", 0),
-            version=self.naming.next_version(),
-            writer=self.node,
-            deleted=True,
-        )
-        self.naming.unset(tombstone)
+    def tombstone_mapping(
+        self, local: LocalLwg, view: View, hwg_view: Optional[ViewId] = None
+    ) -> None:
+        """Delete the naming record of ``view``, a view we coordinated.
 
-    def _unregister_mapping(self, local: LocalLwg) -> None:
-        if local.view is None or local.hwg is None:
-            return
-        endpoint = self.hwg_endpoint(local.hwg)
-        hwg_view = (
-            endpoint.current_view.view_id
-            if endpoint is not None and endpoint.current_view is not None
-            else ViewId("", 0)
-        )
-        tombstone = MappingRecord(
-            lwg=local.lwg,
-            lwg_view=local.view.view_id,
-            lwg_members=local.view.members,
-            hwg=local.hwg,
+        ``hwg_view`` is the HWG view to cite; a superseded view cites none.
+        """
+        if hwg_view is None:
+            hwg_view = ViewId("", 0)
+        hwg = local.hwg or ""
+        self.naming.unset(self.mapping_record(local.lwg, view, hwg, hwg_view, deleted=True))
+
+    def mapping_record(
+        self, lwg: LwgId, view: View, hwg: HwgId, hwg_view: ViewId, deleted: bool = False
+    ) -> MappingRecord:
+        """A mapping record we write (or delete) for ``view``, at a fresh version."""
+        return MappingRecord(
+            lwg=lwg,
+            lwg_view=view.view_id,
+            lwg_members=view.members,
+            hwg=hwg,
             hwg_view=hwg_view,
             version=self.naming.next_version(),
             writer=self.node,
-            deleted=True,
+            deleted=deleted,
         )
-        self.naming.unset(tombstone)
-
-    # ==================================================================
-    # Switch protocol
-    # ==================================================================
-    def start_switch(self, local: LocalLwg, to_hwg: Optional[HwgId], reason: str) -> None:
-        """Begin switching ``local`` to ``to_hwg`` (None mints a fresh HWG)."""
-        if (
-            not local.is_member
-            or local.switch_epoch is not None
-            or local.lwg in self._switch_drivers
-            or local.coordinator() != self.node
-        ):
-            return
-        driver = SwitchDriver(self, local, to_hwg, reason)
-        self._switch_drivers[local.lwg] = driver
-        self.stats.switches_started += 1
-        self.ensure_hwg(driver.to_hwg)
-        driver.start()
-
-    def _on_switch_start(self, hwg: HwgId, message: SwitchStart) -> None:
-        # Ordered at every HWG member: mark the view switch-in-flight so
-        # a concurrent merge round excludes it (see MergeManager).
-        self.merge_mgr.observe_switch_start(hwg, message.view_id)
-        local = self.table.local(message.lwg)
-        if (
-            local is None
-            or not local.is_member
-            or local.hwg != hwg
-            or local.view is None
-            or local.view.view_id != message.view_id
-        ):
-            return
-        local.switch_epoch = message.epoch
-        local.switch_target = message.to_hwg
-        self.ensure_hwg(message.to_hwg)
-        epoch = message.epoch
-
-        def stale_guard() -> None:
-            # A dead switch coordinator must not wedge us forever.
-            if local.switch_epoch == epoch:
-                self.trace("switch_stale_guard", lwg=local.lwg, epoch=epoch)
-                self._resume_after_failed_switch(local)
-
-        self.stack.set_timer(2 * self.config.switch_timeout_us, stale_guard)
-        self._check_switch_ready(local)
-
-    def _check_switch_ready(self, local: LocalLwg) -> None:
-        if local.switch_epoch is None or local.switch_target is None:
-            return
-        if getattr(local, "switch_ready_epoch", None) == local.switch_epoch:
-            return
-        endpoint = self.hwg_endpoint(local.switch_target)
-        if (
-            endpoint is None
-            or endpoint.state is not EndpointState.MEMBER
-            or endpoint.current_view is None
-            or self.node not in endpoint.current_view.members
-        ):
-            return
-        assert local.view is not None and local.hwg is not None
-        local.switch_ready_epoch = local.switch_epoch
-        self.hwg_send(
-            local.hwg,
-            SwitchReady(
-                lwg=local.lwg,
-                view_id=local.view.view_id,
-                to_hwg=local.switch_target,
-                member=self.node,
-                epoch=local.switch_epoch,
-            ),
-        )
-
-    def _on_switch_ready(self, hwg: HwgId, message: SwitchReady) -> None:
-        driver = self._switch_drivers.get(message.lwg)
-        if driver is not None:
-            driver.on_ready(message)
-
-    def _on_switch_commit(self, hwg: HwgId, message: SwitchCommit) -> None:
-        # Ordered cut: the view left this HWG — no merge round here may
-        # ever include it again (see MergeManager serialisation note).
-        self.merge_mgr.observe_switch_commit(hwg, message.view_id)
-        local = self.table.local(message.lwg)
-        directory = self.table.dir_for(hwg)
-        # A commit whose epoch we no longer track can still bind us: if
-        # our stale guard gave up on a slow (not dead) switch
-        # coordinator and resumed on the old HWG, the commit for our
-        # *current* view arriving afterwards is the real cut — it is
-        # totally ordered on this HWG, and the other members moved at
-        # it.  Ignoring it would strand us on an HWG where nobody
-        # listens to this LWG anymore (and the naming record of our
-        # branch is garbage-collected once the movers merge, so no
-        # MULTIPLE-MAPPINGS conflict would ever pull us back).
-        late_commit = (
-            local is not None
-            and local.switch_epoch is None
-            and local.view is not None
-            and local.view.view_id == message.view_id
-        )
-        if (
-            local is not None
-            and local.state in (LwgState.MEMBER, LwgState.LEAVING)
-            and local.hwg == hwg
-            and (local.switch_epoch == message.epoch or late_commit)
-        ):
-            if late_commit:
-                self.trace(
-                    "switch_commit_late",
-                    lwg=message.lwg,
-                    to_hwg=message.to_hwg,
-                    epoch=message.epoch,
-                )
-            local.hwg = message.to_hwg
-            self._clear_switch_state(local)
-            directory.remove_lwg(message.lwg, forward_to=message.to_hwg)
-            if local.view is not None:
-                self.table.dir_for(message.to_hwg).record_view(local.view)
-            self.trace(
-                "switch_committed",
-                lwg=message.lwg,
-                from_hwg=hwg,
-                to_hwg=message.to_hwg,
-            )
-            if local.pending_sends:
-                queued, local.pending_sends = local.pending_sends, []
-                for payload, size in queued:
-                    self._transmit_data(local, payload, size)
-            if local.coordinator() == self.node:
-                self.stats.switches_committed += 1
-                self.register_mapping(local)
-                assert local.view is not None
-                self.hwg_send(
-                    message.to_hwg,
-                    LwgViewMsg(lwg=message.lwg, view=local.view, announce=True),
-                )
-                self._switch_drivers.pop(message.lwg, None)
-        else:
-            # Pure observer on the old HWG: install the forward pointer.
-            directory.remove_lwg(message.lwg, forward_to=message.to_hwg)
-
-    def _on_switch_abort(self, hwg: HwgId, message: SwitchAbort) -> None:
-        self.merge_mgr.observe_switch_abort(hwg, message.view_id)
-        local = self.table.local(message.lwg)
-        if local is not None and local.switch_epoch == message.epoch:
-            self._resume_after_failed_switch(local)
-        if self._switch_drivers.get(message.lwg) is not None:
-            if self._switch_drivers[message.lwg].epoch == message.epoch:
-                self.stats.switches_aborted += 1
-                self._switch_drivers.pop(message.lwg, None)
-
-    def _clear_switch_state(self, local: LocalLwg) -> None:
-        local.switch_epoch = None
-        local.switch_target = None
-        local.switch_ready_epoch = None
-
-    def _resume_after_failed_switch(self, local: LocalLwg) -> None:
-        """Abort path: resume LWG traffic on the old HWG, releasing any
-        sends buffered while the switch was in flight."""
-        self._clear_switch_state(local)
-        if local.is_member and local.pending_sends:
-            queued, local.pending_sends = local.pending_sends, []
-            for payload, size in queued:
-                self._transmit_data(local, payload, size)
 
     # ==================================================================
     # HWG view changes
@@ -1099,22 +639,14 @@ class LwgService:
                     )
         # 6. Joiners waiting for this HWG.
         if self.node in alive:
-            for driver in list(self._join_drivers.values()):
-                if driver.target_hwg == hwg:
-                    driver.on_hwg_ready(hwg)
+            self.join_leave.on_hwg_ready(hwg)
         # 7. Switch members waiting to reach their target HWG.
-        for local in list(self.table.locals.values()):
-            if local.switch_target == hwg:
-                self._check_switch_ready(local)
+        self.switching.on_hwg_view(hwg)
         # 8. Shrink-rule bookkeeping.
         if self.table.local_lwgs_on(hwg):
             directory.last_useful_at = self.env.now
         # 9. Replay join/leave requests deferred during the merge round.
-        for kind, message in self.merge_mgr.take_deferred(hwg):
-            if kind == "join":
-                self._on_lwg_join_req(hwg, message)
-            else:
-                self._on_lwg_leave_req(hwg, message)
+        self.join_leave.replay_deferred(hwg)
 
     def _on_hwg_left(self, hwg: HwgId) -> None:
         self.table.directory.pop(hwg, None)
@@ -1161,7 +693,7 @@ class LwgService:
                     for lwg, v in sorted(directory.views.items())
                 )
         busy = {l.lwg for l in self.table.locals.values() if l.switch_epoch is not None}
-        busy |= set(self._switch_drivers)
+        busy |= set(self.switching.drivers)
         if want_pinned:
             # Stability hysteresis: the optimizer must not move a group
             # whose view is still settling (joins in flight) — churning
@@ -1205,48 +737,6 @@ class LwgService:
             elif isinstance(action, LeaveHwgAction):
                 self._leave_hwg_if_unused(action.hwg)
         return actions
-
-    def _tick_announcements(self) -> None:
-        """Periodic LWG view beacons (local peer discovery liveness).
-
-        Each coordinator re-announces its current view on its HWG.  A
-        member of a concurrent co-mapped view that hears it triggers the
-        Figure-5 merge — even when the groups carry no data traffic.
-        """
-        for local in self.table.coordinated_lwgs(self.node):
-            if local.switch_epoch is not None or local.hwg is None:
-                continue
-            if self.merge_mgr.round_active(local.hwg):
-                continue
-            assert local.view is not None
-            self.hwg_send(
-                local.hwg,
-                LwgViewMsg(lwg=local.lwg, view=local.view, announce=True),
-            )
-        # Coordinator-silence backstop: a member whose coordinator has
-        # gone quiet for several announce periods is holding an
-        # abandoned view (the coordinator adopted a different lineage
-        # via a racing switch or an asymmetric partition-heal merge, so
-        # it will never announce — or tombstone — this one).  The HWG
-        # layer cannot flag it: the coordinator is alive and still an
-        # HWG member.  Rejoin through the naming service.
-        now = self.env.now
-        for local in list(self.table.locals.values()):
-            if (
-                not local.is_member
-                or local.switch_epoch is not None
-                or local.hwg is None
-                or local.coordinator() == self.node
-            ):
-                continue
-            if now - local.last_coordinator_heard >= self.config.coordinator_silence_us:
-                self.trace(
-                    "coordinator_silence",
-                    lwg=local.lwg,
-                    hwg=local.hwg,
-                    view=str(local.view.view_id) if local.view else None,
-                )
-                self._forced_out(local, local.hwg)
 
     def _tick_mapping_audit(self) -> None:
         """Self-healing backstop: verify our registered mappings exist.
@@ -1305,16 +795,3 @@ class LwgService:
             return
         self.trace("shrink_leave", hwg=hwg)
         endpoint.leave()
-
-    # ==================================================================
-    # Naming-service callback and unicast handling
-    # ==================================================================
-    def _on_multiple_mappings(self, message: MultipleMappings) -> None:
-        if self.config.enable_reconciliation:
-            self.reconciler.on_multiple_mappings(message)
-
-    def _handle_unicast(self, src: str, msg: RedirectLwg) -> bool:
-        driver = self._join_drivers.get(msg.lwg)
-        if driver is not None:
-            driver.on_redirect(msg.to_hwg)
-        return True

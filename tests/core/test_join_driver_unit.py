@@ -5,6 +5,7 @@ from typing import List, Optional
 from repro.core.config import LwgConfig
 from repro.core.join_leave import JoinDriver
 from repro.core.mapping_table import LwgState, MappingTable
+from repro.core.service import LwgService
 from repro.core.messages import LwgJoinReq
 from repro.naming.records import MappingRecord
 from repro.vsync.membership import EndpointState
@@ -87,7 +88,12 @@ class FakeService:
     def hwg_send(self, hwg, message):
         self.sent.append((hwg, message))
 
+    # The real record builder: it only reads ``node`` and ``naming``.
+    mapping_record = LwgService.mapping_record
+
     def adopt_created_view(self, local, view, hwg):
+        """Stands in for ``JoinLeaveManager.adopt_created_view``, the
+        callback the driver is built with."""
         self.adopted.append((view, hwg))
 
     def trace(self, event, **fields):
@@ -105,7 +111,7 @@ def make_driver(node="p9"):
     service = FakeService(node)
     local = service.table.ensure_local("lwg:g", object())
     local.state = LwgState.JOINING
-    driver = JoinDriver(service, local)
+    driver = JoinDriver(service, local, service.adopt_created_view)
     return service, local, driver
 
 
@@ -151,7 +157,7 @@ def test_empty_naming_creates_fresh_hwg_and_claims():
     # Winning the race adopts the created view.
     reply((proposed,))
     assert service.adopted and service.adopted[0][0].members == ("p9",)
-    # (In the real service, adopt_created_view completes the driver.)
+    # (In the real service, the owner's adopt_created_view completes the driver.)
 
 
 def test_losing_the_claim_race_follows_the_winner():

@@ -144,10 +144,6 @@ def test_switch_driver_aborts_on_timeout():
             return "hwg:fresh"
 
         @staticmethod
-        def next_switch_epoch():
-            return 7
-
-        @staticmethod
         def trace(event, **fields):
             pass
 
@@ -156,7 +152,8 @@ def test_switch_driver_aborts_on_timeout():
         hwg = "hwg:old"
         view = View("lwg:g", ViewId("p0", 1), ("p0", "p1"))
 
-    driver = SwitchDriver(FakeService(), FakeLocal(), None, reason="unit")
+    # The epoch is minted by the SwitchManager and handed to the driver.
+    driver = SwitchDriver(FakeService(), FakeLocal(), None, reason="unit", epoch=7)
     driver.start()
     assert driver.to_hwg == "hwg:fresh"
     # Fire the timeout manually.
