@@ -28,9 +28,11 @@ from repro.workloads.placement import build_placement_scenario, measure_placemen
 #: Scale for the placement-policy comparison: large enough that the
 #: zone collapse dominates (the paper rules are stuck paying fan-out 12
 #: for 4-8 member classes), small enough that *both* flavours converge
-#: deterministically — the paper rules' join machinery itself starts
-#: failing to converge past ~80 LWGs on the shared medium, which would
-#: leave nothing to compare against.
+#: at this bench's seed.  Past ~80 LWGs on the shared medium the paper
+#: rules stop converging, which would leave nothing to compare against.
+#: The joins are not the cause: with no policy acting they converge.
+#: Policy actions during the bulk load strand joining LWGs (ROADMAP
+#: item 15, which also lists failing seeds at 40 LWGs).
 PLACEMENT_LWGS = 40
 
 

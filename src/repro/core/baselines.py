@@ -30,7 +30,7 @@ from ..vsync.view import View
 from .config import LwgConfig
 from .ids import lwg_id as canonical_lwg_id
 from .mapping_policy import IsolatedMappingPolicy, StaticMappingPolicy
-from .service import LwgHandle, LwgListener, LwgService
+from .service import DEFAULT_PAYLOAD_BYTES, LwgHandle, LwgListener, LwgService
 
 
 class _DirectAdapter(HwgListener):
@@ -58,7 +58,7 @@ class DirectHandle:
         self.lwg = name
 
     def send(self, payload: Any, size: Optional[int] = None) -> None:
-        self._endpoint.send(payload, size if size is not None else 256)
+        self._endpoint.send(payload, size if size is not None else DEFAULT_PAYLOAD_BYTES)
 
     def leave(self) -> None:
         self._endpoint.leave()

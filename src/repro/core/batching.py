@@ -33,10 +33,17 @@ Correctness rules (PROTOCOLS.md §15):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from ..naming.records import HwgId
 from .messages import MIXED_BATCH, LwgBatch, LwgData
+
+#: The longest a payload waits behind an own in-flight publish on its
+#: HWG.  It bounds data latency, not a protocol timeout.
+BATCH_WINDOW_US = 2_000
+#: Flush at once when the buffered payload bytes reach this cap (keeps
+#: batches under transport datagram ceilings).
+BATCH_MAX_BYTES = 16_384
 
 
 class _HwgBuffer:
@@ -68,7 +75,8 @@ class BatchPacker:
     instant (a zero-delay timer, so a same-instant burst is still one
     batch); one enqueued behind an in-flight publish is held until that
     publish returns (:meth:`on_own_delivery`), bounded by ``window_us``
-    and ``max_bytes``.
+    and ``max_bytes`` (:data:`BATCH_WINDOW_US` and :data:`BATCH_MAX_BYTES`
+    unless given).
     """
 
     def __init__(
@@ -77,15 +85,15 @@ class BatchPacker:
         transmit: Callable[[HwgId, LwgData | LwgBatch], None],
         set_timer: Callable[[int, Callable[[], None]], object],
         in_flight: Callable[[HwgId], bool],
-        window_us: int,
-        max_bytes: int,
+        window_us: Optional[int] = None,
+        max_bytes: Optional[int] = None,
     ):
         self.node = node
         self._transmit = transmit
         self._set_timer = set_timer
         self._in_flight = in_flight
-        self.window_us = window_us
-        self.max_bytes = max_bytes
+        self.window_us = BATCH_WINDOW_US if window_us is None else window_us
+        self.max_bytes = BATCH_MAX_BYTES if max_bytes is None else max_bytes
         self._buffers: Dict[HwgId, _HwgBuffer] = {}
         self._timer_tokens = 0
         self._batch_seq = 0

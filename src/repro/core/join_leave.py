@@ -28,6 +28,7 @@ from dataclasses import replace
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..naming.records import HwgId, LwgId, MappingRecord
+from ..sim.engine import SECOND
 from ..vsync.membership import EndpointState
 from ..vsync.view import View, ViewId
 from .ids import highest_gid
@@ -40,6 +41,13 @@ from .messages import (
     LwgViewMsg,
     RedirectLwg,
 )
+
+#: How long a new member buffers data awaiting its state transfer, and
+#: the period at which a leaver re-sends its leave request.
+LWG_JOIN_RETRY_US = 1 * SECOND
+#: How long the joiner waits for the LWG to show up on the mapped HWG
+#: before concluding the mapping is stale and (re)creating the LWG.
+JOIN_CLAIM_US = 2 * SECOND
 
 
 class JoinDriver:
@@ -130,7 +138,7 @@ class JoinDriver:
         self._futile_rounds = 0
         self._last_signature = None
         self._epoch += 1
-        self._arm(self.svc.config.join_claim_us, self._read_naming)
+        self._arm(JOIN_CLAIM_US, self._read_naming)
 
     # ------------------------------------------------------------------
     # Step 2: get onto the HWG
@@ -150,7 +158,7 @@ class JoinDriver:
         # being drained, a record that switched away mid-join, ...): if
         # nothing happened after the stall window, restart from the
         # naming lookup with fresh information.
-        stall_window = 2 * self.svc.config.join_claim_us
+        stall_window = 2 * JOIN_CLAIM_US
         self._arm(stall_window, self._stalled)
 
     def _stalled(self) -> None:
@@ -179,7 +187,7 @@ class JoinDriver:
         request = LwgJoinReq(lwg=self.lwg, joiner=self.svc.node)
         self.svc.hwg_send(self.target_hwg, request)
         # If nothing materialises, the mapping may be stale: claim the LWG.
-        self._arm(self.svc.config.join_claim_us, self._claim_or_retry)
+        self._arm(JOIN_CLAIM_US, self._claim_or_retry)
 
     def _claim_or_retry(self) -> None:
         directory = self.svc.table.dir_for(self.target_hwg)
@@ -323,7 +331,7 @@ class JoinLeaveManager:
                     svc.trace("state_transfer_timeout", lwg=local.lwg)
                     self.release_state_buffer(local)
 
-            svc.stack.set_timer(svc.config.join_retry_us, give_up)
+            svc.stack.set_timer(LWG_JOIN_RETRY_US, give_up)
         svc.install_local_view(local, view, reason="join")
         driver = self.drivers.pop(local.lwg, None)
         if driver is not None:
@@ -421,7 +429,7 @@ class JoinLeaveManager:
             local.hwg,
             LwgLeaveReq(lwg=local.lwg, leaver=svc.node, view_id=local.view.view_id),
         )
-        svc.stack.set_timer(svc.config.join_retry_us, lambda: self._send_leave_request(local))
+        svc.stack.set_timer(LWG_JOIN_RETRY_US, lambda: self._send_leave_request(local))
 
     def _finish_leave(self, local: LocalLwg) -> None:
         self.svc.table.locals.pop(local.lwg, None)

@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from ..naming.client import NamingClient
 from ..naming.messages import MultipleMappings
 from ..naming.records import HwgId, LwgId, MappingRecord
+from ..sim.engine import SECOND
 from ..vsync.hwg import HwgEndpoint, HwgListener
 from ..vsync.membership import EndpointState
 from ..vsync.view import View, ViewId
@@ -53,6 +54,23 @@ from .switching import SwitchManager
 # through the metaclass's ``__getattr__`` hook, ~100 ns a read.
 _IDLE = LwgState.IDLE
 _MEMBER = LwgState.MEMBER
+
+#: LWG coordinators re-announce their view on their HWG at this period.
+#: This is the liveness backstop for local peer discovery (Section 6.3):
+#: Figure 5's trigger is DATA traffic, so two quiet concurrent views
+#: co-mapped on one HWG would otherwise never merge.
+ANNOUNCE_PERIOD_US = 2 * SECOND
+#: Coordinators re-read the naming service at this period and
+#: re-register their mapping if the record is gone.  Replication
+#: normally outlives any single server failure, but a record written to
+#: one replica inside a partition can be destroyed (crash with a
+#: corrupted store) before anti-entropy spreads it — and a *missing*
+#: record raises no MULTIPLE-MAPPINGS callback, so only the
+#: authoritative writer can notice.  This audit is the self-healing
+#: backstop for that silent-loss case.
+MAPPING_AUDIT_PERIOD_US = 4 * SECOND
+#: Payload size assumed for user messages sent without one.
+DEFAULT_PAYLOAD_BYTES = 256
 
 
 class LwgListener:
@@ -179,8 +197,6 @@ class LwgService:
             transmit=self._transmit_packed,
             set_timer=stack.set_timer,
             in_flight=self._publish_in_flight,
-            window_us=self.config.batch_window_us,
-            max_bytes=self.config.batch_max_bytes,
         )
         self.join_leave = JoinLeaveManager(self)
         self.switching = SwitchManager(self)
@@ -198,13 +214,13 @@ class LwgService:
                 jitter_stream=f"policy:{self.node}",
             )
         stack.set_periodic(
-            self.config.announce_period_us,
+            ANNOUNCE_PERIOD_US,
             self.join_leave.tick_announcements,
             jitter_stream=f"announce:{self.node}",
         )
         if self.config.enable_reconciliation:
             stack.set_periodic(
-                self.config.mapping_audit_period_us,
+                MAPPING_AUDIT_PERIOD_US,
                 self._tick_mapping_audit,
                 jitter_stream=f"audit:{self.node}",
             )
@@ -307,7 +323,7 @@ class LwgService:
         local = self.table.locals.get(lwg)
         if local is None or local.state is _IDLE:
             raise RuntimeError(f"send to {lwg} before join")
-        size = size if size is not None else self.config.default_payload_bytes
+        size = size if size is not None else DEFAULT_PAYLOAD_BYTES
         self.stats.data_sent += 1
         # ``not local.is_member``, inlined: one frame less per send.
         if (

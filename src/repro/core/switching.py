@@ -29,9 +29,15 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Set
 
 from ..naming.records import HwgId, LwgId
+from ..sim.engine import SECOND
 from ..vsync.membership import EndpointState
 from .mapping_table import LocalLwg, LwgState
 from .messages import LwgViewMsg, SwitchAbort, SwitchCommit, SwitchReady, SwitchStart
+
+#: How long the coordinator waits for every member to reach the target
+#: HWG before aborting the switch; members drop stale switch state after
+#: twice this.
+SWITCH_TIMEOUT_US = 5 * SECOND
 
 
 class SwitchDriver:
@@ -70,9 +76,7 @@ class SwitchDriver:
             epoch=self.epoch,
         )
         self.svc.hwg_send(self.from_hwg, message)
-        self._timer = self.svc.stack.set_timer(
-            self.svc.config.switch_timeout_us, self._timeout
-        )
+        self._timer = self.svc.stack.set_timer(SWITCH_TIMEOUT_US, self._timeout)
 
     def _timeout(self) -> None:
         if not self.committed and not self.aborted:
@@ -225,7 +229,7 @@ class SwitchManager:
                 svc.trace("switch_stale_guard", lwg=local.lwg, epoch=epoch)
                 self._resume(local)
 
-        svc.stack.set_timer(2 * svc.config.switch_timeout_us, stale_guard)
+        svc.stack.set_timer(2 * SWITCH_TIMEOUT_US, stale_guard)
         self._check_ready(local)
 
     def _check_ready(self, local: LocalLwg) -> None:

@@ -24,16 +24,16 @@ without ever producing an ill-formed run.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..checkers import InvariantViolation
-from ..core.config import LwgConfig
 from ..core.ids import lwg_id
 from ..naming.persistence import CORRUPTION_MODES, inject_corruption
 from ..sim.engine import MS, SECOND
 from ..vsync.stack import VsyncConfig
 from ..workloads.cluster import Cluster
+from ..workloads.scenarios import _scaled_lwg_config
 from .schedule import Schedule, Step
 
 #: Called once the initial membership has settled; used by the checker
@@ -99,14 +99,6 @@ class _TraceDigest:
         return self._hash.hexdigest()[:length]
 
 
-def _scaled_config(placement: str = "paper") -> LwgConfig:
-    """Fuzz-friendly timers (same scaling the soak tests use)."""
-    config = LwgConfig(placement_policy=placement)
-    config.policy_period_us = 2 * SECOND
-    config.shrink_grace_us = 1 * SECOND
-    return config
-
-
 class ScheduleRunner:
     """Applies one schedule and classifies the result.
 
@@ -124,7 +116,7 @@ class ScheduleRunner:
             seed=schedule.seed,
             num_name_servers=schedule.num_name_servers,
             replication_factor=schedule.replication_factor,
-            lwg_config=_scaled_config(schedule.placement),
+            lwg_config=replace(_scaled_lwg_config(), placement_policy=schedule.placement),
             vsync_config=VsyncConfig(
                 topology=schedule.topology,
                 num_zones=schedule.zones or 4,

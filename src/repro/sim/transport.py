@@ -18,6 +18,9 @@ from typing import Any, Callable, Deque, Dict, Tuple
 
 from ..runtime.interfaces import NodeId, Runtime
 
+#: Base retransmission delay, microseconds: the first retry waits this
+#: long, later ones back off from it (:func:`backoff_us`).
+RETRANSMIT_TIMEOUT_US = 20_000
 #: Exponential-backoff cap for retransmissions, microseconds.
 MAX_BACKOFF_US = 1_000_000
 
@@ -88,14 +91,12 @@ class ReliableTransport:
         env: Runtime,
         node: NodeId,
         deliver: Callable[[NodeId, Any, int], None],
-        retransmit_timeout_us: int = 20_000,
         max_retries: int = 10,
         window: int = 64,
     ):
         self.env = env
         self.node = node
         self.deliver = deliver
-        self.retransmit_timeout_us = retransmit_timeout_us
         self.max_retries = max_retries
         self.window = window
         self._peers: Dict[NodeId, _PeerState] = {}
@@ -174,10 +175,10 @@ class ReliableTransport:
             self.retransmissions += 1
             self._put_on_wire(dst, state, seq, payload, size)
             self.env.scheduler.schedule(
-                backoff_us(self.retransmit_timeout_us, attempts + 1), retry
+                backoff_us(RETRANSMIT_TIMEOUT_US, attempts + 1), retry
             )
 
-        self.env.scheduler.schedule(backoff_us(self.retransmit_timeout_us, 0), retry)
+        self.env.scheduler.schedule(backoff_us(RETRANSMIT_TIMEOUT_US, 0), retry)
 
     def _drain_queue(self, dst: NodeId) -> None:
         state = self._peer(dst)

@@ -24,6 +24,10 @@ SuspicionListener = Callable[[NodeId, bool], None]  # (peer, suspected)
 
 FD_GROUP = "_fd"
 
+#: How long a stale liveness entry waits on an indirect probe before
+#: being declared suspected (gossip detector only).
+FD_PROBE_TIMEOUT_US = 150_000
+
 
 def rendezvous_pick(salt: str, candidates: Set[NodeId], count: int) -> List[NodeId]:
     """The ``count`` highest-scoring candidates under rendezvous hashing.
@@ -60,8 +64,8 @@ class FailureDetector:
         env: Runtime,
         node: NodeId,
         send_multicast: Callable[[Set[NodeId], Heartbeat, int], None],
-        heartbeat_period_us: int = 100_000,
-        timeout_us: int = 350_000,
+        heartbeat_period_us: int,
+        timeout_us: int,
     ):
         self.env = env
         self.node = node
@@ -195,9 +199,9 @@ class GossipFailureDetector:
         env: Runtime,
         node: NodeId,
         send_multicast: Callable[[Set[NodeId], Heartbeat, int], None],
-        heartbeat_period_us: int = 100_000,
-        timeout_us: int = 350_000,
-        probe_timeout_us: int = 150_000,
+        heartbeat_period_us: int,
+        timeout_us: int,
+        probe_timeout_us: int = FD_PROBE_TIMEOUT_US,
     ):
         self.env = env
         self.node = node

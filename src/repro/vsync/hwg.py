@@ -43,6 +43,14 @@ from .messages import (
 from .total_order import OrderedChannel
 from .view import GroupId, View, ViewId
 
+#: A joiner that hears no coordinator within this long after probing
+#: founds the group as a singleton view.
+JOIN_PROBE_TIMEOUT_US = 250_000
+#: A joiner that sent a JoinRequest probes again after this long.
+HWG_JOIN_RETRY_US = 800_000
+#: A leaver re-sends its LeaveRequest at this period.
+LEAVE_RETRY_US = 800_000
+
 
 class HwgListener:
     """Upcall interface for users of an endpoint (paper Table 1).
@@ -204,9 +212,7 @@ class HwgEndpoint:
         if others:
             probe = JoinProbe(group=self.group, joiner=self.node)
             self.stack.raw_multicast(others, probe, probe.size_bytes())
-        self._join_timer = self.stack.set_timer(
-            self.stack.config.join_probe_timeout_us, self._probe_timeout
-        )
+        self._join_timer = self.stack.set_timer(JOIN_PROBE_TIMEOUT_US, self._probe_timeout)
 
     def _probe_timeout(self) -> None:
         if self.state is not EndpointState.JOINING:
@@ -225,9 +231,7 @@ class HwgEndpoint:
         if self._join_timer is not None:
             self._join_timer.cancel()
         self.reliable_send(src, JoinRequest(group=self.group, joiner=self.node))
-        self._join_timer = self.stack.set_timer(
-            self.stack.config.join_retry_us, self._probe
-        )
+        self._join_timer = self.stack.set_timer(HWG_JOIN_RETRY_US, self._probe)
 
     # ------------------------------------------------------------------
     # Leave machinery
@@ -250,9 +254,7 @@ class HwgEndpoint:
             self.channel.on_drained = lambda: self.stack.set_timer(0, self._leave_attempt)
         elif coordinator is not None:
             self.reliable_send(coordinator, msg)
-        self._leave_timer = self.stack.set_timer(
-            self.stack.config.leave_retry_us, self._leave_attempt
-        )
+        self._leave_timer = self.stack.set_timer(LEAVE_RETRY_US, self._leave_attempt)
 
     def _finish_leave(self) -> None:
         if self._leave_timer is not None:

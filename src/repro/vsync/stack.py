@@ -43,49 +43,30 @@ Handler = Callable[[NodeId, Any], bool]
 Kinds = Union[Type[Any], Tuple[Type[Any], ...]]
 
 
+#: How often the failure detector checks its peers for timeouts.
+FD_CHECK_PERIOD_US = 50_000
+#: Presence-beacon period (merge discovery); the zone agent ticks at it too.
+BEACON_PERIOD_US = 400_000
+#: Stability-tick period of every ordered channel.
+STABILITY_PERIOD_US = 500_000
+
+
 @dataclass
 class VsyncConfig:
-    """Tunable timers of the virtual-synchrony substrate (microseconds)."""
+    """Tunables of the virtual-synchrony substrate (times in microseconds).
+
+    Every other substrate timer is a constant of the one module that
+    reads it, like the tick periods above.
+    """
 
     heartbeat_period_us: int = 100_000
     fd_timeout_us: int = 350_000
-    fd_check_period_us: int = 50_000
-    beacon_period_us: int = 400_000
-    stability_period_us: int = 500_000
-    join_probe_timeout_us: int = 250_000
-    join_retry_us: int = 800_000
-    leave_retry_us: int = 800_000
-    retransmit_timeout_us: int = 20_000
-    #: Stability acks/floors piggyback on data traffic (Publish/Ordered
-    #: headers); a standalone StabilityAck or StabilityAnnounce is only
-    #: sent at a stability tick if the channel carried none for this
-    #: long.  Kept below stability_period_us so an idle channel still
-    #: converges within one tick.
-    ack_idle_timeout_us: int = 400_000
     #: Membership topology: "flat" (the paper's all-to-all substrate,
     #: bit-identical to every pinned trace) or "zoned" (two-level zoned
     #: membership with gossip failure detection, PROTOCOLS.md §20).
     topology: str = "flat"
     #: Zone count when ``topology == "zoned"`` (ignored when flat).
     num_zones: int = 4
-    #: How long a stale liveness entry waits on an indirect probe
-    #: before being declared suspected (gossip detector only).
-    fd_probe_timeout_us: int = 150_000
-
-    #: Non-timer knobs excluded from :meth:`scaled`.
-    _FLAGS = ("topology", "num_zones")
-
-    def scaled(self, factor: float) -> "VsyncConfig":
-        """A copy with every timer multiplied by ``factor``."""
-        return VsyncConfig(
-            **{
-                name: int(getattr(self, name) * factor)
-                for name in vars(self)
-                if name not in self._FLAGS
-            },
-            topology=self.topology,
-            num_zones=self.num_zones,
-        )
 
 
 class ProtocolStack(Process):
@@ -107,10 +88,7 @@ class ProtocolStack(Process):
         #: installed-view history).  In-memory unless the caller passes
         #: a store.
         self.node_store: DurableStore = node_store or DurableStore()
-        self.transport = ReliableTransport(
-            env, node, self._deliver_control,
-            retransmit_timeout_us=self.config.retransmit_timeout_us,
-        )
+        self.transport = ReliableTransport(env, node, self._deliver_control)
         #: Zone agent (zoned topology only): substrate seeding, relay
         #: duties, per-zone summaries.  None keeps the flat substrate
         #: byte-identical to every pinned trace.
@@ -120,7 +98,6 @@ class ProtocolStack(Process):
                 env, node, self._fd_multicast,
                 heartbeat_period_us=self.config.heartbeat_period_us,
                 timeout_us=self.config.fd_timeout_us,
-                probe_timeout_us=self.config.fd_probe_timeout_us,
             )
             self.zones = ZoneAgent(self, zone_directory)
         else:
@@ -155,19 +132,19 @@ class ProtocolStack(Process):
             self.fd.tick_heartbeat,
             jitter_stream=f"hb:{node}",
         )
-        self.set_periodic(self.config.fd_check_period_us, self.fd.tick_check)
+        self.set_periodic(FD_CHECK_PERIOD_US, self.fd.tick_check)
         self.set_periodic(
-            self.config.beacon_period_us, self._tick_beacons, jitter_stream=f"beacon:{node}"
+            BEACON_PERIOD_US, self._tick_beacons, jitter_stream=f"beacon:{node}"
         )
         self.set_periodic(
-            self.config.stability_period_us,
+            STABILITY_PERIOD_US,
             self._tick_stability,
             jitter_stream=f"stability:{node}",
         )
         if self.zones is not None:
             self.zones.seed_substrate()
             self.set_periodic(
-                self.config.beacon_period_us,
+                BEACON_PERIOD_US,
                 self.zones.tick,
                 jitter_stream=f"zone:{node}",
             )

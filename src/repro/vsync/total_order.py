@@ -24,18 +24,19 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..runtime.interfaces import NodeId, TimerHandle
-from ..sim.transport import backoff_us
+from ..sim.transport import RETRANSMIT_TIMEOUT_US, backoff_us
 from .messages import Nack, Ordered, Publish, StabilityAck, StabilityAnnounce
 from .view import View
 
 #: How long a receiver waits on a sequence gap before NACKing, microseconds.
 NACK_DELAY_US = 30_000
 
-#: Fallback timers when the host exposes no stack config (unit-test fake
-#: hosts).  They match VsyncConfig's ack_idle_timeout_us and
-#: retransmit_timeout_us.
-DEFAULT_ACK_IDLE_TIMEOUT_US = 400_000
-DEFAULT_RETRANSMIT_TIMEOUT_US = 20_000
+#: Stability acks/floors piggyback on data traffic (Publish/Ordered
+#: headers); a standalone StabilityAck is only sent at a stability tick
+#: if the channel carried none for this long.  Kept below the stack's
+#: ``STABILITY_PERIOD_US`` so an idle channel still converges within
+#: one tick.
+ACK_IDLE_TIMEOUT_US = 400_000
 
 
 class OrderedChannel:
@@ -48,13 +49,6 @@ class OrderedChannel:
 
     def __init__(self, host) -> None:
         self.host = host
-        config = getattr(getattr(host, "stack", None), "config", None)
-        self._ack_idle_timeout_us: int = getattr(
-            config, "ack_idle_timeout_us", DEFAULT_ACK_IDLE_TIMEOUT_US
-        )
-        self._republish_base_us: int = getattr(
-            config, "retransmit_timeout_us", DEFAULT_RETRANSMIT_TIMEOUT_US
-        )
         self.view: Optional[View] = None
         self.log: Dict[int, Ordered] = {}
         self.delivered_upto = -1
@@ -187,7 +181,7 @@ class OrderedChannel:
         """Re-publish the pending window if it makes no progress.
 
         One timer per channel, on the transport's backoff schedule from
-        ``retransmit_timeout_us``.  Progress (the oldest pending message
+        ``RETRANSMIT_TIMEOUT_US``.  Progress (the oldest pending message
         was delivered) re-arms it at the base delay; a window still stuck
         is re-published in order and the delay doubles.  An empty window
         disarms it; a freeze cancels it, and ``install_view`` and ``thaw``
@@ -207,7 +201,7 @@ class OrderedChannel:
                 self._publish(sender_seq, payload, size)
 
         self._republish_timer = self.host.env.scheduler.schedule(
-            backoff_us(self._republish_base_us, attempts), fire
+            backoff_us(RETRANSMIT_TIMEOUT_US, attempts), fire
         )
 
     def _cancel_republish(self) -> None:
@@ -391,7 +385,7 @@ class OrderedChannel:
         acks ride in Publish headers, floors in Ordered headers.  This
         tick is the *idle fallback*: a member sends a standalone
         :class:`StabilityAck` only if no Publish carried its ack for
-        ``ack_idle_timeout_us``; the sequencer computes the floor from
+        ``ACK_IDLE_TIMEOUT_US``; the sequencer computes the floor from
         the collected (piggybacked or standalone) acks and multicasts a
         standalone :class:`StabilityAnnounce` only if no Ordered has
         distributed the current floor yet.
@@ -411,7 +405,7 @@ class OrderedChannel:
                 )
                 self.host.multicast_view(announce, announce.size_bytes())
         else:
-            if now - self._last_ack_sent_at < self._ack_idle_timeout_us:
+            if now - self._last_ack_sent_at < ACK_IDLE_TIMEOUT_US:
                 return  # a recent Publish already carried our progress
             self._last_ack_sent_at = now
             self.standalone_acks += 1

@@ -34,12 +34,13 @@ fabric ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.config import LwgConfig
 from ..sim.engine import MS, SECOND
 from .cluster import Cluster
+from .scenarios import _scaled_lwg_config
 from .traffic import ProbeHub, ProbeListener, probe_payload
 
 #: Processes per zone.  12 keeps every sub-window (4 or 6 wide) above
@@ -304,12 +305,13 @@ def _placement_lwg_config(placement: str) -> LwgConfig:
     (each rejoin is another naming round plus an HWG view change).
     The backstop still fires, just calibrated to drain-storm latencies.
     """
-    config = LwgConfig(placement_policy=placement, placement_max_switches=8)
-    config.policy_period_us = 2 * SECOND
-    config.shrink_grace_us = 1 * SECOND
-    config.placement_settle_us = 20 * SECOND
-    config.coordinator_silence_us = 15 * SECOND
-    return config
+    return replace(
+        _scaled_lwg_config(),
+        placement_policy=placement,
+        placement_max_switches=8,
+        placement_settle_us=20 * SECOND,
+        coordinator_silence_us=15 * SECOND,
+    )
 
 
 def build_placement_scenario(

@@ -34,11 +34,12 @@ from ..sim import MS, SECOND, SimRuntime
 from ..sim.network import LinkModel
 from ..vsync.failure_detector import FailureDetector, GossipFailureDetector
 from ..vsync.messages import LivenessDigest, ProbePing, ProbeRequest
+from ..vsync.stack import VsyncConfig
 from ..vsync.zones import ZoneDirectory, ZoneMap
 
-HEARTBEAT_PERIOD_US = 100 * MS
-FD_TIMEOUT_US = 350 * MS
-PROBE_TIMEOUT_US = 150 * MS
+#: The stack's own detector timers (the probe timeout is the gossip
+#: detector's default).
+_VSYNC = VsyncConfig()
 
 
 def _node_ids(n: int) -> List[str]:
@@ -52,8 +53,8 @@ def _build_flat(env, nodes, send_for):
             env,
             node,
             send_multicast=send_for(node),
-            heartbeat_period_us=HEARTBEAT_PERIOD_US,
-            timeout_us=FD_TIMEOUT_US,
+            heartbeat_period_us=_VSYNC.heartbeat_period_us,
+            timeout_us=_VSYNC.fd_timeout_us,
         )
         detectors[node] = fd
     peers = set(nodes)
@@ -72,9 +73,8 @@ def _build_zoned(env, nodes, send_for, num_zones):
             env,
             node,
             send_multicast=send_for(node),
-            heartbeat_period_us=HEARTBEAT_PERIOD_US,
-            timeout_us=FD_TIMEOUT_US,
-            probe_timeout_us=PROBE_TIMEOUT_US,
+            heartbeat_period_us=_VSYNC.heartbeat_period_us,
+            timeout_us=_VSYNC.fd_timeout_us,
         )
     for node, fd in detectors.items():
         zone = directory.zone_of(node)
@@ -168,7 +168,7 @@ class _Population:
         # One staggered driver per node: ticking all n detectors from a
         # single event would synchronize every gossip round unrealistically.
         for index, node in enumerate(self.nodes):
-            offset = (index * 7919) % HEARTBEAT_PERIOD_US
+            offset = (index * 7919) % _VSYNC.heartbeat_period_us
             self.env.sim.schedule(offset, self._ticker(node))
 
     def _ticker(self, node):
@@ -177,7 +177,7 @@ class _Population:
             if self.env.network.is_alive(node):
                 fd.tick_heartbeat()
                 fd.tick_check()
-            self.env.sim.schedule(HEARTBEAT_PERIOD_US, tick)
+            self.env.sim.schedule(_VSYNC.heartbeat_period_us, tick)
 
         return tick
 

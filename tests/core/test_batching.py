@@ -1,9 +1,8 @@
 """The data-path batch packer (PROTOCOLS.md §15): unit tests, plus one
 end-to-end check that co-mapped traffic really coalesces on the fabric."""
 
-from repro.core import LwgListener
-from repro.core.batching import BatchPacker
-from repro.core.config import LwgConfig
+from repro.core import LwgListener, batching
+from repro.core.batching import BATCH_MAX_BYTES, BATCH_WINDOW_US, BatchPacker
 from repro.core.messages import MIXED_BATCH, LwgBatch, LwgData
 from repro.sim import SECOND
 from repro.vsync.view import ViewId
@@ -250,7 +249,7 @@ def test_flush_all_covers_every_hwg():
     assert [hwg for hwg, _ in sent] == ["h1", "h2"]
 
 
-def comapped_traffic(config):
+def comapped_traffic():
     """Six LWGs statically co-mapped on ONE HWG, every member chatty.
 
     The shape the paper's amortization argument lives on: each
@@ -261,7 +260,6 @@ def comapped_traffic(config):
         num_processes=4,
         seed=2000,
         flavour="static",
-        lwg_config=config,
         keep_trace=False,
     )
     groups = [f"g{i}" for i in range(6)]
@@ -285,10 +283,11 @@ def comapped_traffic(config):
     return deliveries, cluster.env.network.messages_sent
 
 
-def test_comapped_traffic_coalesces_on_the_fabric():
-    delivered_on, fabric_on = comapped_traffic(LwgConfig())
+def test_comapped_traffic_coalesces_on_the_fabric(monkeypatch):
+    delivered_on, fabric_on = comapped_traffic()
     # A 1-byte cap flushes every enqueue: one bare LwgData per send().
-    delivered_off, fabric_off = comapped_traffic(LwgConfig(batch_max_bytes=1))
+    monkeypatch.setattr(batching, "BATCH_MAX_BYTES", 1)
+    delivered_off, fabric_off = comapped_traffic()
     # 4 senders x 6 groups x 25 bursts x 4 sends, delivered at 4 members.
     assert delivered_on == delivered_off == 9_600
     # Measured 2 115 vs 13 193 fabric messages (0.160x).
@@ -312,14 +311,14 @@ class Arrivals(LwgListener):
         return [payload for _, _, payload in self.log]
 
 
-def converged_group(config=None):
+def converged_group():
     """One converged 4-member LWG.
 
     Returns the cluster, each member's delivery log, the service of a
     member that sequences neither the LWG nor its HWG (its publishes
     make a full round trip), and that member's HWG endpoint.
     """
-    cluster = Cluster(num_processes=4, seed=2000, lwg_config=config, keep_trace=False)
+    cluster = Cluster(num_processes=4, seed=2000, keep_trace=False)
     arrivals = {node: Arrivals(cluster.env) for node in cluster.process_ids}
     handles = [cluster.services[node].join("g", arrivals[node]) for node in cluster.process_ids]
     assert cluster.run_until(
@@ -336,17 +335,18 @@ def converged_group(config=None):
     return cluster, arrivals, cluster.services[node], cluster.stacks[node].endpoints[hwg]
 
 
-def test_lone_send_pays_no_batch_window():
+def test_lone_send_pays_no_batch_window(monkeypatch):
     latencies = []
-    for config in (LwgConfig(), LwgConfig(batch_max_bytes=1)):
-        cluster, arrivals, sender, _ = converged_group(config)
+    for max_bytes in (BATCH_MAX_BYTES, 1):
+        monkeypatch.setattr(batching, "BATCH_MAX_BYTES", max_bytes)
+        cluster, arrivals, sender, _ = converged_group()
         sent_at = cluster.env.now
         sender.send("g", "m")
         cluster.run_for(SECOND)
         assert all(log.payloads() == ["m"] for log in arrivals.values())
         latencies.append(sorted(log.log[0][0] - sent_at for log in arrivals.values()))
     assert latencies[0] == latencies[1]
-    assert latencies[0][-1] < LwgConfig().batch_window_us
+    assert latencies[0][-1] < BATCH_WINDOW_US
 
 
 def test_same_instant_burst_leaves_as_one_batch():
@@ -373,7 +373,7 @@ def test_sends_behind_an_own_publish_leave_when_it_returns():
     # +300 us runs out.
     own = arrivals[sender.node]
     assert cluster.run_until(lambda: own.payloads() == ["a"], timeout_us=SECOND, step_us=50)
-    assert cluster.env.now < start + 300 + sender.config.batch_window_us
+    assert cluster.env.now < start + 300 + BATCH_WINDOW_US
     assert channel.my_send_seq == published + 2
     cluster.run_for(SECOND)
     assert channel.my_send_seq == published + 2

@@ -2,7 +2,6 @@
 
 from typing import List, Optional
 
-from repro.core.config import LwgConfig
 from repro.core.join_leave import JoinDriver
 from repro.core.mapping_table import LwgState, MappingTable
 from repro.core.service import LwgService
@@ -60,7 +59,6 @@ class FakeStack:
 class FakeService:
     def __init__(self, node="p9"):
         self.node = node
-        self.config = LwgConfig()
         self.naming = FakeNaming()
         self.stack = FakeStack()
         self.table = MappingTable()

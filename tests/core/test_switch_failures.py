@@ -1,6 +1,8 @@
 """Failure paths of the switch protocol: aborts, crashes mid-switch."""
 
-from repro.core import LwgConfig, LwgListener
+import pytest
+
+from repro.core import LwgConfig, LwgListener, switching
 from repro.sim import SECOND
 from repro.workloads import Cluster
 
@@ -14,14 +16,20 @@ def converged(handles, size):
     )
 
 
-def manual_cluster(n, seed):
-    config = LwgConfig()
-    config.enable_policies = False
-    config.switch_timeout_us = 2 * SECOND
-    return Cluster(num_processes=n, seed=seed, lwg_config=config)
+@pytest.fixture
+def manual_cluster(monkeypatch):
+    """Clusters with the policies off and a 2 s switch timeout."""
+    monkeypatch.setattr(switching, "SWITCH_TIMEOUT_US", 2 * SECOND)
+
+    def build(n, seed):
+        config = LwgConfig()
+        config.enable_policies = False
+        return Cluster(num_processes=n, seed=seed, lwg_config=config)
+
+    return build
 
 
-def test_member_crash_mid_switch_still_completes_for_survivors():
+def test_member_crash_mid_switch_still_completes_for_survivors(manual_cluster):
     cluster = manual_cluster(4, seed=91)
     handles = [cluster.service(i).join("g") for i in range(3)]
     assert cluster.run_until(lambda: converged(handles, 3), timeout_us=15 * SECOND)
@@ -38,7 +46,7 @@ def test_member_crash_mid_switch_still_completes_for_survivors():
     ), (handles[0].hwg, handles[1].hwg, handles[0].view)
 
 
-def test_switch_coordinator_crash_releases_members():
+def test_switch_coordinator_crash_releases_members(manual_cluster):
     """A dead switch coordinator must not wedge the members: the stale
     switch state clears, and the restricted group keeps working."""
     cluster = manual_cluster(4, seed=92)
@@ -78,7 +86,7 @@ def test_switch_coordinator_crash_releases_members():
     )
 
 
-def test_switch_to_partitioned_target_founds_concurrent_view_then_merges():
+def test_switch_to_partitioned_target_founds_concurrent_view_then_merges(manual_cluster):
     """A target HWG across a partition is not "unreachable" — joining it
     founds a concurrent view on our side (partitionable semantics), the
     switch commits onto that view, and the heal merges the HWG."""
@@ -121,7 +129,6 @@ def test_switch_driver_aborts_on_timeout():
 
     class FakeService:
         node = "p0"
-        config = LwgConfig()
 
         class stack:  # noqa: N801 - minimal stub
             @staticmethod
