@@ -58,12 +58,12 @@ def run_sweep():
         )
         false_suspicions.append(views_after - views_before)
         # Crash-recovery phase.
-        crash_at = cluster.env.now
+        crashed_at = cluster.env.now
         cluster.crash(3)
         assert cluster.run_until(
             lambda: converged(handles[:3], 3), timeout_us=30 * SECOND
         )
-        recovery_ms.append((cluster.env.now - crash_at) / 1000.0)
+        recovery_ms.append((cluster.env.now - crashed_at) / 1000.0)
     return recovery_ms, false_suspicions
 
 

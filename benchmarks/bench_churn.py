@@ -1,47 +1,42 @@
 """Soak benchmark: convergence under sustained randomized churn.
 
-Drives the full stack with seeded random join/leave/crash/recover/
-partition/heal schedules (the same driver as the soak tests) and
-measures how long the system needs to quiesce after the churn stops —
-every group back to one view with exactly the expected members and one
-naming record.
+Replays one generated churn-profile fuzz schedule (join/leave/crash/
+recover/partition/heal/burst) in four mixes, each the same schedule
+filtered to a subset of step kinds (the runner's validity guards keep
+any subset runnable), and measures how long the system needs to
+quiesce after the churn stops — every group back to one view with
+exactly the expected members, then the at-quiesce invariant checks.
 """
 
 from conftest import SEED
 
-from repro.core import LwgConfig
+from repro.fuzz import ScheduleGenerator, run_schedule
+from repro.fuzz.schedule import STEP_KINDS
 from repro.metrics import format_table, shape_check
-from repro.sim import SECOND
-from repro.workloads import ChurnDriver, ChurnModel, Cluster
 
-SCHEDULES = (
-    ("join/leave only", ChurnModel(crash_weight=0, recover_weight=0,
-                                   partition_weight=0, heal_weight=0)),
-    ("with crashes", ChurnModel(partition_weight=0, heal_weight=0)),
-    ("with partitions", ChurnModel(crash_weight=0, recover_weight=0)),
-    ("everything", ChurnModel()),
+ALL_KINDS = frozenset(STEP_KINDS)
+
+#: label -> the step kinds kept from the schedule.
+MIXES = (
+    ("join/leave only", {"join", "leave"}),
+    ("with crashes", ALL_KINDS - {"partition", "heal"}),
+    ("with partitions", ALL_KINDS - {"crash", "recover"}),
+    ("everything", ALL_KINDS),
 )
 
 
 def run_soak():
+    schedule = ScheduleGenerator(SEED, "churn").generate(0)
     rows = []
-    for label, model in SCHEDULES:
-        config = LwgConfig()
-        config.policy_period_us = 2 * SECOND
-        config.shrink_grace_us = 1 * SECOND
-        cluster = Cluster(
-            num_processes=6, seed=SEED, num_name_servers=2,
-            lwg_config=config, keep_trace=False,
-        )
-        driver = ChurnDriver(cluster, groups=["c0", "c1", "c2"], seed=SEED, model=model)
-        driver.seed_membership(per_group=3)
-        driver.run(steps=18)
-        churn_end = cluster.env.now
-        ok, detail = driver.wait_for_quiesce(timeout_seconds=150)
-        assert ok, f"{label}: {detail}"
-        quiesce_ms = (cluster.env.now - churn_end) / 1000
-        actions = len(driver.log)
-        rows.append([label, actions, f"{quiesce_ms:.0f} ms", "yes"])
+    for label, kept in MIXES:
+        steps = [step for step in schedule.steps if step.kind in kept]
+        outcome = run_schedule(schedule.replace_steps(steps))
+        rows.append([
+            label,
+            len(steps),
+            f"{outcome.quiesce_us / 1000:.0f} ms",
+            "yes" if outcome.is_clean else outcome.summary(),
+        ])
     return rows
 
 
@@ -49,13 +44,14 @@ def test_churn_soak(benchmark):
     rows = benchmark.pedantic(run_soak, rounds=1, iterations=1)
     print(
         format_table(
-            "Soak — quiesce time after 18 random churn actions (6 procs, 3 groups)",
-            ["schedule", "actions applied", "churn-end to quiesced", "consistent?"],
+            "Soak — quiesce time after one churn schedule, filtered by step kind "
+            "(6 procs, 3 groups)",
+            ["mix", "steps", "churn-end to quiesced", "consistent?"],
             rows,
         )
     )
     check = shape_check(
-        "every schedule quiesces to the expected membership",
+        "every mix quiesces to the expected membership",
         all(row[3] == "yes" for row in rows),
     )
     print(check)

@@ -2,7 +2,7 @@
 
 Consumes the ``zones`` trace category (HWG minting, presence relaying)
 and, at quiesce, audits the shared :class:`~repro.vsync.zones.ZoneDirectory`
-against the failure injector and every live stack's gossip detector.
+against the failure feed and every live stack's gossip detector.
 On flat clusters — no zone directory, no ``zones`` events — the checker
 is inert, so it can sit in the standard suite without disturbing any
 pre-zoning scenario.
@@ -28,7 +28,7 @@ class ZoneScopeChecker(Checker):
     At quiesce (zoned clusters only):
 
     * **Directory consistency** — every application process is
-      registered; its activity bit agrees with the failure injector.
+      registered; its activity bit agrees with the failure feed.
     * **Relay election** — each zone with live members elects its
       lowest-id active member as primary relay.
     * **Bounded tracking** — every live stack's gossip detector tracks

@@ -312,11 +312,9 @@ class JoinLeaveManager:
     def adopt_created_view(self, local: LocalLwg, view: View, hwg: HwgId) -> None:
         """Our claim won the creation race: we are the founding member."""
         local.hwg = hwg
-        self._complete_join(local, view)
-        # Tell the HWG about the newborn LWG (directory + discovery).
-        self.svc.hwg_send(hwg, LwgViewMsg(lwg=local.lwg, view=view, announce=True))
+        self._complete_join(local, view, announce=True)
 
-    def _complete_join(self, local: LocalLwg, view: View) -> None:
+    def _complete_join(self, local: LocalLwg, view: View, announce: bool = False) -> None:
         svc = self.svc
         if view.parents and len(view.members) > 1:
             # Admitted into an existing group: the coordinator's state
@@ -336,6 +334,13 @@ class JoinLeaveManager:
         driver = self.drivers.pop(local.lwg, None)
         if driver is not None:
             driver.complete()
+        if announce:
+            # Tell the HWG about the newborn LWG (directory + discovery).
+            assert local.hwg is not None
+            svc.hwg_send(local.hwg, LwgViewMsg(lwg=local.lwg, view=view, announce=True))
+        if local.intent == "leave":
+            local.intent = None
+            self.leave(local)
 
     def forced_out(self, local: LocalLwg, hwg: HwgId) -> None:
         """The coordinator dropped us (it believed us dead): rejoin."""
@@ -436,6 +441,8 @@ class JoinLeaveManager:
         local.state = LwgState.IDLE
         self.svc.trace("lwg_left", lwg=local.lwg)
         local.listener.on_left(local.lwg)
+        if local.intent == "join":
+            self.svc.join(local.lwg, local.listener)
 
     def on_dissolved(self, hwg: HwgId, message: LwgDissolved) -> None:
         self.svc.table.dir_for(hwg).remove_lwg(message.lwg)

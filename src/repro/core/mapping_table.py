@@ -40,6 +40,9 @@ class LocalLwg:
         self.lwg = lwg
         self.listener = listener
         self.state = LwgState.IDLE
+        #: "join" or "leave" called while the opposite one was in
+        #: flight: it runs once that one finishes (the last call wins).
+        self.intent: Optional[str] = None
         self.view: Optional[View] = None
         self.hwg: Optional[HwgId] = None
         self.ancestors = AncestorTracker()

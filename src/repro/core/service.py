@@ -266,19 +266,35 @@ class LwgService:
     # Public API
     # ==================================================================
     def join(self, name: str, listener: Optional[LwgListener] = None) -> LwgHandle:
-        """Join (creating if needed) the user group ``name``."""
+        """Join (creating if needed) the user group ``name``.
+
+        Of ``join`` and ``leave`` calls on one group, the last wins: a
+        join called while our leave is in flight runs once it finishes,
+        and cancels a leave called while our join is in flight.
+        """
         lwg = canonical_lwg_id(name)
         local = self.table.ensure_local(lwg, listener or LwgListener())
         if local.state is LwgState.IDLE:
             self.join_leave.join(local)
+        else:
+            local.intent = "join" if local.state is LwgState.LEAVING else None
         return LwgHandle(self, lwg)
 
     def leave(self, name: str) -> None:
-        """Leave the user group ``name`` (async, completes via on_left)."""
+        """Leave the user group ``name`` (async, completes via on_left).
+
+        A leave called while our join is in flight runs once the join
+        completes; one called while our leave is in flight cancels a
+        pending re-join (see :meth:`join`).
+        """
         lwg = canonical_lwg_id(name)
         local = self.table.local(lwg)
-        if local is not None and local.is_member:
+        if local is None:
+            return
+        if local.is_member:
             self.join_leave.leave(local)
+        else:
+            local.intent = "leave" if local.state is LwgState.JOINING else None
 
     def start_switch(self, local: LocalLwg, to_hwg: Optional[HwgId], reason: str) -> None:
         """Begin switching ``local`` to ``to_hwg`` (None mints a fresh HWG)."""

@@ -15,10 +15,13 @@ stream — every single time.  Three outcomes are possible:
   reach the expected quiescent state within the schedule's simulated
   timeout budget.
 
-Validity guards mirror :class:`~repro.workloads.churn.ChurnDriver`: a
+The runner is the repo's only fault-script engine: the soak and churn
+tests, the churn bench and the fuzz campaigns all replay a
+:class:`~repro.fuzz.schedule.Schedule` here.  Validity guards make a
 ``join`` by an existing member, a ``crash`` of a crashed node and so on
-are deterministic no-ops, so the shrinker can delete steps freely
-without ever producing an ill-formed run.
+deterministic no-ops, so the shrinker can delete steps freely, and a
+caller can filter a schedule's steps by kind, without ever producing an
+ill-formed run.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .schedule import Schedule, Step
 #: self-tests to sabotage a live component before the fault schedule runs.
 Sabotage = Callable[[Cluster], None]
 
-#: Never crash below this many live processes (mirrors ChurnModel).
+#: Never crash below this many live processes.
 MIN_ALIVE = 2
 
 #: Downtime for crash_recover/corrupt_state steps that don't specify one.
@@ -66,6 +69,9 @@ class FuzzOutcome:
     digest: str = ""
     steps_applied: int = 0
     sim_time_us: int = 0
+    #: Simulated time from the end of the last step to quiescence (0
+    #: unless the run converged).
+    quiesce_us: int = 0
 
     @property
     def is_clean(self) -> bool:
@@ -129,6 +135,7 @@ class ScheduleRunner:
         self.crashed: Set[str] = set()
         self.partitioned = False
         self.steps_applied = 0
+        self.quiesce_us = 0
 
     # ------------------------------------------------------------------
     # Step application (validity-guarded, deterministic no-ops)
@@ -285,7 +292,7 @@ class ScheduleRunner:
             service.send(group, f"fuzz:{node}:{seq}")
 
     # ------------------------------------------------------------------
-    # Quiescence (mirrors ChurnDriver.quiesced)
+    # Quiescence
     # ------------------------------------------------------------------
     def quiesced(self) -> Tuple[bool, str]:
         for group, members in self.expected.items():
@@ -334,12 +341,14 @@ class ScheduleRunner:
             # End state: healed network, recovered nodes stay down (their
             # membership expectations were already dropped at crash time).
             self._heal()
+            churn_end = self.cluster.env.now
             converged = self.cluster.run_until(
                 lambda: self.quiesced()[0], timeout_us=schedule.quiesce_timeout_us
             )
             if not converged:
                 _, detail = self.quiesced()
                 return self._outcome(NON_CONVERGENCE, detail=detail)
+            self.quiesce_us = self.cluster.env.now - churn_end
             # Settle the naming anti-entropy tail, then final checks.
             self.cluster.run_for_seconds(5)
             self.cluster.check_invariants()
@@ -367,6 +376,7 @@ class ScheduleRunner:
             digest=self.digest.hexdigest(),
             steps_applied=self.steps_applied,
             sim_time_us=self.cluster.env.now,
+            quiesce_us=self.quiesce_us,
         )
 
 

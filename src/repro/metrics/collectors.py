@@ -109,24 +109,24 @@ class RecoveryTimer:
     """Measures crash -> everyone-reconfigured intervals, per group."""
 
     def __init__(self) -> None:
-        self.crash_at_us: Optional[int] = None
+        self.crashed_at_us: Optional[int] = None
         self.victim: Optional[str] = None
         #: (group, observer) -> time the observer installed a victim-free view.
         self._recovered_at: Dict[Tuple[str, str], int] = {}
         self._expected: List[Tuple[str, str]] = []
 
-    def arm(self, crash_at_us: int, victim: str, expected: Sequence[Tuple[str, str]]) -> None:
+    def arm(self, crashed_at_us: int, victim: str, expected: Sequence[Tuple[str, str]]) -> None:
         """Start measuring: ``expected`` lists (group, observer) pairs."""
-        self.crash_at_us = crash_at_us
+        self.crashed_at_us = crashed_at_us
         self.victim = victim
         self._recovered_at = {}
         self._expected = list(expected)
 
     def note_view(self, group: str, observer: str, members: Sequence[str], now_us: int) -> None:
         """Feed every view installation here; victim-free views count."""
-        if self.crash_at_us is None or self.victim is None:
+        if self.crashed_at_us is None or self.victim is None:
             return
-        if now_us < self.crash_at_us or self.victim in members:
+        if now_us < self.crashed_at_us or self.victim in members:
             return
         key = (group, observer)
         if key in self._expected and key not in self._recovered_at:
@@ -140,14 +140,14 @@ class RecoveryTimer:
 
     def recovery_time_us(self) -> Optional[int]:
         """Crash-to-last-reconfiguration interval, if complete."""
-        if not self.complete or self.crash_at_us is None:
+        if not self.complete or self.crashed_at_us is None:
             return None
-        return max(self._recovered_at.values()) - self.crash_at_us
+        return max(self._recovered_at.values()) - self.crashed_at_us
 
     def per_group_recovery_us(self) -> Dict[str, int]:
         """Crash-to-reconfiguration per group (max over its observers)."""
-        assert self.crash_at_us is not None
+        assert self.crashed_at_us is not None
         out: Dict[str, int] = {}
         for (group, _), at in self._recovered_at.items():
-            out[group] = max(out.get(group, 0), at - self.crash_at_us)
+            out[group] = max(out.get(group, 0), at - self.crashed_at_us)
         return out

@@ -48,7 +48,7 @@ from typing import (
 )
 
 from .codec import OversizeDatagramError, decode_datagram, encode_datagram
-from .interfaces import Addressing, DeliveryCallback, NodeId
+from .interfaces import Addressing, DeliveryCallback, FailureFeed, NodeId
 from .rng import RngRegistry
 from .trace import Tracer
 
@@ -398,31 +398,6 @@ class BroadcastAddressing:
         return {g for g, members in self._local.items() if node in members}
 
 
-class LocalFailures:
-    """Crash/recovery feed for locally attached nodes."""
-
-    def __init__(self, fabric: UdpFabric):
-        self.fabric = fabric
-        self._hooks: Dict[NodeId, List[Callable[[bool], None]]] = {}
-
-    def on_transition(self, node: NodeId, hook: Callable[[bool], None]) -> None:
-        self._hooks.setdefault(node, []).append(hook)
-
-    def crash_now(self, node: NodeId) -> None:
-        self._apply(node, crash=True)
-
-    def recover_now(self, node: NodeId) -> None:
-        self._apply(node, crash=False)
-
-    def _apply(self, node: NodeId, crash: bool) -> None:
-        want_alive = not crash
-        if self.fabric.has_node(node) and self.fabric.is_alive(node) == want_alive:
-            return  # no-op transitions must not re-fire the hooks
-        self.fabric.set_alive(node, want_alive)
-        for hook in self._hooks.get(node, []):
-            hook(crash)
-
-
 class AsyncioRuntime:
     """The real-time :class:`~repro.runtime.interfaces.Runtime` bundle."""
 
@@ -433,7 +408,7 @@ class AsyncioRuntime:
         udp_fabric: UdpFabric,
         rng: RngRegistry,
         tracer: Tracer,
-        failures: LocalFailures,
+        failures: FailureFeed,
     ):
         self.loop = loop
         self._clock = wall_clock
@@ -462,7 +437,7 @@ class AsyncioRuntime:
         rng = RngRegistry(seed)
         tracer = Tracer(clock=lambda: clock.now, keep_records=keep_trace)
         fabric = UdpFabric(loop, tracer, node_addrs=node_addrs, host=host)
-        failures = LocalFailures(fabric)
+        failures = FailureFeed(fabric)
         return cls(loop, clock, fabric, rng, tracer, failures)
 
     # ------------------------------------------------------------------
@@ -489,7 +464,7 @@ class AsyncioRuntime:
         return self._tracer
 
     @property
-    def failures(self) -> LocalFailures:
+    def failures(self) -> FailureFeed:
         return self._failures
 
     @property

@@ -13,7 +13,9 @@ about its environment.  Protocol layers receive one
   unicast, multicast, liveness flags and partition drop-filters;
 * ``runtime.rng`` — seeded, stream-split randomness;
 * ``runtime.tracer`` — structured event tracing;
-* ``runtime.failures`` — crash/recovery transition notifications.
+* ``runtime.failures`` — crash/recovery injection and transition
+  notifications: the concrete :class:`FailureFeed`, one class over
+  either backend's fabric.
 
 Conformance is structural: the discrete-event backend satisfies these
 with :class:`~repro.sim.engine.Simulation` (Clock + Scheduler) and
@@ -24,7 +26,7 @@ imports a backend module.
 
 from __future__ import annotations
 
-from typing import Any, Callable, FrozenSet, Iterable, List, Protocol, Sequence, Set
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Protocol, Sequence, Set
 
 from .rng import RngRegistry
 from .trace import Tracer
@@ -138,17 +140,44 @@ class Addressing(Protocol):
         """Every group address ``node`` is subscribed to."""
 
 
-class FailureFeed(Protocol):
-    """Crash/recovery injection and transition notification."""
+class FailureFeed:
+    """Crash/recovery injection over a :class:`Fabric`, with transition hooks.
+
+    The one failure feed both backends build.  Crashes are *fail-stop*:
+    the fabric stops a crashed node sending and receiving and drops
+    messages in flight to it.  Each process rebuilds its volatile state
+    in the ``on_transition`` hook it registers.  Timed fault scripts are
+    :class:`repro.fuzz.Schedule` steps, not part of this feed.
+    """
+
+    def __init__(self, fabric: Fabric) -> None:
+        self.fabric = fabric
+        self._hooks: Dict[NodeId, List[Callable[[bool], None]]] = {}
 
     def on_transition(self, node: NodeId, hook: Callable[[bool], None]) -> None:
         """Register ``hook(crashed)`` called when ``node`` crashes/recovers."""
+        self._hooks.setdefault(node, []).append(hook)
 
     def crash_now(self, node: NodeId) -> None:
         """Fail-stop ``node`` immediately."""
+        self._apply(node, crash=True)
 
     def recover_now(self, node: NodeId) -> None:
         """Recover ``node`` immediately."""
+        self._apply(node, crash=False)
+
+    def _apply(self, node: NodeId, crash: bool) -> None:
+        want_alive = not crash
+        if self.fabric.has_node(node) and self.fabric.is_alive(node) == want_alive:
+            # Already in the requested state: crashing a crashed node or
+            # recovering a live one is a no-op, and in particular the
+            # transition hooks must not fire a second time (they wipe
+            # and rebuild protocol state).  Unknown nodes still raise,
+            # via set_alive below.
+            return
+        self.fabric.set_alive(node, want_alive)
+        for hook in self._hooks.get(node, []):
+            hook(crash)
 
 
 class Runtime(Protocol):

@@ -3,7 +3,8 @@
 This package stands in for the paper's physical testbed (Sparc10
 workstations on a loaded 10 Mbps Ethernet): a deterministic event loop,
 a partitionable broadcast network with latency/bandwidth/receive-cost
-modelling, crash injection and scripted partition schedules.
+modelling and crash injection.  Scripted faults (partitions, heals,
+crashes, churn) are :class:`repro.fuzz.Schedule` steps.
 
 It is one implementation of the backend-agnostic runtime interfaces in
 :mod:`repro.runtime` — :class:`Simulation` is the clock and scheduler,
@@ -15,9 +16,7 @@ to protocol code.  The real-time counterpart is
 from ..runtime.rng import RngRegistry
 from ..runtime.trace import NullTracer, TraceRecord, Tracer
 from .engine import MS, SECOND, EventHandle, Simulation, SimulationError
-from .failure import FailureEvent, FailureInjector
 from .network import LinkModel, Network, NodeId
-from .partition import PartitionEvent, PartitionSchedule
 from .process import Process, SimRuntime
 from .transport import ReliableTransport
 
@@ -28,13 +27,9 @@ __all__ = [
     "EventHandle",
     "Simulation",
     "SimulationError",
-    "FailureEvent",
-    "FailureInjector",
     "LinkModel",
     "Network",
     "NodeId",
-    "PartitionEvent",
-    "PartitionSchedule",
     "Process",
     "RngRegistry",
     "NullTracer",

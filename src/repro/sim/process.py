@@ -4,7 +4,8 @@
 :class:`~repro.runtime.interfaces.Runtime` protocol: the
 :class:`~repro.sim.engine.Simulation` serves as both clock and
 scheduler, the :class:`~repro.sim.network.Network` as the fabric, and
-the :class:`~repro.sim.failure.FailureInjector` as the failure feed.
+a :class:`~repro.runtime.interfaces.FailureFeed` over that network as
+the failure feed.
 
 :class:`Process` is the base class for every protocol actor (failure
 detector host, HWG stack, name server).  It touches its environment
@@ -20,11 +21,10 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Tuple
 
-from ..runtime.interfaces import Addressing, NodeId, Runtime, TimerHandle
+from ..runtime.interfaces import Addressing, FailureFeed, NodeId, Runtime, TimerHandle
 from ..runtime.rng import RngRegistry
 from ..runtime.trace import Tracer
 from .engine import Simulation
-from .failure import FailureInjector
 from .network import LinkModel, Network
 
 #: A process drops its fired timer handles once it holds more than this.
@@ -39,7 +39,7 @@ class SimRuntime:
     network: Network
     rng: RngRegistry
     tracer: Tracer
-    failures: FailureInjector
+    failures: FailureFeed
     #: The Runtime protocol views, fixed at construction: the simulation
     #: is its own clock and scheduler, the simulated network the fabric.
     #: Plain attributes, so reaching one costs no property frame.
@@ -60,7 +60,7 @@ class SimRuntime:
         rng = RngRegistry(seed)
         tracer = Tracer(clock=lambda: sim.now, keep_records=keep_trace)
         network = Network(sim, rng, tracer=tracer, link=link, shared_medium=shared_medium)
-        failures = FailureInjector(sim, network)
+        failures = FailureFeed(network)
         return cls(sim=sim, network=network, rng=rng, tracer=tracer, failures=failures)
 
     def __post_init__(self) -> None:

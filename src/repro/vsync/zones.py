@@ -19,7 +19,7 @@ roster into deterministic *zones*:
 The :class:`ZoneDirectory` is a shared in-memory registry in the same
 spirit as :class:`~repro.vsync.locator.GroupAddressing`: zone assignment
 is a deterministic pure function, and activity bits mirror the failure
-injector's crash state (a stand-in for the zone membership service a
+feed's crash state (a stand-in for the zone membership service a
 real deployment would run).
 """
 

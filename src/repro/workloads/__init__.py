@@ -1,6 +1,5 @@
 """Scenario builders, traffic generators and cluster assembly."""
 
-from .churn import ChurnDriver, ChurnModel
 from .cluster import Cluster
 from .scenarios import (
     GROUP_SIZE,
@@ -16,8 +15,6 @@ from .overlap import OverlapSetup, build_overlap
 from .traffic import PeriodicSender, ProbeHub, ProbeListener, probe_payload
 
 __all__ = [
-    "ChurnDriver",
-    "ChurnModel",
     "Cluster",
     "GROUP_SIZE",
     "Figure2Setup",

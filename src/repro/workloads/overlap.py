@@ -155,15 +155,15 @@ def measure_overlap_recovery(setup: OverlapSetup, timeout_seconds: float = 60.0)
     for node in cluster.process_ids:
         if node != victim:
             cluster.stack(node).fd.subscribe(watch)
-    crash_at = cluster.env.now
-    setup.hub.recovery.arm(crash_at, victim, expected)
+    crashed_at = cluster.env.now
+    setup.hub.recovery.arm(crashed_at, victim, expected)
     cluster.crash(victim)
     if not cluster.run_until(
         lambda: setup.hub.recovery.complete, timeout_us=int(timeout_seconds * SECOND)
     ):
         raise RuntimeError("overlap recovery incomplete")
     total = setup.hub.recovery.recovery_time_us()
-    detection = (detection_at[0] - crash_at) if detection_at else 0
+    detection = (detection_at[0] - crashed_at) if detection_at else 0
     assert total is not None
     return max(0, total - detection)
 

@@ -288,8 +288,8 @@ def measure_recovery(
     for node in cluster.process_ids:
         if node != victim:
             cluster.stack(node).fd.subscribe(watch_suspicion)
-    crash_at = cluster.env.now
-    setup.hub.recovery.arm(crash_at, victim, expected)
+    crashed_at = cluster.env.now
+    setup.hub.recovery.arm(crashed_at, victim, expected)
     cluster.crash(victim)
     done = cluster.run_until(
         lambda: setup.hub.recovery.complete, timeout_us=int(timeout_seconds * SECOND)
@@ -302,7 +302,7 @@ def measure_recovery(
         )
     total = setup.hub.recovery.recovery_time_us()
     assert total is not None
-    detection = (detection_at[0] - crash_at) if detection_at else 0
+    detection = (detection_at[0] - crashed_at) if detection_at else 0
     return RecoveryResult(total_us=total, detection_us=detection)
 
 

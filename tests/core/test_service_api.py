@@ -68,3 +68,35 @@ def test_shutdown_leaves_everything():
         lambda: cluster.service(1).members("alpha") == ("p1",),
         timeout_us=15 * SECOND,
     )
+
+
+def test_leave_during_join_runs_once_the_join_completes():
+    cluster = Cluster(num_processes=3, seed=134)
+    handles = [cluster.service(i).join("g") for i in range(2)]
+    assert cluster.run_until(lambda: converged(handles, 2), timeout_us=15 * SECOND)
+    recorder = Recorder()
+    cluster.service(2).join("g", recorder)
+    cluster.service(2).leave("g")  # the join is still in flight
+    assert cluster.run_until(
+        lambda: recorder.lefts == 1 and converged(handles, 2),
+        timeout_us=20 * SECOND,
+    )
+    cluster.run_for_seconds(3)
+    assert cluster.service(2).groups() == []
+    assert set(cluster.service(0).members("g")) == {"p0", "p1"}
+    assert recorder.lefts == 1
+
+
+def test_join_during_leave_rejoins_once_the_leave_completes():
+    cluster = Cluster(num_processes=3, seed=135)
+    recorder = Recorder()
+    handles = [cluster.service(i).join("g") for i in range(2)]
+    handles.append(cluster.service(2).join("g", recorder))
+    assert cluster.run_until(lambda: converged(handles, 3), timeout_us=15 * SECOND)
+    cluster.service(2).leave("g")
+    cluster.service(2).join("g", recorder)  # the leave is still in flight
+    assert cluster.run_until(
+        lambda: recorder.lefts == 1 and converged(handles, 3),
+        timeout_us=20 * SECOND,
+    )
+    assert cluster.service(2).groups() == ["lwg:g"]

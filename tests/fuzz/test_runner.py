@@ -78,11 +78,14 @@ def test_crash_respects_min_alive():
         Step(kind="crash", node="p0"),
         Step(kind="crash", node="p1"),  # would leave 1 alive: refused
         Step(kind="crash", node="p2"),  # likewise
+        Step(kind="join", node="p0", group="s0"),  # crashed: refused
     ])
     runner = ScheduleRunner(schedule)
     outcome = runner.run()
     assert outcome.classification == CLEAN, outcome.detail
     assert runner.crashed == {"p0"}
+    # The crash dropped p0 from the expected membership for good.
+    assert runner.expected["s0"] == {"p1", "p2"}
 
 
 def test_partition_step_updates_runner_state():

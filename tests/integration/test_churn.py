@@ -1,174 +1,87 @@
 """Long-running churn: joins, leaves, crashes, partitions — then quiesce.
 
-The strongest whole-stack test: a random schedule of membership churn
+The strongest whole-stack test: a scripted schedule of membership churn
 and failures runs against the dynamic service, after which the system
 must quiesce into a consistent state:
 
 * every surviving member of each LWG holds the same view;
 * that view contains exactly the surviving members;
-* the naming service stores exactly one live mapping per surviving LWG;
-* every process's LWG rides the HWG its view coordinator registered.
+* every process's LWG rides the HWG its view coordinator registered;
+* the naming service stores exactly one live mapping per surviving LWG.
+
+The runner checks the first three; this file adds the naming one.
 """
 
-import pytest
+from functools import partial
 
-from repro.core import LwgConfig, LwgListener
-from repro.sim import SECOND
-from repro.workloads import Cluster
+from repro.fuzz import CLEAN, Schedule, ScheduleRunner, Step
 
+MS = 1_000
 
-def fast_config():
-    config = LwgConfig()
-    config.policy_period_us = 2 * SECOND
-    config.shrink_grace_us = 1 * SECOND
-    return config
+#: 1.5 s between steps.
+S = partial(Step, delay_us=1_500 * MS)
 
+PROCESSES = tuple(f"p{i}" for i in range(6))
 
-class Tracker(LwgListener):
-    def __init__(self):
-        self.lefts = 0
-
-    def on_left(self, lwg):
-        self.lefts += 1
+#: The live processes split in halves, one name server each.
+HALVES = (("p0", "p1", "p2", "ns0"), ("p3", "p4", "p5", "ns1"))
+#: The same once p5 has crashed.
+HALVES_WITHOUT_P5 = (("p0", "p1", "ns0"), ("p2", "p3", "p4", "ns1"))
 
 
-def quiesced_state(cluster, expected):
-    """Check convergence; return (ok, detail) for assertion messages.
-
-    ``expected`` maps group name -> set of member node ids.
-    """
-    for group, members in expected.items():
-        if not members:
-            continue
-        views = []
-        for node in members:
-            local = cluster.service(node).table.local(f"lwg:{group}")
-            if local is None or not local.is_member or local.view is None:
-                return False, f"{node} not a member of {group}"
-            views.append((node, local.view, local.hwg))
-        ids = {v.view_id for _, v, _ in views}
-        if len(ids) != 1:
-            return False, f"{group}: divergent views {[(n, str(v.view_id)) for n, v, _ in views]}"
-        if set(views[0][1].members) != members:
-            return False, (
-                f"{group}: view members {views[0][1].members} != expected {members}"
-            )
-        hwgs = {h for _, _, h in views}
-        if len(hwgs) != 1:
-            return False, f"{group}: divergent hwgs {hwgs}"
-    return True, "ok"
-
-
-def run_schedule(seed, schedule, num_processes=6, groups=("g0", "g1", "g2")):
-    """Apply a churn schedule; return (cluster, expected membership)."""
-    cluster = Cluster(
-        num_processes=num_processes,
+def run_churn(seed, steps):
+    """Everyone in g0, even indexes in g1; apply ``steps``; check quiescence."""
+    schedule = Schedule(
         seed=seed,
-        num_name_servers=2,
-        lwg_config=fast_config(),
+        groups=("g0", "g1", "g2"),
+        initial_members={"g0": PROCESSES, "g1": PROCESSES[::2]},
+        steps=steps,
+        label=f"churn-{seed}",
     )
-    expected = {g: set() for g in groups}
-    crashed = set()
-    trackers = {}
-    # Initial membership: everyone joins g0; half join g1.
-    for i, node in enumerate(cluster.process_ids):
-        trackers[(node, "g0")] = Tracker()
-        cluster.service(node).join("g0", trackers[(node, "g0")])
-        expected["g0"].add(node)
-        if i % 2 == 0:
-            cluster.service(node).join("g1")
-            expected["g1"].add(node)
-    cluster.run_for_seconds(8)
-
-    for action, target, group in schedule:
-        node = cluster.process_ids[target % num_processes]
-        if action == "join" and node not in crashed:
-            if node not in expected[group]:
-                cluster.service(node).join(group)
-                expected[group].add(node)
-        elif action == "leave" and node not in crashed:
-            if node in expected[group] and len(expected[group]) > 0:
-                cluster.service(node).leave(group)
-                expected[group].discard(node)
-        elif action == "crash":
-            if node not in crashed and len(crashed) < num_processes - 2:
-                cluster.crash(node)
-                crashed.add(node)
-                for g in expected:
-                    expected[g].discard(node)
-        elif action == "partition":
-            alive = [n for n in cluster.process_ids if n not in crashed]
-            half = len(alive) // 2
-            cluster.partition(
-                alive[:half] + ["ns0"], alive[half:] + ["ns1"]
-            )
-        elif action == "heal":
-            cluster.heal()
-        cluster.run_for_seconds(1.5)
-
-    cluster.heal()  # always end healed
-    return cluster, expected
-
-
-def assert_quiesces(cluster, expected, timeout_s=90):
-    ok = cluster.run_until(
-        lambda: quiesced_state(cluster, expected)[0],
-        timeout_us=int(timeout_s * SECOND),
-    )
-    state, detail = quiesced_state(cluster, expected)
-    assert state, detail
+    runner = ScheduleRunner(schedule)
+    outcome = runner.run()
+    assert outcome.classification == CLEAN, outcome.summary()
     # Naming converged too: one live mapping per non-empty group.
-    cluster.run_for_seconds(4)
-    for group, members in expected.items():
+    for group, members in runner.expected.items():
         if not members:
             continue
-        records = cluster.name_servers["ns0"].db.live_records(f"lwg:{group}")
+        records = runner.cluster.name_servers["ns0"].db.live_records(f"lwg:{group}")
         assert len(records) == 1, (group, [str(r) for r in records])
         assert set(records[0].lwg_members) == members, (group, records[0])
 
 
 def test_join_leave_churn():
-    schedule = [
-        ("join", 1, "g2"), ("join", 3, "g2"), ("leave", 0, "g1"),
-        ("join", 5, "g1"), ("leave", 1, "g2"), ("join", 0, "g2"),
-        ("leave", 2, "g0"), ("join", 2, "g0"),
-    ]
-    cluster, expected = run_schedule(seed=101, schedule=schedule)
-    assert_quiesces(cluster, expected)
+    run_churn(101, [
+        S("join", "p1", "g2"), S("join", "p3", "g2"), S("leave", "p0", "g1"),
+        S("join", "p5", "g1"), S("leave", "p1", "g2"), S("join", "p0", "g2"),
+        S("leave", "p2", "g0"), S("join", "p2", "g0"),
+    ])
 
 
 def test_churn_with_crashes():
-    schedule = [
-        ("join", 1, "g2"), ("crash", 5, ""), ("join", 3, "g2"),
-        ("leave", 0, "g1"), ("crash", 3, ""), ("join", 1, "g1"),
-    ]
-    cluster, expected = run_schedule(seed=102, schedule=schedule)
-    assert_quiesces(cluster, expected)
+    run_churn(102, [
+        S("join", "p1", "g2"), S("crash", "p5"), S("join", "p3", "g2"),
+        S("leave", "p0", "g1"), S("crash", "p3"), S("join", "p1", "g1"),
+    ])
 
 
 def test_churn_with_partition_and_heal():
-    schedule = [
-        ("partition", 0, ""), ("join", 1, "g2"), ("join", 4, "g2"),
-        ("leave", 2, "g0"), ("heal", 0, ""), ("join", 2, "g0"),
-    ]
-    cluster, expected = run_schedule(seed=103, schedule=schedule)
-    assert_quiesces(cluster, expected)
+    run_churn(103, [
+        S("partition", blocks=HALVES), S("join", "p1", "g2"),
+        S("join", "p4", "g2"), S("leave", "p2", "g0"), S("heal"),
+        S("join", "p2", "g0"),
+    ])
 
 
 def test_churn_everything_at_once():
-    schedule = [
-        ("partition", 0, ""), ("join", 1, "g2"), ("crash", 5, ""),
-        ("join", 2, "g2"), ("heal", 0, ""), ("leave", 0, "g0"),
-        ("partition", 0, ""), ("join", 4, "g1"), ("heal", 0, ""),
-        ("join", 0, "g0"),
-    ]
-    cluster, expected = run_schedule(seed=104, schedule=schedule)
-    assert_quiesces(cluster, expected)
+    run_churn(104, [
+        S("partition", blocks=HALVES), S("join", "p1", "g2"), S("crash", "p5"),
+        S("join", "p2", "g2"), S("heal"), S("leave", "p0", "g0"),
+        S("partition", blocks=HALVES_WITHOUT_P5), S("join", "p4", "g1"),
+        S("heal"), S("join", "p0", "g0"),
+    ])
 
 
 def test_repeated_partition_cycles_converge():
-    schedule = []
-    for _ in range(3):
-        schedule += [("partition", 0, ""), ("join", 2, "g2"), ("heal", 0, "")]
-    cluster, expected = run_schedule(seed=105, schedule=schedule)
-    assert_quiesces(cluster, expected)
+    cycle = [S("partition", blocks=HALVES), S("join", "p2", "g2"), S("heal")]
+    run_churn(105, cycle * 3)

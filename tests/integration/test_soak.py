@@ -1,59 +1,43 @@
-"""Randomized soak tests: seeded churn schedules must always quiesce."""
+"""Randomized soak tests: seeded churn schedules must always quiesce.
+
+Each soak is a generated fuzz :class:`~repro.fuzz.Schedule`, so it
+replays bit for bit: the trace digest must match the pin the fuzz CI
+rows hold under the same label.
+"""
+
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.core import LwgConfig
-from repro.sim import SECOND
-from repro.workloads import ChurnDriver, ChurnModel, Cluster
+from repro.fuzz import CLEAN, ScheduleGenerator, ScheduleRunner
+
+PINS = json.loads(
+    (Path(__file__).parent.parent / "fuzz" / "expected_digests.json").read_text()
+)
 
 
-def build(seed):
-    config = LwgConfig()
-    config.policy_period_us = 2 * SECOND
-    config.shrink_grace_us = 1 * SECOND
-    cluster = Cluster(
-        num_processes=6, seed=seed, num_name_servers=2, lwg_config=config,
-        keep_trace=False,
-    )
-    driver = ChurnDriver(cluster, groups=["s0", "s1", "s2"], seed=seed)
-    driver.seed_membership(per_group=3)
-    return cluster, driver
-
-
-def assert_invariants_clean(cluster):
-    """Settle the naming anti-entropy tail, then run the quiescent checks.
+def assert_soak_clean(schedule):
+    """Clean outcome, zero checker violations, and the pinned digest.
 
     The online checkers ran for the whole soak (they are on by default
-    and raise at the guilty event); this adds the at-quiesce properties
-    and the zero-violations acceptance gate.
+    and raise at the guilty event); the runner added the at-quiesce
+    properties after the naming anti-entropy tail settled.
     """
-    cluster.run_for_seconds(5)
-    cluster.check_invariants()
-    assert cluster.checkers is not None
-    assert cluster.checkers.violations == []
+    runner = ScheduleRunner(schedule)
+    outcome = runner.run()
+    assert outcome.classification == CLEAN, (
+        f"{outcome.summary()}\n{schedule.describe()}"
+    )
+    assert runner.cluster.checkers is not None
+    assert runner.cluster.checkers.violations == []
+    assert outcome.digest == PINS[schedule.label], schedule.label
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-def test_random_churn_quiesces(seed):
-    cluster, driver = build(seed)
-    driver.run(steps=15)
-    ok, detail = driver.wait_for_quiesce(timeout_seconds=120)
-    assert ok, f"seed={seed}: {detail}\nschedule={driver.log}"
-    assert_invariants_clean(cluster)
+@pytest.mark.parametrize("index", [1, 2, 3, 4, 5])
+def test_random_churn_quiesces(index):
+    assert_soak_clean(ScheduleGenerator(1, "churn").generate(index))
 
 
 def test_heavy_partition_churn_quiesces():
-    model = ChurnModel(partition_weight=4.0, heal_weight=4.0, crash_weight=0.5)
-    config = LwgConfig()
-    config.policy_period_us = 2 * SECOND
-    config.shrink_grace_us = 1 * SECOND
-    cluster = Cluster(
-        num_processes=6, seed=99, num_name_servers=2, lwg_config=config,
-        keep_trace=False,
-    )
-    driver = ChurnDriver(cluster, groups=["s0", "s1"], seed=99, model=model)
-    driver.seed_membership(per_group=3)
-    driver.run(steps=20)
-    ok, detail = driver.wait_for_quiesce(timeout_seconds=150)
-    assert ok, f"{detail}\nschedule={driver.log}"
-    assert_invariants_clean(cluster)
+    assert_soak_clean(ScheduleGenerator(1, "partition").generate(0))

@@ -85,3 +85,5 @@ def test_sim_and_asyncio_backends_agree_on_view_history():
         frozenset({"p0"}),
     ]
     assert rt_shape["p1"] == [frozenset({"p0", "p1"})]
+    # One failure feed serves both backends.
+    assert type(sim_cluster.env.failures) is type(env.failures)

@@ -1,4 +1,4 @@
-"""FailureInjector edge cases: idempotent transitions, exact hook counts,
+"""FailureFeed edge cases: idempotent transitions, exact hook counts,
 crash racing a heal, and in-flight message drops."""
 
 import pytest
@@ -46,9 +46,10 @@ def test_recovery_of_live_node_is_a_noop(env):
 
 def test_scheduled_duplicate_transitions_fire_hooks_once(env):
     a = Counter(env, "a")
-    env.failures.crash_at(100, "a").crash_at(200, "a")
-    env.failures.recover_at(300, "a")
-    env.failures.recover_at(400, "a")
+    env.sim.schedule_at(100, env.failures.crash_now, "a")
+    env.sim.schedule_at(200, env.failures.crash_now, "a")
+    env.sim.schedule_at(300, env.failures.recover_now, "a")
+    env.sim.schedule_at(400, env.failures.recover_now, "a")
     env.sim.run()
     assert a.crashes == 1
     assert a.recoveries == 1
@@ -72,14 +73,14 @@ def test_duplicate_crash_emits_no_duplicate_trace_event(env):
     assert len(crashes) == 1
 
 
-def test_crash_at_same_tick_as_heal(env):
+def test_crash_on_the_tick_of_a_heal(env):
     """A node crashing at the very tick the network heals: the heal must
     not resurrect it, and its hooks fire exactly once."""
     a, b = Counter(env, "a"), Counter(env, "b")
     env.network.set_partitions([["a"], ["b"]])
     heal_time = 1_000
     env.sim.schedule_at(heal_time, env.network.heal)
-    env.failures.crash_at(heal_time, "a")
+    env.sim.schedule_at(heal_time, env.failures.crash_now, "a")
     env.sim.run()
     assert a.crashes == 1 and a.recoveries == 0
     assert not env.network.is_alive("a")

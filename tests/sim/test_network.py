@@ -71,6 +71,10 @@ def test_partition_allows_intra_block_traffic():
     net.send("a", "b", "x")
     sim.run()
     assert boxes["b"] == [("a", "x")]
+    # A second split replaces the first rather than refining it.
+    net.set_partitions([["a"], ["b", "c"]])
+    assert net.reachable("b", "c")
+    assert not net.reachable("a", "b")
 
 
 def test_heal_restores_connectivity():

@@ -138,7 +138,8 @@ def test_periodic_jitter_consumes_the_randint_stream(period, width):
 
 def test_scheduled_failure_events(env):
     a = Echo(env, "a")
-    env.failures.crash_at(500, "a").recover_at(900, "a")
+    env.sim.schedule_at(500, env.failures.crash_now, "a")
+    env.sim.schedule_at(900, env.failures.recover_now, "a")
     env.sim.run_until(600)
     assert a.crashed
     env.sim.run_until(1000)
