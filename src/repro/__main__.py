@@ -1,16 +1,18 @@
-"""Command-line entry point: bundled examples and the scenario fuzzer.
+"""Command-line entry point: bundled examples, schedule replay and the fuzzer.
 
 Usage::
 
     python -m repro                 # list examples
     python -m repro quickstart      # run one
     python -m repro fuzz --seed 7 --iters 50 --profile mixed
-    python -m repro run --backend sim       # partition/heal demo, simulated
-    python -m repro run --backend asyncio   # same demo over live UDP processes
+    python -m repro run --backend sim       # replay examples/split_merge.json
+    python -m repro run --backend asyncio   # the same schedule over real UDP
+    python -m repro run --backend asyncio tests/fuzz/corpus/partition-0003.json
 """
 
 from __future__ import annotations
 
+import argparse
 import runpy
 import sys
 from pathlib import Path
@@ -58,10 +60,34 @@ def find_examples_dir(
 def _usage() -> None:
     print("usage: python -m repro <example>")
     print("       python -m repro fuzz [--seed N --iters K --profile P ...]")
-    print("       python -m repro run [--backend sim|asyncio ...]")
+    print("       python -m repro run [--backend sim|asyncio] [SCHEDULE ...]")
     print("\navailable examples:")
     for name, blurb in EXAMPLES.items():
         print(f"  {name:18s} {blurb}")
+
+
+def run_schedules(argv: List[str]) -> int:
+    """``python -m repro run``: replay schedules on either backend.
+
+    Exit code 0 iff every outcome is clean.
+    """
+    from .fuzz.cli import replay
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro run",
+        description="replay fault schedules on the simulator or over real UDP",
+    )
+    parser.add_argument("--backend", choices=("sim", "asyncio"), default="sim")
+    parser.add_argument(
+        "schedules",
+        nargs="*",
+        type=Path,
+        metavar="SCHEDULE",
+        help="schedule files or directories (default: examples/split_merge.json)",
+    )
+    args = parser.parse_args(argv)
+    default = (find_examples_dir() or Path("examples")) / "split_merge.json"
+    return replay(args.schedules or [default], backend=args.backend)
 
 
 def main(argv) -> int:
@@ -70,9 +96,7 @@ def main(argv) -> int:
 
         return fuzz_main(argv[1:])
     if argv and argv[0] == "run":
-        from .runtime.demo import main as demo_main
-
-        return demo_main(argv[1:])
+        return run_schedules(argv[1:])
     if len(argv) != 1 or argv[0] not in EXAMPLES:
         _usage()
         return 0 if not argv else 1

@@ -10,6 +10,8 @@ Failures are shrunk to minimal standalone reproducers.
 Entry points:
 
 * ``python -m repro fuzz --seed N --iters K --profile mixed`` — CLI;
+* ``python -m repro run [--backend sim|asyncio] [SCHEDULE ...]`` —
+  replay on the simulator or over real UDP sockets;
 * :func:`run_schedule` / :class:`Schedule` — programmatic replay;
 * :class:`ScheduleGenerator` — schedule generation;
 * :func:`shrink` — delta-debugging minimization.

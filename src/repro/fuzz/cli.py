@@ -8,7 +8,8 @@ Two modes:
   shrink any failure and write repro artifacts to ``--out``;
 * **replay** (``--replay PATH ...``): replay frozen schedule JSON files
   (or every ``*.json`` in a directory — e.g. the regression corpus) and
-  report each outcome.
+  report each outcome.  ``python -m repro run`` is the same replay with
+  a choice of backend: the simulator, or real UDP sockets.
 
 The process exit code is 0 iff every iteration/replay came back clean,
 so the command slots directly into CI.  All output is derived from the
@@ -24,7 +25,7 @@ from typing import Dict, List, Optional
 
 from .artifacts import write_artifact
 from .generator import PROFILES, GeneratorConfig, ScheduleGenerator
-from .runner import CLEAN, VIOLATION, run_schedule
+from .runner import CLEAN, VIOLATION, FuzzOutcome, ScheduleRunner, run_schedule
 from .schedule import Schedule
 from .shrink import reproducer_for, shrink
 
@@ -166,21 +167,36 @@ def _collect_replay_paths(paths: List[Path]) -> List[Path]:
     return files
 
 
-def _replay(
+def _run_on(schedule: Schedule, backend: str) -> FuzzOutcome:
+    if backend == "sim":
+        return run_schedule(schedule)
+    from ..runtime.asyncio_backend import AsyncioRuntime
+
+    with AsyncioRuntime.create(seed=schedule.seed, keep_trace=False) as env:
+        return ScheduleRunner(schedule, env=env).run()
+
+
+def replay(
     paths: List[Path],
-    verbose: bool,
+    verbose: bool = False,
     expectations: Optional[_DigestExpectations] = None,
+    backend: str = "sim",
 ) -> int:
+    """Replay schedule files on ``backend``; 0 iff every outcome is clean."""
     files = _collect_replay_paths(paths)
     if not files:
         print("fuzz: no schedule files to replay")
         return 1
     failures = 0
     for path in files:
+        if not path.is_file():
+            print(f"[replay] {path}: no such schedule file")
+            failures += 1
+            continue
         schedule = Schedule.from_json(path.read_text(encoding="utf-8"))
         if verbose:
             print(schedule.describe())
-        outcome = run_schedule(schedule)
+        outcome = _run_on(schedule, backend)
         print(f"[replay] {path.name}: {outcome.summary()}")
         if expectations is not None:
             expectations.check(path.name, outcome.digest)
@@ -225,7 +241,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         _DigestExpectations(args.expect_digests) if args.expect_digests else None
     )
     if args.replay:
-        return _replay(args.replay, args.verbose, expectations)
+        return replay(args.replay, args.verbose, expectations)
 
     config = GeneratorConfig(
         num_processes=args.processes,

@@ -22,6 +22,13 @@ tests, the churn bench and the fuzz campaigns all replay a
 deterministic no-ops, so the shrinker can delete steps freely, and a
 caller can filter a schedule's steps by kind, without ever producing an
 ill-formed run.
+
+The runner touches its backend only through :class:`Cluster` and the
+runtime's clock, RNG registry and tracer, so the same schedule also
+replays over real UDP sockets: pass an
+:class:`~repro.runtime.asyncio_backend.AsyncioRuntime` as ``env``.
+There every delay and the quiesce budget are wall time, and the trace
+digest is no longer reproducible.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..checkers import InvariantViolation
 from ..core.ids import lwg_id
 from ..naming.persistence import CORRUPTION_MODES, inject_corruption
+from ..runtime.interfaces import Runtime
 from ..sim.engine import MS, SECOND
 from ..vsync.stack import VsyncConfig
 from ..workloads.cluster import Cluster
@@ -110,10 +118,17 @@ class ScheduleRunner:
 
     A runner is single-use: construct, :meth:`run`, inspect.  The
     cluster is exposed (:attr:`cluster`) so tests can poke at component
-    state after a run.
+    state after a run.  ``env`` is the runtime the cluster runs on (a
+    fresh simulation seeded from the schedule by default); a caller
+    passing one seeds it with ``schedule.seed``.
     """
 
-    def __init__(self, schedule: Schedule, sabotage: Optional[Sabotage] = None):
+    def __init__(
+        self,
+        schedule: Schedule,
+        sabotage: Optional[Sabotage] = None,
+        env: Optional[Runtime] = None,
+    ):
         self.schedule = schedule
         self.sabotage = sabotage
         self.digest = _TraceDigest()
@@ -128,6 +143,7 @@ class ScheduleRunner:
                 num_zones=schedule.zones or 4,
             ),
             keep_trace=False,
+            env=env,
         )
         self.cluster.env.tracer.subscribe(self.digest.on_record)
         #: group -> membership the system should converge to.
@@ -345,6 +361,7 @@ class ScheduleRunner:
             converged = self.cluster.run_until(
                 lambda: self.quiesced()[0], timeout_us=schedule.quiesce_timeout_us
             )
+            self._raise_recorded_violation()
             if not converged:
                 _, detail = self.quiesced()
                 return self._outcome(NON_CONVERGENCE, detail=detail)
@@ -352,6 +369,7 @@ class ScheduleRunner:
             # Settle the naming anti-entropy tail, then final checks.
             self.cluster.run_for_seconds(5)
             self.cluster.check_invariants()
+            self._raise_recorded_violation()
         except InvariantViolation as violation:
             return self._outcome(
                 VIOLATION,
@@ -360,6 +378,17 @@ class ScheduleRunner:
                 step_index=getattr(self, "_current_step", -1),
             )
         return self._outcome(CLEAN)
+
+    def _raise_recorded_violation(self) -> None:
+        """Raise the first violation the checkers recorded, if any.
+
+        The simulator raises a violation at the guilty event, aborting
+        the run.  asyncio's event loop only logs an exception raised in a
+        timer or socket callback, so over real sockets the suite's record
+        is the only witness.
+        """
+        if self.cluster.checkers is not None:
+            self.cluster.checkers.assert_clean()
 
     def _outcome(
         self,

@@ -18,7 +18,10 @@ Two backends implement the protocols:
 * :mod:`repro.runtime.asyncio_backend` — a real-time backend
   (:class:`~repro.runtime.asyncio_backend.AsyncioRuntime`) over
   wall-clock asyncio timers and UDP datagrams on localhost, so the same
-  unmodified protocol code runs between live OS processes.
+  unmodified protocol code runs over real sockets.
+
+``python -m repro run --backend {sim,asyncio}`` replays one fuzz
+schedule on either backend, under the same checkers.
 """
 
 from .interfaces import (

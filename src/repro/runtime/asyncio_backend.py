@@ -4,16 +4,16 @@ This is the second implementation of the :mod:`repro.runtime` protocols.
 Where the simulator models the paper's testbed, this backend *is* a tiny
 testbed: timers come from the event loop's wall clock, and every node
 owns a real UDP socket on localhost, so the same unmodified protocol
-code (failure detector, HWG membership, LWG service, naming) runs
-between live OS processes.
+code (failure detector, HWG membership, LWG service, naming) runs over
+real sockets.  ``python -m repro run --backend asyncio`` replays fuzz
+schedules on it, under the same checkers as the simulator.
 
 Design notes:
 
 * **Time** is integer microseconds since a configurable epoch on
   ``CLOCK_MONOTONIC``.  On Linux that clock is system-wide, so multiple
   OS processes given the same epoch produce directly comparable trace
-  timestamps — which is what lets the demo merge per-process JSONL
-  traces and replay them through the invariant checkers.
+  timestamps.
 * **Partitions** are a userspace drop-filter (no iptables, no root):
   :meth:`UdpFabric.set_partitions` assigns nodes to blocks and datagrams
   crossing blocks are dropped on *both* the send and the receive path.
@@ -313,6 +313,8 @@ class UdpFabric:
 
         Loopback to ``src`` goes through the socket like any other
         destination, preserving the asynchronous-delivery contract.
+        Unreachable destinations and failed sends count as per-receiver
+        drops, as in the simulated ``Network.multicast``.
         """
         self.messages_sent += 1
         self.bytes_sent += size
@@ -323,10 +325,11 @@ class UdpFabric:
         data = self._encode(src, payload, size)
         sent = 0
         for dst in sorted(set(dsts)):
-            if dst != src and not self.reachable(src, dst):
-                continue
-            if self._sendto(sock, data, dst):
+            reachable = dst == src or self.reachable(src, dst)
+            if reachable and self._sendto(sock, data, dst):
                 sent += 1
+            else:
+                self.messages_dropped += 1
         return sent
 
     # ------------------------------------------------------------------
@@ -493,23 +496,3 @@ class AsyncioRuntime:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-
-def free_udp_ports(count: int, host: str = "127.0.0.1") -> List[int]:
-    """Reserve ``count`` currently-free UDP ports on ``host``.
-
-    Used by multi-process launchers to build a shared ``node_addrs`` map
-    before forking.  The ports are released before returning, so a
-    (small) window for reuse exists — acceptable for demos and tests on
-    localhost.
-    """
-    sockets: List[socket.socket] = []
-    try:
-        for _ in range(count):
-            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            sock.bind((host, 0))
-            sockets.append(sock)
-        return [sock.getsockname()[1] for sock in sockets]
-    finally:
-        for sock in sockets:
-            sock.close()

@@ -6,9 +6,8 @@ observe protocol behaviour (view installations, flushes, naming-service
 reconciliations) without reaching into private state.
 
 Traces round-trip through JSON Lines (:meth:`Tracer.to_jsonl` /
-:meth:`Tracer.from_jsonl`) so runs on the real-time asyncio backend can
-be captured per OS process, merged, and diffed or checker-replayed
-against simulator runs.
+:meth:`Tracer.from_jsonl`), so a run on either backend can be saved and
+later diffed or fed through the checkers.
 """
 
 from __future__ import annotations

@@ -64,13 +64,11 @@ class FailureDetector:
         env: Runtime,
         node: NodeId,
         send_multicast: Callable[[Set[NodeId], Heartbeat, int], None],
-        heartbeat_period_us: int,
         timeout_us: int,
     ):
         self.env = env
         self.node = node
         self._send_multicast = send_multicast
-        self.heartbeat_period_us = heartbeat_period_us
         self.timeout_us = timeout_us
         self._monitored: Dict[NodeId, int] = {}  # peer -> refcount
         self._last_heard: Dict[NodeId, int] = {}
@@ -199,14 +197,12 @@ class GossipFailureDetector:
         env: Runtime,
         node: NodeId,
         send_multicast: Callable[[Set[NodeId], Heartbeat, int], None],
-        heartbeat_period_us: int,
         timeout_us: int,
         probe_timeout_us: int = FD_PROBE_TIMEOUT_US,
     ):
         self.env = env
         self.node = node
         self._send_multicast = send_multicast
-        self.heartbeat_period_us = heartbeat_period_us
         self.timeout_us = timeout_us
         self.probe_timeout_us = probe_timeout_us
         #: Our own epoch, bumped by the stack on crash recovery so stale

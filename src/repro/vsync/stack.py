@@ -96,14 +96,12 @@ class ProtocolStack(Process):
         if self.config.topology == "zoned" and zone_directory is not None:
             self.fd = GossipFailureDetector(
                 env, node, self._fd_multicast,
-                heartbeat_period_us=self.config.heartbeat_period_us,
                 timeout_us=self.config.fd_timeout_us,
             )
             self.zones = ZoneAgent(self, zone_directory)
         else:
             self.fd = FailureDetector(
                 env, node, self._fd_multicast,
-                heartbeat_period_us=self.config.heartbeat_period_us,
                 timeout_us=self.config.fd_timeout_us,
             )
         self.fd.subscribe(self._on_suspicion_change)

@@ -53,7 +53,6 @@ def _build_flat(env, nodes, send_for):
             env,
             node,
             send_multicast=send_for(node),
-            heartbeat_period_us=_VSYNC.heartbeat_period_us,
             timeout_us=_VSYNC.fd_timeout_us,
         )
         detectors[node] = fd
@@ -73,7 +72,6 @@ def _build_zoned(env, nodes, send_for, num_zones):
             env,
             node,
             send_multicast=send_for(node),
-            heartbeat_period_us=_VSYNC.heartbeat_period_us,
             timeout_us=_VSYNC.fd_timeout_us,
         )
     for node, fd in detectors.items():

@@ -8,9 +8,9 @@ from repro.runtime.asyncio_backend import (
     AsyncioRuntime,
     BroadcastAddressing,
     WallClock,
-    free_udp_ports,
 )
 from repro.runtime.interfaces import MS
+from repro.sim.process import SimRuntime
 
 
 @pytest.fixture
@@ -97,7 +97,7 @@ def test_multicast_reaches_all_including_loopback(env):
         assert boxes[node] == [("a", "beacon")]
 
 
-def test_partition_drop_filter_blocks_cross_block_traffic(env):
+def test_partition_drop_filter_blocks_cross_block_traffic(env, monkeypatch):
     inbox_b = _mailbox(env, "b")
     _mailbox(env, "a")
     env.fabric.set_partitions([["a"], ["b"]])
@@ -110,6 +110,24 @@ def test_partition_drop_filter_blocks_cross_block_traffic(env):
     assert env.fabric.send("a", "b", "healed", 64)
     env.run_for(100 * MS)
     assert inbox_b == [("a", "healed")]
+
+    # Split a | b,c and multicast from a to everyone: the loopback copy
+    # goes out, b and c count as per-receiver drops, as on the simulator.
+    _mailbox(env, "c")
+    sim = SimRuntime.create(seed=1)
+    for node in ("a", "b", "c"):
+        sim.fabric.attach(node, lambda src, payload, size: None)
+    dropped_before = env.fabric.messages_dropped
+    for fabric in (sim.fabric, env.fabric):
+        fabric.set_partitions([["a"], ["b", "c"]])
+        assert fabric.multicast("a", {"a", "b", "c"}, "beacon", 64) == 1
+    assert env.fabric.messages_dropped - dropped_before == 2
+    assert sim.fabric.messages_dropped == 2
+    # A send the kernel refuses is a drop too, as it is for ``send``.
+    env.fabric.heal()
+    monkeypatch.setattr(env.fabric, "_sendto", lambda sock, data, dst: False)
+    assert env.fabric.multicast("a", {"a", "b", "c"}, "beacon", 64) == 0
+    assert env.fabric.messages_dropped - dropped_before == 5
 
 
 def test_receive_side_filter_cuts_in_flight_datagrams(env):
@@ -196,12 +214,3 @@ def test_failure_feed_fires_hooks_once_per_transition(env):
     env.failures.recover_now("a")
     assert transitions == [True, False]
     assert env.fabric.is_alive("a")
-
-
-# ----------------------------------------------------------------------
-# Helpers
-# ----------------------------------------------------------------------
-def test_free_udp_ports_are_distinct():
-    ports = free_udp_ports(4)
-    assert len(set(ports)) == 4
-    assert all(1024 <= port <= 65535 for port in ports)

@@ -234,7 +234,7 @@ TRAFFIC_SCHEDULES = [
 
 @pytest.mark.parametrize("make_schedule", TRAFFIC_SCHEDULES)
 def test_every_payload_of_a_schedule_roundtrips(make_schedule, monkeypatch):
-    """A message type added without registration fails here, not in the demo."""
+    """A message type added without registration fails here, not over real sockets."""
     runner = ScheduleRunner(make_schedule())
     fabric = runner.cluster.env.fabric
     send, multicast = fabric.send, fabric.multicast

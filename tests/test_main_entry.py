@@ -109,3 +109,14 @@ def test_bare_invocation_lists_examples(capsys):
 def test_fuzz_subcommand_dispatches(capsys):
     assert main(["fuzz", "--iters", "0"]) == 0
     assert "0 iteration(s)" in capsys.readouterr().out
+
+
+def test_run_subcommand_replays_the_bundled_schedule(capsys):
+    assert main(["run", "--backend", "sim"]) == 0
+    out = capsys.readouterr().out
+    assert "split_merge.json: outcome=clean" in out
+
+
+def test_run_subcommand_fails_on_a_missing_schedule(tmp_path, capsys):
+    assert main(["run", "--backend", "sim", str(tmp_path / "missing.json")]) != 0
+    assert "no such schedule file" in capsys.readouterr().out

@@ -19,7 +19,6 @@ class Harness:
                 send_multicast=lambda peers, msg, size, n=node: env.network.multicast(
                     n, peers, msg, msg.size_bytes()
                 ),
-                heartbeat_period_us=50_000,
                 timeout_us=200_000,
             )
             fd.subscribe(lambda peer, suspected, n=node: self.events.append((n, peer, suspected)))

@@ -17,8 +17,7 @@ from repro.vsync.messages import LivenessDigest, ProbePing, ProbeRequest
 class GossipHarness:
     """N gossip detectors sharing one simulated network."""
 
-    def __init__(self, env, nodes, period_us=50_000, timeout_us=200_000,
-                 probe_timeout_us=100_000):
+    def __init__(self, env, nodes, timeout_us=200_000, probe_timeout_us=100_000):
         self.env = env
         self.nodes = list(nodes)
         self.fds = {}
@@ -30,7 +29,6 @@ class GossipHarness:
                 send_multicast=lambda peers, msg, size, n=node: env.network.multicast(
                     n, peers, msg, size
                 ),
-                heartbeat_period_us=period_us,
                 timeout_us=timeout_us,
                 probe_timeout_us=probe_timeout_us,
             )
