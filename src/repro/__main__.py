@@ -8,6 +8,8 @@ Usage::
     python -m repro run --backend sim       # replay examples/split_merge.json
     python -m repro run --backend asyncio   # the same schedule over real UDP
     python -m repro run --backend asyncio tests/fuzz/corpus/partition-0003.json
+    python -m repro run --trace a.jsonl SCHEDULE   # also write its trace
+    python -m repro diff a.jsonl b.jsonl   # first divergent record
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ def find_examples_dir(
 def _usage() -> None:
     print("usage: python -m repro <example>")
     print("       python -m repro fuzz [--seed N --iters K --profile P ...]")
-    print("       python -m repro run [--backend sim|asyncio] [SCHEDULE ...]")
+    print("       python -m repro run [--backend sim|asyncio] [--trace JSONL] [SCHEDULE ...]")
+    print("       python -m repro diff A.jsonl B.jsonl")
     print("\navailable examples:")
     for name, blurb in EXAMPLES.items():
         print(f"  {name:18s} {blurb}")
@@ -85,9 +88,15 @@ def run_schedules(argv: List[str]) -> int:
         metavar="SCHEDULE",
         help="schedule files or directories (default: examples/split_merge.json)",
     )
+    parser.add_argument(
+        "--trace",
+        type=Path,
+        metavar="JSONL",
+        help="write the run's trace records to this file (one schedule only)",
+    )
     args = parser.parse_args(argv)
     default = (find_examples_dir() or Path("examples")) / "split_merge.json"
-    return replay(args.schedules or [default], backend=args.backend)
+    return replay(args.schedules or [default], backend=args.backend, trace=args.trace)
 
 
 def main(argv) -> int:
@@ -97,6 +106,10 @@ def main(argv) -> int:
         return fuzz_main(argv[1:])
     if argv and argv[0] == "run":
         return run_schedules(argv[1:])
+    if argv and argv[0] == "diff":
+        from .runtime.trace_diff import main as diff_main
+
+        return diff_main(argv[1:])
     if len(argv) != 1 or argv[0] not in EXAMPLES:
         _usage()
         return 0 if not argv else 1

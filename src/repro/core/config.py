@@ -37,11 +37,6 @@ class LwgConfig:
     #: switches are emitted per evaluation — convergence spreads over
     #: policy periods instead of storming the switch protocol.
     placement_max_switches: int = 4
-    #: An LWG is only movable once its view has been stable this long.
-    #: Moving a group mid-join churns the member set of two HWGs at
-    #: once and races the joiners' own HWG joins; waiting out the churn
-    #: costs one extra evaluation and avoids the storm entirely.
-    placement_settle_us: int = 5 * SECOND
     #: Master switches for the adaptive machinery (baselines turn them off).
     enable_policies: bool = True
     enable_reconciliation: bool = True

@@ -65,9 +65,6 @@ class LocalLwg:
         #: install, an announce, or its data) — the coordinator-silence
         #: backstop's clock.
         self.last_coordinator_heard = 0
-        #: Sim time of the last view installation — the placement
-        #: optimizer's stability clock (it only moves settled LWGs).
-        self.last_view_change_us = 0
 
     @property
     def is_member(self) -> bool:

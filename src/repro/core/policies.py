@@ -11,8 +11,8 @@ Section 3.2 are honoured here:
 * hysteresis comes from ``k_m``/``k_c`` (with the defaults, an LWG maps
   onto an HWG when common members exceed 75% of the HWG and the mapping
   survives until they drop to 25%);
-* the heuristics run periodically with a long period, so churn settles
-  before the next evaluation.
+* the heuristics run periodically, and nothing but shrink runs while the
+  process's views are settling (``LwgService._settling``).
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class PolicySnapshot:
             on it (the shrink-rule input).
         hwg_idle_since: hwg -> sim time when the HWG last carried one of
             our LWGs (for the shrink grace period).
-        busy_lwgs: LWGs currently mid-switch (never re-decided).
+        busy_lwgs: LWGs never re-decided: mid-switch, or all if settling.
         hwg_pinned: hwg -> (lwg, members) for every LWG view recorded in
             the HWG's directory — cargo the placement optimizer must
             treat as immovable when it isn't ours to move.  Only

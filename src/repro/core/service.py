@@ -27,7 +27,7 @@ registration, and routes each HWG message to its owner by exact type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..naming.client import NamingClient
 from ..naming.messages import MultipleMappings
@@ -71,6 +71,9 @@ ANNOUNCE_PERIOD_US = 2 * SECOND
 MAPPING_AUDIT_PERIOD_US = 4 * SECOND
 #: Payload size assumed for user messages sent without one.
 DEFAULT_PAYLOAD_BYTES = 256
+#: Settling holds policy moves off for at most this many evaluations in
+#: a row, so steady churn on one group cannot starve the others.
+SETTLE_MAX_EVALUATIONS = 8
 
 
 class LwgListener:
@@ -203,6 +206,9 @@ class LwgService:
         self._handlers = self._route_table()
         self._hwg_counter = 0
         self._hwg_last_views: Dict[HwgId, View] = {}
+        #: The last policy evaluation's view ids, and its settling streak.
+        self._policy_views_seen: FrozenSet[Tuple[str, ViewId]] = frozenset()
+        self._settle_streak = 0
         self._rejoin_after_leave: Set[HwgId] = set()
         naming.on_multiple_mappings = self._on_multiple_mappings
         stack.register_handler(RedirectLwg, self.join_leave.on_redirect)
@@ -255,6 +261,8 @@ class LwgService:
         self.merge_mgr = MergeManager(self)
         self._handlers = self._route_table()
         self._hwg_last_views.clear()
+        self._policy_views_seen = frozenset()
+        self._settle_streak = 0
         self._rejoin_after_leave.clear()
         self.naming.cancel_all()
 
@@ -561,7 +569,6 @@ class LwgService:
         local.minted_head = None
         local.views_installed += 1
         local.last_coordinator_heard = self.env.now
-        local.last_view_change_us = self.env.now
         self.stats.lwg_views_installed += 1
         if local.hwg is not None:
             self.table.dir_for(local.hwg).record_view(view)
@@ -714,9 +721,7 @@ class LwgService:
             used_by = self.table.local_lwgs_on(hwg)
             local_per_hwg[hwg] = len(used_by)
             directory = self.table.dir_for(hwg)
-            if used_by:
-                directory.last_useful_at = self.env.now
-            idle_since[hwg] = directory.last_useful_at
+            idle_since[hwg] = self.env.now if used_by else directory.last_useful_at
             if want_pinned:
                 # Every LWG view the directory pins on this HWG; the
                 # optimizer filters out the ones it may move itself.
@@ -726,18 +731,8 @@ class LwgService:
                 )
         busy = {l.lwg for l in self.table.locals.values() if l.switch_epoch is not None}
         busy |= set(self.switching.drivers)
-        if want_pinned:
-            # Stability hysteresis: the optimizer must not move a group
-            # whose view is still settling (joins in flight) — churning
-            # two HWGs' member sets at once races the joiners' own HWG
-            # joins.  The paper rules never see this set.
-            settle = self.config.placement_settle_us
-            busy |= {
-                lwg
-                for lwg, local in self.table.locals.items()
-                if local.is_member
-                and self.env.now - local.last_view_change_us < settle
-            }
+        if self._settling():
+            busy |= set(self.table.locals)
         busy = frozenset(busy)
         return PolicySnapshot(
             node=self.node,
@@ -751,9 +746,32 @@ class LwgService:
             zone=self.zone,
         )
 
+    def _policy_view_ids(self) -> FrozenSet[Tuple[str, ViewId]]:
+        """The view ids of our member LWGs and of our HWGs."""
+        views = [(l.lwg, l.view) for l in self.table.locals.values() if l.is_member]
+        views += self._hwg_last_views.items()
+        return frozenset((group, view.view_id) for group, view in views if view)
+
+    def _settling(self) -> bool:
+        """An installed view changed since the last evaluation, so moving
+        an LWG now would churn two HWGs under a join, leave, switch or
+        merge — unless that held moves off SETTLE_MAX_EVALUATIONS times."""
+        return (
+            self._policy_view_ids() != self._policy_views_seen
+            and self._settle_streak < SETTLE_MAX_EVALUATIONS
+        )
+
     def run_policies_once(self) -> List[object]:
-        """Evaluate the Figure-1 rules and execute the resulting actions."""
+        """Evaluate the Figure-1 rules and execute the resulting actions;
+        the settling record and the shrink idle clocks are written here."""
+        seen = self._policy_view_ids()
+        settling = self._settling()
         snapshot = self.build_policy_snapshot()
+        self._policy_views_seen = seen
+        self._settle_streak = self._settle_streak + 1 if settling else 0
+        for hwg, count in snapshot.local_lwgs_per_hwg.items():
+            if count:
+                self.table.dir_for(hwg).last_useful_at = snapshot.now_us
         actions = self.policy_engine.evaluate(snapshot, mint=self.mint_hwg_id)
         for action in actions:
             if isinstance(action, SwitchAction):

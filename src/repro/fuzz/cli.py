@@ -23,6 +23,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from ..sim.process import SimRuntime
 from .artifacts import write_artifact
 from .generator import PROFILES, GeneratorConfig, ScheduleGenerator
 from .runner import CLEAN, VIOLATION, FuzzOutcome, ScheduleRunner, run_schedule
@@ -167,13 +168,22 @@ def _collect_replay_paths(paths: List[Path]) -> List[Path]:
     return files
 
 
-def _run_on(schedule: Schedule, backend: str) -> FuzzOutcome:
+def _run_on(
+    schedule: Schedule, backend: str, trace: Optional[Path] = None
+) -> FuzzOutcome:
+    """Replay ``schedule`` on ``backend``; write its trace to ``trace``."""
+    keep = trace is not None
     if backend == "sim":
-        return run_schedule(schedule)
-    from ..runtime.asyncio_backend import AsyncioRuntime
+        env = SimRuntime.create(seed=schedule.seed, keep_trace=keep)
+        outcome = ScheduleRunner(schedule, env=env).run()
+    else:
+        from ..runtime.asyncio_backend import AsyncioRuntime
 
-    with AsyncioRuntime.create(seed=schedule.seed, keep_trace=False) as env:
-        return ScheduleRunner(schedule, env=env).run()
+        with AsyncioRuntime.create(seed=schedule.seed, keep_trace=keep) as env:
+            outcome = ScheduleRunner(schedule, env=env).run()
+    if trace is not None:
+        env.tracer.to_jsonl(trace)
+    return outcome
 
 
 def replay(
@@ -181,11 +191,18 @@ def replay(
     verbose: bool = False,
     expectations: Optional[_DigestExpectations] = None,
     backend: str = "sim",
+    trace: Optional[Path] = None,
 ) -> int:
-    """Replay schedule files on ``backend``; 0 iff every outcome is clean."""
+    """Replay schedule files on ``backend``; 0 iff every outcome is clean.
+
+    ``trace`` names a JSON Lines file for the trace of the one schedule.
+    """
     files = _collect_replay_paths(paths)
     if not files:
         print("fuzz: no schedule files to replay")
+        return 1
+    if trace is not None and len(files) != 1:
+        print(f"fuzz: a trace file needs exactly one schedule, got {len(files)}")
         return 1
     failures = 0
     for path in files:
@@ -196,7 +213,7 @@ def replay(
         schedule = Schedule.from_json(path.read_text(encoding="utf-8"))
         if verbose:
             print(schedule.describe())
-        outcome = _run_on(schedule, backend)
+        outcome = _run_on(schedule, backend, trace)
         print(f"[replay] {path.name}: {outcome.summary()}")
         if expectations is not None:
             expectations.check(path.name, outcome.digest)

@@ -205,10 +205,6 @@ class UdpFabric:
         """All known node ids — attached locally or mapped remotely."""
         return sorted(set(self._callbacks) | set(self.addrs))
 
-    def local_nodes(self) -> List[NodeId]:
-        """Node ids attached in this process."""
-        return sorted(self._callbacks)
-
     # ------------------------------------------------------------------
     # Liveness (crash/recovery)
     # ------------------------------------------------------------------

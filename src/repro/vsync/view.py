@@ -13,7 +13,7 @@ whether two views are concurrent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 ProcessId = str
 GroupId = str
@@ -65,10 +65,6 @@ class View:
     def coordinator(self) -> ProcessId:
         """The process responsible for sequencing and view changes."""
         return self.members[0]
-
-    @property
-    def member_set(self) -> FrozenSet[ProcessId]:
-        return frozenset(self.members)
 
     def contains(self, process: ProcessId) -> bool:
         return process in self.members

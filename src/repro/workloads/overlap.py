@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from ..metrics.collectors import SummaryStats
 from ..sim.engine import MS, SECOND
 from .cluster import Cluster
-from .scenarios import _scaled_lwg_config
+from .scenarios import _scaled_lwg_config, mapping_at_fixed_point
 from .traffic import ProbeHub, ProbeListener, probe_payload
 
 SET_A = ["p0", "p1", "p2", "p3"]
@@ -121,11 +121,11 @@ def build_overlap(
         settle_seconds = 8.0 + 0.75 * n
     if not cluster.run_until(setup.converged, timeout_us=int(settle_seconds * SECOND)):
         raise RuntimeError(f"overlap(n={n}, {flavour}) failed to converge")
-    # The optimizer defers moves until placement_settle_us after the
-    # last view change, then drains per policy tick — give it the extra
-    # window to consolidate the per-group bootstrap HWGs.  The paper
-    # rules act immediately; their window stays exactly as before.
-    cluster.run_for_seconds(2.0 if placement == "paper" else 14.0)
+    cluster.run_for_seconds(2.0)
+    if not cluster.run_until(
+        lambda: mapping_at_fixed_point(cluster), timeout_us=int(settle_seconds * SECOND)
+    ):
+        raise RuntimeError(f"overlap(n={n}, {flavour}) mapping never settled")
     return setup
 
 

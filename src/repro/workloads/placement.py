@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..core.config import LwgConfig
 from ..sim.engine import MS, SECOND
 from .cluster import Cluster
 from .scenarios import _scaled_lwg_config
@@ -287,33 +286,6 @@ class PlacementSetup:
         return largest
 
 
-def _placement_lwg_config(placement: str) -> LwgConfig:
-    """Scenario timers: fast policies, rebalance-after-load switching.
-
-    ``placement_settle_us`` is raised far past the default so the
-    optimizer does not start moving groups until the join waves are
-    over: every switch strands an HWG remnant the merge machinery must
-    heal, and on the shared 10 Mb/s medium a heal storm concurrent with
-    the bulk-load joins congests the wire past the merge timeouts (the
-    classic "don't rebalance during bulk load" rule).  Moves then drain
-    in bounded batches per policy period on an otherwise quiet wire.
-
-    ``coordinator_silence_us`` is raised because during the drain the
-    wire carries dozens of concurrent switch/merge flushes and LWG
-    announcements easily lag past the 6 s default — and a premature
-    forced-out rejoin feeds the very churn that delayed the announce
-    (each rejoin is another naming round plus an HWG view change).
-    The backstop still fires, just calibrated to drain-storm latencies.
-    """
-    return replace(
-        _scaled_lwg_config(),
-        placement_policy=placement,
-        placement_max_switches=8,
-        placement_settle_us=20 * SECOND,
-        coordinator_silence_us=15 * SECOND,
-    )
-
-
 def build_placement_scenario(
     placement: str,
     num_lwgs: int = 120,
@@ -333,7 +305,9 @@ def build_placement_scenario(
     cluster = Cluster(
         num_processes=zones * ZONE_SIZE,
         seed=seed,
-        lwg_config=_placement_lwg_config(placement),
+        lwg_config=replace(
+            _scaled_lwg_config(), placement_policy=placement, placement_max_switches=8
+        ),
         keep_trace=False,
     )
     meter = FabricMeter(cluster)
@@ -399,10 +373,10 @@ def build_placement_scenario(
             f"placement scenario ({placement}, {num_lwgs} LWGs) failed to "
             f"converge; {len(laggards)} laggard(s), first: {laggards[:4]}"
         )
-    # Let the placement policy reach its fixed point: the optimizer's
-    # first moves wait out placement_settle_us, then the backlog (one
-    # move per misplaced LWG) drains a rate-limited batch per policy
-    # period — so the window scales with the group count.
+    # Let the placement policy reach its fixed point: the first moves
+    # wait for one policy period with no view change, then the backlog
+    # (one move per misplaced LWG) drains a rate-limited batch per
+    # policy period — so the window scales with the group count.
     if settle_seconds is None:
         settle_seconds = 30.0 + 0.4 * num_lwgs
     cluster.run_for_seconds(settle_seconds)

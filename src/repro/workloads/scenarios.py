@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import LwgConfig
+from ..core.policies import SwitchAction
+from ..core.service import LwgService
 from ..metrics.collectors import SummaryStats
 from ..sim.engine import MS, SECOND
 from ..vsync.stack import VsyncConfig
@@ -60,6 +62,18 @@ class Figure2Setup:
             if view is None or len(view.members) != GROUP_SIZE:
                 return False
         return True
+
+
+def mapping_at_fixed_point(cluster: Cluster) -> bool:
+    """No policy evaluation would move an LWG: at every process running
+    the policies no LWG is busy and the rules propose no switch."""
+    for service in cluster.services.values():
+        if isinstance(service, LwgService) and service.config.enable_policies:
+            snapshot = service.build_policy_snapshot()
+            actions = service.policy_engine.evaluate(snapshot)
+            if snapshot.busy_lwgs or any(isinstance(a, SwitchAction) for a in actions):
+                return False
+    return True
 
 
 def _scaled_lwg_config() -> LwgConfig:
@@ -148,8 +162,12 @@ def build_figure2(
         raise RuntimeError(
             f"figure2(n={n}, {flavour}) failed to converge within {settle_seconds}s"
         )
-    # Let the naming/policy dust settle before measuring.
+    # Let the naming dust settle, then the mapping reach its fixed point.
     cluster.run_for_seconds(1.0)
+    if not cluster.run_until(
+        lambda: mapping_at_fixed_point(cluster), timeout_us=int(settle_seconds * SECOND)
+    ):
+        raise RuntimeError(f"figure2(n={n}, {flavour}) mapping never settled")
     return setup
 
 

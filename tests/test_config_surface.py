@@ -22,7 +22,6 @@ def test_lwg_config_fields():
         "shrink_grace_us",
         "placement_policy",
         "placement_max_switches",
-        "placement_settle_us",
         "enable_policies",
         "enable_reconciliation",
         "coordinator_silence_us",

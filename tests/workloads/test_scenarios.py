@@ -10,6 +10,7 @@ from repro.workloads import (
     measure_recovery,
     measure_throughput,
 )
+from repro.workloads.placement import build_placement_scenario
 
 
 @pytest.mark.parametrize("flavour", ["none", "static", "dynamic"])
@@ -67,3 +68,10 @@ def test_partition_scenario_builds_crossed_mappings():
         hwg_a = scenario.handles[(group, scenario.side_a[0])].hwg
         hwg_b = scenario.handles[(group, scenario.side_b[0])].hwg
         assert hwg_a != hwg_b
+
+
+def test_paper_rules_converge_through_a_bulk_load():
+    """A move in the middle of the bulk join once stranded joining LWGs
+    on this seed; no LWG moves while its process's views still change."""
+    setup = build_placement_scenario("paper", num_lwgs=40, seed=1)
+    assert setup.converged()
