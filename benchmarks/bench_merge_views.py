@@ -54,7 +54,7 @@ def run_merge_scan():
         cluster.heal()
         assert cluster.run_until(scenario.converged, timeout_us=90 * SECOND), m
         cluster.run_for_seconds(1)
-        observer = scenario.side_a[0]
+        observer = cluster.process_ids[0]
         points, merges = merge_flush_points(cluster, observer)
         flush_points.append(points)
         merged_lwgs.append(merges)

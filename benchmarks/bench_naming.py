@@ -307,7 +307,7 @@ def test_callback_vs_poll_traffic(benchmark):
         callbacks = sum(
             s.notifier.notifications_sent for s in cluster.name_servers.values()
         )
-        members = len(scenario.side_a) + len(scenario.side_b)
+        members = len(cluster.process_ids)
         poll_equivalent = int(
             members * len(scenario.groups) * QUIET_SECONDS / POLL_PERIOD_S
         )

@@ -12,11 +12,7 @@ import statistics
 from conftest import SEED
 
 from repro.metrics import series_table, shape_check
-from repro.workloads.overlap import (
-    build_overlap,
-    measure_overlap_latency,
-    measure_overlap_recovery,
-)
+from repro.workloads import build_overlap, measure_latency, measure_recovery
 
 NS = (2, 4, 8)
 FLAVOURS = ("none", "static", "dynamic", "optimizer")
@@ -36,7 +32,7 @@ def class_pure(setup):
     """True if no HWG carries LWGs of both membership classes."""
     classes_on = {}
     for (group, _node), handle in setup.handles.items():
-        cls = "A" if group in setup.groups_a else "B"
+        cls = tuple(setup.groups[group])
         classes_on.setdefault(handle.hwg, set()).add(cls)
     return all(len(cs) == 1 for cs in classes_on.values())
 
@@ -55,12 +51,13 @@ def run_overlap_scan():
             hwg_counts[flavour].append(len(setup.hwgs_in_use()))
             if flavour == "optimizer":
                 purity.append(class_pure(setup))
-            stats = measure_overlap_latency(setup)
+            stats = measure_latency(setup, probes_per_group=6)
             latency[flavour].append(stats.mean_us / 1000.0)
             fresh = build_overlap(
                 n=n, flavour=cluster_flavour, seed=SEED, placement=placement
             )
-            recovery[flavour].append(measure_overlap_recovery(fresh) / 1000.0)
+            result = measure_recovery(fresh, victim="p3", traffic_period_us=None)
+            recovery[flavour].append(result.reconfig_us / 1000.0)
     return latency, recovery, hwg_counts, purity
 
 

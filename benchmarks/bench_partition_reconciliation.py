@@ -43,15 +43,15 @@ def run_reconciliation():
     stages += snapshot_rows(scenario, "healed + reconciled")
     callbacks = sum(
         cluster.service(node).reconciler.callbacks_received
-        for node in scenario.side_a + scenario.side_b
+        for node in cluster.process_ids
     )
     switches = sum(
         cluster.service(node).reconciler.switches_initiated
-        for node in scenario.side_a + scenario.side_b
+        for node in cluster.process_ids
     )
     merges = sum(
         cluster.service(node).merge_mgr.merges_completed
-        for node in scenario.side_a + scenario.side_b
+        for node in cluster.process_ids
     )
     return scenario, stages, convergence_us, callbacks, switches, merges
 

@@ -34,8 +34,8 @@ def main() -> None:
     scenario = build_partition_scenario(num_groups=2, seed=42)
     cluster = scenario.cluster
     for group in scenario.groups:
-        for side, nodes in (("p ", scenario.side_a), ("p'", scenario.side_b)):
-            handle = scenario.handles[(group, nodes[0])]
+        for side, node in (("p ", "p0"), ("p'", "p2")):
+            handle = scenario.handles[(group, node)]
             print(
                 f"   {side}: lwg:{group} view {handle.view.view_id} "
                 f"{handle.view.members} -> {handle.hwg}"
@@ -81,7 +81,7 @@ def main() -> None:
 
     print("\n== Table 4 (final stage): merged views, obsolete mappings GC'd ==")
     for group in scenario.groups:
-        handle = scenario.handles[(group, scenario.side_a[0])]
+        handle = scenario.handles[(group, "p0")]
         print(
             f"   lwg:{group}: view {handle.view.view_id} members {handle.view.members}"
         )
@@ -90,11 +90,11 @@ def main() -> None:
     print_naming_db(cluster, scenario.groups, "converged — one mapping per LWG")
 
     print("\n== Post-heal traffic flows in the merged views ==")
-    scenario.handles[("a", scenario.side_a[0])].send("hello, reunited group")
+    scenario.handles[("a", "p0")].send("hello, reunited group")
     cluster.run_for_seconds(1)
     delivered = sum(
         1
-        for node in scenario.side_a + scenario.side_b
+        for node in scenario.cluster.process_ids
         if any(p == "hello, reunited group"
                for _, p in scenario.probes[("a", node)].delivered)
     )

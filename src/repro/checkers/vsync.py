@@ -94,7 +94,7 @@ class DeliveryChecker(Checker):
             if record.event == "crash":
                 self._on_crash(record.fields["node"])
             elif record.event == "recover":
-                self._crashed.discard(record.fields["node"])
+                self._on_recover(record.fields["node"])
             return
         if record.event == "data_delivered":
             self._on_delivery(record)
@@ -110,7 +110,16 @@ class DeliveryChecker(Checker):
         self._crashed.add(node)
         for key in [k for k in self._current if k[1] == node]:
             del self._current[key]
-        for key in [k for k in self._fifo if k[1] == node or k[2] == node]:
+        for key in [k for k in self._fifo if k[1] == node]:
+            del self._fifo[key]
+
+    def _on_recover(self, node: str) -> None:
+        # The new incarnation restarts its sender_seq numbering from 1.
+        # Its old messages may still be delivered between the crash and
+        # this record (they were ordered before it), so the survivors'
+        # memory of it as a sender is forgotten here, not at the crash.
+        self._crashed.discard(node)
+        for key in [k for k in self._fifo if k[2] == node]:
             del self._fifo[key]
 
     def _on_left(self, group: str, node: str) -> None:

@@ -76,35 +76,6 @@ class LatencyCollector:
         return sorted(self._samples)
 
 
-class ThroughputMeter:
-    """Counts deliveries within a measurement window."""
-
-    def __init__(self) -> None:
-        self.delivered = 0
-        self._window_start_us: Optional[int] = None
-        self._window_end_us: Optional[int] = None
-
-    def open_window(self, now_us: int) -> None:
-        self.delivered = 0
-        self._window_start_us = now_us
-        self._window_end_us = None
-
-    def close_window(self, now_us: int) -> None:
-        self._window_end_us = now_us
-
-    def record_delivery(self) -> None:
-        if self._window_start_us is not None and self._window_end_us is None:
-            self.delivered += 1
-
-    def throughput_per_second(self) -> float:
-        if self._window_start_us is None or self._window_end_us is None:
-            return 0.0
-        duration = self._window_end_us - self._window_start_us
-        if duration <= 0:
-            return 0.0
-        return self.delivered * 1_000_000 / duration
-
-
 class RecoveryTimer:
     """Measures crash -> everyone-reconfigured intervals, per group."""
 

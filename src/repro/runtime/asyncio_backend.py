@@ -10,23 +10,20 @@ schedules on it, under the same checkers as the simulator.
 
 Design notes:
 
-* **Time** is integer microseconds since a configurable epoch on
-  ``CLOCK_MONOTONIC``.  On Linux that clock is system-wide, so multiple
-  OS processes given the same epoch produce directly comparable trace
-  timestamps.
+* **Time** is integer microseconds since the runtime was created, on
+  ``CLOCK_MONOTONIC``.
 * **Partitions** are a userspace drop-filter (no iptables, no root):
   :meth:`UdpFabric.set_partitions` assigns nodes to blocks and datagrams
   crossing blocks are dropped on *both* the send and the receive path.
-  Receive-side filtering is what makes cross-process partitions work —
-  each process installs the same block map and discards traffic from the
-  other side, regardless of what the sender believed when it transmitted
-  (this also cuts messages already in flight, like the simulator does).
+  The receive-side filter discards traffic from the other side
+  regardless of what the sender believed when it transmitted (this also
+  cuts messages already in flight, like the simulator does).
 * **Group addressing** is broadcast: :class:`BroadcastAddressing`
   reports every fabric node as a potential subscriber and receivers
   filter, exactly the split UDP broadcast on a shared medium gives you.
   A process with no endpoint for a group silently ignores its traffic
   (see ``ProtocolStack._dispatch``), so probes and presence beacons
-  reach group members without any cross-process registry.
+  reach group members without any registry.
 """
 
 from __future__ import annotations
@@ -57,19 +54,11 @@ HostPort = Tuple[str, int]
 
 
 class WallClock:
-    """Integer-microsecond wall clock on ``CLOCK_MONOTONIC``.
+    """Integer-microsecond wall clock on ``CLOCK_MONOTONIC``, zero at
+    construction."""
 
-    Processes that share an ``epoch`` (a ``time.monotonic()`` value)
-    produce comparable timestamps on the same host.
-    """
-
-    def __init__(self, epoch: Optional[float] = None):
-        self._epoch = time.monotonic() if epoch is None else epoch
-
-    @property
-    def epoch(self) -> float:
-        """The ``time.monotonic()`` instant this clock calls zero."""
-        return self._epoch
+    def __init__(self) -> None:
+        self._epoch = time.monotonic()
 
     @property
     def now(self) -> int:
@@ -124,11 +113,8 @@ class AsyncioScheduler:
 class UdpFabric:
     """A message fabric of real UDP sockets on localhost.
 
-    ``node_addrs`` maps node ids to ``(host, port)`` endpoints; nodes
-    attached without a mapping bind an ephemeral port and the chosen
-    address is recorded, so a single-process fabric needs no
-    configuration at all.  For multi-process operation every process is
-    given the same full map and attaches only its local nodes.
+    Each attached node binds an ephemeral port on 127.0.0.1 and the
+    chosen address is recorded, so the fabric needs no configuration.
 
     Datagrams carry ``(src, payload, size)`` in the one wire format of
     :mod:`repro.runtime.codec`, so payloads must be plain data or
@@ -142,18 +128,11 @@ class UdpFabric:
     #: Receive buffer large enough to absorb protocol bursts.
     RCVBUF = 1 << 20
 
-    def __init__(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        tracer: Tracer,
-        node_addrs: Optional[Dict[NodeId, HostPort]] = None,
-        host: str = "127.0.0.1",
-    ):
+    def __init__(self, loop: asyncio.AbstractEventLoop, tracer: Tracer):
         self._loop = loop
         self.tracer = tracer
-        self.host = host
-        #: Known endpoints, local and remote.  Updated as nodes attach.
-        self.addrs: Dict[NodeId, HostPort] = dict(node_addrs or {})
+        #: node -> bound endpoint, recorded as nodes attach.
+        self.addrs: Dict[NodeId, HostPort] = {}
         self._sockets: Dict[NodeId, socket.socket] = {}
         self._callbacks: Dict[NodeId, DeliveryCallback] = {}
         self._alive: Dict[NodeId, bool] = {}
@@ -175,7 +154,7 @@ class UdpFabric:
             return
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, self.RCVBUF)
-        sock.bind(self.addrs.get(node, (self.host, 0)))
+        sock.bind(("127.0.0.1", 0))
         sock.setblocking(False)
         self.addrs[node] = sock.getsockname()[:2]
         self._sockets[node] = sock
@@ -202,29 +181,22 @@ class UdpFabric:
 
     @property
     def nodes(self) -> List[NodeId]:
-        """All known node ids — attached locally or mapped remotely."""
-        return sorted(set(self._callbacks) | set(self.addrs))
+        """All attached node ids."""
+        return sorted(self._callbacks)
 
     # ------------------------------------------------------------------
     # Liveness (crash/recovery)
     # ------------------------------------------------------------------
     def is_alive(self, node: NodeId) -> bool:
-        """True unless the node is locally attached and crashed.
-
-        Remote nodes (mapped but not attached here) are assumed alive:
-        their own process is the authority on their liveness, and its
-        drop-filter enforces it.
-        """
-        if node in self._callbacks:
-            return self._alive.get(node, False)
-        return node in self.addrs
+        """True iff the node is attached and not crashed."""
+        return self._alive.get(node, False)
 
     def has_node(self, node: NodeId) -> bool:
-        return node in self._callbacks or node in self.addrs
+        return node in self._callbacks
 
     def set_alive(self, node: NodeId, alive: bool) -> None:
         if node not in self._callbacks:
-            raise KeyError(f"node {node!r} is not attached in this process")
+            raise KeyError(f"node {node!r} is not attached")
         self._alive[node] = alive
         self.tracer.emit("network", "crash" if not alive else "recover", node=node)
 
@@ -277,7 +249,7 @@ class UdpFabric:
     def _tx_socket(self, src: NodeId) -> socket.socket:
         sock = self._sockets.get(src)
         if sock is None:
-            raise KeyError(f"sender {src!r} is not attached in this process")
+            raise KeyError(f"sender {src!r} is not attached")
         return sock
 
     def _sendto(self, sock: socket.socket, data: bytes, dst: NodeId) -> bool:
@@ -418,24 +390,13 @@ class AsyncioRuntime:
         self._failures = failures
 
     @classmethod
-    def create(
-        cls,
-        seed: int = 0,
-        node_addrs: Optional[Dict[NodeId, HostPort]] = None,
-        keep_trace: bool = True,
-        epoch: Optional[float] = None,
-        host: str = "127.0.0.1",
-    ) -> "AsyncioRuntime":
-        """Build a fresh real-time runtime.
-
-        Pass the same ``epoch`` (a ``time.monotonic()`` value) and
-        ``node_addrs`` map to every cooperating OS process.
-        """
+    def create(cls, seed: int = 0, keep_trace: bool = True) -> "AsyncioRuntime":
+        """Build a fresh real-time runtime."""
         loop = asyncio.new_event_loop()
-        clock = WallClock(epoch)
+        clock = WallClock()
         rng = RngRegistry(seed)
         tracer = Tracer(clock=lambda: clock.now, keep_records=keep_trace)
-        fabric = UdpFabric(loop, tracer, node_addrs=node_addrs, host=host)
+        fabric = UdpFabric(loop, tracer)
         failures = FailureFeed(fabric)
         return cls(loop, clock, fabric, rng, tracer, failures)
 

@@ -35,12 +35,12 @@ fabric ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.engine import MS, SECOND
 from .cluster import Cluster
-from .scenarios import _scaled_lwg_config
-from .traffic import ProbeHub, ProbeListener, probe_payload
+from .scenarios import Scenario, _scaled_lwg_config
+from .traffic import ProbeHub, probe_payload
 
 #: Processes per zone.  12 keeps every sub-window (4 or 6 wide) above
 #: the ``k_m = 4`` minority threshold on the zone HWG, which is the
@@ -232,68 +232,11 @@ class FabricMeter:
 # ----------------------------------------------------------------------
 # The scenario
 # ----------------------------------------------------------------------
-@dataclass
-class PlacementSetup:
-    """A converged high-group-count scenario."""
-
-    cluster: Cluster
-    classes: List[MembershipClass]
-    placement: str
-    handles: Dict[Tuple[str, str], Any]
-    probes: Dict[Tuple[str, str], ProbeListener]
-    hub: ProbeHub
-    meter: FabricMeter
-
-    @property
-    def num_lwgs(self) -> int:
-        return sum(c.count for c in self.classes)
-
-    def converged(self) -> bool:
-        """Every member of every LWG sees the full membership.
-
-        Checked from *all* member handles, not just the creator's: a
-        member whose handle still shows a stale sub-view would silently
-        miss multicasts, which would flatter whatever placement it
-        happened under.
-        """
-        for cls in self.classes:
-            want = set(cls.members)
-            for group in cls.group_names:
-                for node in cls.members:
-                    handle = self.handles.get((group, node))
-                    if handle is None:
-                        return False
-                    view = handle.view
-                    if view is None or set(view.members) != want:
-                        return False
-        return True
-
-    def hwgs_in_use(self) -> set:
-        return {handle.hwg for handle in self.handles.values()}
-
-    def max_hwg_size(self) -> int:
-        """Largest HWG membership seen from any live endpoint."""
-        largest = 0
-        for node in self.cluster.process_ids:
-            try:
-                stack = self.cluster.stack(node)
-            except KeyError:
-                continue
-            for endpoint in getattr(stack, "endpoints", {}).values():
-                view = getattr(endpoint, "current_view", None)
-                if view is not None:
-                    largest = max(largest, len(view.members))
-        return largest
-
-
 def build_placement_scenario(
-    placement: str,
-    num_lwgs: int = 120,
-    zones: int = 2,
-    seed: int = 0,
-    settle_seconds: Optional[float] = None,
-) -> PlacementSetup:
-    """Build and converge the scenario under the given placement policy.
+    placement: str, num_lwgs: int = 120, seed: int = 0
+) -> Scenario:
+    """Build and converge the two-zone scenario under the given placement
+    policy, then let the policy drain its moves.
 
     Classes are joined window by window (both zones in parallel): the
     creator first, then the remaining members.  The exact interleaving
@@ -301,9 +244,9 @@ def build_placement_scenario(
     share-rule collapse merges each zone onto one HWG from any
     intermediate state.
     """
-    classes = zipf_classes(zones=zones, num_lwgs=num_lwgs)
+    classes = zipf_classes(num_lwgs=num_lwgs)
     cluster = Cluster(
-        num_processes=zones * ZONE_SIZE,
+        num_processes=2 * ZONE_SIZE,
         seed=seed,
         lwg_config=replace(
             _scaled_lwg_config(), placement_policy=placement, placement_max_switches=8
@@ -311,16 +254,12 @@ def build_placement_scenario(
         keep_trace=False,
     )
     meter = FabricMeter(cluster)
-    hub = ProbeHub(env=cluster.env)
-    handles: Dict[Tuple[str, str], Any] = {}
-    probes: Dict[Tuple[str, str], ProbeListener] = {}
+    groups = {
+        group: list(cls.members) for cls in classes for group in cls.group_names
+    }
+    setup = Scenario(cluster, ProbeHub(env=cluster.env), groups, meter=meter)
 
-    def join(group: str, node: str) -> None:
-        probe = ProbeListener(hub, node)
-        probes[(group, node)] = probe
-        handles[(group, node)] = cluster.services[node].join(group, probe)
-
-    classes_per_zone = len(classes) // zones
+    classes_per_zone = len(classes) // 2
     # The dominant zone-spanning class (last in the layout) is built
     # first, so every sub-window creator is already a member of the
     # zone HWG when its classes appear.
@@ -343,32 +282,25 @@ def build_placement_scenario(
                 # possible in a transient-minority state.
                 base = j * stride_us
                 cluster.env.scheduler.schedule(
-                    base, lambda g=group, n=cls.creator: join(g, n)
+                    base, lambda g=group, n=cls.creator: setup.join(g, n)
                 )
                 for i, node in enumerate(cls.members[1:]):
                     cluster.env.scheduler.schedule(
                         base + 100 * MS + (i + 1) * 15 * MS,
-                        lambda g=group, n=node: join(g, n),
+                        lambda g=group, n=node: setup.join(g, n),
                     )
             span = max(span, cls.count * stride_us + 400 * MS)
         cluster.run_for(span + 1500 * MS)
 
-    setup = PlacementSetup(
-        cluster=cluster, classes=classes, placement=placement,
-        handles=handles, probes=probes, hub=hub, meter=meter,
-    )
     timeout = int((20.0 + 0.2 * num_lwgs) * SECOND)
     if not cluster.run_until(setup.converged, timeout_us=timeout):
         laggards = []
-        for cls in classes:
-            want = set(cls.members)
-            for group in cls.group_names:
-                for node in cls.members:
-                    handle = handles.get((group, node))
-                    view = handle.view if handle is not None else None
-                    got = sorted(view.members) if view is not None else None
-                    if got is None or set(got) != want:
-                        laggards.append(f"{group}@{node}: {got}")
+        for group, members in groups.items():
+            for node in members:
+                handle = setup.handles.get((group, node))
+                view = handle.view if handle is not None else None
+                if view is None or set(view.members) != set(members):
+                    laggards.append(f"{group}@{node}: {view and sorted(view.members)}")
         raise RuntimeError(
             f"placement scenario ({placement}, {num_lwgs} LWGs) failed to "
             f"converge; {len(laggards)} laggard(s), first: {laggards[:4]}"
@@ -377,9 +309,7 @@ def build_placement_scenario(
     # wait for one policy period with no view change, then the backlog
     # (one move per misplaced LWG) drains a rate-limited batch per
     # policy period — so the window scales with the group count.
-    if settle_seconds is None:
-        settle_seconds = 30.0 + 0.4 * num_lwgs
-    cluster.run_for_seconds(settle_seconds)
+    cluster.run_for_seconds(30.0 + 0.4 * num_lwgs)
     # The drain itself strands HWG remnants that need healing; require
     # the system to be whole again before anyone measures on it.
     if not cluster.run_until(setup.converged, timeout_us=timeout):
@@ -388,6 +318,21 @@ def build_placement_scenario(
             f"while draining placement moves"
         )
     return setup
+
+
+def _max_hwg_size(cluster: Cluster) -> int:
+    """Largest HWG membership seen from any live endpoint."""
+    largest = 0
+    for node in cluster.process_ids:
+        try:
+            stack = cluster.stack(node)
+        except KeyError:
+            continue
+        for endpoint in getattr(stack, "endpoints", {}).values():
+            view = getattr(endpoint, "current_view", None)
+            if view is not None:
+                largest = max(largest, len(view.members))
+    return largest
 
 
 # ----------------------------------------------------------------------
@@ -413,35 +358,31 @@ class PlacementMetrics:
     max_hwg_size: int = 0
 
 
-def measure_placement(
-    setup: PlacementSetup,
-    rounds: int = 3,
-    churn_cycles: Tuple[str, ...] = ("p1", f"p{ZONE_SIZE + 1}"),
-) -> PlacementMetrics:
-    """Run the paced data phase, then the crash/recover churn phase.
+def measure_placement(setup: Scenario) -> PlacementMetrics:
+    """Run the paced data phase (three rounds), then the crash/recover
+    churn phase.
 
     Both phases advance simulated time by amounts that depend only on
     the scenario shape, so two setups that differ *only* in placement
     are compared over identical windows.
 
-    The churn victims default to the second process of each zone: a
-    member of the zone's first wide and first narrow window but the
-    coordinator of nothing, so the flush/rejoin traffic — not
-    coordinator succession — dominates the phase.
+    The churn victims are the second process of each zone: a member of
+    the zone's first wide and first narrow window but the coordinator of
+    nothing, so the flush/rejoin traffic — not coordinator succession —
+    dominates the phase.
     """
+    meter = setup.meter
+    assert meter is not None, "not a placement scenario"
     cluster = setup.cluster
     network = cluster.env.network
 
     # --- data phase: every LWG's creator multicasts, paced. -----------
     gap = 10 * MS
-    sends: List[Tuple[str, str]] = [
-        (group, cls.creator)
-        for cls in setup.classes
-        for group in cls.group_names
-    ]
+    rounds = 3
+    sends = [(group, members[0]) for group, members in setup.groups.items()]
     data_start = cluster.env.now
     base_delivered = network.messages_delivered
-    base_heartbeats = setup.meter.heartbeats
+    base_heartbeats = meter.heartbeats
     for round_no in range(rounds):
         for index, (group, sender) in enumerate(sends):
             delay = (round_no * len(sends) + index) * gap
@@ -451,36 +392,27 @@ def measure_placement(
                 lambda h=handle, r=round_no: h.send(probe_payload(cluster.env, r)),
             )
     cluster.run_for(rounds * len(sends) * gap + 2 * SECOND)
-    data_heartbeats = setup.meter.heartbeats - base_heartbeats
+    data_heartbeats = meter.heartbeats - base_heartbeats
     data_messages = (
         network.messages_delivered - base_delivered - data_heartbeats
     )
     data_seconds = (cluster.env.now - data_start) / SECOND
 
     # --- churn phase: crash + recover + rejoin, one victim per zone. --
-    base_flush = setup.meter.snapshot()
-    base_by_type = dict(setup.meter.by_type)
-    for victim in churn_cycles:
-        rejoin = [
-            (group, cls)
-            for cls in setup.classes
-            if victim in cls.members
-            for group in cls.group_names
-        ]
+    base_flush = meter.snapshot()
+    base_by_type = dict(meter.by_type)
+    for victim in ("p1", f"p{ZONE_SIZE + 1}"):
         cluster.crash(victim)
         cluster.run_for_seconds(4)
         cluster.recover(victim)
-        for group, cls in rejoin:
-            probe = ProbeListener(setup.hub, victim)
-            setup.probes[(group, victim)] = probe
-            setup.handles[(group, victim)] = cluster.services[victim].join(
-                group, probe
-            )
+        for group, members in setup.groups.items():
+            if victim in members:
+                setup.join(group, victim)
         cluster.run_for_seconds(8)
-    flush_messages = setup.meter.snapshot() - base_flush
+    flush_messages = meter.snapshot() - base_flush
     flush_by_type = {
         kind: count - base_by_type.get(kind, 0)
-        for kind, count in setup.meter.by_type.items()
+        for kind, count in meter.by_type.items()
         if count - base_by_type.get(kind, 0) > 0
     }
 
@@ -491,5 +423,5 @@ def measure_placement(
         flush_messages=flush_messages,
         flush_by_type=flush_by_type,
         hwg_count=len(setup.hwgs_in_use()),
-        max_hwg_size=setup.max_hwg_size(),
+        max_hwg_size=_max_hwg_size(cluster),
     )

@@ -1,67 +1,86 @@
-"""The paper's evaluation scenarios.
+"""The paper's evaluation scenarios, all on one :class:`Scenario` type.
 
 * :func:`build_figure2` — the Figure-2 configuration: "two sets of n
   user groups where each group within a set has identical membership of
   4 processes, and the two sets have disjoint membership", runnable
   under any of the three services (none / static / dynamic).
+* :func:`build_overlap` — configuration B of the precursor paper [8]:
+  the same experiment over two *overlapping* sets.
 * :func:`measure_latency` / :func:`measure_throughput` /
-  :func:`measure_recovery` — the three Figure-2 panels.
+  :func:`measure_recovery` — the three Figure-2 panels, on either
+  configuration.
 * :func:`build_partition_scenario` — the Figure-3/4 (Tables 3/4)
   reconciliation scenario: LWGs created in concurrent partitions with
   inconsistent mappings, then healed.
+
+The placement bed (:mod:`repro.workloads.placement`) builds the same
+:class:`Scenario` type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..core.config import LwgConfig
 from ..core.policies import SwitchAction
 from ..core.service import LwgService
 from ..metrics.collectors import SummaryStats
 from ..sim.engine import MS, SECOND
-from ..vsync.stack import VsyncConfig
 from .cluster import Cluster
 from .traffic import PeriodicSender, ProbeHub, ProbeListener, probe_payload
+
+if TYPE_CHECKING:
+    from .placement import FabricMeter
 
 #: Processes per user group in the Figure-2 configuration.
 GROUP_SIZE = 4
 
 
 @dataclass
-class Figure2Setup:
-    """A built, converged Figure-2 scenario ready for measurement."""
+class Scenario:
+    """A built scenario: its cluster, probe hub and the LWGs it joins."""
 
     cluster: Cluster
-    flavour: str
-    n: int
-    groups_a: List[str]
-    groups_b: List[str]
-    #: (group, node) -> application handle
-    handles: Dict[Tuple[str, str], object]
-    #: (group, node) -> probe listener
-    probes: Dict[Tuple[str, str], ProbeListener]
     hub: ProbeHub
+    #: group -> its members; the first one is the group's sender.
+    groups: Dict[str, List[str]]
+    #: (group, node) -> application handle
+    handles: Dict[Tuple[str, str], Any] = field(default_factory=dict)
+    #: (group, node) -> probe listener
+    probes: Dict[Tuple[str, str], ProbeListener] = field(default_factory=dict)
+    #: :meth:`converged` also requires one view on one HWG per group.
+    one_view: bool = False
+    #: The placement bed's fabric meter, built with the cluster.
+    meter: Optional["FabricMeter"] = None
 
-    @property
-    def all_groups(self) -> List[str]:
-        return self.groups_a + self.groups_b
-
-    def members_of(self, group: str) -> List[str]:
-        ids = self.cluster.process_ids
-        return ids[:GROUP_SIZE] if group in self.groups_a else ids[GROUP_SIZE:]
-
-    def sender_of(self, group: str) -> str:
-        return self.members_of(group)[0]
+    def join(self, group: str, node: str) -> None:
+        probe = ProbeListener(self.hub, node)
+        self.probes[(group, node)] = probe
+        self.handles[(group, node)] = self.cluster.services[node].join(group, probe)
 
     def converged(self) -> bool:
-        """Every handle is a member of a full (4-member) group view."""
-        for (group, node), handle in self.handles.items():
-            view = handle.view
-            if view is None or len(view.members) != GROUP_SIZE:
+        """Every member of every group sees exactly the group's members.
+
+        Checked from *all* member handles: a member whose handle still
+        shows a stale sub-view would silently miss multicasts.
+        """
+        for group, members in self.groups.items():
+            want = set(members)
+            views, hwgs = set(), set()
+            for node in members:
+                handle = self.handles.get((group, node))
+                view = handle.view if handle is not None else None
+                if view is None or set(view.members) != want:
+                    return False
+                views.add(view.view_id)
+                hwgs.add(handle.hwg)
+            if self.one_view and (len(views) != 1 or len(hwgs) != 1):
                 return False
         return True
+
+    def hwgs_in_use(self) -> set:
+        return {handle.hwg for handle in self.handles.values()}
 
 
 def mapping_at_fixed_point(cluster: Cluster) -> bool:
@@ -85,117 +104,112 @@ def _scaled_lwg_config() -> LwgConfig:
     return LwgConfig(policy_period_us=2 * SECOND, shrink_grace_us=1 * SECOND)
 
 
-def build_figure2(
+def _build_two_sets(
+    prefix: str,
+    sets: Tuple[List[str], List[str]],
     n: int,
     flavour: str,
-    seed: int = 0,
-    settle_seconds: Optional[float] = None,
-    creator_stagger_us: int = 150 * MS,
-    follower_stagger_us: int = 40 * MS,
-    keep_trace: bool = False,
-) -> Figure2Setup:
-    """Build and converge the Figure-2 configuration.
+    seed: int,
+    settle_seconds: float,
+    tail_seconds: float,
+    placement: str = "paper",
+) -> Scenario:
+    """Join n groups over each of two member sets and converge them.
 
-    Group creators join first (staggered) so the optimistic mapping rule
-    sees a stable pool; the remaining members follow.  The scenario is
-    run until every group reaches its full 4-member view.
+    Each set's creator (its first process outside the other set) joins
+    its n groups first, 150 ms apart, so the optimistic mapping rule
+    sees a stable pool; the remaining members follow, 40 ms apart per
+    group, so large configurations don't storm the medium all at once.
+    The scenario runs until every group reaches its full view, then
+    ``tail_seconds`` more, then until the mapping reaches its fixed
+    point.
     """
     cluster = Cluster(
-        num_processes=2 * GROUP_SIZE,
+        num_processes=len(set(sets[0]) | set(sets[1])),
         seed=seed,
         flavour=flavour,
-        lwg_config=_scaled_lwg_config(),
-        keep_trace=keep_trace,
+        lwg_config=replace(_scaled_lwg_config(), placement_policy=placement),
+        keep_trace=False,
     )
-    hub = ProbeHub(env=cluster.env)
-    groups_a = [f"a{i}" for i in range(n)]
-    groups_b = [f"b{i}" for i in range(n)]
-    handles: Dict[Tuple[str, str], object] = {}
-    probes: Dict[Tuple[str, str], ProbeListener] = {}
-
-    def join(group: str, node: str) -> None:
-        probe = ProbeListener(hub, node)
-        probes[(group, node)] = probe
-        handles[(group, node)] = cluster.services[node].join(group, probe)
-
-    # Wave 1: creators (the first member of each set), staggered.
-    for index, group in enumerate(groups_a):
-        creator = cluster.process_ids[0]
-        cluster.env.scheduler.schedule(
-            index * creator_stagger_us, lambda g=group, c=creator: join(g, c)
-        )
-    for index, group in enumerate(groups_b):
-        creator = cluster.process_ids[GROUP_SIZE]
-        cluster.env.scheduler.schedule(
-            index * creator_stagger_us, lambda g=group, c=creator: join(g, c)
-        )
-    cluster.run_for(n * creator_stagger_us + SECOND)
-    # Wave 2: the remaining members of every group, lightly staggered per
-    # group so large configurations don't storm the medium all at once.
-    for index, group in enumerate(groups_a):
-        for node in cluster.process_ids[1:GROUP_SIZE]:
-            cluster.env.scheduler.schedule(
-                index * follower_stagger_us, lambda g=group, c=node: join(g, c)
-            )
-    for index, group in enumerate(groups_b):
-        for node in cluster.process_ids[GROUP_SIZE + 1:]:
-            cluster.env.scheduler.schedule(
-                index * follower_stagger_us, lambda g=group, c=node: join(g, c)
-            )
-    cluster.run_for(n * follower_stagger_us)
-    setup = Figure2Setup(
-        cluster=cluster,
-        flavour=flavour,
-        n=n,
-        groups_a=groups_a,
-        groups_b=groups_b,
-        handles=handles,
-        probes=probes,
-        hub=hub,
-    )
-    if settle_seconds is None:
-        settle_seconds = 6.0 + 0.75 * n
-    converged = cluster.run_until(
-        setup.converged, timeout_us=int(settle_seconds * SECOND)
-    )
-    if not converged:
-        raise RuntimeError(
-            f"figure2(n={n}, {flavour}) failed to converge within {settle_seconds}s"
-        )
+    scenario = Scenario(cluster=cluster, hub=ProbeHub(env=cluster.env), groups={})
+    set_a, set_b = sets
+    waves = []
+    for side, members, other in (("a", set_a, set_b), ("b", set_b, set_a)):
+        names = [f"{prefix}{side}{i}" for i in range(n)]
+        creator = next(m for m in members if m not in other)
+        waves.append((names, members, creator))
+        for name in names:
+            scenario.groups[name] = list(members)
+    schedule = cluster.env.scheduler.schedule
+    for names, _members, creator in waves:
+        for index, group in enumerate(names):
+            schedule(index * 150 * MS, lambda g=group, c=creator: scenario.join(g, c))
+    cluster.run_for(n * 150 * MS + SECOND)
+    for names, members, creator in waves:
+        for index, group in enumerate(names):
+            for node in members:
+                if node != creator:
+                    schedule(index * 40 * MS, lambda g=group, c=node: scenario.join(g, c))
+    cluster.run_for(n * 40 * MS)
+    name = f"{prefix}a/{prefix}b(n={n}, {flavour})"
+    timeout_us = int(settle_seconds * SECOND)
+    if not cluster.run_until(scenario.converged, timeout_us=timeout_us):
+        raise RuntimeError(f"{name} failed to converge within {settle_seconds}s")
     # Let the naming dust settle, then the mapping reach its fixed point.
-    cluster.run_for_seconds(1.0)
-    if not cluster.run_until(
-        lambda: mapping_at_fixed_point(cluster), timeout_us=int(settle_seconds * SECOND)
-    ):
-        raise RuntimeError(f"figure2(n={n}, {flavour}) mapping never settled")
-    return setup
+    cluster.run_for_seconds(tail_seconds)
+    if not cluster.run_until(lambda: mapping_at_fixed_point(cluster), timeout_us=timeout_us):
+        raise RuntimeError(f"{name} mapping never settled")
+    return scenario
+
+
+def build_figure2(n: int, flavour: str, seed: int = 0) -> Scenario:
+    """Build and converge the Figure-2 configuration: groups ``a0..``
+    over ``p0..p3`` and ``b0..`` over ``p4..p7``."""
+    ids = [f"p{i}" for i in range(2 * GROUP_SIZE)]
+    return _build_two_sets(
+        "", (ids[:GROUP_SIZE], ids[GROUP_SIZE:]), n, flavour, seed,
+        settle_seconds=6.0 + 0.75 * n, tail_seconds=1.0,
+    )
+
+
+def build_overlap(n: int, flavour: str, seed: int = 0, placement: str = "paper") -> Scenario:
+    """Build and converge configuration B: groups ``oa0..`` over
+    ``p0..p3`` and ``ob0..`` over ``p2..p5`` (p2, p3 in both).
+
+    With k_m = 4 the share rule must NOT collapse the two classes
+    (overlap k = 2 against sqrt(2*2*2) ~ 2.83), so the dynamic service
+    should stabilise on two HWGs, the overlap processes carrying both:
+    partial sharing that a static design cannot express.  The B groups
+    are created by p4 but send from p2.  ``placement`` selects the
+    dynamic service's mapping policy (PROTOCOLS.md §19).
+    """
+    return _build_two_sets(
+        "o", (["p0", "p1", "p2", "p3"], ["p2", "p3", "p4", "p5"]), n, flavour, seed,
+        settle_seconds=8.0 + 0.75 * n, tail_seconds=2.0, placement=placement,
+    )
 
 
 # ----------------------------------------------------------------------
 # Figure 2a: latency
 # ----------------------------------------------------------------------
-def measure_latency(
-    setup: Figure2Setup,
-    probes_per_group: int = 10,
-    gap_us: int = 20 * MS,
-) -> SummaryStats:
+def measure_latency(setup: Scenario, probes_per_group: int = 10) -> SummaryStats:
     """Mean send-to-delivery latency under light load.
 
-    Each group's first member sends ``probes_per_group`` timestamped
-    messages, paced so the medium does not saturate; the latency of
-    every delivery at every member is collected.
+    Each group's sender sends ``probes_per_group`` timestamped messages,
+    20 ms apart across all groups so the medium does not saturate; the
+    latency of every delivery at every member is collected.
     """
     cluster = setup.cluster
+    gap_us = 20 * MS
+    groups = list(setup.groups.items())
     for round_no in range(probes_per_group):
-        for index, group in enumerate(setup.all_groups):
-            sender = setup.sender_of(group)
-            handle = setup.handles[(group, sender)]
-            delay = round_no * gap_us * len(setup.all_groups) + index * gap_us
+        for index, (group, members) in enumerate(groups):
+            handle = setup.handles[(group, members[0])]
+            delay = round_no * gap_us * len(groups) + index * gap_us
             cluster.env.scheduler.schedule(
                 delay, lambda h=handle, s=round_no: h.send(probe_payload(cluster.env, s))
             )
-    total = probes_per_group * gap_us * len(setup.all_groups) + 2 * SECOND
-    cluster.run_for(total)
+    cluster.run_for(probes_per_group * gap_us * len(groups) + 2 * SECOND)
     stats = setup.hub.latency.summary()
     assert stats is not None, "no probe deliveries recorded"
     return stats
@@ -204,36 +218,31 @@ def measure_latency(
 # ----------------------------------------------------------------------
 # Figure 2b: throughput
 # ----------------------------------------------------------------------
-def measure_throughput(
-    setup: Figure2Setup,
-    burst_per_group: int = 50,
-    timeout_seconds: float = 60.0,
-) -> float:
+def measure_throughput(setup: Scenario, burst_per_group: int = 50) -> float:
     """Aggregate delivered messages/second under saturating load.
 
     Every group's sender offers its whole burst at once (far beyond the
     medium's capacity), and the clock stops when the last delivery of
-    the last group lands — so the figure is the system's drain rate, not
-    the offered rate.
+    the last group lands, or after 60 s — so the figure is the system's
+    drain rate, not the offered rate.
     """
     cluster = setup.cluster
     start = cluster.env.now
     baseline = setup.hub.deliveries
-    expected = burst_per_group * GROUP_SIZE * len(setup.all_groups)
-    for group in setup.all_groups:
-        sender = setup.sender_of(group)
-        handle = setup.handles[(group, sender)]
+    expected = burst_per_group * sum(len(members) for members in setup.groups.values())
+    for group, members in setup.groups.items():
+        handle = setup.handles[(group, members[0])]
         for seq in range(burst_per_group):
             handle.send(probe_payload(cluster.env, seq))
     drained = cluster.run_until(
         lambda: setup.hub.deliveries - baseline >= expected,
-        timeout_us=int(timeout_seconds * SECOND),
+        timeout_us=60 * SECOND,
         step_us=20 * MS,
     )
     delivered = setup.hub.deliveries - baseline
     elapsed = cluster.env.now - start
     if not drained and delivered == 0:
-        raise RuntimeError(f"throughput(n={setup.n}, {setup.flavour}): nothing delivered")
+        raise RuntimeError(f"throughput ({cluster.flavour}): nothing delivered")
     return delivered * 1_000_000 / max(1, elapsed)
 
 
@@ -260,43 +269,43 @@ class RecoveryResult:
 
 
 def measure_recovery(
-    setup: Figure2Setup,
-    victim_index: int = 1,
-    timeout_seconds: float = 60.0,
-    traffic_period_us: int = 60 * MS,
+    setup: Scenario,
+    victim: str = "p1",
+    traffic_period_us: Optional[int] = 60 * MS,
 ) -> RecoveryResult:
-    """Crash one member of set A; time until every affected group has
-    reconfigured at every survivor.
+    """Crash ``victim``; time until every group it was in has
+    reconfigured at every survivor (at most 60 s).
 
-    Every group carries light background traffic while the crash is
-    handled, as in the paper's testbed: recovery must flush the
+    By default every group carries light background traffic while the
+    crash is handled, as in the paper's testbed: recovery must flush the
     in-transit messages of every affected group, so its cost scales with
     how many independent recovery protocols must run — n per crash
-    without the service, one per HWG with it.
+    without the service, one per HWG with it.  ``traffic_period_us=None``
+    crashes a quiet scenario.
     """
     cluster = setup.cluster
-    victim = cluster.process_ids[victim_index]
-    affected = [g for g in setup.all_groups if victim in setup.members_of(g)]
+    prefix = "" if cluster.flavour == "none" else "lwg:"
     expected = [
-        (f"lwg:{group}" if setup.flavour != "none" else group, node)
-        for group in affected
-        for node in setup.members_of(group)
+        (f"{prefix}{group}", node)
+        for group, members in setup.groups.items()
+        if victim in members
+        for node in members
         if node != victim
     ]
-    senders = []
-    for group in setup.all_groups:
-        sender = setup.sender_of(group)
-        senders.append(
+    senders: List[PeriodicSender] = []
+    if traffic_period_us is not None:
+        senders = [
             PeriodicSender(
                 cluster.env,
-                cluster.stack(sender),
-                setup.handles[(group, sender)],
+                cluster.stack(members[0]),
+                setup.handles[(group, members[0])],
                 period_us=traffic_period_us,
             )
-        )
-    for sender in senders:
-        sender.start()
-    cluster.run_for_seconds(0.5)  # traffic flowing before the crash
+            for group, members in setup.groups.items()
+        ]
+        for sender in senders:
+            sender.start()
+        cluster.run_for_seconds(0.5)  # traffic flowing before the crash
     detection_at: List[int] = []
 
     def watch_suspicion(peer: str, suspected: bool) -> None:
@@ -309,15 +318,11 @@ def measure_recovery(
     crashed_at = cluster.env.now
     setup.hub.recovery.arm(crashed_at, victim, expected)
     cluster.crash(victim)
-    done = cluster.run_until(
-        lambda: setup.hub.recovery.complete, timeout_us=int(timeout_seconds * SECOND)
-    )
+    done = cluster.run_until(lambda: setup.hub.recovery.complete, timeout_us=60 * SECOND)
     for sender in senders:
         sender.stop()
     if not done:
-        raise RuntimeError(
-            f"recovery(n={setup.n}, {setup.flavour}) incomplete after {timeout_seconds}s"
-        )
+        raise RuntimeError(f"recovery of {victim} ({cluster.flavour}) incomplete after 60s")
     total = setup.hub.recovery.recovery_time_us()
     assert total is not None
     detection = (detection_at[0] - crashed_at) if detection_at else 0
@@ -327,47 +332,16 @@ def measure_recovery(
 # ----------------------------------------------------------------------
 # Figures 3-4 / Tables 3-4: the partition-reconciliation scenario
 # ----------------------------------------------------------------------
-@dataclass
-class PartitionScenario:
-    """Two LWGs created with crossed mappings in concurrent partitions."""
-
-    cluster: Cluster
-    groups: List[str]
-    handles: Dict[Tuple[str, str], object]
-    probes: Dict[Tuple[str, str], ProbeListener]
-    hub: ProbeHub
-    side_a: List[str]
-    side_b: List[str]
-
-    def converged(self) -> bool:
-        """One full view per LWG, everyone on the same HWG."""
-        everyone = self.side_a + self.side_b
-        for group in self.groups:
-            lwg = f"lwg:{group}"
-            view_ids = set()
-            hwgs = set()
-            for node in everyone:
-                handle = self.handles[(group, node)]
-                view = handle.view
-                if view is None or len(view.members) != len(everyone):
-                    return False
-                view_ids.add(view.view_id)
-                hwgs.add(handle.hwg)
-            if len(view_ids) != 1 or len(hwgs) != 1:
-                return False
-        return True
-
-
 def build_partition_scenario(
-    num_groups: int = 2,
-    side_size: int = 2,
-    seed: int = 0,
-    partition_seconds: float = 5.0,
-) -> PartitionScenario:
-    """Create ``num_groups`` LWGs while the network is split in two.
+    num_groups: int = 2, side_size: int = 2, seed: int = 0
+) -> Scenario:
+    """Create ``num_groups`` LWGs (``a``, ``b``, ...) over every process
+    while the network is split into two sides of ``side_size`` processes
+    (the first side starts at ``p0``), then run 5 s.
 
     Each side has its own name server, so each side establishes its own
-    (mutually inconsistent) mappings — the Figure-3 starting state.
+    (mutually inconsistent) mappings — the Figure-3 starting state.  The
+    scenario converges on one full view per LWG, everyone on one HWG.
     """
     cluster = Cluster(
         num_processes=2 * side_size,
@@ -376,25 +350,12 @@ def build_partition_scenario(
         num_name_servers=2,
         lwg_config=_scaled_lwg_config(),
     )
-    hub = ProbeHub(env=cluster.env)
-    side_a = cluster.process_ids[:side_size]
-    side_b = cluster.process_ids[side_size:]
-    cluster.partition(side_a + ["ns0"], side_b + ["ns1"])
-    groups = [chr(ord("a") + i) for i in range(num_groups)]
-    handles: Dict[Tuple[str, str], object] = {}
-    probes: Dict[Tuple[str, str], ProbeListener] = {}
+    everyone = cluster.process_ids
+    cluster.partition(everyone[:side_size] + ["ns0"], everyone[side_size:] + ["ns1"])
+    groups = {chr(ord("a") + i): everyone for i in range(num_groups)}
+    scenario = Scenario(cluster, ProbeHub(env=cluster.env), groups, one_view=True)
     for group in groups:
-        for node in side_a + side_b:
-            probe = ProbeListener(hub, node)
-            probes[(group, node)] = probe
-            handles[(group, node)] = cluster.services[node].join(group, probe)
-    cluster.run_for_seconds(partition_seconds)
-    return PartitionScenario(
-        cluster=cluster,
-        groups=groups,
-        handles=handles,
-        probes=probes,
-        hub=hub,
-        side_a=side_a,
-        side_b=side_b,
-    )
+        for node in everyone:
+            scenario.join(group, node)
+    cluster.run_for_seconds(5.0)
+    return scenario

@@ -2,17 +2,17 @@
 
 Probe payloads are ``(kind, seq, sent_at_us)`` tuples; the
 :class:`ProbeListener` reads the timestamp back at delivery to feed the
-latency collector, counts deliveries for throughput windows, and feeds
-every view installation to the recovery timer.
+latency collector, counts deliveries, and feeds every view
+installation to the recovery timer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..core.service import LwgListener
-from ..metrics.collectors import LatencyCollector, RecoveryTimer, ThroughputMeter
+from ..metrics.collectors import LatencyCollector, RecoveryTimer
 from ..runtime.interfaces import Runtime
 from ..vsync.view import View
 
@@ -23,7 +23,6 @@ class ProbeHub:
 
     env: Runtime
     latency: LatencyCollector = field(default_factory=LatencyCollector)
-    throughput: ThroughputMeter = field(default_factory=ThroughputMeter)
     recovery: RecoveryTimer = field(default_factory=RecoveryTimer)
     deliveries: int = 0
     views_seen: int = 0
@@ -46,7 +45,6 @@ class ProbeListener(LwgListener):
     def on_data(self, lwg: str, src: str, payload: Any, size: int) -> None:
         self.delivered.append((src, payload))
         self.hub.deliveries += 1
-        self.hub.throughput.record_delivery()
         if isinstance(payload, tuple) and len(payload) == 3 and payload[0] == "probe":
             _, _, sent_at = payload
             self.hub.latency.record(lwg, sent_at, self.hub.env.now)
@@ -62,23 +60,14 @@ def probe_payload(env: Runtime, seq: int) -> Tuple[str, int, int]:
 
 
 class PeriodicSender:
-    """Sends probe payloads on a handle at a fixed period."""
+    """Sends 256-byte probe payloads on a handle at a fixed period until
+    stopped."""
 
-    def __init__(
-        self,
-        env: Runtime,
-        stack,
-        handle,
-        period_us: int,
-        payload_size: int = 256,
-        limit: Optional[int] = None,
-    ):
+    def __init__(self, env: Runtime, stack, handle, period_us: int):
         self.env = env
         self.stack = stack
         self.handle = handle
         self.period_us = period_us
-        self.payload_size = payload_size
-        self.limit = limit
         self.sent = 0
         self._stopped = False
 
@@ -91,8 +80,6 @@ class PeriodicSender:
     def _tick(self) -> None:
         if self._stopped:
             return
-        if self.limit is not None and self.sent >= self.limit:
-            return
-        self.handle.send(probe_payload(self.env, self.sent), self.payload_size)
+        self.handle.send(probe_payload(self.env, self.sent), 256)
         self.sent += 1
         self.stack.set_timer(self.period_us, self._tick)

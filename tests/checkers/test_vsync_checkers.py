@@ -123,6 +123,24 @@ def test_crash_resets_the_senders_fifo_incarnation():
     deliver(tracer, "p0", "p0#2", 0, "p1", 1)  # not a FIFO regression
 
 
+def test_in_flight_delivery_after_the_senders_crash_spans_no_incarnation():
+    tracer = rig(DeliveryChecker())
+    tracer.emit("network", "crash", node="p1")
+    # p1's last message was ordered before the crash; a survivor may
+    # still deliver it (virtual synchrony), then p1 recovers afresh.
+    deliver(tracer, "p0", "p0#1", 0, "p1", 1)
+    tracer.emit("network", "recover", node="p1")
+    deliver(tracer, "p0", "p0#2", 0, "p1", 1)  # the new incarnation's :1
+
+
+def test_fifo_regression_within_one_incarnation_still_fails_after_a_crash():
+    tracer = rig(DeliveryChecker())
+    deliver(tracer, "p0", "p0#1", 0, "p1", 2)
+    tracer.emit("network", "crash", node="p1")
+    with pytest.raises(InvariantViolation, match="FIFO per sender"):
+        deliver(tracer, "p0", "p0#1", 1, "p1", 2)  # duplicate before recover
+
+
 # ----------------------------------------------------------------------
 # DeliveryChecker: same view, same messages
 # ----------------------------------------------------------------------

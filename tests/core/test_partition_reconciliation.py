@@ -16,7 +16,7 @@ def test_partition_sides_build_independent_mappings():
     for group in scenario.groups:
         hwgs = {
             scenario.handles[(group, node)].hwg
-            for node in scenario.side_a + scenario.side_b
+            for node in scenario.cluster.process_ids
         }
         assert len(hwgs) == 2  # one per side
     ns0 = scenario.cluster.name_servers["ns0"].db
@@ -40,7 +40,7 @@ def test_merged_naming_database_detects_inconsistent_mappings():
     assert notified >= 2  # both concurrent views' coordinators
     # At least one coordinator acted on it with a reconciliation switch.
     received = switches = 0
-    for node in scenario.side_a + scenario.side_b:
+    for node in scenario.cluster.process_ids:
         reconciler = cluster.service(node).reconciler
         received += reconciler.callbacks_received
         switches += reconciler.switches_initiated
@@ -59,7 +59,7 @@ def test_full_reconciliation_converges():
         records = cluster.name_servers["ns0"].db.live_records(f"lwg:{group}")
         assert len(records) == 1, [str(r) for r in records]
         assert set(records[0].lwg_members) == set(
-            scenario.side_a + scenario.side_b
+            scenario.cluster.process_ids
         )
 
 
@@ -70,12 +70,12 @@ def test_reconciliation_switches_to_highest_gid_hwg():
     cluster = scenario.cluster
     hwgs_before = {
         scenario.handles[("a", node)].hwg
-        for node in scenario.side_a + scenario.side_b
+        for node in scenario.cluster.process_ids
     }
     winner = max(hwgs_before)
     cluster.heal()
     assert cluster.run_until(scenario.converged, timeout_us=40 * SECOND)
-    final = {scenario.handles[("a", node)].hwg for node in scenario.side_a + scenario.side_b}
+    final = {scenario.handles[("a", node)].hwg for node in scenario.cluster.process_ids}
     assert final == {winner}
 
 
@@ -83,12 +83,12 @@ def test_merged_view_genealogy_spans_both_sides():
     scenario = build_partition_scenario(num_groups=1, seed=35)
     cluster = scenario.cluster
     side_views = {
-        scenario.handles[("a", scenario.side_a[0])].view.view_id,
-        scenario.handles[("a", scenario.side_b[0])].view.view_id,
+        scenario.handles[("a", "p0")].view.view_id,
+        scenario.handles[("a", "p2")].view.view_id,
     }
     cluster.heal()
     assert cluster.run_until(scenario.converged, timeout_us=40 * SECOND)
-    merged = scenario.handles[("a", scenario.side_a[0])].view
+    merged = scenario.handles[("a", "p0")].view
     # Both pre-heal views are ancestors of the merged view.
     assert side_views <= set(merged.parents)
 
@@ -98,9 +98,9 @@ def test_data_flows_after_reconciliation():
     cluster = scenario.cluster
     cluster.heal()
     assert cluster.run_until(scenario.converged, timeout_us=40 * SECOND)
-    scenario.handles[("a", scenario.side_a[0])].send("post-heal")
+    scenario.handles[("a", "p0")].send("post-heal")
     cluster.run_for_seconds(2)
-    everyone = scenario.side_a + scenario.side_b
+    everyone = scenario.cluster.process_ids
     for node in everyone[1:]:
         probe = scenario.probes[("a", node)]
         assert any(p == "post-heal" for _, p in probe.delivered)
@@ -117,7 +117,7 @@ def test_three_groups_reconcile_through_shared_flush():
     for group in scenario.groups:
         ids = {
             scenario.handles[(group, node)].view.view_id
-            for node in scenario.side_a + scenario.side_b
+            for node in scenario.cluster.process_ids
         }
         assert len(ids) == 1
 
@@ -127,5 +127,5 @@ def test_reconciliation_with_asymmetric_sides():
     cluster = scenario.cluster
     cluster.heal()
     assert cluster.run_until(scenario.converged, timeout_us=40 * SECOND)
-    merged = scenario.handles[("a", scenario.side_a[0])].view
+    merged = scenario.handles[("a", "p0")].view
     assert len(merged.members) == 6

@@ -1,6 +1,6 @@
 """Tests for measurement collectors."""
 
-from repro.metrics import LatencyCollector, RecoveryTimer, SummaryStats, ThroughputMeter
+from repro.metrics import LatencyCollector, RecoveryTimer, SummaryStats
 
 
 def test_latency_collector_groups_by_key():
@@ -68,30 +68,6 @@ def test_summary_of_empty_is_none():
 def test_summary_str_formats_ms():
     summary = SummaryStats.of([1000.0])
     assert "mean=1.00ms" in str(summary)
-
-
-def test_throughput_meter_window():
-    meter = ThroughputMeter()
-    meter.open_window(1_000_000)
-    for _ in range(10):
-        meter.record_delivery()
-    meter.close_window(2_000_000)
-    assert meter.throughput_per_second() == 10
-
-
-def test_throughput_ignores_deliveries_outside_window():
-    meter = ThroughputMeter()
-    meter.record_delivery()  # before window
-    meter.open_window(0)
-    meter.record_delivery()
-    meter.close_window(1_000_000)
-    meter.record_delivery()  # after window
-    assert meter.delivered == 1
-
-
-def test_throughput_empty_window_is_zero():
-    meter = ThroughputMeter()
-    assert meter.throughput_per_second() == 0.0
 
 
 def test_recovery_timer_completes_when_all_reconfigure():

@@ -1,10 +1,11 @@
-"""Tests for the Figure-2 scenario harness."""
+"""Tests for the paper-shape scenario harness."""
 
 import pytest
 
 from repro.workloads import (
     GROUP_SIZE,
     build_figure2,
+    build_overlap,
     build_partition_scenario,
     measure_latency,
     measure_recovery,
@@ -17,9 +18,9 @@ from repro.workloads.placement import build_placement_scenario
 def test_figure2_builds_and_converges(flavour):
     setup = build_figure2(n=2, flavour=flavour, seed=1)
     assert setup.converged()
-    assert len(setup.all_groups) == 4
-    for group in setup.all_groups:
-        assert len(setup.members_of(group)) == GROUP_SIZE
+    assert len(setup.groups) == 4
+    for members in setup.groups.values():
+        assert len(members) == GROUP_SIZE
 
 
 def test_figure2_dynamic_uses_two_hwgs():
@@ -61,12 +62,26 @@ def test_recovery_measurement_breakdown():
     assert result.reconfig_us == result.total_us - result.detection_us
 
 
+def test_overlap_dynamic_uses_one_hwg_per_membership_class():
+    setup = build_overlap(n=1, flavour="dynamic", seed=7)
+    assert setup.converged()
+    assert setup.groups == {"oa0": ["p0", "p1", "p2", "p3"], "ob0": ["p2", "p3", "p4", "p5"]}
+    assert len(setup.hwgs_in_use()) == 2
+
+
+def test_overlap_recovery_of_a_shared_member_without_traffic():
+    setup = build_overlap(n=1, flavour="dynamic", seed=7)
+    result = measure_recovery(setup, victim="p3", traffic_period_us=None)
+    assert result.reconfig_us > 0
+    assert setup.hub.deliveries == 0  # a quiet crash: no background traffic
+
+
 def test_partition_scenario_builds_crossed_mappings():
     scenario = build_partition_scenario(num_groups=2, seed=6)
     assert not scenario.converged()  # still partitioned
     for group in scenario.groups:
-        hwg_a = scenario.handles[(group, scenario.side_a[0])].hwg
-        hwg_b = scenario.handles[(group, scenario.side_b[0])].hwg
+        hwg_a = scenario.handles[(group, "p0")].hwg
+        hwg_b = scenario.handles[(group, "p2")].hwg
         assert hwg_a != hwg_b
 
 

@@ -47,13 +47,12 @@ def test_non_probe_payloads_counted_but_not_timed():
     assert hub.latency.summary() is None
 
 
-def test_periodic_sender_rate_and_limit():
+def test_periodic_sender_rate_until_stopped():
     cluster, hub, probes, handles = build()
-    sender = PeriodicSender(
-        cluster.env, cluster.stack(0), handles[0],
-        period_us=50 * MS, limit=5,
-    )
+    sender = PeriodicSender(cluster.env, cluster.stack(0), handles[0], period_us=50 * MS)
     sender.start()
+    cluster.run_for(220 * MS)  # ticks at 0, 50, 100, 150 and 200 ms
+    sender.stop()
     cluster.run_for_seconds(2)
     assert sender.sent == 5
     assert hub.deliveries == 10  # 5 messages x 2 members
