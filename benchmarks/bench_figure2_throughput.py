@@ -7,7 +7,6 @@ the single shared HWG; the dynamic service stays close to running
 without the service at all.
 """
 
-import statistics
 
 from conftest import FIGURE2_NS, FLAVOURS, SEED
 

@@ -15,7 +15,7 @@
 
 from conftest import SEED
 
-from repro.metrics import format_table, series_table, shape_check
+from repro.metrics import format_table, shape_check
 from repro.naming import MappingRecord, NamingDatabase, absorb
 from repro.naming.merkle import DEFAULT_DEPTH
 from repro.naming.messages import SyncReply, SyncRequest

@@ -7,10 +7,9 @@ The repo's scalability story now has three independent axes:
   service's whole premise is that co-mapping is cheap, so each
   additional group must cost ~nothing in join latency and background
   traffic;
-* **node axis** (this file) — simulated nodes in one deployment, flat
-  vs zoned membership (PROTOCOLS.md §20).  Flat failure detection is
-  O(n²) datagrams/period and O(n) tracked peers; the zoned gossip
-  substrate must cut both enough to make n=1024 affordable;
+* **node axis** (this file) — processes in one deployment, each in
+  one 8-member LWG.  A process's failure detector watches only its HWG
+  co-members, so quiet traffic per process must not grow with n;
 * **naming-roster axis** (``bench_shard_scaleout.py``) — name servers
   added to a sharded deployment (PROTOCOLS.md §18).  Per-server naming
   load must *fall* as the roster grows, not replicate.
@@ -33,6 +32,7 @@ from conftest import SEED
 from repro.metrics import series_table, shape_check
 from repro.sim import MS, SECOND
 from repro.workloads import Cluster
+from repro.workloads.scenarios import Scenario, _scaled_lwg_config
 from repro.workloads.traffic import ProbeHub, ProbeListener, probe_payload
 
 K_VALUES = (1, 4, 16, 64)
@@ -144,83 +144,78 @@ def test_lwgs_per_hwg_scaling(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Node axis: flat vs zoned membership at 64/256/1024 nodes (§20)
+# Node axis: the full stack at 64/128/256 processes
 # ----------------------------------------------------------------------
-N_VALUES = (64, 256, 1024)
-N_ZONES = {64: 4, 256: 4, 1024: 8}
+N_VALUES = (64, 128, 256)
+#: Members per LWG; the node-axis LWGs are disjoint, so n / 8 of them.
+LWG_SIZE = 8
+QUIET_SECONDS = 10
+
+
+def run_node_point(n):
+    """Join n / 8 disjoint 8-member LWGs (40 ms apart per member),
+    converge, then count ``QUIET_SECONDS`` of idle fabric traffic."""
+    cluster = Cluster(
+        num_processes=n, seed=SEED + n, lwg_config=_scaled_lwg_config(),
+        keep_trace=False,
+    )
+    scenario = Scenario(cluster=cluster, hub=ProbeHub(env=cluster.env), groups={})
+    ids = cluster.process_ids
+    for g in range(n // LWG_SIZE):
+        scenario.groups[f"g{g}"] = ids[g * LWG_SIZE:(g + 1) * LWG_SIZE]
+    cluster.run_for_seconds(5)  # the name servers and stacks settle
+    schedule = cluster.env.scheduler.schedule
+    joins = [(g, node) for g, members in scenario.groups.items() for node in members]
+    for index, (group, node) in enumerate(joins):
+        schedule(index * 40 * MS, lambda g=group, p=node: scenario.join(g, p))
+    start = cluster.env.now
+    converged = cluster.run_until(scenario.converged, timeout_us=60 * SECOND)
+    converge_s = (cluster.env.now - start) / SECOND
+    network = cluster.env.network
+    msgs, sent_bytes = network.messages_sent, network.bytes_sent
+    cluster.run_for_seconds(QUIET_SECONDS)
+    msgs_per_s = (network.messages_sent - msgs) / QUIET_SECONDS
+    kb_per_s = (network.bytes_sent - sent_bytes) / QUIET_SECONDS / 1000
+    return converged, converge_s, msgs_per_s, kb_per_s
 
 
 def run_node_scaling():
-    from repro.workloads.scale import fd_census, fd_dynamics
-
-    flat_dgrams, zoned_dgrams = [], []
-    flat_tracked, zoned_tracked = [], []
-    for n in N_VALUES:
-        flat = fd_census(SEED, n, "flat")
-        zoned = fd_census(SEED, n, "zoned", N_ZONES[n])
-        flat_dgrams.append(flat["datagrams_per_period"])
-        zoned_dgrams.append(zoned["datagrams_per_period"])
-        flat_tracked.append(flat["tracked_peers_max"])
-        zoned_tracked.append(zoned["tracked_peers_max"])
-    # Heal dynamics on the real fabric.  Flat stops at n=64: its O(n²)
-    # datagram load is the wall this axis exists to demonstrate (the
-    # n=256 census already prices it at 65k datagrams per 100ms).
-    heal_ms = {
-        "flat-64": fd_dynamics(SEED, 64, "flat"),
-        "zoned-64": fd_dynamics(SEED, 64, "zoned", 4),
-        "zoned-256": fd_dynamics(SEED, 256, "zoned", 4),
-    }
-    heal_ms = {
-        key: outcome["heal_convergence_us"] / 1000
-        for key, outcome in heal_ms.items()
-    }
-    return flat_dgrams, zoned_dgrams, flat_tracked, zoned_tracked, heal_ms
+    return [run_node_point(n) for n in N_VALUES]
 
 
 def test_membership_node_scaling(benchmark):
-    flat_dgrams, zoned_dgrams, flat_tracked, zoned_tracked, heal_ms = (
-        benchmark.pedantic(run_node_scaling, rounds=1, iterations=1)
-    )
-    ratios = [z / f for z, f in zip(zoned_dgrams, flat_dgrams)]
+    points = benchmark.pedantic(run_node_scaling, rounds=1, iterations=1)
+    converged = [point[0] for point in points]
+    msgs_per_s = [point[2] for point in points]
+    per_process = [m / n for m, n in zip(msgs_per_s, N_VALUES)]
     print(
         series_table(
-            "Scalability — flat vs zoned membership, n nodes",
+            "Scalability — n processes, n/8 disjoint 8-member LWGs, flat "
+            "heartbeat failure detection",
             "n",
             list(N_VALUES),
             {
-                "flat FD datagrams/period": flat_dgrams,
-                "zoned FD datagrams/period": zoned_dgrams,
-                "zoned/flat ratio": ratios,
-                "flat tracked peers (max)": flat_tracked,
-                "zoned tracked peers (max)": zoned_tracked,
+                "join -> converged (s)": [point[1] for point in points],
+                "quiet msgs/s": msgs_per_s,
+                "quiet msgs/s per process": per_process,
+                "quiet KB/s": [point[3] for point in points],
             },
-            note="zoned heal convergence: "
-            + ", ".join(f"{k}={v:.0f}ms" for k, v in heal_ms.items()),
+            note=f"quiet = {QUIET_SECONDS} sim-s after convergence, "
+            "counted at the fabric",
         )
     )
     checks = [
         shape_check(
-            f"node axis: zoned <= 0.25x flat FD datagrams at n=256 "
-            f"(ratio {ratios[1]:.3f})",
-            ratios[1] <= 0.25,
+            "node axis: every n converges ("
+            + ", ".join(f"n={n}: {ok}" for n, ok in zip(N_VALUES, converged))
+            + ")",
+            all(converged),
         ),
         shape_check(
-            f"node axis: flat FD volume is the O(n²) wall "
-            f"({flat_dgrams[0]} -> {flat_dgrams[-1]}/period), zoned stays "
-            f"sub-quadratic ({zoned_dgrams[0]} -> {zoned_dgrams[-1]}/period)",
-            flat_dgrams[-1] >= 200 * flat_dgrams[0]
-            and zoned_dgrams[-1] <= 40 * zoned_dgrams[0],
-        ),
-        shape_check(
-            f"node axis: zoned tracked-peer state is zone-local, not global "
-            f"({zoned_tracked[-1]} of {N_VALUES[-1] - 1} peers at n=1024)",
-            zoned_tracked[-1] <= N_VALUES[-1] // 4
-            and flat_tracked[-1] == N_VALUES[-1] - 1,
-        ),
-        shape_check(
-            "node axis: partition heal re-converges within 2s "
-            + ", ".join(f"{k}={v:.0f}ms" for k, v in heal_ms.items()),
-            all(0 < v <= 2000 for v in heal_ms.values()),
+            f"node axis: quiet load per process flat in n "
+            f"({per_process[0]:.2f} -> {per_process[-1]:.2f} msgs/s, "
+            f"ratio {per_process[-1] / per_process[0]:.2f} <= 1.25)",
+            per_process[-1] <= 1.25 * per_process[0],
         ),
     ]
     print("\n".join(checks))

@@ -7,7 +7,7 @@ substrate, view-change turnaround, and raw simulator event throughput.
 
 from conftest import SEED
 
-from repro.metrics import format_table, shape_check
+from repro.metrics import format_table
 from repro.sim import SECOND, SimRuntime, Simulation
 from repro.vsync import GroupAddressing, HwgListener, ProtocolStack
 

@@ -15,7 +15,6 @@ from .lwg import (
 from .naming import GenealogyGcChecker, NamingConvergenceChecker
 from .recovery import RecoveryConvergenceChecker
 from .vsync import DeliveryChecker, ViewAgreementChecker
-from .zones import ZoneScopeChecker
 
 __all__ = [
     "Checker",
@@ -30,5 +29,4 @@ __all__ = [
     "GenealogyGcChecker",
     "NamingConvergenceChecker",
     "RecoveryConvergenceChecker",
-    "ZoneScopeChecker",
 ]

@@ -16,7 +16,7 @@ component state once a run has settled.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..runtime.trace import TraceRecord, Tracer
 
@@ -112,7 +112,6 @@ class CheckerSuite:
         from .naming import GenealogyGcChecker, NamingConvergenceChecker
         from .recovery import RecoveryConvergenceChecker
         from .vsync import DeliveryChecker, ViewAgreementChecker
-        from .zones import ZoneScopeChecker
 
         suite = cls(raise_immediately=raise_immediately)
         suite.add(ViewAgreementChecker())
@@ -124,7 +123,6 @@ class CheckerSuite:
         suite.add(NamingConvergenceChecker())
         suite.add(LwgConvergenceChecker())
         suite.add(RecoveryConvergenceChecker())
-        suite.add(ZoneScopeChecker())
         return suite
 
     def add(self, checker: Checker) -> Checker:

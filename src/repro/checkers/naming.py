@@ -7,7 +7,7 @@ These monitors consume the ``naming`` trace events emitted by
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set
 
 from ..runtime.trace import TraceRecord
 from .base import Checker

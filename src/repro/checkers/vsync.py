@@ -8,7 +8,7 @@ crash/recover events for fail-stop bookkeeping.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from ..runtime.trace import TraceRecord
 from .base import Checker

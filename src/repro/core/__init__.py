@@ -21,8 +21,6 @@ from .baselines import (
 from .config import LwgConfig
 from .ids import (
     highest_gid,
-    hwg_in_zone,
-    hwg_zone,
     is_hwg_id,
     is_lwg_id,
     lwg_id,
@@ -31,7 +29,6 @@ from .ids import (
 from .lwg_view import merge_lwg_views, merged_view_id, restrict_view
 from .mapping_policy import (
     DynamicMappingPolicy,
-    HintedMappingPolicy,
     InitialMappingPolicy,
     IsolatedMappingPolicy,
     StaticMappingPolicy,
@@ -63,8 +60,6 @@ __all__ = [
     "make_static_service",
     "LwgConfig",
     "highest_gid",
-    "hwg_in_zone",
-    "hwg_zone",
     "is_hwg_id",
     "is_lwg_id",
     "lwg_id",
@@ -73,7 +68,6 @@ __all__ = [
     "merged_view_id",
     "restrict_view",
     "DynamicMappingPolicy",
-    "HintedMappingPolicy",
     "InitialMappingPolicy",
     "IsolatedMappingPolicy",
     "StaticMappingPolicy",

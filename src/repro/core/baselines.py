@@ -28,9 +28,8 @@ from ..naming.client import NamingClient
 from ..vsync.hwg import HwgListener
 from ..vsync.view import View
 from .config import LwgConfig
-from .ids import lwg_id as canonical_lwg_id
 from .mapping_policy import IsolatedMappingPolicy, StaticMappingPolicy
-from .service import DEFAULT_PAYLOAD_BYTES, LwgHandle, LwgListener, LwgService
+from .service import DEFAULT_PAYLOAD_BYTES, LwgListener, LwgService
 
 
 class _DirectAdapter(HwgListener):

@@ -22,42 +22,14 @@ def lwg_id(name: str) -> str:
     return name if name.startswith(LWG_PREFIX) else f"{LWG_PREFIX}{name}"
 
 
-def mint_hwg_id(creator: ProcessId, counter: int, zone: Optional[int] = None) -> str:
+def mint_hwg_id(creator: ProcessId, counter: int) -> str:
     """A fresh, globally unique HWG identifier.
 
     Uniqueness comes from (creator, per-creator counter); the zero-padded
     counter keeps string order consistent with creation order per node.
-    Under the zoned topology (PROTOCOLS.md §20) the creator's zone is
-    tagged into the identifier, making HWG pools zone-scoped: mapping
-    policies only co-map LWGs onto pools minted in their own zone.
     """
-    if zone is None:
-        return f"{HWG_PREFIX}{creator}:{counter:06d}"
-    return f"{HWG_PREFIX}z{zone:03d}:{creator}:{counter:06d}"
+    return f"{HWG_PREFIX}{creator}:{counter:06d}"
 
-
-def hwg_zone(identifier: str) -> Optional[int]:
-    """The zone an HWG id was minted in, or None for flat-minted ids."""
-    if not identifier.startswith(HWG_PREFIX):
-        return None
-    rest = identifier[len(HWG_PREFIX):]
-    if not rest.startswith("z"):
-        return None
-    head = rest[1:].split(":", 1)[0]
-    return int(head) if head.isdigit() else None
-
-
-def hwg_in_zone(identifier: str, zone: Optional[int]) -> bool:
-    """True when an HWG pool is usable from ``zone``.
-
-    Flat-minted ids are zone-neutral (usable everywhere); zone-tagged
-    ids are usable only from their own zone.  ``zone=None`` (a flat
-    node) accepts everything — the knob only bites under "zoned".
-    """
-    if zone is None:
-        return True
-    tagged = hwg_zone(identifier)
-    return tagged is None or tagged == zone
 
 def is_hwg_id(identifier: str) -> bool:
     return identifier.startswith(HWG_PREFIX)

@@ -19,7 +19,7 @@ parent view ids).  This module adds the LWG-specific operations:
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Optional, Sequence, Set, Tuple
+from typing import Iterable, Optional, Sequence, Set
 
 from ..vsync.view import ProcessId, View, ViewId, merge_member_order
 

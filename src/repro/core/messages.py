@@ -14,7 +14,7 @@ to a joiner using an outdated mapping, Section 3.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..naming.records import HwgId, LwgId

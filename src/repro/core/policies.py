@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..naming.records import HwgId, LwgId
 from ..vsync.view import ProcessId
@@ -93,17 +93,6 @@ class PolicySnapshot:
     hwg_pinned: Dict[HwgId, Tuple[Tuple[LwgId, Members], ...]] = field(
         default_factory=dict
     )
-    #: Zoned topology (PROTOCOLS.md §20): the evaluating node's zone.
-    #: Switch targets are restricted to zone-local pools; None (flat)
-    #: accepts every HWG.
-    zone: Optional[int] = None
-
-    def pool_usable(self, hwg: HwgId) -> bool:
-        """Is ``hwg`` a legal switch/co-map target from our zone?"""
-        from .ids import hwg_in_zone
-
-        return hwg_in_zone(hwg, self.zone)
-
     # Derived data shared by the rule passes (each pass used to redo the
     # sort/scan itself).  ``cached_property`` stores into the instance
     # ``__dict__`` directly, which a frozen dataclass permits.
@@ -205,7 +194,7 @@ class PolicyEngine:
         shrink rule then drains the empty HWGs.
         """
         actions: List[PolicyAction] = []
-        hwgs = tuple(h for h in snap.populated_hwgs if snap.pool_usable(h))
+        hwgs = snap.populated_hwgs
         parent: Dict[HwgId, HwgId] = {h: h for h in hwgs}
 
         def find(h: HwgId) -> HwgId:
@@ -255,7 +244,6 @@ class PolicyEngine:
                 hwg
                 for hwg, hmembers in snap.hwg_items
                 if hwg != underlying
-                and snap.pool_usable(hwg)
                 and is_close_enough(members, hmembers, self.config.k_c)
             ]
             switched.add(lwg)

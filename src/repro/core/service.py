@@ -39,7 +39,7 @@ from ..vsync.view import View, ViewId
 from .batching import BatchPacker
 from .config import LwgConfig
 from .ids import lwg_id as canonical_lwg_id
-from .ids import hwg_in_zone, is_hwg_id, mint_hwg_id
+from .ids import is_hwg_id, mint_hwg_id
 from .join_leave import JoinLeaveManager
 from .lwg_view import restrict_view
 from .mapping_policy import DynamicMappingPolicy, InitialMappingPolicy
@@ -399,19 +399,7 @@ class LwgService:
     # ==================================================================
     def mint_hwg_id(self) -> HwgId:
         self._hwg_counter += 1
-        zone = self.zone
-        minted = mint_hwg_id(self.node, self._hwg_counter, zone=zone)
-        if zone is not None and self.stack.env.tracer.enabled("zones"):
-            self.stack.env.tracer.emit(
-                "zones", "hwg_minted", node=self.node, hwg=minted, zone=zone
-            )
-        return minted
-
-    @property
-    def zone(self) -> Optional[int]:
-        """This node's zone under the zoned topology, else None."""
-        zones = getattr(self.stack, "zones", None)
-        return zones.zone if zones is not None else None
+        return mint_hwg_id(self.node, self._hwg_counter)
 
     def mint_view_id(self) -> ViewId:
         return ViewId(self.node, self.stack.next_view_seq())
@@ -446,16 +434,11 @@ class LwgService:
         cached = self._member_hwgs_cache
         if cached is not None and cached[0] == epoch:
             return cached[1]
-        zone = self.zone
         hwgs = tuple(
             sorted(
                 group
                 for group, endpoint in self.stack.endpoints.items()
-                if is_hwg_id(group)
-                and endpoint.state is EndpointState.MEMBER
-                # Zone-local pools: never co-map onto a foreign zone's
-                # HWG even when a cross-zone LWG made us a member of it.
-                and hwg_in_zone(group, zone)
+                if is_hwg_id(group) and endpoint.state is EndpointState.MEMBER
             )
         )
         self._member_hwgs_cache = (epoch, hwgs)
@@ -743,7 +726,6 @@ class LwgService:
             hwg_idle_since=idle_since,
             busy_lwgs=busy,
             hwg_pinned=hwg_pinned,
-            zone=self.zone,
         )
 
     def _policy_view_ids(self) -> FrozenSet[Tuple[str, ViewId]]:

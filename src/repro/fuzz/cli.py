@@ -67,21 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--topology",
-        choices=("flat", "zoned"),
-        default="flat",
-        help=(
-            "membership topology (PROTOCOLS.md §20); flat = per-peer "
-            "heartbeats, zoned = gossip failure detection + zone relays"
-        ),
-    )
-    parser.add_argument(
-        "--zones",
-        type=int,
-        default=0,
-        help="zone count under --topology zoned (0 = default of 4)",
-    )
-    parser.add_argument(
         "--max-steps", type=int, default=16, help="max schedule length"
     )
     parser.add_argument(
@@ -265,8 +250,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         num_name_servers=args.name_servers,
         replication_factor=args.replication_factor,
         placement=args.placement,
-        topology=args.topology,
-        zones=args.zones,
         num_groups=args.groups,
         max_steps=args.max_steps,
     )

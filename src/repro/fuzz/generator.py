@@ -101,12 +101,6 @@ class GeneratorConfig:
     replication_factor: int = 0
     #: LWG→HWG placement strategy ("paper" or "optimizer", §19).
     placement: str = "paper"
-    #: Membership topology ("flat" or "zoned", §20) and the zone count
-    #: when zoned.  Zoned campaigns also weight in ``relay_crash`` steps
-    #: that fail-stop whichever node is a zone's primary relay at apply
-    #: time, exercising relay fail-over.
-    topology: str = "flat"
-    zones: int = 0
     num_groups: int = 3
     min_steps: int = 8
     max_steps: int = 16
@@ -145,14 +139,12 @@ class ScheduleGenerator:
 
         initial = self._initial_membership(rng, processes, groups)
         steps = self._steps(rng, processes, servers, groups, initial)
-        # Non-default variants key the label (and thus the digest pins)
-        # distinctly; the plain paper/flat form is byte-identical to the
+        # A non-default placement keys the label (and thus the digest
+        # pins) distinctly; the plain paper form is byte-identical to the
         # pre-variant corpus.
         variant = []
         if config.placement != "paper":
             variant.append(config.placement)
-        if config.topology == "zoned":
-            variant.append(f"zoned{config.zones or 4}")
         tail = "-".join(variant + [f"{index:04d}"])
         return Schedule(
             seed=fork.stream("cluster-seed").randrange(2**31),
@@ -160,8 +152,6 @@ class ScheduleGenerator:
             num_name_servers=config.num_name_servers,
             replication_factor=config.replication_factor,
             placement=config.placement,
-            topology=config.topology,
-            zones=(config.zones or 4) if config.topology == "zoned" else 0,
             groups=groups,
             initial_members=initial,
             steps=steps,
@@ -217,11 +207,6 @@ class ScheduleGenerator:
         initial: Dict[str, Tuple[str, ...]],
     ) -> List[Step]:
         weights = _PROFILE_WEIGHTS[self.profile]
-        if self.config.topology == "zoned":
-            # Flat campaigns keep the original weight table untouched, so
-            # their draw sequence (and digest pins) never move.
-            weights = dict(weights)
-            weights["relay_crash"] = 1.0
         kinds = list(weights)
         weight_values = [weights[kind] for kind in kinds]
         count = rng.randint(self.config.min_steps, self.config.max_steps)
@@ -277,14 +262,6 @@ class ScheduleGenerator:
                         node=rng.choice(list(servers)),
                         mode=rng.choice(list(CORRUPTION_MODES)),
                         down_us=rng.choice(_DOWN_CHOICES_US),
-                        delay_us=delay,
-                    )
-                )
-            elif kind == "relay_crash":
-                steps.append(
-                    Step(
-                        kind="relay_crash",
-                        zone=rng.randrange(max(1, self.config.zones or 4)),
                         delay_us=delay,
                     )
                 )

@@ -34,15 +34,14 @@ digest is no longer reproducible.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..checkers import InvariantViolation
 from ..core.ids import lwg_id
 from ..naming.persistence import CORRUPTION_MODES, inject_corruption
 from ..runtime.interfaces import Runtime
 from ..sim.engine import MS, SECOND
-from ..vsync.stack import VsyncConfig
 from ..workloads.cluster import Cluster
 from ..workloads.scenarios import _scaled_lwg_config
 from .schedule import Schedule, Step
@@ -138,10 +137,6 @@ class ScheduleRunner:
             num_name_servers=schedule.num_name_servers,
             replication_factor=schedule.replication_factor,
             lwg_config=replace(_scaled_lwg_config(), placement_policy=schedule.placement),
-            vsync_config=VsyncConfig(
-                topology=schedule.topology,
-                num_zones=schedule.zones or 4,
-            ),
             keep_trace=False,
             env=env,
         )
@@ -176,8 +171,6 @@ class ScheduleRunner:
             self._crash_recover(step.node, step.down_us)
         elif kind == "corrupt_state":
             self._corrupt_state(step.node, step.mode, step.down_us)
-        elif kind == "relay_crash":
-            self._relay_crash(step.zone)
         # "settle" applies nothing; the post-step delay does the work.
 
     def _join(self, node: str, group: str) -> None:
@@ -263,23 +256,6 @@ class ScheduleRunner:
         self.cluster.crash(node)
         self.cluster.run_for(down_us or DEFAULT_DOWN_US)
         self.cluster.recover(node)
-
-    def _relay_crash(self, zone: int) -> None:
-        """Fail-stop a zone's primary relay as elected *right now*.
-
-        The target is resolved at apply time, so the step always hits a
-        relay even after earlier crashes shifted the election — the
-        fail-over path is what it exists to exercise.  Deterministic
-        no-op on flat schedules or empty zones, so the shrinker can
-        delete surrounding steps freely.
-        """
-        directory = self.cluster.zone_directory
-        if directory is None:
-            return
-        relay = directory.primary_relay(zone)
-        if relay is None:
-            return
-        self._crash(relay)
 
     def _partition(self, blocks: Tuple[Tuple[str, ...], ...]) -> None:
         known = set(self.cluster.process_ids) | set(self.cluster.name_server_ids)

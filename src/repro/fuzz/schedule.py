@@ -37,11 +37,6 @@ Step kinds
                 of the :data:`~repro.naming.persistence.CORRUPTION_MODES`),
                 then crash-recover it so the corrupted bytes are loaded.
                 Name servers only (processes have no naming database).
-``relay_crash``  zoned topology only: fail-stop the *primary relay* of
-                ``zone`` as elected at apply time — the targeted
-                version of ``crash`` that exercises relay fail-over
-                (PROTOCOLS.md §20).  No-op on flat schedules or when
-                the zone has no active members.
 
 Every step carries ``delay_us``: how far the simulation advances after
 the action is applied.
@@ -66,7 +61,6 @@ STEP_KINDS = (
     "settle",
     "crash_recover",
     "corrupt_state",
-    "relay_crash",
 )
 
 #: Default pause after a step (microseconds).
@@ -91,10 +85,6 @@ class Step:
     down_us: int = 0
     #: ``corrupt_state``: which corruption to inject.
     mode: str = ""
-    #: ``relay_crash``: the zone whose primary relay fail-stops.  -1
-    #: (unused) is omitted from the JSON form, keeping the pre-zoning
-    #: corpus byte-canonical.
-    zone: int = -1
 
     def __post_init__(self) -> None:
         if self.kind not in STEP_KINDS:
@@ -114,8 +104,6 @@ class Step:
             body = f"{self.node} down {self.down_us // 1000}ms"
         elif self.kind == "corrupt_state":
             body = f"{self.node}:{self.mode} down {self.down_us // 1000}ms"
-        elif self.kind == "relay_crash":
-            body = f"zone {self.zone}"
         else:
             body = ""
         suffix = f" +{self.delay_us // 1000}ms"
@@ -135,8 +123,6 @@ class Step:
             out["down_us"] = self.down_us
         if self.mode:
             out["mode"] = self.mode
-        if self.zone >= 0:
-            out["zone"] = self.zone
         return out
 
     @classmethod
@@ -150,7 +136,6 @@ class Step:
             delay_us=int(data.get("delay_us", DEFAULT_DELAY_US)),
             down_us=int(data.get("down_us", 0)),
             mode=data.get("mode", ""),
-            zone=int(data.get("zone", -1)),
         )
 
 
@@ -169,13 +154,6 @@ class Schedule:
     #: §19).  The paper default is omitted from the JSON form, so every
     #: pre-optimizer corpus schedule stays byte-canonical.
     placement: str = "paper"
-    #: Membership topology ("flat" or "zoned", PROTOCOLS.md §20) and the
-    #: zone count when zoned.  Both defaults are omitted from the JSON
-    #: form, so every pre-zoning corpus schedule stays byte-canonical;
-    #: zone assignment under "zoned" is the sha256 hash form, derivable
-    #: from the schedule alone.
-    topology: str = "flat"
-    zones: int = 0
     groups: Tuple[str, ...] = ("s0", "s1", "s2")
     #: group -> nodes joined before the fault schedule starts.
     initial_members: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
@@ -234,9 +212,6 @@ class Schedule:
             out["replication_factor"] = self.replication_factor
         if self.placement != "paper":
             out["placement"] = self.placement
-        if self.topology != "flat":
-            out["topology"] = self.topology
-            out["zones"] = self.zones
         return out
 
     def to_json(self) -> str:
@@ -254,8 +229,6 @@ class Schedule:
             num_name_servers=int(data.get("num_name_servers", 2)),
             replication_factor=int(data.get("replication_factor", 0)),
             placement=data.get("placement", "paper"),
-            topology=data.get("topology", "flat"),
-            zones=int(data.get("zones", 0)),
             groups=tuple(data.get("groups", ())),
             initial_members={
                 group: tuple(members)
@@ -280,8 +253,6 @@ class Schedule:
             num_name_servers=self.num_name_servers,
             replication_factor=self.replication_factor,
             placement=self.placement,
-            topology=self.topology,
-            zones=self.zones,
             groups=self.groups,
             initial_members=dict(self.initial_members),
             settle_us=self.settle_us,

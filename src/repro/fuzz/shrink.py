@@ -20,7 +20,7 @@ reproducer, not a heuristic guess.  The replay count is bounded by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from ..sim.engine import MS
 from .schedule import Schedule, Step

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -114,11 +114,3 @@ class RecoveryTimer:
         if not self.complete or self.crashed_at_us is None:
             return None
         return max(self._recovered_at.values()) - self.crashed_at_us
-
-    def per_group_recovery_us(self) -> Dict[str, int]:
-        """Crash-to-reconfiguration per group (max over its observers)."""
-        assert self.crashed_at_us is not None
-        out: Dict[str, int] = {}
-        for (group, _), at in self._recovered_at.items():
-            out[group] = max(out.get(group, 0), at - self.crashed_at_us)
-        return out

@@ -7,7 +7,7 @@ point, one column per service flavour.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import List, Mapping, Optional, Sequence, Union
 
 Number = Union[int, float]
 

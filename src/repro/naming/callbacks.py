@@ -18,7 +18,7 @@ from typing import Callable, Dict, FrozenSet, Tuple
 from ..vsync.view import ProcessId
 from .database import NamingDatabase
 from .messages import MultipleMappings
-from .records import LwgId, MappingRecord
+from .records import LwgId
 
 #: A conflict's identity: the set of (lwg_view, hwg) pairs involved.
 ConflictSignature = FrozenSet[Tuple[str, str]]

@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..runtime.interfaces import NodeId
 from ..vsync.view import ViewId
 from .messages import MultipleMappings, NamingMessage, NsRequest, NsResponse
-from .records import HwgId, LwgId, MappingRecord
+from .records import LwgId, MappingRecord
 from .sharding import ShardMap
 
 ReplyCallback = Callable[[Tuple[MappingRecord, ...]], None]

@@ -36,7 +36,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 from ..vsync.view import ViewGenealogy, ViewId
 from .merkle import MerklePrefixTree
 from .records import (
-    HwgId,
     LwgId,
     MappingRecord,
     RecordKey,

@@ -32,7 +32,7 @@ never disagree about what the replica stores.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .records import RecordKey
 from .sharding import SHARD_PREFIX_LEN, shard_of_lwg

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..vsync.view import ProcessId, ViewId
-from .records import HwgId, LwgId, MappingRecord, RecordKey
+from .records import LwgId, MappingRecord, RecordKey
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ import hashlib
 import json
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 

@@ -40,7 +40,6 @@ from .callbacks import ConflictNotifier
 from .database import NamingDatabase
 from .messages import (
     MultipleMappings,
-    NamingMessage,
     NsRequest,
     NsResponse,
     PushUpdate,

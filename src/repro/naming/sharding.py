@@ -149,14 +149,6 @@ class ShardMap:
             self._scope_cache[pair] = cached
         return cached
 
-    def co_replicas(self, server: NodeId) -> Tuple[NodeId, ...]:
-        """Every other server sharing at least one shard with ``server``."""
-        return tuple(
-            peer
-            for peer in self.servers
-            if peer != server and self.scope(server, peer)
-        )
-
     def __repr__(self) -> str:
         return (
             f"ShardMap(servers={len(self.servers)}, "

@@ -95,8 +95,8 @@ class Network:
         self.messages_dropped = 0
         self.deliveries_scheduled = 0
         self.bytes_sent = 0
-        # Fan-out memo effectiveness: a gossip detector that defeats the
-        # sorted-destination memo (fresh random target set every round)
+        # Fan-out memo effectiveness: a sender whose destination set
+        # changes every round defeats the sorted-destination memo and
         # shows up as a miss-heavy ratio in bench snapshots.
         self.fanout_memo_hits = 0
         self.fanout_memo_misses = 0

@@ -304,13 +304,10 @@ class HwgEndpoint:
         elif isinstance(msg, InstallView):
             self.apply_install(src, msg)
         elif isinstance(msg, Presence):
-            # A zone relay may have forwarded this beacon; attribute it
-            # to the coordinator that minted it, not the relay.
-            coordinator = msg.origin or src
             if self.state is EndpointState.JOINING:
-                self._on_presence_while_joining(coordinator, msg)
+                self._on_presence_while_joining(src, msg)
             else:
-                self.vcm.on_presence(coordinator, msg)
+                self.vcm.on_presence(src, msg)
         elif isinstance(msg, JoinProbe):
             if self.state is EndpointState.MEMBER and self.vcm.am_leader():
                 self.reliable_send(src, self._presence_message())
@@ -428,35 +425,11 @@ class HwgEndpoint:
         )
 
     def beacon(self) -> None:
-        """Multicast a presence beacon if we coordinate a live view.
-
-        Flat topology beacons to every subscriber.  Zoned topology
-        beacons directly only to same-zone subscribers and our own view
-        members; subscribers in other zones are reached through their
-        zone's relay pair, which re-forwards the beacon locally
-        (PROTOCOLS.md §20) — cross-zone discovery fan-out drops from
-        O(subscribers) to O(zones).
-        """
+        """Multicast a presence beacon to every subscriber if we
+        coordinate a live view."""
         if self.state is not EndpointState.MEMBER or not self.vcm.am_leader():
             return
         targets = self.addressing.subscribers(self.group) - {self.node}
-        zones = self.stack.zones
-        if zones is not None and targets:
-            assert self.current_view is not None
-            directory = zones.directory
-            members = set(self.current_view.members)
-            direct = {
-                peer
-                for peer in targets
-                if peer in members or directory.zone_of(peer) == zones.zone
-            }
-            for foreign in targets - direct:
-                peer_zone = directory.zone_of(foreign)
-                if peer_zone is None:
-                    direct.add(foreign)  # unzoned node (e.g. test stub)
-                else:
-                    direct.update(directory.relays(peer_zone))
-            targets = direct - {self.node}
         if targets:
             msg = self._presence_message()
             self.stack.raw_multicast(targets, msg, msg.size_bytes())

@@ -48,19 +48,6 @@ class GroupAddressing:
         """Current subscriber set of ``group`` (reachability NOT applied)."""
         return set(self._subscribers.get(group, set()))
 
-    def subscribers_in_zone(self, group: GroupId, directory, zone: int) -> Set[NodeId]:
-        """Subscribers of ``group`` assigned to ``zone`` by ``directory``.
-
-        Zoned-topology helper (PROTOCOLS.md §20): relays fan cross-zone
-        control traffic to exactly this set, and coordinators use it to
-        scope beacon fan-out to their own zone.
-        """
-        return {
-            node
-            for node in self._subscribers.get(group, set())
-            if directory.zone_of(node) == zone
-        }
-
     def groups_of(self, node: NodeId) -> Set[GroupId]:
         """Every group address ``node`` is subscribed to."""
         return {g for g, members in self._subscribers.items() if node in members}

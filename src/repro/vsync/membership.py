@@ -228,14 +228,10 @@ class ViewChangeManager:
     def on_presence(self, src: NodeId, msg: Presence) -> None:
         """A beacon from some view of our group arrived.
 
-        ``src`` must be the *coordinator* that minted the beacon: under
-        the zoned topology a cross-zone beacon arrives through a zone
-        relay, whose stamp in ``msg.origin`` overrides the transport
-        sender — abandonment evidence, merge duel-avoidance and the
-        pending-merge table are all keyed by coordinator identity.
+        ``src`` is the coordinator that minted the beacon: abandonment
+        evidence, merge duel-avoidance and the pending-merge table are
+        all keyed by coordinator identity.
         """
-        if msg.origin:
-            src = msg.origin
         if self.ep.state is not EndpointState.MEMBER:
             return
         view = self.ep.current_view

@@ -41,75 +41,6 @@ class Heartbeat(VsyncMessage):
 
 
 # ----------------------------------------------------------------------
-# Gossip failure detection (zoned topology, PROTOCOLS.md §20)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LivenessDigest(VsyncMessage):
-    """One gossip round's versioned liveness table.  ``group`` is "_fd".
-
-    ``entries`` carries ``(peer, incarnation, counter, suspect)`` rows
-    sorted by peer id; receivers merge rows whose ``(incarnation,
-    counter)`` version exceeds their own and prune rows for peers
-    outside their zone/monitoring scope, so per-node state stays
-    O(zone + monitored) instead of O(roster).
-    """
-
-    sender: ProcessId = ""
-    round_no: int = 0
-    entries: Tuple[Tuple[ProcessId, int, int, bool], ...] = ()
-
-    def size_bytes(self) -> int:
-        return HEADER_BYTES + 24 * len(self.entries)
-
-
-@dataclass(frozen=True)
-class ProbeRequest(VsyncMessage):
-    """Origin -> witness: please ping ``target`` on my behalf (SWIM).
-
-    Sent when a liveness entry goes stale, before declaring suspicion:
-    the witness forwards a :class:`ProbePing`, and any answer reaching
-    the origin cancels the pending suspicion.
-    """
-
-    origin: ProcessId = ""
-    target: ProcessId = ""
-
-    def size_bytes(self) -> int:
-        return HEADER_BYTES
-
-
-@dataclass(frozen=True)
-class ProbePing(VsyncMessage):
-    """Witness -> target: answer ``origin`` directly with your digest."""
-
-    origin: ProcessId = ""
-    witness: ProcessId = ""
-
-    def size_bytes(self) -> int:
-        return HEADER_BYTES
-
-
-@dataclass(frozen=True)
-class ZoneSummary(VsyncMessage):
-    """Relay -> other zones' relays: compressed state of one zone.
-
-    ``group`` is the constant "_zone".  Non-relay nodes receive these
-    re-broadcast by their own zone's primary relay, so every node holds
-    a per-zone summary instead of per-node state for remote zones.
-    """
-
-    zone: int = -1
-    version: int = 0
-    origin: ProcessId = ""
-    member_count: int = 0
-    alive_count: int = 0
-    suspects: Tuple[ProcessId, ...] = ()
-
-    def size_bytes(self) -> int:
-        return HEADER_BYTES + 16 + 16 * len(self.suspects)
-
-
-# ----------------------------------------------------------------------
 # Discovery
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -119,16 +50,10 @@ class Presence(VsyncMessage):
     Concurrent views of the same group discover one another by hearing
     each other's beacons once the network allows it ("peer-discovery at
     the HWG level", paper Section 4 item 1).
-
-    ``origin`` is empty on a coordinator's own beacon; a zone relay that
-    re-forwards a cross-zone beacon stamps the coordinator's id there so
-    receivers attribute the view to its coordinator, not the relay
-    (PROTOCOLS.md §20).
     """
 
     view_id: ViewId = ViewId("", 0)
     members: Tuple[ProcessId, ...] = ()
-    origin: ProcessId = ""
 
     def size_bytes(self) -> int:
         return HEADER_BYTES + 16 * len(self.members)

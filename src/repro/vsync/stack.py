@@ -22,20 +22,10 @@ from ..naming.persistence import DurableStore
 from ..runtime.interfaces import Addressing, NodeId, Runtime
 from ..sim.process import Process
 from ..sim.transport import ReliableTransport, _Segment
-from .failure_detector import FailureDetector, GossipFailureDetector
+from .failure_detector import FailureDetector
 from .hwg import HwgEndpoint, HwgListener
-from .locator import GroupAddressing
-from .messages import (
-    Heartbeat,
-    LivenessDigest,
-    Presence,
-    ProbePing,
-    ProbeRequest,
-    VsyncMessage,
-    ZoneSummary,
-)
+from .messages import Heartbeat, VsyncMessage
 from .view import GroupId, ViewId
-from .zones import ZoneAgent, ZoneDirectory
 
 #: ``handler(src, msg) -> bool``: True when the handler consumed ``msg``.
 Handler = Callable[[NodeId, Any], bool]
@@ -45,7 +35,7 @@ Kinds = Union[Type[Any], Tuple[Type[Any], ...]]
 
 #: How often the failure detector checks its peers for timeouts.
 FD_CHECK_PERIOD_US = 50_000
-#: Presence-beacon period (merge discovery); the zone agent ticks at it too.
+#: Presence-beacon period (merge discovery).
 BEACON_PERIOD_US = 400_000
 #: Stability-tick period of every ordered channel.
 STABILITY_PERIOD_US = 500_000
@@ -61,12 +51,6 @@ class VsyncConfig:
 
     heartbeat_period_us: int = 100_000
     fd_timeout_us: int = 350_000
-    #: Membership topology: "flat" (the paper's all-to-all substrate,
-    #: bit-identical to every pinned trace) or "zoned" (two-level zoned
-    #: membership with gossip failure detection, PROTOCOLS.md §20).
-    topology: str = "flat"
-    #: Zone count when ``topology == "zoned"`` (ignored when flat).
-    num_zones: int = 4
 
 
 class ProtocolStack(Process):
@@ -79,7 +63,6 @@ class ProtocolStack(Process):
         addressing: Addressing,
         config: Optional[VsyncConfig] = None,
         node_store: Optional[DurableStore] = None,
-        zone_directory: Optional[ZoneDirectory] = None,
     ):
         super().__init__(env, node)
         self.addressing = addressing
@@ -89,21 +72,10 @@ class ProtocolStack(Process):
         #: a store.
         self.node_store: DurableStore = node_store or DurableStore()
         self.transport = ReliableTransport(env, node, self._deliver_control)
-        #: Zone agent (zoned topology only): substrate seeding, relay
-        #: duties, per-zone summaries.  None keeps the flat substrate
-        #: byte-identical to every pinned trace.
-        self.zones: Optional[ZoneAgent] = None
-        if self.config.topology == "zoned" and zone_directory is not None:
-            self.fd = GossipFailureDetector(
-                env, node, self._fd_multicast,
-                timeout_us=self.config.fd_timeout_us,
-            )
-            self.zones = ZoneAgent(self, zone_directory)
-        else:
-            self.fd = FailureDetector(
-                env, node, self._fd_multicast,
-                timeout_us=self.config.fd_timeout_us,
-            )
+        self.fd = FailureDetector(
+            env, node, self._fd_multicast,
+            timeout_us=self.config.fd_timeout_us,
+        )
         self.fd.subscribe(self._on_suspicion_change)
         self.endpoints: Dict[GroupId, HwgEndpoint] = {}
         #: Bumped on every endpoint creation/drop/state change; lets the
@@ -139,13 +111,6 @@ class ProtocolStack(Process):
             self._tick_stability,
             jitter_stream=f"stability:{node}",
         )
-        if self.zones is not None:
-            self.zones.seed_substrate()
-            self.set_periodic(
-                BEACON_PERIOD_US,
-                self.zones.tick,
-                jitter_stream=f"zone:{node}",
-            )
 
     # ------------------------------------------------------------------
     # Endpoint management
@@ -233,8 +198,6 @@ class ProtocolStack(Process):
     def _dispatch(self, src: NodeId, msg: Any) -> None:
         if isinstance(msg, Heartbeat):
             return
-        if self.zones is not None and self._dispatch_zoned(src, msg):
-            return
         kind = type(msg)
         route = self._routes.get(kind)
         if route is None:
@@ -249,28 +212,6 @@ class ProtocolStack(Process):
         endpoint = self.endpoints.get(msg.group)
         if endpoint is not None:
             endpoint.on_message(src, msg)
-
-    def _dispatch_zoned(self, src: NodeId, msg: Any) -> bool:
-        """Zoned-topology control traffic; True when consumed."""
-        assert self.zones is not None
-        fd = self.fd
-        if isinstance(msg, LivenessDigest):
-            fd.on_digest(src, msg)
-            return True
-        if isinstance(msg, ProbeRequest):
-            fd.on_probe_request(src, msg)
-            return True
-        if isinstance(msg, ProbePing):
-            fd.on_probe_ping(src, msg)
-            return True
-        if isinstance(msg, ZoneSummary):
-            self.zones.on_summary(src, msg)
-            return True
-        if isinstance(msg, Presence):
-            # Relay duty: fan cross-zone beacons into the local zone,
-            # then fall through to normal endpoint handling.
-            self.zones.maybe_forward_presence(src, msg)
-        return False
 
     def register_handler(self, kinds: Kinds, handler: Handler) -> None:
         """Register ``handler(src, msg) -> bool`` for messages of ``kinds``.
@@ -307,8 +248,6 @@ class ProtocolStack(Process):
             endpoint.channel.freeze()  # its timers must not outlive this life
         self.endpoints.clear()
         self.fd.reset()
-        if self.zones is not None:
-            self.zones.on_crash()
 
     def on_recover(self) -> None:
         # A recovered process comes back with a clean slate: applications
@@ -322,9 +261,6 @@ class ProtocolStack(Process):
             at_least=self.transport.incarnation
         )
         self._trace_recovered()
-        if self.zones is not None:
-            self.zones.on_recover()
-            self.fd.incarnation = self.transport.incarnation
 
     def _trace_recovered(self) -> None:
         self.env.tracer.emit(

@@ -12,8 +12,8 @@ whether two views are concurrent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 ProcessId = str
 GroupId = str
@@ -185,18 +185,6 @@ class ViewGenealogy:
     def parents_of(self, view_id: ViewId) -> Tuple[ViewId, ...]:
         return self._parents.get(view_id, ())
 
-    def ancestors_of(self, view_id: ViewId) -> Set[ViewId]:
-        """All known strict ancestors of ``view_id``."""
-        out: Set[ViewId] = set()
-        stack = list(self._parents.get(view_id, ()))
-        while stack:
-            current = stack.pop()
-            if current in out:
-                continue
-            out.add(current)
-            stack.extend(self._parents.get(current, ()))
-        return out
-
     def is_ancestor(self, older: ViewId, newer: ViewId) -> bool:
         """True if ``older`` is a strict ancestor of ``newer``."""
         if older == newer:
@@ -226,18 +214,6 @@ class ViewGenealogy:
         if a == b:
             return False
         return not self.is_ancestor(a, b) and not self.is_ancestor(b, a)
-
-    def known_views(self) -> Set[ViewId]:
-        """Every view id that appears in the genealogy (as child or parent)."""
-        out: Set[ViewId] = set(self._parents)
-        for parents in self._parents.values():
-            out.update(parents)
-        return out
-
-    def merge_from(self, other: "ViewGenealogy") -> None:
-        """Absorb every edge known by ``other`` (naming-service reconciliation)."""
-        for view_id, parents in other._parents.items():
-            self.record(view_id, parents)
 
     def edges(self) -> Dict[ViewId, Tuple[ViewId, ...]]:
         """A copy of the child -> parents edge map."""

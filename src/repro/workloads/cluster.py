@@ -28,7 +28,6 @@ from ..runtime.interfaces import SECOND, NodeId, Runtime
 from ..sim.network import LinkModel
 from ..sim.process import SimRuntime
 from ..vsync.stack import ProtocolStack, VsyncConfig
-from ..vsync.zones import ZoneDirectory, ZoneMap
 
 ServiceFlavour = str  # "dynamic" | "static" | "isolated" | "none"
 
@@ -59,7 +58,6 @@ class Cluster:
         checkers: bool = True,
         env: Optional[Runtime] = None,
         replication_factor: Optional[int] = None,
-        zone_map: Optional[ZoneMap] = None,
     ):
         if flavour not in ("dynamic", "static", "isolated", "none"):
             raise ValueError(f"unknown service flavour {flavour!r}")
@@ -97,14 +95,6 @@ class Cluster:
         self.process_ids: List[NodeId] = [
             f"{process_prefix}{i}" for i in range(num_processes)
         ]
-        # Zoned topology (PROTOCOLS.md §20): one shared directory, like
-        # the addressing registry.  Flat clusters carry no directory, so
-        # every pre-zoning scenario stays bit-identical.
-        self.zone_directory: Optional[ZoneDirectory] = None
-        if self.vsync_config.topology == "zoned":
-            self.zone_directory = ZoneDirectory(
-                zone_map or ZoneMap(self.vsync_config.num_zones)
-            )
         self.stacks: Dict[NodeId, ProtocolStack] = {}
         self.clients: Dict[NodeId, NamingClient] = {}
         self.services: Dict[NodeId, Union[LwgService, NoLwgService]] = {}
@@ -112,7 +102,6 @@ class Cluster:
             stack = ProtocolStack(
                 self.env, node, self.addressing, self.vsync_config,
                 node_store=self._make_store(node),
-                zone_directory=self.zone_directory,
             )
             self.stacks[node] = stack
             if flavour == "none":

@@ -141,13 +141,8 @@ _FLUSH_MERGE_TYPES = frozenset(
     }
 )
 
-#: Failure-detection traffic: per-peer heartbeats under the flat
-#: topology, gossip digests / indirect probes / zone summaries under
-#: "zoned" (PROTOCOLS.md §20).  Metered separately from flush/merge —
-#: FD volume is the quantity the zoned topology exists to shrink.
-_FD_TYPES = frozenset(
-    {"Heartbeat", "LivenessDigest", "ProbeRequest", "ProbePing", "ZoneSummary"}
-)
+#: Failure-detection traffic, metered separately from flush/merge.
+_HEARTBEAT = "Heartbeat"
 
 
 def classify_flush_payload(payload: Any, max_depth: int = 5) -> Optional[str]:
@@ -162,7 +157,7 @@ def classify_flush_payload(payload: Any, max_depth: int = 5) -> Optional[str]:
         if payload is None:
             return None
         name = type(payload).__name__
-        if name in _FLUSH_MERGE_TYPES or name in _FD_TYPES:
+        if name in _FLUSH_MERGE_TYPES or name == _HEARTBEAT:
             return name
         payload = getattr(payload, "payload", None)
     return None
@@ -184,7 +179,6 @@ class FabricMeter:
         self.flush_messages = 0
         self.flush_bytes = 0
         self.heartbeats = 0
-        self.fd_messages = 0
         self.by_type: Dict[str, int] = {}
         self._network = cluster.env.network
         network = self._network
@@ -192,10 +186,8 @@ class FabricMeter:
 
         def metered(src: str, dst: str, payload: Any, size: int) -> None:
             kind = classify_flush_payload(payload)
-            if kind in _FD_TYPES:
-                self.fd_messages += 1
-                if kind == "Heartbeat":
-                    self.heartbeats += 1
+            if kind == _HEARTBEAT:
+                self.heartbeats += 1
                 self.by_type[kind] = self.by_type.get(kind, 0) + 1
             elif kind is not None:
                 self.flush_messages += 1
@@ -223,7 +215,6 @@ class FabricMeter:
             "flush_messages": self.flush_messages,
             "flush_bytes": self.flush_bytes,
             "heartbeats": self.heartbeats,
-            "fd_messages": self.fd_messages,
             "fanout_memo_hits": self.fanout_memo_hits,
             "fanout_memo_misses": self.fanout_memo_misses,
         }

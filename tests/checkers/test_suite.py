@@ -91,5 +91,4 @@ def test_standard_suite_registers_the_stock_monitors():
         "naming-convergence",
         "lwg-convergence",
         "recovery-convergence",
-        "zone-scope",
     }

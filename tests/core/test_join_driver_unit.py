@@ -1,6 +1,6 @@
 """Unit tests for the JoinDriver state machine (fake service)."""
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.join_leave import JoinDriver
 from repro.core.mapping_table import LwgState, MappingTable

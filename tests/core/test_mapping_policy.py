@@ -1,14 +1,10 @@
-"""Tests for the initial mapping policies, including the Isis-style hints."""
+"""Tests for the initial mapping policies."""
 
 from repro.core import (
     DynamicMappingPolicy,
-    HintedMappingPolicy,
     IsolatedMappingPolicy,
-    LwgListener,
     StaticMappingPolicy,
 )
-from repro.core.service import LwgService
-from repro.naming.client import NamingClient
 from repro.sim import SECOND
 from repro.workloads import Cluster
 
@@ -38,44 +34,3 @@ def test_dynamic_policy_on_live_cluster():
     # The dynamic policy reuses the HWG we are already in.
     chosen = DynamicMappingPolicy().choose("lwg:b", cluster.service(0))
     assert chosen == first[0].hwg
-
-
-def test_hinted_policy_without_hint_falls_back_to_dynamic():
-    cluster = Cluster(num_processes=2, seed=72)
-    first = [cluster.service(i).join("a") for i in range(2)]
-    assert cluster.run_until(lambda: converged(first, 2), timeout_us=10 * SECOND)
-    policy = HintedMappingPolicy()
-    assert policy.choose("lwg:b", cluster.service(0)) == first[0].hwg
-
-
-def test_hinted_policy_picks_covering_hwg():
-    cluster = Cluster(num_processes=4, seed=73)
-    big = [cluster.service(i).join("big") for i in range(4)]
-    assert cluster.run_until(lambda: converged(big, 4), timeout_us=15 * SECOND)
-    policy = HintedMappingPolicy()
-    # Hint matches the big HWG's membership well enough (k_c=4: 4-3<=1).
-    policy.set_hint("lwg:sub", ["p0", "p1", "p2"])
-    assert policy.choose("lwg:sub", cluster.service(0)) == big[0].hwg
-    # Hint far smaller than any existing HWG: create fresh.
-    policy.set_hint("lwg:tiny", ["p0"])
-    assert policy.choose("lwg:tiny", cluster.service(0)) is None
-    # Hint includes a process no existing HWG covers: create fresh.
-    policy.set_hint("lwg:foreign", ["p0", "p9"])
-    assert policy.choose("lwg:foreign", cluster.service(0)) is None
-
-
-def test_hinted_service_end_to_end():
-    """A full service wired with hints maps a new group per its hint."""
-    cluster = Cluster(num_processes=4, seed=74)
-    base = [cluster.service(i).join("base") for i in range(4)]
-    assert cluster.run_until(lambda: converged(base, 4), timeout_us=15 * SECOND)
-    hints = HintedMappingPolicy()
-    hints.set_hint("lwg:team", ["p0", "p1", "p2", "p3"])
-    # Swap the policy on the creator's service.
-    cluster.service(0).mapping_policy = hints
-    team0 = cluster.service(0).join("team")
-    others = [cluster.service(i).join("team") for i in range(1, 4)]
-    assert cluster.run_until(
-        lambda: converged([team0] + others, 4), timeout_us=15 * SECOND
-    )
-    assert team0.hwg == base[0].hwg

@@ -1,7 +1,7 @@
 """Tests for the per-process mapping table and HWG directory."""
 
 from repro.core import LwgListener, LwgState, MappingTable
-from repro.core.mapping_table import HwgDirectory, LocalLwg
+from repro.core.mapping_table import HwgDirectory
 from repro.vsync.view import View, ViewId
 
 

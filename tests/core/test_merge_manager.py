@@ -1,9 +1,8 @@
 """Unit tests for the Figure-5 merge manager and the reconciliation
 handler, driven through a fake service."""
 
-from typing import Dict, List, Optional
+from typing import List
 
-from repro.core.lwg_view import AncestorTracker
 from repro.core.mapping_table import LwgState, MappingTable
 from repro.core.merge import MergeManager, ReconciliationHandler
 from repro.core.messages import AllViewsMsg, MergeViewsMsg

@@ -6,7 +6,6 @@ driven through global peer discovery, mapping reconciliation, local peer
 discovery and the merge-views protocol.
 """
 
-from repro.core import LwgListener
 from repro.sim import SECOND
 from repro.workloads import build_partition_scenario
 

@@ -1,6 +1,6 @@
 """Integration tests of the dynamic LWG service on a live cluster."""
 
-from repro.core import LwgListener, LwgState
+from repro.core import LwgListener
 from repro.core.service import LwgService
 from repro.runtime import trace
 from repro.sim import SECOND

@@ -1,6 +1,6 @@
 """Tests for the run-time switch protocol."""
 
-from repro.core import LwgListener, LwgState
+from repro.core import LwgListener
 from repro.sim import SECOND
 from repro.workloads import Cluster
 

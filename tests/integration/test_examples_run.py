@@ -9,7 +9,6 @@ import runpy
 from contextlib import redirect_stdout
 from pathlib import Path
 
-import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 

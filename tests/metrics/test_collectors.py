@@ -100,11 +100,3 @@ def test_recovery_timer_first_reconfiguration_wins():
     timer.note_view("g1", "a", ["a"], 100)
     timer.note_view("g1", "a", ["a", "b"], 200)
     assert timer.recovery_time_us() == 100
-
-
-def test_recovery_per_group_breakdown():
-    timer = RecoveryTimer()
-    timer.arm(0, "v", [("g1", "a"), ("g2", "a")])
-    timer.note_view("g1", "a", ["a"], 100)
-    timer.note_view("g2", "a", ["a"], 300)
-    assert timer.per_group_recovery_us() == {"g1": 100, "g2": 300}

@@ -1,6 +1,5 @@
 """Naming-service behaviour under server crashes."""
 
-from tests.helpers import run_until
 
 from repro.core import LwgListener
 from repro.sim import SECOND

@@ -96,12 +96,6 @@ def test_scope_is_symmetric_and_shared():
     assert set(shard_map.scope("ns1", "ns0")) == set(scope)
 
 
-def test_co_replicas_share_at_least_one_shard():
-    shard_map = ShardMap(roster(8), replication_factor=2)
-    for peer in shard_map.co_replicas("ns0"):
-        assert shard_map.scope("ns0", peer)
-
-
 def test_rendezvous_stability_on_roster_growth():
     """Adding one of n servers moves ~1/n of the shard->owner slots."""
     before = ShardMap(roster(8), replication_factor=3)

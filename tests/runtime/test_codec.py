@@ -13,7 +13,6 @@ import repro
 from repro.core import messages as core_messages
 from repro.core.messages import LwgBatch, LwgData
 from repro.fuzz import Schedule
-from repro.fuzz.generator import GeneratorConfig, ScheduleGenerator
 from repro.fuzz.runner import ScheduleRunner
 from repro.naming import messages as naming_messages
 from repro.naming.records import MappingRecord
@@ -219,17 +218,10 @@ def test_every_message_class_roundtrips_bare_and_inside_a_segment(cls):
 # ----------------------------------------------------------------------
 # Traffic: every payload the stack really emits round-trips
 # ----------------------------------------------------------------------
-def _zoned_schedule():
-    # The only source of LivenessDigest/ProbeRequest/ProbePing/ZoneSummary:
-    # the first schedule of the CI fuzz-smoke zoned row.
-    config = GeneratorConfig(topology="zoned", zones=4)
-    return ScheduleGenerator(7, profile="mixed", config=config).generate(0)
-
-
 TRAFFIC_SCHEDULES = [
     pytest.param(lambda p=path: Schedule.from_json(p.read_text("utf-8")), id=path.stem)
     for path in CORPUS
-] + [pytest.param(_zoned_schedule, id="zoned-seed7-0000")]
+]
 
 
 @pytest.mark.parametrize("make_schedule", TRAFFIC_SCHEDULES)
@@ -258,8 +250,6 @@ def test_every_payload_of_a_schedule_roundtrips(make_schedule, monkeypatch):
     monkeypatch.setattr(fabric, "multicast", checked_multicast)
     assert runner.run().is_clean
     assert _Segment in seen and len(seen) >= 5  # the hook saw the traffic
-    if runner.schedule.topology == "zoned":
-        assert vsync_messages.LivenessDigest in seen
 
 
 # ----------------------------------------------------------------------
@@ -469,35 +459,3 @@ def test_sync_messages_avoid_pickle_frames():
     wire = encode_datagram("p0", message, 128)
     assert wire[0] == MAGIC
     assert b"SyncReply" not in wire  # no class path on the wire
-
-
-def test_liveness_digest_roundtrips_exactly():
-    from repro.vsync.messages import LivenessDigest
-
-    digest = LivenessDigest(
-        group="_fd",
-        sender="p3",
-        round_no=417,
-        entries=(
-            ("p0", 0, 12, False),
-            ("p1", 2, 9, True),
-            ("p7", 1, 0, False),
-        ),
-    )
-    _, decoded, _ = roundtrip(digest)
-    assert decoded == digest and type(decoded) is LivenessDigest
-    assert all(isinstance(row, tuple) for row in decoded.entries)
-    empty = LivenessDigest(group="_fd", sender="p0", round_no=1)
-    assert roundtrip(empty)[1] == empty
-
-
-def test_liveness_digest_avoids_pickle_frames():
-    from repro.vsync.messages import LivenessDigest
-
-    digest = LivenessDigest(
-        group="_fd", sender="p3", round_no=2,
-        entries=(("p0", 0, 5, False), ("p1", 0, 4, True)),
-    )
-    wire = encode_datagram("p3", digest, digest.size_bytes())
-    assert wire[0] == MAGIC
-    assert b"LivenessDigest" not in wire  # no class path on the wire

@@ -4,7 +4,7 @@ for merging and checker replay)."""
 
 import json
 
-from repro.runtime.trace import TraceRecord, Tracer
+from repro.runtime.trace import Tracer
 
 
 def make_tracer(start=100):

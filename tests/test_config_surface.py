@@ -32,8 +32,6 @@ def test_vsync_config_fields():
     assert field_names(VsyncConfig) == {
         "heartbeat_period_us",
         "fd_timeout_us",
-        "topology",
-        "num_zones",
     }
 
 

@@ -5,7 +5,7 @@ partitionable group layer — the cases where classic virtual synchrony
 cannot hold and extended VS defines what happens instead.
 """
 
-from tests.helpers import RecordingListener, converged, make_group, run_until
+from tests.helpers import converged, make_group, run_until
 
 from repro.sim import SECOND
 

@@ -2,7 +2,7 @@
 
 from tests.helpers import RecordingListener, converged, make_group, run_until
 
-from repro.sim import SECOND, SimRuntime
+from repro.sim import SECOND
 from repro.vsync import EndpointState, GroupAddressing, ProtocolStack
 
 

@@ -1,6 +1,5 @@
 """Unit tests for ViewChangeManager decision logic (fake endpoint)."""
 
-from repro.sim import SimRuntime
 from repro.vsync.flush import FlushParticipant
 from repro.vsync.membership import (
     INSTALL_TIMEOUT_US,

@@ -121,32 +121,11 @@ def test_unknown_views_are_concurrent():
     assert g.concurrent(vid("x", 1), vid("y", 1))
 
 
-def test_ancestors_of_collects_full_history():
-    g = ViewGenealogy()
-    chain(g, vid("p", 1), vid("p", 2), vid("p", 3))
-    assert g.ancestors_of(vid("p", 3)) == {vid("p", 1), vid("p", 2)}
-
-
 def test_record_accumulates_parents():
     g = ViewGenealogy()
     g.record(vid("c", 1), [vid("a", 1)])
     g.record(vid("c", 1), [vid("b", 1)])
     assert set(g.parents_of(vid("c", 1))) == {vid("a", 1), vid("b", 1)}
-
-
-def test_merge_from_absorbs_other_genealogy():
-    g1, g2 = ViewGenealogy(), ViewGenealogy()
-    chain(g1, vid("p", 1), vid("p", 2))
-    chain(g2, vid("q", 1), vid("q", 2))
-    g1.merge_from(g2)
-    assert g1.is_ancestor(vid("q", 1), vid("q", 2))
-    assert g1.is_ancestor(vid("p", 1), vid("p", 2))
-
-
-def test_known_views_includes_parents_and_children():
-    g = ViewGenealogy()
-    g.record(vid("c", 1), [vid("a", 1)])
-    assert g.known_views() == {vid("c", 1), vid("a", 1)}
 
 
 def test_record_view_uses_view_parents():

@@ -17,7 +17,6 @@ checked against the classic invariants:
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import RecordingListener, make_group, run_until
 
 from repro.sim import SECOND, SimRuntime
 from repro.vsync import HwgListener

@@ -1,8 +1,7 @@
-"""FabricMeter accounting: FD traffic classes and fan-out memo stats."""
+"""FabricMeter accounting: heartbeat traffic and fan-out memo stats."""
 
 from repro.core import LwgConfig
 from repro.sim import SECOND
-from repro.vsync import VsyncConfig
 from repro.workloads import Cluster
 from repro.workloads.placement import FabricMeter
 
@@ -14,10 +13,9 @@ def fast_config():
     return config
 
 
-def run_metered(vsync_config=None):
+def run_metered():
     cluster = Cluster(
-        num_processes=3, seed=29, vsync_config=vsync_config,
-        lwg_config=fast_config(), checkers=False,
+        num_processes=3, seed=29, lwg_config=fast_config(), checkers=False,
     )
     meter = FabricMeter(cluster)
     for node in cluster.process_ids:
@@ -29,25 +27,13 @@ def run_metered(vsync_config=None):
 def test_flat_fd_traffic_is_heartbeats():
     _, meter = run_metered()
     assert meter.heartbeats > 0
-    assert meter.fd_messages >= meter.heartbeats
-    assert meter.by_type.get("LivenessDigest") is None
-
-
-def test_zoned_fd_traffic_is_digests_not_heartbeats():
-    _, meter = run_metered(VsyncConfig(topology="zoned", num_zones=2))
-    assert meter.by_type.get("LivenessDigest", 0) > 0
-    assert meter.heartbeats == 0  # gossip replaced per-peer heartbeats
-    assert meter.fd_messages >= meter.by_type["LivenessDigest"]
+    assert meter.by_type["Heartbeat"] == meter.heartbeats
 
 
 def test_fd_traffic_does_not_pollute_flush_accounting():
     _, meter = run_metered()
-    assert meter.fd_messages > 0
-    flush_kinds = {
-        kind for kind in meter.by_type
-        if kind not in ("Heartbeat", "LivenessDigest", "ProbeRequest",
-                        "ProbePing", "ZoneSummary")
-    }
+    assert meter.heartbeats > 0
+    flush_kinds = {kind for kind in meter.by_type if kind != "Heartbeat"}
     total_flush = sum(meter.by_type[kind] for kind in flush_kinds)
     assert meter.flush_messages == total_flush
 
@@ -59,5 +45,5 @@ def test_fanout_memo_counters_surface_through_the_meter():
     # so the sorted-destination memo must be hit-dominated.
     assert counters["fanout_memo_hits"] > counters["fanout_memo_misses"] > 0
     assert counters["fanout_memo_hits"] == cluster.env.network.fanout_memo_hits
-    for key in ("flush_messages", "flush_bytes", "heartbeats", "fd_messages"):
+    for key in ("flush_messages", "flush_bytes", "heartbeats"):
         assert counters[key] == getattr(meter, key)

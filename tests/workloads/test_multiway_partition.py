@@ -7,7 +7,6 @@ throughout — online checks fire inside the run, at-quiesce checks at
 the end.
 """
 
-import pytest
 
 from repro.core.ids import lwg_id
 from repro.sim import SECOND

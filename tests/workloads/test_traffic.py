@@ -1,6 +1,5 @@
 """Tests for traffic generation and probe plumbing."""
 
-from repro.metrics import LatencyCollector
 from repro.sim import MS, SECOND
 from repro.workloads import Cluster, PeriodicSender, ProbeHub, ProbeListener, probe_payload
 
