@@ -41,9 +41,7 @@ def multicast_fanout_workload(seed: int, nodes: int, rounds: int) -> Network:
     beacon traffic to a stable view membership.
     """
     sim = Simulation()
-    net = Network(
-        sim, RngRegistry(seed), link=LinkModel(jitter_us=0), shared_medium=False
-    )
+    net = Network(sim, RngRegistry(seed), link=LinkModel(jitter_us=0))
     sink = lambda src, payload, size: None  # noqa: E731
     names = [f"n{i}" for i in range(nodes)]
     for name in names:
@@ -63,9 +61,7 @@ def multicast_fanout_workload(seed: int, nodes: int, rounds: int) -> Network:
 def unicast_storm_workload(seed: int, pairs: int, messages: int) -> Network:
     """Point-to-point sends round-robining over several node pairs."""
     sim = Simulation()
-    net = Network(
-        sim, RngRegistry(seed), link=LinkModel(jitter_us=0), shared_medium=False
-    )
+    net = Network(sim, RngRegistry(seed), link=LinkModel(jitter_us=0))
     sink = lambda src, payload, size: None  # noqa: E731
     for i in range(pairs):
         net.attach(f"a{i}", sink)

@@ -22,6 +22,7 @@ from repro.naming.records import MappingRecord
 from repro.naming.server import NameServer
 from repro.naming.sharding import ShardMap
 from repro.sim import MS, SECOND, SimRuntime
+from repro.vsync.locator import GroupAddressing
 from repro.vsync.stack import ProtocolStack
 from repro.vsync.view import ViewId
 
@@ -67,7 +68,7 @@ def shard_scaleout_workload(seed, num_servers, replication_factor):
 
         server.send = send
         server.multicast = multicast
-    stack = ProtocolStack(env, "p0", env.group_addressing())
+    stack = ProtocolStack(env, "p0", GroupAddressing())
     client = NamingClient(stack, server_ids, shard_map=shard_map)
     acked = [0]
     for i in range(SCALEOUT_WRITES):

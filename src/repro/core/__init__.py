@@ -15,7 +15,6 @@ from .baselines import (
     DirectHandle,
     NoLwgService,
     make_dynamic_service,
-    make_isolated_service,
     make_static_service,
 )
 from .config import LwgConfig
@@ -30,7 +29,6 @@ from .lwg_view import merge_lwg_views, merged_view_id, restrict_view
 from .mapping_policy import (
     DynamicMappingPolicy,
     InitialMappingPolicy,
-    IsolatedMappingPolicy,
     StaticMappingPolicy,
 )
 from .placement import (
@@ -56,7 +54,6 @@ __all__ = [
     "DirectHandle",
     "NoLwgService",
     "make_dynamic_service",
-    "make_isolated_service",
     "make_static_service",
     "LwgConfig",
     "highest_gid",
@@ -69,7 +66,6 @@ __all__ = [
     "restrict_view",
     "DynamicMappingPolicy",
     "InitialMappingPolicy",
-    "IsolatedMappingPolicy",
     "StaticMappingPolicy",
     "OptimizerPlacementPolicy",
     "PlacementOptimizer",

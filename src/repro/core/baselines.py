@@ -28,7 +28,7 @@ from ..naming.client import NamingClient
 from ..vsync.hwg import HwgListener
 from ..vsync.view import View
 from .config import LwgConfig
-from .mapping_policy import IsolatedMappingPolicy, StaticMappingPolicy
+from .mapping_policy import StaticMappingPolicy
 from .service import DEFAULT_PAYLOAD_BYTES, LwgListener, LwgService
 
 
@@ -135,17 +135,3 @@ def make_dynamic_service(
 ) -> LwgService:
     """The paper's transparent dynamic (and partitionable) LWG service."""
     return LwgService(stack, naming, config=config)
-
-
-def make_isolated_service(
-    stack,
-    naming: NamingClient,
-    config: Optional[LwgConfig] = None,
-) -> LwgService:
-    """Ablation: the LWG layer with a private HWG per LWG (no sharing)."""
-    return LwgService(
-        stack,
-        naming,
-        config=static_config(config),
-        mapping_policy=IsolatedMappingPolicy(),
-    )

@@ -43,15 +43,6 @@ class LwgConfig:
     #: An HWG membership with no local LWG mapped must persist this long
     #: before the shrink rule makes the process leave it.
     shrink_grace_us: int = 2 * SECOND
-    #: A non-coordinator member that hears nothing from its view's
-    #: coordinator (no announce, no install, no data) for this long
-    #: concludes the view was abandoned — the coordinator moved on via a
-    #: racing switch or asymmetric partition-heal merge — and rejoins
-    #: through the naming service.  The HWG cannot signal this case: the
-    #: coordinator is alive and still an HWG member, it just no longer
-    #: maps this LWG here.  Keep this a few announce periods
-    #: (:data:`repro.core.service.ANNOUNCE_PERIOD_US`) long.
-    coordinator_silence_us: int = 6 * SECOND
 
     def __post_init__(self) -> None:
         if self.placement_policy not in ("paper", "optimizer"):

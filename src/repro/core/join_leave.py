@@ -48,6 +48,12 @@ LWG_JOIN_RETRY_US = 1 * SECOND
 #: How long the joiner waits for the LWG to show up on the mapped HWG
 #: before concluding the mapping is stale and (re)creating the LWG.
 JOIN_CLAIM_US = 2 * SECOND
+#: A non-coordinator member that hears nothing from its view's
+#: coordinator (no announce, no install, no data) for this long
+#: concludes the view was abandoned and rejoins through the naming
+#: service.  Keep this a few announce periods
+#: (:data:`repro.core.service.ANNOUNCE_PERIOD_US`) long.
+COORDINATOR_SILENCE_US = 6 * SECOND
 
 
 class JoinDriver:
@@ -623,7 +629,7 @@ class JoinLeaveManager:
                 or local.coordinator() == svc.node
             ):
                 continue
-            if now - local.last_coordinator_heard >= svc.config.coordinator_silence_us:
+            if now - local.last_coordinator_heard >= COORDINATOR_SILENCE_US:
                 svc.trace(
                     "coordinator_silence",
                     lwg=local.lwg,

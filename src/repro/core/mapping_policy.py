@@ -3,9 +3,7 @@
 The dynamic service uses the paper's optimistic rule: "The new LWG is
 mapped onto some existing HWG and if the choice is later proven to be
 inappropriate, the LWG will be switched onto a more appropriate HWG"
-(Section 3.2).  The static service pins everything to one global HWG,
-and the isolated policy gives every LWG a private HWG (an LWG-layer
-analogue of running without the service, useful for ablations).
+(Section 3.2).  The static service pins everything to one global HWG.
 """
 
 from __future__ import annotations
@@ -43,10 +41,3 @@ class StaticMappingPolicy(InitialMappingPolicy):
 
     def choose(self, lwg: LwgId, service) -> Optional[HwgId]:
         return self.hwg
-
-
-class IsolatedMappingPolicy(InitialMappingPolicy):
-    """Every LWG gets a private, freshly minted HWG."""
-
-    def choose(self, lwg: LwgId, service) -> Optional[HwgId]:
-        return None

@@ -39,14 +39,16 @@ Step kinds
                 Name servers only (processes have no naming database).
 
 Every step carries ``delay_us``: how far the simulation advances after
-the action is applied.
+the action is applied.  Loading rejects any key the schema does not
+read, so a file written for a retired option never replays silently as
+something else.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..sim.engine import MS
 
@@ -68,6 +70,12 @@ DEFAULT_DELAY_US = 1_200 * MS
 
 #: Schema version stamped into every serialized schedule.
 SCHEMA_VERSION = 1
+
+
+def _reject_unknown_keys(data: Dict, known: Iterable[str]) -> None:
+    unknown = sorted(set(data).difference(known))
+    if unknown:
+        raise ValueError(f"unknown schedule key(s): {', '.join(map(repr, unknown))}")
 
 
 @dataclass(frozen=True)
@@ -127,6 +135,7 @@ class Step:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "Step":
+        _reject_unknown_keys(data, (f.name for f in fields(cls)))
         return cls(
             kind=data["kind"],
             node=data.get("node", ""),
@@ -223,6 +232,7 @@ class Schedule:
         version = int(data.get("version", SCHEMA_VERSION))
         if version > SCHEMA_VERSION:
             raise ValueError(f"schedule schema version {version} not supported")
+        _reject_unknown_keys(data, ["version", *(f.name for f in fields(cls))])
         return cls(
             seed=int(data["seed"]),
             num_processes=int(data.get("num_processes", 6)),

@@ -2,15 +2,16 @@
 
 Everything above the wire — the reliable transport, the virtual-synchrony
 stack, the naming service and the LWG service — depends only on the
-narrow protocols defined here: a :class:`~repro.runtime.interfaces.Clock`,
+narrow surface defined here: a :class:`~repro.runtime.interfaces.Clock`,
 a :class:`~repro.runtime.interfaces.Scheduler` (timers with
 cancellation), a :class:`~repro.runtime.interfaces.Fabric` (per-node
-attach / send / multicast with partition drop-filters) and the
+attach / send / multicast with partition drop-filters, the one class
+both backends' fabrics subclass) and the
 :class:`~repro.runtime.interfaces.Runtime` bundle that also carries the
 :class:`~repro.runtime.rng.RngRegistry` and
 :class:`~repro.runtime.trace.Tracer`.
 
-Two backends implement the protocols:
+Two backends implement it:
 
 * ``repro.sim`` — the deterministic discrete-event backend
   (:class:`~repro.sim.process.SimRuntime`), where time is simulated and
@@ -27,7 +28,6 @@ schedule on either backend, under the same checkers.
 from .interfaces import (
     MS,
     SECOND,
-    Addressing,
     Clock,
     DeliveryCallback,
     Fabric,
@@ -43,7 +43,6 @@ from .trace import NullTracer, TraceRecord, Tracer
 __all__ = [
     "MS",
     "SECOND",
-    "Addressing",
     "Clock",
     "DeliveryCallback",
     "Fabric",

@@ -1,10 +1,10 @@
-"""The narrow protocol surface between protocol code and its backend.
+"""The narrow surface between protocol code and its backend.
 
 The paper presents the LWG service as a *library* over a
-virtual-synchrony substrate; these :class:`typing.Protocol` classes pin
-down exactly what that library (and the substrate itself) may assume
-about its environment.  Protocol layers receive one
-:class:`Runtime` bundle and touch nothing outside it:
+virtual-synchrony substrate; these classes pin down exactly what that
+library (and the substrate itself) may assume about its environment.
+Protocol layers receive one :class:`Runtime` bundle and touch nothing
+outside it:
 
 * ``runtime.clock.now`` / ``runtime.now`` — current time in integer
   microseconds (simulated or wall);
@@ -14,19 +14,22 @@ about its environment.  Protocol layers receive one
 * ``runtime.rng`` — seeded, stream-split randomness;
 * ``runtime.tracer`` — structured event tracing;
 * ``runtime.failures`` — crash/recovery injection and transition
-  notifications: the concrete :class:`FailureFeed`, one class over
-  either backend's fabric.
+  notifications.
 
-Conformance is structural: the discrete-event backend satisfies these
-with :class:`~repro.sim.engine.Simulation` (Clock + Scheduler) and
-:class:`~repro.sim.network.Network` (Fabric); the real-time backend with
-wall-clock asyncio timers and UDP sockets.  No protocol object ever
-imports a backend module.
+Clock, scheduler and the bundle are structural :class:`typing.Protocol`
+classes: the discrete-event backend satisfies them with
+:class:`~repro.sim.engine.Simulation`, the real-time backend with
+wall-clock asyncio timers.  The fabric and the failure feed are concrete
+classes shared by both backends: :class:`Fabric` holds the node
+registry, liveness and partition rules, and each backend's fabric
+subclasses it with only its own transmission and reception.  No
+protocol object ever imports a backend module.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Protocol, Sequence, Set
+from abc import ABC, abstractmethod
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Protocol, Sequence, Set
 
 from .rng import RngRegistry
 from .trace import Tracer
@@ -69,75 +72,142 @@ class Scheduler(Protocol):
         """Run ``callback`` ``delay`` microseconds from now."""
 
 
-class Fabric(Protocol):
-    """The message plane: named nodes, unicast/multicast, drop-filters.
+class Fabric(ABC):
+    """The message plane's bookkeeping: named nodes, liveness, partitions.
 
-    Partitions are expressed as block assignments — messages flow only
-    within a block — which both backends implement as a *drop-filter* on
-    the send and delivery paths (the simulator drops in its scheduling
-    step; the UDP fabric drops datagrams in userspace, no iptables
-    needed).
+    Both backends subclass this one class and add only transmission and
+    reception: :class:`~repro.sim.network.Network` schedules deliveries
+    on the simulated wire, :class:`~repro.runtime.asyncio_backend.UdpFabric`
+    sends datagrams over real sockets.  The rules a partition or a crash
+    obeys therefore live here once, so a partition scripted over the
+    simulator looks to the stack exactly like one over UDP.
+
+    Partitions are block assignments — messages flow only within a
+    block — enforced as a *drop-filter* on both the send and the
+    delivery path, so a partition or crash also cuts messages already in
+    flight.  Counters are per receiver: a multicast that reaches two of
+    three destinations counts one drop.
     """
 
+    def __init__(self, tracer: Tracer) -> None:
+        self.tracer = tracer
+        self._callbacks: Dict[NodeId, DeliveryCallback] = {}
+        self._alive: Dict[NodeId, bool] = {}
+        self._partition_of: Dict[NodeId, int] = {}
+        #: Partition blocks, recomputed only when the partition map or the
+        #: node population changes.
+        self._blocks_cache: Optional[List[FrozenSet[NodeId]]] = None
+        self.messages_sent = 0
+        self.messages_delivered = 0
+        self.messages_dropped = 0
+        self.bytes_sent = 0
+
+    # ------------------------------------------------------------------
+    # Topology management
+    # ------------------------------------------------------------------
     def attach(self, node: NodeId, callback: DeliveryCallback) -> None:
         """Register ``node`` with its delivery callback.  Node starts alive."""
+        self._callbacks[node] = callback
+        self._alive[node] = True
+        self._partition_of.setdefault(node, 0)
+        self._blocks_cache = None
 
     def detach(self, node: NodeId) -> None:
         """Remove ``node`` from the fabric entirely."""
+        self._callbacks.pop(node, None)
+        self._alive.pop(node, None)
+        self._partition_of.pop(node, None)
+        self._blocks_cache = None
 
+    @property
+    def nodes(self) -> List[NodeId]:
+        """All attached node ids (alive or crashed)."""
+        return sorted(self._callbacks)
+
+    # ------------------------------------------------------------------
+    # Liveness (crash/recovery)
+    # ------------------------------------------------------------------
+    def is_alive(self, node: NodeId) -> bool:
+        """True if ``node`` is attached and not crashed."""
+        return self._alive.get(node, False)
+
+    def has_node(self, node: NodeId) -> bool:
+        """True if ``node`` is attached (alive or crashed)."""
+        return node in self._callbacks
+
+    def set_alive(self, node: NodeId, alive: bool) -> None:
+        """Crash (``False``) or recover (``True``) a node."""
+        if node not in self._callbacks:
+            raise KeyError(f"unknown node {node!r}")
+        self._alive[node] = alive
+        self.tracer.emit("network", "crash" if not alive else "recover", node=node)
+
+    # ------------------------------------------------------------------
+    # Partitions
+    # ------------------------------------------------------------------
+    def set_partitions(self, blocks: Sequence[Iterable[NodeId]]) -> None:
+        """Partition the fabric into the given blocks of nodes.
+
+        Nodes not named in any block join block 0.  Messages only flow
+        within a block.
+        """
+        assignment: Dict[NodeId, int] = {}
+        for index, block in enumerate(blocks):
+            for node in block:
+                if node in assignment:
+                    raise ValueError(f"node {node!r} appears in two partition blocks")
+                assignment[node] = index
+        for node in self._callbacks:
+            self._partition_of[node] = assignment.get(node, 0)
+        self._blocks_cache = None
+        self.tracer.emit(
+            "network", "partition",
+            blocks=[sorted(n for n in self._callbacks if self._partition_of[n] == i)
+                    for i in range(len(blocks) or 1)],
+        )
+
+    def heal(self) -> None:
+        """Merge all partition blocks back into one."""
+        for node in self._partition_of:
+            self._partition_of[node] = 0
+        self._blocks_cache = None
+        self.tracer.emit("network", "heal")
+
+    def partition_blocks(self) -> List[FrozenSet[NodeId]]:
+        """Current partition blocks containing at least one node.
+
+        Cached until the partition map or the node population changes; a
+        fresh list is returned so callers may mutate it.
+        """
+        if self._blocks_cache is None:
+            by_block: Dict[int, Set[NodeId]] = {}
+            for node, block in self._partition_of.items():
+                by_block.setdefault(block, set()).add(node)
+            self._blocks_cache = [
+                frozenset(nodes) for _, nodes in sorted(by_block.items())
+            ]
+        return list(self._blocks_cache)
+
+    def reachable(self, a: NodeId, b: NodeId) -> bool:
+        """True if a message sent now from ``a`` would be deliverable to ``b``."""
+        return (
+            self._alive.get(a, False)
+            and self._alive.get(b, False)
+            and self._partition_of.get(a) == self._partition_of.get(b)
+        )
+
+    # ------------------------------------------------------------------
+    # Transmission (each backend's own)
+    # ------------------------------------------------------------------
+    @abstractmethod
     def send(self, src: NodeId, dst: NodeId, payload: Any, size: int = 256) -> bool:
         """Send a unicast message.  Returns False if dropped at the source."""
 
+    @abstractmethod
     def multicast(
         self, src: NodeId, dsts: Iterable[NodeId], payload: Any, size: int = 256
     ) -> int:
         """Send one message to many destinations; returns deliveries scheduled."""
-
-    def is_alive(self, node: NodeId) -> bool:
-        """True if ``node`` is attached and not crashed."""
-
-    def has_node(self, node: NodeId) -> bool:
-        """True if ``node`` is attached (alive or crashed)."""
-
-    def set_alive(self, node: NodeId, alive: bool) -> None:
-        """Crash (``False``) or recover (``True``) a node."""
-
-    def set_partitions(self, blocks: Sequence[Iterable[NodeId]]) -> None:
-        """Install a partition drop-filter; unnamed nodes join block 0."""
-
-    def heal(self) -> None:
-        """Remove the partition drop-filter (all nodes in one block)."""
-
-    def partition_blocks(self) -> List[FrozenSet[NodeId]]:
-        """Current partition blocks containing at least one node."""
-
-    def reachable(self, a: NodeId, b: NodeId) -> bool:
-        """True if a message sent now from ``a`` would be deliverable to ``b``."""
-
-
-class Addressing(Protocol):
-    """Group-address subscriber registry (the IP-multicast analogue).
-
-    The simulator uses a shared in-memory registry; the UDP fabric uses
-    broadcast addressing (everyone is a potential subscriber, receivers
-    filter) — exactly the split real IP multicast on a shared medium
-    gives you.
-    """
-
-    def subscribe(self, group: str, node: NodeId) -> None:
-        """Add ``node`` to the subscriber set of ``group``'s address."""
-
-    def unsubscribe(self, group: str, node: NodeId) -> None:
-        """Remove ``node`` from ``group``'s address."""
-
-    def unsubscribe_all(self, node: NodeId) -> None:
-        """Remove ``node`` from every group address (process teardown)."""
-
-    def subscribers(self, group: str) -> Set[NodeId]:
-        """Current subscriber set of ``group`` (reachability NOT applied)."""
-
-    def groups_of(self, node: NodeId) -> Set[str]:
-        """Every group address ``node`` is subscribed to."""
 
 
 class FailureFeed:
@@ -211,6 +281,3 @@ class Runtime(Protocol):
         The simulation backend executes every event in the window; the
         asyncio backend runs its event loop for that much wall time.
         """
-
-    def group_addressing(self) -> Addressing:
-        """A fresh group-address registry appropriate for this backend."""

@@ -3,17 +3,17 @@
 The model reproduces the first-order costs of the paper's testbed (a
 loaded 10 Mbps shared Ethernet with IP multicast):
 
-* **Shared medium** — transmissions optionally serialize on one global
-  channel, so unrelated traffic delays everyone (the paper's
-  "interference through a common multicast transport channel").
+* **Shared medium** — transmissions serialize on one global channel, so
+  unrelated traffic delays everyone (the paper's "interference through
+  a common multicast transport channel").
 * **Multicast** — one transmission reaches any number of destinations
   (IP-multicast semantics); the *receivers* each pay a per-message
   processing cost, so delivering a message to processes that will only
   filter it out is not free (the paper's "need to filter information at
   the LWG layer").
-* **Partitions** — nodes are assigned to partition blocks; messages
-  between blocks are dropped both at send and at delivery time, so a
-  partition event cuts messages already in flight.
+* **Partitions** — the shared :class:`~repro.runtime.interfaces.Fabric`
+  rules: messages between blocks are dropped both at send and at
+  delivery time, so a partition event cuts messages already in flight.
 
 Delivery callbacks are registered per node via :meth:`Network.attach`.
 """
@@ -21,9 +21,9 @@ Delivery callbacks are registered per node via :meth:`Network.attach`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple
 
-from ..runtime.interfaces import DeliveryCallback, NodeId
+from ..runtime.interfaces import DeliveryCallback, Fabric, NodeId
 from ..runtime.rng import RngRegistry
 from ..runtime.trace import Tracer
 from .engine import Simulation
@@ -66,8 +66,12 @@ class LinkModel:
         return max(1, int(total_bits * 1_000_000 / self.bandwidth_bps))
 
 
-class Network:
-    """A partitionable broadcast-domain network of named nodes."""
+class Network(Fabric):
+    """A partitionable broadcast-domain network of named nodes.
+
+    The node registry, liveness and partition rules are the shared
+    :class:`~repro.runtime.interfaces.Fabric`; this class adds the wire.
+    """
 
     def __init__(
         self,
@@ -75,141 +79,41 @@ class Network:
         rng: RngRegistry,
         tracer: Optional[Tracer] = None,
         link: Optional[LinkModel] = None,
-        shared_medium: bool = True,
     ):
+        super().__init__(tracer or Tracer(clock=lambda: sim.now, keep_records=False))
         self.sim = sim
         self.link = link or LinkModel()
-        self.shared_medium = shared_medium
-        self.tracer = tracer or Tracer(clock=lambda: sim.now, keep_records=False)
         self._rng = rng.stream("network")
-        self._callbacks: Dict[NodeId, DeliveryCallback] = {}
-        self._alive: Dict[NodeId, bool] = {}
-        self._partition_of: Dict[NodeId, int] = {}
         # Busy-until times for the serialization model.
         self._medium_free_at = 0
-        self._egress_free_at: Dict[NodeId, int] = {}
         self._rx_free_at: Dict[NodeId, int] = {}
-        # Counters for metrics.
-        self.messages_sent = 0
-        self.messages_delivered = 0
-        self.messages_dropped = 0
         self.deliveries_scheduled = 0
-        self.bytes_sent = 0
         # Fan-out memo effectiveness: a sender whose destination set
         # changes every round defeats the sorted-destination memo and
         # shows up as a miss-heavy ratio in bench snapshots.
         self.fanout_memo_hits = 0
         self.fanout_memo_misses = 0
-        # Hot-path caches (see docs/PERFORMANCE.md).  The sorted-
+        # Hot-path cache (see docs/PERFORMANCE.md).  The sorted-
         # destination memo preserves the replay-critical sorted iteration
         # order of ``multicast`` while paying the sort once per distinct
         # destination set; it is invalidated whenever the node population
-        # changes.  The partition-block list is recomputed only when the
-        # partition map or the node population changes.
+        # changes.
         self._sorted_dsts: Dict[FrozenSet[NodeId], Tuple[NodeId, ...]] = {}
-        self._blocks_cache: Optional[List[FrozenSet[NodeId]]] = None
 
-    # ------------------------------------------------------------------
-    # Topology management
-    # ------------------------------------------------------------------
     def attach(self, node: NodeId, callback: DeliveryCallback) -> None:
         """Register ``node`` with its delivery callback.  Node starts alive."""
-        self._callbacks[node] = callback
-        self._alive[node] = True
-        self._partition_of.setdefault(node, 0)
+        super().attach(node, callback)
         self._sorted_dsts.clear()
-        self._blocks_cache = None
 
     def detach(self, node: NodeId) -> None:
         """Remove ``node`` from the network entirely."""
-        self._callbacks.pop(node, None)
-        self._alive.pop(node, None)
-        self._partition_of.pop(node, None)
+        super().detach(node)
         self._sorted_dsts.clear()
-        self._blocks_cache = None
-
-    @property
-    def nodes(self) -> List[NodeId]:
-        """All attached node ids (alive or crashed)."""
-        return sorted(self._callbacks)
-
-    # ------------------------------------------------------------------
-    # Liveness (crash/recovery)
-    # ------------------------------------------------------------------
-    def is_alive(self, node: NodeId) -> bool:
-        """True if the node is attached and not crashed."""
-        return self._alive.get(node, False)
-
-    def has_node(self, node: NodeId) -> bool:
-        """True if ``node`` is attached (alive or crashed)."""
-        return node in self._callbacks
-
-    def set_alive(self, node: NodeId, alive: bool) -> None:
-        """Crash (``False``) or recover (``True``) a node."""
-        if node not in self._callbacks:
-            raise KeyError(f"unknown node {node!r}")
-        self._alive[node] = alive
-        self.tracer.emit("network", "crash" if not alive else "recover", node=node)
-
-    # ------------------------------------------------------------------
-    # Partitions
-    # ------------------------------------------------------------------
-    def set_partitions(self, blocks: Sequence[Iterable[NodeId]]) -> None:
-        """Partition the network into the given blocks of nodes.
-
-        Nodes not named in any block join block 0.  Messages only flow
-        within a block.
-        """
-        assignment: Dict[NodeId, int] = {}
-        for index, block in enumerate(blocks):
-            for node in block:
-                if node in assignment:
-                    raise ValueError(f"node {node!r} appears in two partition blocks")
-                assignment[node] = index
-        for node in self._callbacks:
-            self._partition_of[node] = assignment.get(node, 0)
-        self._blocks_cache = None
-        self.tracer.emit(
-            "network", "partition",
-            blocks=[sorted(n for n in self._callbacks if self._partition_of[n] == i)
-                    for i in range(len(blocks) or 1)],
-        )
-
-    def heal(self) -> None:
-        """Merge all partition blocks back into one."""
-        for node in self._partition_of:
-            self._partition_of[node] = 0
-        self._blocks_cache = None
-        self.tracer.emit("network", "heal")
-
-    def partition_blocks(self) -> List[FrozenSet[NodeId]]:
-        """Current partition blocks containing at least one node.
-
-        Cached until the partition map changes (``set_partitions`` /
-        ``heal``) or the node population changes (``attach`` /
-        ``detach``); a fresh list is returned so callers may mutate it.
-        """
-        if self._blocks_cache is None:
-            by_block: Dict[int, Set[NodeId]] = {}
-            for node, block in self._partition_of.items():
-                by_block.setdefault(block, set()).add(node)
-            self._blocks_cache = [
-                frozenset(nodes) for _, nodes in sorted(by_block.items())
-            ]
-        return list(self._blocks_cache)
-
-    def reachable(self, a: NodeId, b: NodeId) -> bool:
-        """True if a message sent now from ``a`` would be deliverable to ``b``."""
-        return (
-            self._alive.get(a, False)
-            and self._alive.get(b, False)
-            and self._partition_of.get(a) == self._partition_of.get(b)
-        )
 
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
-    def _transmission_end(self, src: NodeId, size: int) -> int:
+    def _transmission_end(self, size: int) -> int:
         """Reserve the medium for ``size`` bytes; return when they are on the wire."""
         link = self.link
         # ``link.serialization_us(size)`` inlined: one frame per transmission.
@@ -217,12 +121,8 @@ class Network:
             1,
             int((size + link.per_message_overhead_bytes) * 8 * 1_000_000 / link.bandwidth_bps),
         )
-        if self.shared_medium:
-            end = max(self.sim.now, self._medium_free_at) + serialization
-            self._medium_free_at = end
-        else:
-            end = max(self.sim.now, self._egress_free_at.get(src, 0)) + serialization
-            self._egress_free_at[src] = end
+        end = max(self.sim.now, self._medium_free_at) + serialization
+        self._medium_free_at = end
         return end
 
     def _delivery_time(self, dst: NodeId, wire_done: int) -> int:
@@ -276,7 +176,7 @@ class Network:
         if self.link.loss_probability and self._rng.random() < self.link.loss_probability:
             self.messages_dropped += 1
             return False
-        done = self._delivery_time(dst, self._transmission_end(src, size))
+        done = self._delivery_time(dst, self._transmission_end(size))
         self.deliveries_scheduled += 1
         self.sim.schedule_at(done, self._deliver, src, dst, payload, size)
         return True
@@ -296,7 +196,7 @@ class Network:
         if not self._alive.get(src, False):
             self.messages_dropped += 1
             return 0
-        wire_done = self._transmission_end(src, size)
+        wire_done = self._transmission_end(size)
         scheduled = 0
         # Iterate destinations in sorted order: callers often pass sets,
         # and the per-receiver jitter draws below must not depend on a
@@ -373,10 +273,3 @@ class Network:
         self.messages_dropped += dropped
         self.deliveries_scheduled += scheduled
         return scheduled
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Network(nodes={len(self._callbacks)}, "
-            f"blocks={len(self.partition_blocks())}, "
-            f"sent={self.messages_sent}, delivered={self.messages_delivered})"
-        )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Tuple
 
-from ..runtime.interfaces import Addressing, FailureFeed, NodeId, Runtime, TimerHandle
+from ..runtime.interfaces import FailureFeed, NodeId, Runtime, TimerHandle
 from ..runtime.rng import RngRegistry
 from ..runtime.trace import Tracer
 from .engine import Simulation
@@ -52,14 +52,13 @@ class SimRuntime:
         cls,
         seed: int = 0,
         link: Optional[LinkModel] = None,
-        shared_medium: bool = True,
         keep_trace: bool = True,
     ) -> "SimRuntime":
         """Build a fresh simulation environment from a root seed."""
         sim = Simulation()
         rng = RngRegistry(seed)
         tracer = Tracer(clock=lambda: sim.now, keep_records=keep_trace)
-        network = Network(sim, rng, tracer=tracer, link=link, shared_medium=shared_medium)
+        network = Network(sim, rng, tracer=tracer, link=link)
         failures = FailureFeed(network)
         return cls(sim=sim, network=network, rng=rng, tracer=tracer, failures=failures)
 
@@ -84,12 +83,6 @@ class SimRuntime:
     def run_for(self, duration_us: int) -> None:
         """Execute every event in the next ``duration_us`` microseconds."""
         self.sim.run_until(self.sim.now + duration_us)
-
-    def group_addressing(self) -> Addressing:
-        """A shared in-memory subscriber registry (IP-multicast analogue)."""
-        from ..vsync.locator import GroupAddressing
-
-        return GroupAddressing()
 
 
 class Process:

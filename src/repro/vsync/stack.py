@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Type, Union
 
 from ..naming.persistence import DurableStore
-from ..runtime.interfaces import Addressing, NodeId, Runtime
+from ..runtime.interfaces import NodeId, Runtime
 from ..sim.process import Process
 from ..sim.transport import ReliableTransport, _Segment
 from .failure_detector import FailureDetector
 from .hwg import HwgEndpoint, HwgListener
+from .locator import GroupAddressing
 from .messages import Heartbeat, VsyncMessage
 from .view import GroupId, ViewId
 
@@ -60,7 +61,7 @@ class ProtocolStack(Process):
         self,
         env: Runtime,
         node: NodeId,
-        addressing: Addressing,
+        addressing: GroupAddressing,
         config: Optional[VsyncConfig] = None,
         node_store: Optional[DurableStore] = None,
     ):

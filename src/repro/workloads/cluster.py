@@ -3,7 +3,7 @@
 A :class:`Cluster` wires together the full stack for ``n`` application
 processes — simulation environment, group addressing, name servers,
 per-process protocol stacks, naming clients and a light-weight group
-service of the chosen *flavour* (dynamic / static / isolated / none) —
+service of the chosen *flavour* (dynamic / static / none) —
 so tests, examples and benchmarks build scenarios in a few lines.
 """
 
@@ -12,12 +12,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..checkers import CheckerSuite
-from ..core.baselines import (
-    NoLwgService,
-    make_dynamic_service,
-    make_isolated_service,
-    make_static_service,
-)
+from ..core.baselines import NoLwgService, make_dynamic_service, make_static_service
 from ..core.config import LwgConfig
 from ..core.service import LwgService
 from ..naming.client import NamingClient
@@ -27,9 +22,10 @@ from ..naming.sharding import ShardMap
 from ..runtime.interfaces import SECOND, NodeId, Runtime
 from ..sim.network import LinkModel
 from ..sim.process import SimRuntime
+from ..vsync.locator import GroupAddressing
 from ..vsync.stack import ProtocolStack, VsyncConfig
 
-ServiceFlavour = str  # "dynamic" | "static" | "isolated" | "none"
+ServiceFlavour = str  # "dynamic" | "static" | "none"
 
 
 class Cluster:
@@ -52,18 +48,17 @@ class Cluster:
         lwg_config: Optional[LwgConfig] = None,
         vsync_config: Optional[VsyncConfig] = None,
         link: Optional[LinkModel] = None,
-        shared_medium: bool = True,
         keep_trace: bool = True,
         process_prefix: str = "p",
         checkers: bool = True,
         env: Optional[Runtime] = None,
         replication_factor: Optional[int] = None,
     ):
-        if flavour not in ("dynamic", "static", "isolated", "none"):
+        if flavour not in ("dynamic", "static", "none"):
             raise ValueError(f"unknown service flavour {flavour!r}")
         self.flavour = flavour
         self.env: Runtime = env if env is not None else SimRuntime.create(
-            seed=seed, link=link, shared_medium=shared_medium, keep_trace=keep_trace
+            seed=seed, link=link, keep_trace=keep_trace
         )
         # Online invariant monitors (sanitizer-style): on by default so
         # every scenario doubles as a correctness test.  Pass
@@ -71,7 +66,7 @@ class Cluster:
         self.checkers: Optional[CheckerSuite] = None
         if checkers:
             self.checkers = CheckerSuite.standard().attach(self.env.tracer)
-        self.addressing = self.env.group_addressing()
+        self.addressing = GroupAddressing()
         self.lwg_config = lwg_config or LwgConfig()
         self.vsync_config = vsync_config or VsyncConfig()
         self.name_server_ids = [f"ns{i}" for i in range(num_name_servers)]
@@ -111,10 +106,8 @@ class Cluster:
             self.clients[node] = client
             if flavour == "dynamic":
                 self.services[node] = make_dynamic_service(stack, client, self.lwg_config)
-            elif flavour == "static":
-                self.services[node] = make_static_service(stack, client, self.lwg_config)
             else:
-                self.services[node] = make_isolated_service(stack, client, self.lwg_config)
+                self.services[node] = make_static_service(stack, client, self.lwg_config)
 
     def _make_store(self, node: NodeId) -> DurableStore:
         store = DurableStore()

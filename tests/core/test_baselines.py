@@ -1,4 +1,4 @@
-"""Tests for the comparison services: no-LWG, static, isolated."""
+"""Tests for the comparison services: no-LWG and static."""
 
 from repro.core import LwgListener
 from repro.sim import SECOND
@@ -107,21 +107,8 @@ def test_static_flavour_preserves_lwg_semantics():
     assert all(("p0", "h-data") not in r.data for r in r_g)
 
 
-# ----------------------------------------------------------------------
-# Isolated service (ablation)
-# ----------------------------------------------------------------------
-def test_isolated_flavour_private_hwgs():
-    cluster = Cluster(num_processes=2, seed=48, flavour="isolated")
-    g = [cluster.service(i).join("g") for i in range(2)]
-    h = [cluster.service(i).join("h") for i in range(2)]
-    assert cluster.run_until(
-        lambda: converged(g, 2) and converged(h, 2), timeout_us=15 * SECOND
-    )
-    assert g[0].hwg != h[0].hwg
-
-
 def test_all_flavours_share_the_user_api():
-    for flavour in ("dynamic", "static", "isolated", "none"):
+    for flavour in ("dynamic", "static", "none"):
         cluster = Cluster(num_processes=2, seed=49, flavour=flavour)
         recorder = Recorder()
         handle = cluster.service(0).join("g", recorder)

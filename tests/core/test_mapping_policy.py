@@ -1,10 +1,6 @@
 """Tests for the initial mapping policies."""
 
-from repro.core import (
-    DynamicMappingPolicy,
-    IsolatedMappingPolicy,
-    StaticMappingPolicy,
-)
+from repro.core import DynamicMappingPolicy, StaticMappingPolicy
 from repro.sim import SECOND
 from repro.workloads import Cluster
 
@@ -21,10 +17,6 @@ def converged(handles, size):
 def test_static_policy_fixed_target():
     policy = StaticMappingPolicy("hwg:fixed")
     assert policy.choose("lwg:any", None) == "hwg:fixed"
-
-
-def test_isolated_policy_always_fresh():
-    assert IsolatedMappingPolicy().choose("lwg:any", None) is None
 
 
 def test_dynamic_policy_on_live_cluster():

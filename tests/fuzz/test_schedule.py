@@ -1,6 +1,7 @@
 """Schedule grammar: validation, description, canonical JSON round-trip."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -93,3 +94,15 @@ def test_flat_schedule_json_omits_zoning_fields():
     data = json.loads(sample_schedule().to_json())
     assert "topology" not in data and "zones" not in data
     assert all("zone" not in step for step in data["steps"])
+
+
+def test_unknown_keys_rejected():
+    # A file carrying a retired option must not replay as something else.
+    path = Path(__file__).parent / "corpus" / "partition-0003.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    Schedule.from_dict(data)
+    with pytest.raises(ValueError, match="'topology'"):
+        Schedule.from_dict({**data, "topology": "zoned"})
+    step = {**data["steps"][0], "zone": 1}
+    with pytest.raises(ValueError, match="'zone'"):
+        Schedule.from_dict({**data, "steps": [step]})

@@ -4,13 +4,8 @@ import time
 
 import pytest
 
-from repro.runtime.asyncio_backend import (
-    AsyncioRuntime,
-    BroadcastAddressing,
-    WallClock,
-)
+from repro.runtime.asyncio_backend import AsyncioRuntime, WallClock
 from repro.runtime.interfaces import MS
-from repro.sim.process import SimRuntime
 
 
 @pytest.fixture
@@ -105,23 +100,13 @@ def test_partition_drop_filter_blocks_cross_block_traffic(env, monkeypatch):
     env.run_for(100 * MS)
     assert inbox_b == [("a", "healed")]
 
-    # Split a | b,c and multicast from a to everyone: the loopback copy
-    # goes out, b and c count as per-receiver drops, as on the simulator.
+    # A multicast datagram the kernel refuses is a per-receiver drop,
+    # as it is for ``send``.
     _mailbox(env, "c")
-    sim = SimRuntime.create(seed=1)
-    for node in ("a", "b", "c"):
-        sim.fabric.attach(node, lambda src, payload, size: None)
     dropped_before = env.fabric.messages_dropped
-    for fabric in (sim.fabric, env.fabric):
-        fabric.set_partitions([["a"], ["b", "c"]])
-        assert fabric.multicast("a", {"a", "b", "c"}, "beacon", 64) == 1
-    assert env.fabric.messages_dropped - dropped_before == 2
-    assert sim.fabric.messages_dropped == 2
-    # A send the kernel refuses is a drop too, as it is for ``send``.
-    env.fabric.heal()
     monkeypatch.setattr(env.fabric, "_sendto", lambda sock, data, dst: False)
     assert env.fabric.multicast("a", {"a", "b", "c"}, "beacon", 64) == 0
-    assert env.fabric.messages_dropped - dropped_before == 5
+    assert env.fabric.messages_dropped - dropped_before == 3
 
 
 def test_receive_side_filter_cuts_in_flight_datagrams(env):
@@ -146,39 +131,12 @@ def test_crashed_node_neither_sends_nor_receives(env):
     assert inbox_b == [("a", "y")]
 
 
-def test_partition_blocks_reporting(env):
-    for node in ("a", "b", "c"):
-        _mailbox(env, node)
-    env.fabric.set_partitions([["a", "b"], ["c"]])
-    assert env.fabric.partition_blocks() == [
-        frozenset({"a", "b"}),
-        frozenset({"c"}),
-    ]
-
-
 def test_detach_releases_the_node(env):
     _mailbox(env, "a")
     assert env.fabric.has_node("a")
     env.fabric.detach("a")
     assert not env.fabric.has_node("a")
     assert "a" not in env.fabric.nodes
-
-
-# ----------------------------------------------------------------------
-# Broadcast addressing
-# ----------------------------------------------------------------------
-def test_broadcast_addressing_reports_every_fabric_node(env):
-    for node in ("a", "b"):
-        _mailbox(env, node)
-    addressing = BroadcastAddressing(env.fabric)
-    addressing.subscribe("hwg:x", "a")
-    # Broadcast semantics: the whole medium is the subscriber set.
-    assert addressing.subscribers("hwg:x") == {"a", "b"}
-    assert addressing.subscribers("hwg:unknown") == {"a", "b"}
-    # Local subscriptions are still tracked for teardown.
-    assert addressing.groups_of("a") == {"hwg:x"}
-    addressing.unsubscribe_all("a")
-    assert addressing.groups_of("a") == set()
 
 
 # ----------------------------------------------------------------------

@@ -98,23 +98,6 @@ def test_partition_cuts_in_flight_messages():
     assert net.messages_dropped == 1
 
 
-def test_node_in_two_blocks_rejected():
-    _, net = make_net()
-    attach(net, "a", "b")
-    with pytest.raises(ValueError):
-        net.set_partitions([["a"], ["a", "b"]])
-
-
-def test_unlisted_nodes_default_to_block_zero():
-    sim, net = make_net()
-    boxes = attach(net, "a", "b", "c")
-    net.set_partitions([["a", "c"], ["b"]])
-    # "a" and "c" share block 0 only if listed; unlisted joins block 0.
-    net.set_partitions([["b"]])  # a, c unlisted -> block 0; b alone in 0? no: b listed in block 0
-    # After this call a and c are in block 0 and b is in block 0 as well.
-    assert net.reachable("a", "c")
-
-
 def test_crashed_node_cannot_send_or_receive():
     sim, net = make_net()
     boxes = attach(net, "a", "b")
@@ -146,12 +129,6 @@ def test_recovery_allows_new_messages():
     assert boxes["b"] == [("a", "x")]
 
 
-def test_unknown_node_crash_raises():
-    _, net = make_net()
-    with pytest.raises(KeyError):
-        net.set_alive("ghost", False)
-
-
 def test_loss_probability_drops_messages():
     sim, net = make_net(loss_probability=1.0)
     boxes = attach(net, "a", "b")
@@ -166,7 +143,7 @@ def test_serialization_delay_scales_with_size():
     assert link.serialization_us(1000) == 8 * link.serialization_us(125)
 
 
-def test_shared_medium_serializes_transmissions():
+def test_one_medium_serializes_transmissions():
     sim, net = make_net(bandwidth_bps=1_000_000)
     boxes = attach(net, "a", "b", "c")
     arrival_times = []
@@ -181,20 +158,6 @@ def test_shared_medium_serializes_transmissions():
     assert all(gap >= serialization - net.link.rx_cost_us for gap in gaps)
 
 
-def test_per_node_egress_when_not_shared():
-    sim = Simulation()
-    net = Network(sim, RngRegistry(0), link=LinkModel(jitter_us=0), shared_medium=False)
-    received = []
-    net.attach("a", lambda *a: None)
-    net.attach("b", lambda *a: None)
-    net.attach("x", lambda s, p, z: received.append(sim.now))
-    # Two different senders do not contend for the wire in switched mode.
-    net.send("a", "x", "m1", size=10_000)
-    net.send("b", "x", "m2", size=10_000)
-    sim.run()
-    assert len(received) == 2
-
-
 def test_counters_track_traffic():
     sim, net = make_net()
     attach(net, "a", "b")
@@ -203,15 +166,6 @@ def test_counters_track_traffic():
     assert net.messages_sent == 1
     assert net.messages_delivered == 1
     assert net.bytes_sent == 100
-
-
-def test_partition_blocks_accessor():
-    _, net = make_net()
-    attach(net, "a", "b", "c")
-    net.set_partitions([["a"], ["b", "c"]])
-    blocks = net.partition_blocks()
-    assert frozenset({"a"}) in blocks
-    assert frozenset({"b", "c"}) in blocks
 
 
 # -- jitter draws ------------------------------------------------------------
