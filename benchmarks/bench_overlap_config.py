@@ -15,54 +15,27 @@ from repro.metrics import series_table, shape_check
 from repro.workloads import build_overlap, measure_latency, measure_recovery
 
 NS = (2, 4, 8)
-FLAVOURS = ("none", "static", "dynamic", "optimizer")
-
-#: Scan rows -> (cluster flavour, placement policy).  "optimizer" is
-#: the dynamic service with the §19 greedy placement pass instead of
-#: the Figure-1 rules; it must find the same partial-sharing structure.
-_VARIANTS = {
-    "none": ("none", "paper"),
-    "static": ("static", "paper"),
-    "dynamic": ("dynamic", "paper"),
-    "optimizer": ("dynamic", "optimizer"),
-}
-
-
-def class_pure(setup):
-    """True if no HWG carries LWGs of both membership classes."""
-    classes_on = {}
-    for (group, _node), handle in setup.handles.items():
-        cls = tuple(setup.groups[group])
-        classes_on.setdefault(handle.hwg, set()).add(cls)
-    return all(len(cs) == 1 for cs in classes_on.values())
+FLAVOURS = ("none", "static", "dynamic")
 
 
 def run_overlap_scan():
     latency = {flavour: [] for flavour in FLAVOURS}
     recovery = {flavour: [] for flavour in FLAVOURS}
     hwg_counts = {flavour: [] for flavour in FLAVOURS}
-    purity = []
     for n in NS:
         for flavour in FLAVOURS:
-            cluster_flavour, placement = _VARIANTS[flavour]
-            setup = build_overlap(
-                n=n, flavour=cluster_flavour, seed=SEED, placement=placement
-            )
+            setup = build_overlap(n=n, flavour=flavour, seed=SEED)
             hwg_counts[flavour].append(len(setup.hwgs_in_use()))
-            if flavour == "optimizer":
-                purity.append(class_pure(setup))
             stats = measure_latency(setup, probes_per_group=6)
             latency[flavour].append(stats.mean_us / 1000.0)
-            fresh = build_overlap(
-                n=n, flavour=cluster_flavour, seed=SEED, placement=placement
-            )
+            fresh = build_overlap(n=n, flavour=flavour, seed=SEED)
             result = measure_recovery(fresh, victim="p3", traffic_period_us=None)
             recovery[flavour].append(result.reconfig_us / 1000.0)
-    return latency, recovery, hwg_counts, purity
+    return latency, recovery, hwg_counts
 
 
 def test_overlap_configuration(benchmark):
-    latency, recovery, hwg_counts, optimizer_purity = benchmark.pedantic(
+    latency, recovery, hwg_counts = benchmark.pedantic(
         run_overlap_scan, rounds=1, iterations=1
     )
     print(
@@ -124,24 +97,6 @@ def test_overlap_configuration(benchmark):
         shape_check(
             f"dynamic latency within 30% of none ({dynamic_lat:.2f} vs {none_lat:.2f}ms)",
             dynamic_lat <= 1.3 * none_lat,
-        ),
-        shape_check(
-            "optimizer never collapses across the 50% overlap "
-            f"(every HWG single-class): {optimizer_purity}",
-            all(optimizer_purity),
-        ),
-        shape_check(
-            # The §19 fill places each membership class whole, so the
-            # optimizer finds the same one-HWG-per-class structure as
-            # the Figure-1 rules at every n.
-            "optimizer uses one HWG per membership class: "
-            f"{hwg_counts['optimizer']}",
-            all(c == 2 for c in hwg_counts["optimizer"]),
-        ),
-        shape_check(
-            "optimizer latency within 30% of the Figure-1 rules "
-            f"({statistics.fmean(latency['optimizer']):.2f} vs {dynamic_lat:.2f}ms)",
-            statistics.fmean(latency["optimizer"]) <= 1.3 * dynamic_lat,
         ),
     ]
     print("\n".join(checks))

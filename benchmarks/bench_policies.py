@@ -8,12 +8,9 @@ Two claims from Section 3.2 are checked:
   state costs microseconds of real CPU (the paper runs it once a minute
   precisely so its cost "is negligible").
 
-A third experiment goes past the paper: at high group counts the
-Figure-1 rules converge to a mapping they can never escape (see
-``repro/workloads/placement.py``), and the §19 optimizer — one greedy
-pass that places each membership class whole — must beat them by at
-least 20% on crash-churn flush work while carrying no more steady-state
-fabric traffic than they do, asserted below.
+A third check goes past the paper: at high group counts the Figure-1
+rules converge to one HWG per zone and can never leave it (see
+``repro/workloads/placement.py``), asserted on every seed below.
 """
 
 from conftest import SEED
@@ -23,18 +20,17 @@ from repro.metrics import format_table, shape_check
 from repro.runtime.rng import RngRegistry
 from repro.sim import SECOND
 from repro.workloads import Cluster
-from repro.workloads.placement import build_placement_scenario, measure_placement
+from repro.workloads.placement import build_placement_scenario
 
-#: Scale for the placement-policy comparison: large enough that the
-#: zone collapse dominates (the paper rules are stuck paying fan-out 12
-#: for 4-8 member classes), small enough to run both flavours on every
-#: seed of ``PLACEMENT_SEEDS`` within the job's budget.  Both policies
-#: converge here and at 80 LWGs because no LWG moves while a process's
-#: views are still changing, so a bulk load finishes before placement
-#: starts (PROTOCOLS.md §19).
+#: Scale of the placement bed: large enough that the zone collapse
+#: dominates (the paper rules are stuck paying fan-out 12 for 4-8
+#: member classes), small enough to run every seed of
+#: ``PLACEMENT_SEEDS`` within the job's budget.  The rules converge here
+#: and at 80 LWGs because no LWG moves while a process's views are still
+#: changing, so a bulk load finishes before placement starts.
 PLACEMENT_LWGS = 40
-#: The seeds the comparison runs on: the bench seed, and the four seeds
-#: on which the paper rules once stranded joining LWGs.
+#: The seeds the bed runs on: the bench seed, and the four seeds on
+#: which the paper rules once stranded joining LWGs.
 PLACEMENT_SEEDS = (SEED, 0, 1, 5, 6)
 
 
@@ -176,107 +172,66 @@ def policy_scale_snapshot(seed):
             for h in hwg_names
         },
         hwg_idle_since={h: 0 for h in hwg_names},
-        hwg_pinned={h: () for h in hwg_names},
     )
 
 
 def test_policy_evaluation_at_scale(benchmark):
-    """One evaluation of each placement policy over 200 LWGs / 12 HWGs.
+    """One evaluation of the Figure-1 rules over 200 LWGs / 12 HWGs.
 
     Each evaluation builds a fresh snapshot (the cached-property derived
     data is part of the cost being measured, exactly as in production
     where every policy tick starts from a new snapshot).  Wall-clock is
-    the trend; the action counts are the deterministic half.
+    the trend; the action count is the deterministic half.
     """
-    paper = PolicyEngine(LwgConfig())
-    optimizer = PolicyEngine(LwgConfig(placement_policy="optimizer"))
+    engine = PolicyEngine(LwgConfig())
 
     def run():
-        return (
-            len(paper.evaluate(policy_scale_snapshot(SEED))),
-            len(
-                optimizer.evaluate(
-                    policy_scale_snapshot(SEED), mint=lambda: "hwg:minted"
-                )
-            ),
-        )
+        return len(engine.evaluate(policy_scale_snapshot(SEED)))
 
-    paper_actions, optimizer_actions = benchmark(run)
-    print(f"\nactions per evaluation: paper {paper_actions}, optimizer {optimizer_actions}")
-    assert paper_actions == 170
-    # The optimizer's plan is larger; it is drained a bounded batch per tick.
-    assert optimizer_actions == LwgConfig().placement_max_switches == 4
+    actions = benchmark(run)
+    print(f"\nactions per evaluation: {actions}")
+    assert actions == 170
 
 
-def run_placement_comparison():
-    """Both placements over the identical Zipf-class zone scenario, per seed."""
-    return {
-        seed: {
-            placement: measure_placement(
-                build_placement_scenario(placement, num_lwgs=PLACEMENT_LWGS, seed=seed)
-            )
-            for placement in ("paper", "optimizer")
-        }
-        for seed in PLACEMENT_SEEDS
-    }
+def largest_hwg(cluster):
+    """Largest HWG membership seen from any process."""
+    return max(
+        len(endpoint.current_view.members)
+        for node in cluster.process_ids
+        for endpoint in cluster.stack(node).endpoints.values()
+        if endpoint.current_view is not None
+    )
 
 
-def test_placement_optimizer_vs_paper(benchmark):
-    """§19 acceptance, on every seed: over identical simulated windows,
-    the global optimizer beats the stuck Figure-1 mapping by ≥20% on
-    crash-churn merge/flush work and sends no more paced-phase fabric
-    messages."""
-    results = benchmark.pedantic(run_placement_comparison, rounds=1, iterations=1)
+def run_placement_bed():
+    """The converged bed's HWG count and largest HWG, per seed."""
+    results = {}
+    for seed in PLACEMENT_SEEDS:
+        setup = build_placement_scenario(num_lwgs=PLACEMENT_LWGS, seed=seed)
+        results[seed] = (len(setup.hwgs_in_use()), largest_hwg(setup.cluster))
+    return results
+
+
+def test_paper_rules_stuck_on_one_hwg_per_zone(benchmark):
+    """On every seed the Figure-1 rules drive each 12-process zone onto
+    one HWG and keep it there."""
+    results = benchmark.pedantic(run_placement_bed, rounds=1, iterations=1)
     checks = []
-    for seed, result in results.items():
-        checks += placement_checks(seed, result["paper"], result["optimizer"])
+    for seed, (hwg_count, largest) in results.items():
+        print(
+            format_table(
+                f"Placement at {PLACEMENT_LWGS} LWGs / 24 processes, seed {seed} — "
+                "Figure-1 rules",
+                ["metric", "paper"],
+                [["HWGs in use", hwg_count], ["largest HWG", largest]],
+            )
+        )
+        checks.append(
+            shape_check(
+                "paper rules are stuck on one HWG per zone: "
+                f"{hwg_count} HWGs, largest {largest}",
+                hwg_count == 2 and largest == 12,
+            )
+        )
     print("\n".join(checks))
     assert all(c.startswith("[PASS]") for c in checks)
-
-
-def placement_checks(seed, paper, opt):
-    """Print one seed's comparison table; return its shape checks."""
-    data_ratio = opt.data_messages / paper.data_messages
-    flush_ratio = opt.flush_messages / paper.flush_messages
-    print(
-        format_table(
-            f"Placement at {PLACEMENT_LWGS} LWGs / 24 processes, seed {seed} — "
-            "Figure-1 rules vs §19 optimizer",
-            ["metric", "paper", "optimizer", "ratio"],
-            [
-                ["fabric messages (paced data phase, no heartbeats)",
-                 paper.data_messages, opt.data_messages, round(data_ratio, 3)],
-                ["merge/flush messages (crash+recover churn)",
-                 paper.flush_messages, opt.flush_messages, round(flush_ratio, 3)],
-                ["HWGs in use", paper.hwg_count, opt.hwg_count, ""],
-                ["largest HWG", paper.max_hwg_size, opt.max_hwg_size, ""],
-            ],
-        )
-    )
-    return [
-        shape_check(
-            "paper rules are stuck on one HWG per zone: "
-            f"{paper.hwg_count} HWGs, largest {paper.max_hwg_size}",
-            paper.hwg_count == 2 and paper.max_hwg_size == 12,
-        ),
-        shape_check(
-            "optimizer peels the sub-window classes onto their own HWGs: "
-            f"{opt.hwg_count} HWGs",
-            opt.hwg_count > paper.hwg_count,
-        ),
-        # Data traffic is a cost to bound, not the headline win: the old
-        # 0.79x was made of per-Publish transport acks, paid by the paper
-        # side's non-sequencer senders on one 12-member HWG and by none of
-        # the optimizer side's senders (each sequences its own HWG).  With
-        # the sequencer's Ordered as the acknowledgement both sides pay
-        # the same two datagrams per send, and the only fabric left to
-        # save is the sub-classes' slack fan-out.
-        shape_check(
-            f"optimizer fabric messages <= 1.0x paper ({data_ratio:.3f})",
-            data_ratio <= 1.0,
-        ),
-        shape_check(
-            f"optimizer merge/flush work <= 0.8x paper ({flush_ratio:.3f})",
-            flush_ratio <= 0.8,
-        ),
-    ]

@@ -4,7 +4,7 @@ Regenerates the two tables of docs/PERFORMANCE.md § "The wire format"::
 
     PYTHONPATH=src python benchmarks/wire_format.py
 
-Part 1 replays four digest-pinned rows of CI's fuzz-smoke matrix on
+Part 1 replays three digest-pinned rows of CI's fuzz-smoke matrix on
 the simulator with a ``Network.send/multicast`` hook that encodes every
 payload handed to the fabric, checks it round-trips, and adds up the
 frame bytes next to what blanket ``pickle.dumps((src, payload, size))``
@@ -31,7 +31,6 @@ ROWS = [
     ("sharded (4 servers, rf=2), seed 5", 5, "mixed",
      {"num_name_servers": 4, "replication_factor": 2}),
     ("recovery, seed 11", 11, "recovery", {}),
-    ("optimizer, seed 3", 3, "mixed", {"placement": "optimizer"}),
 ]
 
 

@@ -31,12 +31,6 @@ from .mapping_policy import (
     InitialMappingPolicy,
     StaticMappingPolicy,
 )
-from .placement import (
-    OptimizerPlacementPolicy,
-    PlacementOptimizer,
-    PlacementPlan,
-    PlacementView,
-)
 from .mapping_table import LocalLwg, LwgState, MappingTable
 from .merge import MergeManager, ReconciliationHandler
 from .policies import (
@@ -67,10 +61,6 @@ __all__ = [
     "DynamicMappingPolicy",
     "InitialMappingPolicy",
     "StaticMappingPolicy",
-    "OptimizerPlacementPolicy",
-    "PlacementOptimizer",
-    "PlacementPlan",
-    "PlacementView",
     "LocalLwg",
     "LwgState",
     "MappingTable",

@@ -28,23 +28,10 @@ class LwgConfig:
     k_c: int = 4
     #: How often the mapping heuristics run at each process.
     policy_period_us: int = 60 * SECOND
-    #: LWG→HWG placement strategy for the periodic re-evaluation:
-    #: ``"paper"`` runs the Figure-1 share/interference rules verbatim;
-    #: ``"optimizer"`` replaces them with the global placement optimizer
-    #: (:mod:`repro.core.placement`).  The shrink rule runs under both.
-    placement_policy: str = "paper"
-    #: Optimizer knobs (ignored under ``"paper"``).  At most this many
-    #: switches are emitted per evaluation — convergence spreads over
-    #: policy periods instead of storming the switch protocol.
-    placement_max_switches: int = 4
     #: Master switches for the adaptive machinery (baselines turn them off).
     enable_policies: bool = True
     enable_reconciliation: bool = True
     #: An HWG membership with no local LWG mapped must persist this long
     #: before the shrink rule makes the process leave it.
     shrink_grace_us: int = 2 * SECOND
-
-    def __post_init__(self) -> None:
-        if self.placement_policy not in ("paper", "optimizer"):
-            raise ValueError(f"unknown placement_policy: {self.placement_policy!r}")
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..naming.records import HwgId, LwgId
 from ..vsync.view import ProcessId
@@ -77,10 +77,6 @@ class PolicySnapshot:
         hwg_idle_since: hwg -> sim time when the HWG last carried one of
             our LWGs (for the shrink grace period).
         busy_lwgs: LWGs never re-decided: mid-switch, or all if settling.
-        hwg_pinned: hwg -> (lwg, members) for every LWG view recorded in
-            the HWG's directory — cargo the placement optimizer must
-            treat as immovable when it isn't ours to move.  Only
-            populated under ``placement_policy="optimizer"``.
     """
 
     node: ProcessId
@@ -90,9 +86,6 @@ class PolicySnapshot:
     local_lwgs_per_hwg: Dict[HwgId, int]
     hwg_idle_since: Dict[HwgId, int] = field(default_factory=dict)
     busy_lwgs: FrozenSet[LwgId] = frozenset()
-    hwg_pinned: Dict[HwgId, Tuple[Tuple[LwgId, Members], ...]] = field(
-        default_factory=dict
-    )
     # Derived data shared by the rule passes (each pass used to redo the
     # sort/scan itself).  ``cached_property`` stores into the instance
     # ``__dict__`` directly, which a frozen dataclass permits.
@@ -141,40 +134,15 @@ PolicyAction = object  # SwitchAction | LeaveHwgAction (py39-compatible alias)
 # The engine
 # ----------------------------------------------------------------------
 class PolicyEngine:
-    """Evaluates the mapping rules over a snapshot.
-
-    Under the default ``placement_policy="paper"`` this is exactly the
-    Figure-1 share/interference/shrink cascade.  Under ``"optimizer"``
-    the share and interference rules are replaced by the global
-    placement optimizer (:mod:`repro.core.placement`); the shrink rule
-    drains emptied HWGs under both.
-    """
+    """Evaluates the Figure-1 share/interference/shrink cascade over a
+    snapshot."""
 
     def __init__(self, config: Optional[LwgConfig] = None):
         self.config = config or LwgConfig()
-        self._placement = None
-        if self.config.placement_policy == "optimizer":
-            from .placement import OptimizerPlacementPolicy  # no import cycle at call time
 
-            self._placement = OptimizerPlacementPolicy(self.config)
-
-    def evaluate(
-        self,
-        snap: PolicySnapshot,
-        mint: Optional[Callable[[], HwgId]] = None,
-    ) -> List[PolicyAction]:
-        """Return the actions the rules prescribe, deterministically ordered.
-
-        ``mint`` lets the optimizer pre-mint one HWG id per fresh
-        placement group so co-placed LWGs land on a *shared* new HWG
-        (``SwitchAction(to_hwg=None)`` would mint one each).  The paper
-        rules never call it.
-        """
+    def evaluate(self, snap: PolicySnapshot) -> List[PolicyAction]:
+        """Return the actions the rules prescribe, deterministically ordered."""
         actions: List[PolicyAction] = []
-        if self._placement is not None:
-            actions += self._placement.evaluate(snap, mint=mint)
-            actions += self._shrink_rule(snap)
-            return actions
         switched: Set[LwgId] = set()
         actions += self._share_rule(snap, switched)
         actions += self._interference_rule(snap, switched)

@@ -693,8 +693,6 @@ class LwgService:
         hwg_members = {}
         local_per_hwg = {}
         idle_since = {}
-        hwg_pinned = {}
-        want_pinned = self.config.placement_policy == "optimizer"
         for hwg, endpoint in self.stack.endpoints.items():
             if not hwg.startswith("hwg:"):
                 continue
@@ -705,13 +703,6 @@ class LwgService:
             local_per_hwg[hwg] = len(used_by)
             directory = self.table.dir_for(hwg)
             idle_since[hwg] = self.env.now if used_by else directory.last_useful_at
-            if want_pinned:
-                # Every LWG view the directory pins on this HWG; the
-                # optimizer filters out the ones it may move itself.
-                hwg_pinned[hwg] = tuple(
-                    (lwg, frozenset(v.members))
-                    for lwg, v in sorted(directory.views.items())
-                )
         busy = {l.lwg for l in self.table.locals.values() if l.switch_epoch is not None}
         busy |= set(self.switching.drivers)
         if self._settling():
@@ -725,7 +716,6 @@ class LwgService:
             local_lwgs_per_hwg=local_per_hwg,
             hwg_idle_since=idle_since,
             busy_lwgs=busy,
-            hwg_pinned=hwg_pinned,
         )
 
     def _policy_view_ids(self) -> FrozenSet[Tuple[str, ViewId]]:
@@ -754,7 +744,7 @@ class LwgService:
         for hwg, count in snapshot.local_lwgs_per_hwg.items():
             if count:
                 self.table.dir_for(hwg).last_useful_at = snapshot.now_us
-        actions = self.policy_engine.evaluate(snapshot, mint=self.mint_hwg_id)
+        actions = self.policy_engine.evaluate(snapshot)
         for action in actions:
             if isinstance(action, SwitchAction):
                 local = self.table.local(action.lwg)

@@ -58,15 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--placement",
-        choices=("paper", "optimizer"),
-        default="paper",
-        help=(
-            "LWG→HWG placement strategy (PROTOCOLS.md §19); "
-            "paper = Figure-1 rules, optimizer = greedy global placement pass"
-        ),
-    )
-    parser.add_argument(
         "--max-steps", type=int, default=16, help="max schedule length"
     )
     parser.add_argument(
@@ -249,7 +240,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         num_processes=args.processes,
         num_name_servers=args.name_servers,
         replication_factor=args.replication_factor,
-        placement=args.placement,
         num_groups=args.groups,
         max_steps=args.max_steps,
     )

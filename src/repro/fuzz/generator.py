@@ -99,8 +99,6 @@ class GeneratorConfig:
     #: shards the namespace with this many replicas per shard
     #: (PROTOCOLS.md §18).
     replication_factor: int = 0
-    #: LWG→HWG placement strategy ("paper" or "optimizer", §19).
-    placement: str = "paper"
     num_groups: int = 3
     min_steps: int = 8
     max_steps: int = 16
@@ -139,24 +137,16 @@ class ScheduleGenerator:
 
         initial = self._initial_membership(rng, processes, groups)
         steps = self._steps(rng, processes, servers, groups, initial)
-        # A non-default placement keys the label (and thus the digest
-        # pins) distinctly; the plain paper form is byte-identical to the
-        # pre-variant corpus.
-        variant = []
-        if config.placement != "paper":
-            variant.append(config.placement)
-        tail = "-".join(variant + [f"{index:04d}"])
         return Schedule(
             seed=fork.stream("cluster-seed").randrange(2**31),
             num_processes=config.num_processes,
             num_name_servers=config.num_name_servers,
             replication_factor=config.replication_factor,
-            placement=config.placement,
             groups=groups,
             initial_members=initial,
             steps=steps,
             profile=self.profile,
-            label=f"fuzz-{self.seed}-{self.profile}-{tail}",
+            label=f"fuzz-{self.seed}-{self.profile}-{index:04d}",
         )
 
     # ------------------------------------------------------------------

@@ -34,7 +34,7 @@ digest is no longer reproducible.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..checkers import InvariantViolation
@@ -136,7 +136,7 @@ class ScheduleRunner:
             seed=schedule.seed,
             num_name_servers=schedule.num_name_servers,
             replication_factor=schedule.replication_factor,
-            lwg_config=replace(_scaled_lwg_config(), placement_policy=schedule.placement),
+            lwg_config=_scaled_lwg_config(),
             keep_trace=False,
             env=env,
         )

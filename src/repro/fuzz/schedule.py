@@ -159,10 +159,6 @@ class Schedule:
     #: servers": a fully replicated map — the default, omitted from the
     #: JSON form, so every pre-sharding corpus schedule replays unchanged.
     replication_factor: int = 0
-    #: LWG→HWG placement strategy ("paper" or "optimizer", PROTOCOLS.md
-    #: §19).  The paper default is omitted from the JSON form, so every
-    #: pre-optimizer corpus schedule stays byte-canonical.
-    placement: str = "paper"
     groups: Tuple[str, ...] = ("s0", "s1", "s2")
     #: group -> nodes joined before the fault schedule starts.
     initial_members: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
@@ -219,8 +215,6 @@ class Schedule:
         # file stays byte-canonical.
         if self.replication_factor:
             out["replication_factor"] = self.replication_factor
-        if self.placement != "paper":
-            out["placement"] = self.placement
         return out
 
     def to_json(self) -> str:
@@ -238,7 +232,6 @@ class Schedule:
             num_processes=int(data.get("num_processes", 6)),
             num_name_servers=int(data.get("num_name_servers", 2)),
             replication_factor=int(data.get("replication_factor", 0)),
-            placement=data.get("placement", "paper"),
             groups=tuple(data.get("groups", ())),
             initial_members={
                 group: tuple(members)
@@ -262,7 +255,6 @@ class Schedule:
             num_processes=self.num_processes,
             num_name_servers=self.num_name_servers,
             replication_factor=self.replication_factor,
-            placement=self.placement,
             groups=self.groups,
             initial_members=dict(self.initial_members),
             settle_us=self.settle_us,

@@ -218,8 +218,7 @@ class Network(Fabric):
         # fan-out loop is the fabric's hottest code.  The logic (including
         # the order of RNG draws) must stay exactly equivalent to the
         # helper methods or replays diverge.  Each delivery is one
-        # handle-free heap entry firing ``self._deliver``, read here at
-        # send time so an instance-level wrap (``FabricMeter``) sees it.
+        # handle-free heap entry firing ``self._deliver``.
         link = self.link
         loss = link.loss_probability
         jitter_us = link.jitter_us

@@ -19,8 +19,8 @@ The placement bed (:mod:`repro.workloads.placement`) builds the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import LwgConfig
 from ..core.policies import SwitchAction
@@ -29,9 +29,6 @@ from ..metrics.collectors import SummaryStats
 from ..sim.engine import MS, SECOND
 from .cluster import Cluster
 from .traffic import PeriodicSender, ProbeHub, ProbeListener, probe_payload
-
-if TYPE_CHECKING:
-    from .placement import FabricMeter
 
 #: Processes per user group in the Figure-2 configuration.
 GROUP_SIZE = 4
@@ -51,8 +48,6 @@ class Scenario:
     probes: Dict[Tuple[str, str], ProbeListener] = field(default_factory=dict)
     #: :meth:`converged` also requires one view on one HWG per group.
     one_view: bool = False
-    #: The placement bed's fabric meter, built with the cluster.
-    meter: Optional["FabricMeter"] = None
 
     def join(self, group: str, node: str) -> None:
         probe = ProbeListener(self.hub, node)
@@ -99,7 +94,7 @@ def _scaled_lwg_config() -> LwgConfig:
     """Scenario timers: policies every 2 s instead of 60 s, shrink grace 1 s.
 
     The one base config of the scenarios, the fuzz runner and the
-    placement scenario; the latter two ``replace()`` what they change.
+    placement scenario.
     """
     return LwgConfig(policy_period_us=2 * SECOND, shrink_grace_us=1 * SECOND)
 
@@ -112,7 +107,6 @@ def _build_two_sets(
     seed: int,
     settle_seconds: float,
     tail_seconds: float,
-    placement: str = "paper",
 ) -> Scenario:
     """Join n groups over each of two member sets and converge them.
 
@@ -128,7 +122,7 @@ def _build_two_sets(
         num_processes=len(set(sets[0]) | set(sets[1])),
         seed=seed,
         flavour=flavour,
-        lwg_config=replace(_scaled_lwg_config(), placement_policy=placement),
+        lwg_config=_scaled_lwg_config(),
         keep_trace=False,
     )
     scenario = Scenario(cluster=cluster, hub=ProbeHub(env=cluster.env), groups={})
@@ -172,7 +166,7 @@ def build_figure2(n: int, flavour: str, seed: int = 0) -> Scenario:
     )
 
 
-def build_overlap(n: int, flavour: str, seed: int = 0, placement: str = "paper") -> Scenario:
+def build_overlap(n: int, flavour: str, seed: int = 0) -> Scenario:
     """Build and converge configuration B: groups ``oa0..`` over
     ``p0..p3`` and ``ob0..`` over ``p2..p5`` (p2, p3 in both).
 
@@ -180,12 +174,11 @@ def build_overlap(n: int, flavour: str, seed: int = 0, placement: str = "paper")
     (overlap k = 2 against sqrt(2*2*2) ~ 2.83), so the dynamic service
     should stabilise on two HWGs, the overlap processes carrying both:
     partial sharing that a static design cannot express.  The B groups
-    are created by p4 but send from p2.  ``placement`` selects the
-    dynamic service's mapping policy (PROTOCOLS.md §19).
+    are created by p4 but send from p2.
     """
     return _build_two_sets(
         "o", (["p0", "p1", "p2", "p3"], ["p2", "p3", "p4", "p5"]), n, flavour, seed,
-        settle_seconds=8.0 + 0.75 * n, tail_seconds=2.0, placement=placement,
+        settle_seconds=8.0 + 0.75 * n, tail_seconds=2.0,
     )
 
 

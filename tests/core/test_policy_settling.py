@@ -1,12 +1,10 @@
-"""The settling rule of the periodic placement policies: an evaluation
+"""The settling rule of the periodic Figure-1 rules: an evaluation
 that sees any of the process's LWG or HWG views changed since the
 previous evaluation moves no LWG; the next evaluation with nothing
 changed does, and so does the one after SETTLE_MAX_EVALUATIONS held off
 in a row."""
 
-import pytest
-
-from repro.core import LwgConfig, SwitchAction
+from repro.core import SwitchAction
 from repro.core.service import SETTLE_MAX_EVALUATIONS
 from repro.workloads import Cluster
 
@@ -15,22 +13,17 @@ def switches(actions):
     return [(a.lwg, a.reason) for a in actions if isinstance(a, SwitchAction)]
 
 
-@pytest.mark.parametrize(
-    "placement, reason", [("paper", "share"), ("optimizer", "placement")]
-)
-def test_no_move_in_the_evaluation_right_after_a_view_change(placement, reason):
+def test_no_move_in_the_evaluation_right_after_a_view_change():
     # The default 60 s policy period keeps the periodic evaluation out
     # of the way: the test makes every evaluation itself.
-    cluster = Cluster(
-        num_processes=4, seed=5, lwg_config=LwgConfig(placement_policy=placement)
-    )
+    cluster = Cluster(num_processes=4, seed=5)
     service = cluster.service(0)
     service.join("a")
     cluster.service(1).join("b")
     cluster.run_for_seconds(2)
     assert switches(service.run_policies_once()) == []
     # Everyone joins both groups: two HWGs with one member set, which
-    # either policy collapses onto the higher id once the joins settle.
+    # the share rule collapses onto the higher id once the joins settle.
     handles = [cluster.service(i).join(g) for i in range(4) for g in "ab"]
     cluster.run_for_seconds(3)
     assert all(h.view is not None and len(h.view.members) == 4 for h in handles)
@@ -38,23 +31,18 @@ def test_no_move_in_the_evaluation_right_after_a_view_change(placement, reason):
     assert service.build_policy_snapshot().busy_lwgs == {"lwg:a", "lwg:b"}
     assert switches(service.run_policies_once()) == []
     assert service.build_policy_snapshot().busy_lwgs == frozenset()
-    assert switches(service.run_policies_once()) == [("lwg:a", reason)]
+    assert switches(service.run_policies_once()) == [("lwg:a", "share")]
 
 
 
-@pytest.mark.parametrize(
-    "placement, reason", [("paper", "share"), ("optimizer", "placement")]
-)
-def test_steady_churn_delays_a_move_by_at_most_the_settling_bound(placement, reason):
-    cluster = Cluster(
-        num_processes=4, seed=5, lwg_config=LwgConfig(placement_policy=placement)
-    )
+def test_steady_churn_delays_a_move_by_at_most_the_settling_bound():
+    cluster = Cluster(num_processes=4, seed=5)
     service = cluster.service(0)
     service.join("a")
     service.join("c")
     cluster.service(1).join("b")
     cluster.run_for_seconds(2)
-    # Everyone in "a" and "b" on two HWGs: a move either policy wants.
+    # Everyone in "a" and "b" on two HWGs: a move the share rule wants.
     handles = [cluster.service(i).join(g) for i in range(4) for g in "ab"]
     cluster.run_for_seconds(3)
     assert {h.hwg for h in handles} == {"hwg:p0:000001", "hwg:p1:000001"}
@@ -69,4 +57,4 @@ def test_steady_churn_delays_a_move_by_at_most_the_settling_bound(placement, rea
         if i < SETTLE_MAX_EVALUATIONS:
             assert held_off == {"lwg:a", "lwg:b", "lwg:c"} and moved == []
     assert held_off == frozenset()
-    assert ("lwg:a", reason) in moved
+    assert ("lwg:a", "share") in moved

@@ -106,3 +106,12 @@ def test_unknown_keys_rejected():
     step = {**data["steps"][0], "zone": 1}
     with pytest.raises(ValueError, match="'zone'"):
         Schedule.from_dict({**data, "steps": [step]})
+
+
+def test_retired_placement_key_rejected():
+    # Placement is always the Figure-1 rules; an old optimizer schedule
+    # must fail loudly rather than replay under them.
+    path = Path(__file__).parent / "corpus" / "mixed-0001.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    with pytest.raises(ValueError, match="'placement'"):
+        Schedule.from_dict({**data, "placement": "optimizer"})

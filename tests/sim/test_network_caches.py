@@ -7,6 +7,7 @@ accounting the fan-out rewrite introduced.
 """
 
 from repro.sim import LinkModel, Network, RngRegistry, Simulation
+from repro.workloads import Cluster
 
 
 def make_net(seed=0, **link_kwargs):
@@ -181,3 +182,14 @@ def test_multicast_loss_counts_per_receiver():
     assert net.multicast("a", {"b", "c"}, "m") == 0
     assert net.messages_dropped == 2
     assert net.deliveries_scheduled == 0
+
+
+def test_protocol_traffic_is_memo_hit_dominated():
+    # The protocol layers multicast to the same membership repeatedly,
+    # so the sorted-destination memo must be hit-dominated.
+    cluster = Cluster(num_processes=3, seed=29, checkers=False)
+    for node in cluster.process_ids:
+        cluster.service(node).join("g0")
+    cluster.run_for_seconds(10)
+    network = cluster.env.network
+    assert network.fanout_memo_hits > network.fanout_memo_misses > 0

@@ -26,8 +26,6 @@ def test_lwg_config_fields():
         "k_c",
         "policy_period_us",
         "shrink_grace_us",
-        "placement_policy",
-        "placement_max_switches",
         "enable_policies",
         "enable_reconciliation",
     }

@@ -88,5 +88,5 @@ def test_partition_scenario_builds_crossed_mappings():
 def test_paper_rules_converge_through_a_bulk_load():
     """A move in the middle of the bulk join once stranded joining LWGs
     on this seed; no LWG moves while its process's views still change."""
-    setup = build_placement_scenario("paper", num_lwgs=40, seed=1)
+    setup = build_placement_scenario(num_lwgs=40, seed=1)
     assert setup.converged()
