@@ -25,7 +25,6 @@ def run_with_params(k_m, k_c):
     config.k_m = k_m
     config.k_c = k_c
     config.policy_period_us = 2 * SECOND
-    config.shrink_grace_us = 1 * SECOND
     cluster = Cluster(num_processes=4, seed=SEED, lwg_config=config)
     big = [cluster.service(i).join("big") for i in range(4)]
     cluster.run_for_seconds(6)

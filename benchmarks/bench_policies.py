@@ -48,7 +48,6 @@ def build_converged_cluster(
     assert num_processes % set_size == 0
     config = LwgConfig()
     config.policy_period_us = 2 * SECOND
-    config.shrink_grace_us = 1 * SECOND
     cluster = Cluster(num_processes=num_processes, seed=SEED, lwg_config=config)
     handles = []
     num_sets = num_processes // set_size

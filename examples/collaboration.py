@@ -45,7 +45,6 @@ class SessionLog(LwgListener):
 def main() -> None:
     config = LwgConfig()
     config.policy_period_us = 2 * SECOND
-    config.shrink_grace_us = 1 * SECOND
     cluster = Cluster(num_processes=6, seed=99, lwg_config=config)
     logs = {}
     handles = {}

@@ -59,7 +59,6 @@ class QuoteBook(LwgListener):
 def main() -> None:
     config = LwgConfig()
     config.policy_period_us = 2 * SECOND
-    config.shrink_grace_us = 1 * SECOND
     cluster = Cluster(num_processes=8, seed=13, lwg_config=config)
     books = {node: QuoteBook(node) for node in cluster.process_ids}
     handles = {}

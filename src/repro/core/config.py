@@ -31,7 +31,4 @@ class LwgConfig:
     #: Master switches for the adaptive machinery (baselines turn them off).
     enable_policies: bool = True
     enable_reconciliation: bool = True
-    #: An HWG membership with no local LWG mapped must persist this long
-    #: before the shrink rule makes the process leave it.
-    shrink_grace_us: int = 2 * SECOND
 

@@ -156,7 +156,7 @@ class JoinDriver:
         self.local.hwg = hwg
         endpoint = self.svc.ensure_hwg(hwg)
         if endpoint.state is EndpointState.MEMBER and endpoint.current_view is not None:
-            self.on_hwg_ready(hwg)
+            self.on_hwg_ready()
             return
         # The service calls on_hwg_ready when the HWG view containing us
         # installs.  The safety timer below covers every wedge this can
@@ -168,15 +168,14 @@ class JoinDriver:
         self._arm(stall_window, self._stalled)
 
     def _stalled(self) -> None:
-        if self.done:
-            return
         self.svc.trace("lwg_join_stalled_retry", lwg=self.lwg, target=self.target_hwg)
         self._read_naming()
 
-    def on_hwg_ready(self, hwg: HwgId) -> None:
-        """We are now a member of ``hwg``: run the LWG-level step."""
-        if self.done or hwg != self.target_hwg:
-            return
+    def on_hwg_ready(self) -> None:
+        """We are now a member of the target HWG: run the LWG-level step.
+
+        The manager only wakes live drivers that target the HWG.
+        """
         if self._acted_epoch == self._epoch:
             return  # already acted for this target; timers drive retries
         self._acted_epoch = self._epoch
@@ -359,7 +358,7 @@ class JoinLeaveManager:
         """A view of ``hwg`` including us installed: wake its joiners."""
         for driver in list(self.drivers.values()):
             if driver.target_hwg == hwg:
-                driver.on_hwg_ready(hwg)
+                driver.on_hwg_ready()
 
     def on_redirect(self, src: str, msg: RedirectLwg) -> bool:
         driver = self.drivers.get(msg.lwg)

@@ -37,8 +37,6 @@ def merged_view_id(lwg: str, parents: Sequence[ViewId]) -> ViewId:
     first parent branch — recomputed identically everywhere.
     """
     ordered = tuple(sorted(parents))
-    if not ordered:
-        raise ValueError("a merged view needs at least one parent")
     digest = hashlib.sha256(
         ("|".join([lwg] + [str(p) for p in ordered])).encode("utf-8")
     ).digest()

@@ -8,17 +8,16 @@ inappropriate, the LWG will be switched onto a more appropriate HWG"
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Protocol
 
 from ..naming.records import HwgId, LwgId
 
 
-class InitialMappingPolicy:
+class InitialMappingPolicy(Protocol):
     """Strategy interface: pick the HWG for a newly created LWG."""
 
     def choose(self, lwg: LwgId, service) -> Optional[HwgId]:
         """Return an existing HWG id, or None to mint a fresh HWG."""
-        raise NotImplementedError
 
 
 class DynamicMappingPolicy(InitialMappingPolicy):

@@ -73,10 +73,6 @@ class LocalLwg:
     def coordinator(self) -> Optional[ProcessId]:
         return self.view.members[0] if self.view is not None else None
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        vid = str(self.view.view_id) if self.view else "-"
-        return f"LocalLwg({self.lwg}, {self.state.value}, view={vid}, hwg={self.hwg})"
-
 
 class HwgDirectory:
     """What this process knows about one HWG's light-weight cargo."""

@@ -110,8 +110,8 @@ class MergeManager:
         def retry() -> None:
             if self._round_token.get(hwg) != token:
                 return  # a flush completed (or a newer round started)
-            if hwg not in self._requested and hwg not in self._responded:
-                return
+            # Only a token bump clears ``_requested``: this round is open.
+            assert hwg in self._requested
             self.svc.trace("merge_round_retry", hwg=hwg, lwg=lwg)
             self._requested.discard(hwg)
             self._responded.discard(hwg)

@@ -224,12 +224,17 @@ class PolicyEngine:
 
     # -- Shrink rule ------------------------------------------------------
     def _shrink_rule(self, snap: PolicySnapshot) -> List[PolicyAction]:
-        """Leave HWGs that have carried none of our LWGs for the grace period."""
+        """Leave HWGs that have carried none of our LWGs for the grace period.
+
+        The grace is half a policy period: an HWG emptied just before an
+        evaluation survives it, one idle since the last evaluation goes.
+        """
+        grace_us = self.config.policy_period_us // 2
         actions: List[PolicyAction] = []
         for hwg in snap.sorted_hwgs:
             if snap.local_lwgs_per_hwg.get(hwg, 0) > 0:
                 continue
             idle_since = snap.hwg_idle_since.get(hwg, snap.now_us)
-            if snap.now_us - idle_since >= self.config.shrink_grace_us:
+            if snap.now_us - idle_since >= grace_us:
                 actions.append(LeaveHwgAction(hwg))
         return actions

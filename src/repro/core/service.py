@@ -635,9 +635,8 @@ class LwgService:
         # 1. The Figure-5 flush point: merge collected concurrent views.
         self.merge_mgr.on_hwg_view(hwg, view)
         # 2. Restrict local LWG views that lost members with this change.
-        for local in self.table.local_lwgs_on(hwg):
-            if local.view is None:
-                continue
+        for local in self.table.local_lwgs_on(hwg):  # MEMBER/LEAVING: a view
+            assert local.view is not None
             survivors = [m for m in local.view.members if m in alive]
             if len(survivors) < len(local.view.members) and survivors:
                 if survivors[0] == self.node:
@@ -694,8 +693,6 @@ class LwgService:
         local_per_hwg = {}
         idle_since = {}
         for hwg, endpoint in self.stack.endpoints.items():
-            if not hwg.startswith("hwg:"):
-                continue
             if endpoint.state is not EndpointState.MEMBER or endpoint.current_view is None:
                 continue
             hwg_members[hwg] = frozenset(endpoint.current_view.members)
@@ -812,8 +809,9 @@ class LwgService:
     def _leave_hwg_if_unused(self, hwg: HwgId) -> None:
         if hwg in self.table.hwgs_in_use():
             return
+        # The snapshot the rule read lists MEMBER endpoints only, and
+        # nothing between the snapshot and its actions changes one.
         endpoint = self.hwg_endpoint(hwg)
-        if endpoint is None or endpoint.state is not EndpointState.MEMBER:
-            return
+        assert endpoint is not None and endpoint.state is EndpointState.MEMBER
         self.trace("shrink_leave", hwg=hwg)
         endpoint.leave()

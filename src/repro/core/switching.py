@@ -88,11 +88,9 @@ class SwitchDriver:
         if self._timer is not None:
             self._timer.cancel()
         self.svc.trace("switch_abort", lwg=self.lwg, epoch=self.epoch, why=why)
-        if self.local.view is None:
-            # Our own LWG membership was reset mid-switch (forced out or
-            # left): there is no view left to unblock — members clear
-            # stale switch state on their own timer.
-            return
+        # A forced-out coordinator aborts before its view is reset
+        # (``SwitchManager.abandon``), so the view is still readable.
+        assert self.local.view is not None
         self.svc.hwg_send(
             self.from_hwg,
             SwitchAbort(lwg=self.lwg, view_id=self.local.view.view_id, epoch=self.epoch),
@@ -113,8 +111,7 @@ class SwitchDriver:
             self._check_complete()
 
     def _check_complete(self) -> None:
-        if self.local.view is None:
-            return  # record reset mid-switch; the timeout will abort us
+        assert self.local.view is not None  # reset only after abandon()
         needed = set(self.local.view.members)
         if needed <= self.ready:
             self.committed = True
@@ -233,8 +230,7 @@ class SwitchManager:
         self._check_ready(local)
 
     def _check_ready(self, local: LocalLwg) -> None:
-        if local.switch_epoch is None or local.switch_target is None:
-            return
+        """``local`` is mid-switch (both callers checked it)."""
         if local.switch_ready_epoch == local.switch_epoch:
             return
         svc = self.svc

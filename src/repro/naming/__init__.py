@@ -14,7 +14,6 @@ from .messages import MultipleMappings, NsRequest, NsResponse
 from .persistence import (
     CORRUPTION_MODES,
     DurableStore,
-    FileStorage,
     LoadResult,
     MemoryStorage,
     inject_corruption,
@@ -53,7 +52,6 @@ __all__ = [
     "MappingRecord",
     "CORRUPTION_MODES",
     "DurableStore",
-    "FileStorage",
     "LoadResult",
     "MemoryStorage",
     "inject_corruption",

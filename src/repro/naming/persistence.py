@@ -42,7 +42,6 @@ import json
 import random
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..vsync.view import ViewId
@@ -128,7 +127,7 @@ def _unframe(line: bytes) -> Optional[Any]:
 
 
 # ----------------------------------------------------------------------
-# Storage backends
+# Storage
 # ----------------------------------------------------------------------
 class MemoryStorage:
     """Byte-area storage living in process memory.
@@ -153,42 +152,6 @@ class MemoryStorage:
 
     def append(self, area: str, data: bytes) -> None:
         self._areas[area] = self._areas.get(area, b"") + bytes(data)
-
-
-class FileStorage:
-    """Byte-area storage backed by files in a directory.
-
-    The real-deployment counterpart of :class:`MemoryStorage`: an
-    asyncio-backend node pointed at the same directory across OS-process
-    restarts recovers through the identical
-    :meth:`DurableStore.load` path the simulator exercises.
-    """
-
-    def __init__(self, directory: Path | str):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, area: str) -> Path:
-        return self.directory / area
-
-    def read(self, area: str) -> bytes:
-        try:
-            return self._path(area).read_bytes()
-        except FileNotFoundError:
-            return b""
-
-    def write(self, area: str, data: bytes) -> None:
-        if data:
-            self._path(area).write_bytes(data)
-        else:
-            try:
-                self._path(area).unlink()
-            except FileNotFoundError:
-                pass
-
-    def append(self, area: str, data: bytes) -> None:
-        with open(self._path(area), "ab") as handle:
-            handle.write(data)
 
 
 # ----------------------------------------------------------------------

@@ -68,7 +68,6 @@ class NameServer(Process):
         peers: Sequence[NodeId] = (),
         gossip_period_us: int = 500_000,
         renotify_period_us: int = 600_000,
-        max_sync_rounds: int = DEFAULT_MAX_SYNC_ROUNDS,
         store: Optional[DurableStore] = None,
         shard_map: Optional[ShardMap] = None,
     ):
@@ -87,18 +86,8 @@ class NameServer(Process):
         #: Durable snapshot+log store: the database is rebuilt from it on
         #: recovery.  In-memory unless the caller passes one.
         self.store: DurableStore = store or DurableStore()
-        restart = self.store.has_state()
-        result = self.store.load(owned=self.owned)
-        self._install_db(result.db)
-        if restart:
-            # Booting over pre-existing state IS a restart (the
-            # asyncio/FileStorage path): bump and recover exactly like
-            # the in-sim recovery hook does.
-            self.incarnation = self.store.bump_incarnation()
-            self.store.write_snapshot(self.db)
-            self._trace_recovery(result)
-        else:
-            self.incarnation = self.store.incarnation()
+        self._install_db(self.store.load(owned=self.owned).db)
+        self.incarnation = self.store.incarnation()
         #: Anti-entropy partners: peers sharing at least one shard with
         #: us (everyone, when fully replicated).
         self._gossip_peers: List[NodeId] = [
@@ -115,7 +104,6 @@ class NameServer(Process):
         #: Live descent sessions, keyed by ``(peer, sync_id)``.  At most
         #: one per peer: a new exchange supersedes an unfinished one.
         self._sessions: Dict[Tuple[NodeId, int], MerkleSession] = {}
-        self.max_sync_rounds = max_sync_rounds
         self.requests_served = 0
         self.requests_forwarded = 0
         self._forward_index = 0
@@ -282,7 +270,7 @@ class NameServer(Process):
             return
         session = self._sessions.get((src, msg.sync_id))
         if session is None:
-            if msg.round_no > self.max_sync_rounds:
+            if msg.round_no > DEFAULT_MAX_SYNC_ROUNDS:
                 # Refuse to resurrect a capped/stale session forever.
                 return
             # Step for a session we no longer track (superseded, or we
@@ -304,7 +292,7 @@ class NameServer(Process):
             # Converged: nothing left to ship from this side.
             del self._sessions[(src, msg.sync_id)]
             return
-        if msg.round_no + 1 > self.max_sync_rounds:
+        if msg.round_no + 1 > DEFAULT_MAX_SYNC_ROUNDS:
             # Round cap: drop the session without replying; the next
             # gossip tick restarts from the (strictly closer) new state.
             self.syncs_capped += 1

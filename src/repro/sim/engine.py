@@ -52,23 +52,18 @@ class EventHandle:
 
     __slots__ = ("time", "seq", "callback", "cancelled", "fired", "_sim")
 
-    def __init__(
-        self,
-        time: int,
-        seq: int,
-        callback: Callable[[], None],
-        sim: "Optional[Simulation]" = None,
-    ):
-        self.time = time
-        self.seq = seq
-        self.callback: Optional[Callable[[], None]] = callback
-        self.cancelled = False
-        self.fired = False
-        self._sim = sim
+    # Built only by :meth:`Simulation.schedule`, which sets every slot
+    # on a bare ``__new__`` instance (no ``__init__`` frame).
+    time: int
+    seq: int
+    callback: Optional[Callable[[], None]]
+    cancelled: bool
+    fired: bool
+    _sim: "Simulation"
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once."""
-        if not self.cancelled and not self.fired and self._sim is not None:
+        if not self.cancelled and not self.fired:
             self._sim._live -= 1
         self.cancelled = True
         self.callback = None
@@ -78,17 +73,13 @@ class EventHandle:
         """True while the event is still scheduled to fire."""
         return not self.cancelled and not self.fired
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "fired" if self.fired else ("cancelled" if self.cancelled else "pending")
         return f"EventHandle(t={self.time}, seq={self.seq}, {state})"
 
 
-# Bound once: the run loops construct one handle per event, and the
-# ``__init__`` call frame plus per-call class attribute lookups showed up
-# prominently in event-loop profiles.
+# Bound once: ``schedule`` builds one handle per event, and a per-call
+# class attribute lookup showed up in event-loop profiles.
 _new_handle = EventHandle.__new__
 
 

@@ -42,8 +42,10 @@ class BranchFlushLeader:
     """Leader-side state machine flushing one branch (one old view).
 
     ``host`` must provide ``node``, ``group``, ``env``,
-    ``reliable_send(dst, msg)``, and a local :class:`OrderedChannel` as
-    ``host.channel``.  Completion and stalls are reported through the
+    ``reliable_send(dst, msg)``, ``on_message(src, msg)`` (which takes
+    the leader's own Stop and fill at once), and a local
+    :class:`OrderedChannel` as ``host.channel``.  Completion and stalls
+    are reported through the
     ``on_complete(survivors, dedup)`` and ``on_stall(missing)`` callbacks.
     """
 
@@ -83,7 +85,7 @@ class BranchFlushLeader:
         )
         for member in sorted(self.participants):
             if member == self.host.node:
-                self.host.handle_stop_locally(stop)
+                self.host.on_message(self.host.node, stop)
             else:
                 self.host.reliable_send(member, stop)
         self._arm_timer()
@@ -155,7 +157,7 @@ class BranchFlushLeader:
                 missing=needed,
             )
             if member == self.host.node:
-                self.host.handle_fill_locally(fill)
+                self.host.on_message(self.host.node, fill)
             else:
                 self.host.reliable_send(member, fill)
 
@@ -202,17 +204,17 @@ class FlushParticipant:
         self.stop_acked = False
         self._pending_stop = None
 
-    def _precedes(self, msg_round: int, msg_leader: NodeId) -> bool:
-        """True if an incoming round supersedes (or equals) the current one."""
+    def _precedes(self, view: View, msg_round: int, msg_leader: NodeId) -> bool:
+        """True if an incoming round supersedes (or equals) the current one.
+
+        Round numbers start at 0, so an equal round was seen before and
+        ``self.leader`` is set.
+        """
         if msg_round > self.round_no:
             return True
         if msg_round < self.round_no:
             return False
-        if self.leader is None:
-            return True
-        view = self.host.current_view
-        if view is None:
-            return False
+        assert self.leader is not None
         try:
             return view.rank_of(msg_leader) <= view.rank_of(self.leader)
         except ValueError:
@@ -224,7 +226,7 @@ class FlushParticipant:
         view = self.host.current_view
         if view is None or msg.view_id != view.view_id:
             return
-        if not self._precedes(msg.round_no, msg.leader):
+        if not self._precedes(view, msg.round_no, msg.leader):
             return
         is_new_round = (msg.round_no, msg.leader) != (self.round_no, self.leader)
         self.active_view_id = msg.view_id
@@ -259,7 +261,7 @@ class FlushParticipant:
             extra=self.host.channel.messages_above(stop.leader_have_upto),
         )
         if stop.leader == self.host.node:
-            self.host.route_flush_state_locally(state)
+            self.host.on_message(self.host.node, state)
         else:
             self.host.reliable_send(stop.leader, state)
 
@@ -278,7 +280,7 @@ class FlushParticipant:
             member=self.host.node,
         )
         if self.leader == self.host.node:
-            self.host.route_flush_done_locally(done)
+            self.host.on_message(self.host.node, done)
         else:
             assert self.leader is not None
             self.host.reliable_send(self.leader, done)

@@ -177,9 +177,9 @@ class HwgEndpoint:
         Used when our own coordinator demonstrably moved on without us.
         The singleton descends from our current view, so beacons from the
         main view and ours discover each other and merge normally.
+        Only a MEMBER's view manager calls it, so there is a view.
         """
-        if self.state is not EndpointState.MEMBER or self.current_view is None:
-            return
+        assert self.current_view is not None
         singleton = View(
             group=self.group,
             view_id=ViewId(self.node, self.stack.next_view_seq()),
@@ -205,9 +205,9 @@ class HwgEndpoint:
     # ------------------------------------------------------------------
     # Join machinery
     # ------------------------------------------------------------------
+    # One join timer runs at a time, and the install that ends JOINING
+    # cancels it, so both timer callbacks below run while JOINING.
     def _probe(self) -> None:
-        if self.state is not EndpointState.JOINING:
-            return
         others = self.addressing.subscribers(self.group) - {self.node}
         if others:
             probe = JoinProbe(group=self.group, joiner=self.node)
@@ -215,8 +215,6 @@ class HwgEndpoint:
         self._join_timer = self.stack.set_timer(JOIN_PROBE_TIMEOUT_US, self._probe_timeout)
 
     def _probe_timeout(self) -> None:
-        if self.state is not EndpointState.JOINING:
-            return
         # Nobody answered: found the group as a singleton view.
         view = View(
             group=self.group,
@@ -252,7 +250,7 @@ class HwgEndpoint:
             # Ask once the last one is delivered (its Ordered is the ack),
             # after the delivery that drained it has run to completion.
             self.channel.on_drained = lambda: self.stack.set_timer(0, self._leave_attempt)
-        elif coordinator is not None:
+        else:
             self.reliable_send(coordinator, msg)
         self._leave_timer = self.stack.set_timer(LEAVE_RETRY_US, self._leave_attempt)
 
@@ -357,8 +355,7 @@ class HwgEndpoint:
             return
         if self.state in (EndpointState.MEMBER, EndpointState.LEAVING):
             current = self.current_view
-            if current is None:
-                return
+            assert current is not None
             if msg.via_branch != current.view_id:
                 return  # not a successor of our view: stale or foreign
             if not self.participant.stop_acked:
@@ -459,23 +456,6 @@ class HwgEndpoint:
         """Ask the application for a state snapshot (state transfer)."""
         return self.listener.get_state(self.group)
 
-    def handle_stop_locally(self, stop: Stop) -> None:
-        self.vcm.observed_round(stop.round_no)
-        self.participant.on_stop(stop)
-
-    def handle_fill_locally(self, fill: FlushFill) -> None:
-        self.participant.on_fill(fill)
-
-    def route_flush_state_locally(self, state: FlushState) -> None:
-        leader = self._active_flush_leader()
-        if leader is not None:
-            leader.on_flush_state(state)
-
-    def route_flush_done_locally(self, done: FlushDone) -> None:
-        leader = self._active_flush_leader()
-        if leader is not None:
-            leader.on_flush_done(done)
-
     def on_suspicion_change(self, peer: NodeId, suspected: bool) -> None:
         self.vcm.on_suspicion_change(peer, suspected)
 
@@ -483,7 +463,3 @@ class HwgEndpoint:
         tracer = self.env.tracer
         if tracer.enabled("hwg"):
             tracer.emit("hwg", event, node=self.node, group=self.group, **fields)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        vid = str(self.current_view.view_id) if self.current_view else "-"
-        return f"HwgEndpoint({self.node}/{self.group}, {self.state.value}, view={vid})"

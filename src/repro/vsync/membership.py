@@ -144,23 +144,21 @@ class ViewChangeManager:
     # ------------------------------------------------------------------
     # Role queries
     # ------------------------------------------------------------------
-    def acting_coordinator(self) -> Optional[NodeId]:
-        """Most senior non-suspected member of the current view."""
+    def acting_coordinator(self) -> NodeId:
+        """Most senior non-suspected member of the current view.
+
+        Only a MEMBER or LEAVING endpoint asks, and its view holds itself,
+        so there always is one.
+        """
         view = self.ep.current_view
-        if view is None:
-            return None
-        for member in view.members:
-            if member == self.ep.node or not self.ep.fd.is_suspected(member):
-                return member
-        return None
+        assert view is not None
+        node, fd = self.ep.node, self.ep.fd
+        return next(m for m in view.members if m == node or not fd.is_suspected(m))
 
     def am_leader(self) -> bool:
         return self.acting_coordinator() == self.ep.node
 
-    def _current_suspects(self) -> Set[NodeId]:
-        view = self.ep.current_view
-        if view is None:
-            return set()
+    def _current_suspects(self, view: View) -> Set[NodeId]:
         return {m for m in view.members if m != self.ep.node and self.ep.fd.is_suspected(m)}
 
     # ------------------------------------------------------------------
@@ -194,8 +192,7 @@ class ViewChangeManager:
         if self.ep.state not in (EndpointState.MEMBER, EndpointState.LEAVING):
             return
         view = self.ep.current_view
-        if view is None:
-            return
+        assert view is not None
         if msg.leaver not in view.members:
             # The group already moved on without the leaver: it was
             # excluded as a suspect (e.g. while partitioned away) and is
@@ -287,16 +284,17 @@ class ViewChangeManager:
     # Round lifecycle
     # ------------------------------------------------------------------
     def maybe_start(self) -> None:
-        """Start a view-change round if we lead and there is work to do."""
+        """Start a view-change round if we lead and there is work to do.
+
+        Every caller runs at a MEMBER or LEAVING endpoint.
+        """
         if self.round is not None or self.subordinate is not None:
-            return
-        if self.ep.state not in (EndpointState.MEMBER, EndpointState.LEAVING):
             return
         if not self.am_leader():
             return
-        suspects = self._current_suspects()
         view = self.ep.current_view
         assert view is not None
+        suspects = self._current_suspects(view)
         joins = {j for j in self.pending_joins if j not in view.members}
         leaves = {l for l in self.pending_leaves if l in view.members}
         merges = dict(self.pending_merges)
@@ -664,7 +662,7 @@ class ViewChangeManager:
         assert view is not None
         sub = _Subordinate(leader=msg.leader, epoch=msg.epoch, round_no=self._next_round_no())
         self.subordinate = sub
-        participants = set(view.members) - self._current_suspects()
+        participants = set(view.members) - self._current_suspects(view)
         self.ep.trace("merge_accept", leader=msg.leader, epoch=msg.epoch)
         self._flush_branch(sub, participants, self._subordinate_flushed, self._subordinate_stalled)
 

@@ -91,13 +91,9 @@ class ProtocolStack(Process):
         # handlers that declared it.
         self._handlers: List[Tuple[Kinds, Handler]] = []
         self._routes: Dict[type, Tuple[Handler, ...]] = {}
-        # Booting over pre-existing meta IS a restart: resume the
-        # view-seq counter (ViewIds must never repeat across lives) and
-        # come up one incarnation past the previous life.
-        self._view_seq = self.node_store.view_seq()
-        if self.node_store.incarnation():
-            self.transport.incarnation = self.node_store.bump_incarnation()
-            self._trace_recovered()
+        # A stack is only ever built over an empty store; a restart is
+        # ``on_recover`` on this same object, so the counter carries over.
+        self._view_seq = 0
         self.set_periodic(
             self.config.heartbeat_period_us,
             self.fd.tick_heartbeat,
@@ -171,10 +167,8 @@ class ProtocolStack(Process):
     # Messaging helpers used by endpoints
     # ------------------------------------------------------------------
     def reliable_send(self, dst: NodeId, msg: VsyncMessage, size: int) -> None:
-        if dst == self.node:
-            # Local fast-path: still asynchronous to preserve event ordering.
-            self.env.scheduler.schedule(1, lambda: self._deliver_control(self.node, msg, size))
-            return
+        # A flush or view-change leader hands its own copies straight to
+        # ``HwgEndpoint.on_message`` / ``apply_install``; they never get here.
         self.transport.send(dst, msg, size)
 
     def raw_multicast(self, dsts: Iterable[NodeId], msg: VsyncMessage, size: int) -> None:

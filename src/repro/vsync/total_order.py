@@ -78,14 +78,10 @@ class OrderedChannel:
         self._member_delivered: Dict[NodeId, int] = {}  # sequencer only
         self.log_pruned = 0
         # Piggybacking bookkeeping: acks ride on outgoing Publish
-        # headers and floors on Ordered headers; standalone stability
-        # messages fire only when the channel has been idle.
+        # headers and floors on Ordered headers; a standalone ack fires
+        # only when the channel has been idle.
         self._last_ack_sent_at = 0
-        self._floor_distributed_upto = -1  # sequencer only
-        self.acks_piggybacked = 0
-        self.floors_piggybacked = 0
-        self.standalone_acks = 0
-        self.standalone_announces = 0
+        self._floor_announced_upto = -1  # sequencer only
 
     # ------------------------------------------------------------------
     # View lifecycle
@@ -102,7 +98,7 @@ class OrderedChannel:
         self.frozen = False
         self.stable_upto = -1
         self._member_delivered.clear()
-        self._floor_distributed_upto = -1
+        self._floor_announced_upto = -1
         self._last_ack_sent_at = self.host.env.now
         # The carried floors are authoritative: the flush equalised every
         # continuing member to the branch cut (so a local floor can never
@@ -169,7 +165,6 @@ class OrderedChannel:
             acked_upto=self.delivered_upto,
         )
         self._last_ack_sent_at = self.host.env.now
-        self.acks_piggybacked += 1
         if self.host.node == self.view.coordinator:
             self.on_publish(self.host.node, msg)
         else:
@@ -254,6 +249,8 @@ class OrderedChannel:
         self.next_order_seq += 1
         # Piggybacked stability floor: every Ordered carries the current
         # floor, so members prune their logs from the data stream itself.
+        # (The sequencer's floor only rises in ``tick_stability``, which
+        # announces it at once.)
         ordered = Ordered(
             group=msg.group,
             view_id=msg.view_id,
@@ -264,9 +261,6 @@ class OrderedChannel:
             payload_size=msg.payload_size,
             stable_floor=self.stable_upto,
         )
-        if self.stable_upto > self._floor_distributed_upto:
-            self._floor_distributed_upto = self.stable_upto
-            self.floors_piggybacked += 1
         self.host.multicast_view(ordered, ordered.size_bytes())
 
     def on_nack(self, msg: Nack) -> None:
@@ -387,17 +381,16 @@ class OrderedChannel:
         :class:`StabilityAck` only if no Publish carried its ack for
         ``ACK_IDLE_TIMEOUT_US``; the sequencer computes the floor from
         the collected (piggybacked or standalone) acks and multicasts a
-        standalone :class:`StabilityAnnounce` only if no Ordered has
-        distributed the current floor yet.
+        standalone :class:`StabilityAnnounce` whenever that floor rose
+        (it rises only here, so no Ordered can have carried it yet).
         """
         if self.view is None or self.frozen:
             return
         now = self.host.env.now
         if self.host.node == self.view.coordinator:
             self._compute_floor()
-            if self.stable_upto > self._floor_distributed_upto:
-                self._floor_distributed_upto = self.stable_upto
-                self.standalone_announces += 1
+            if self.stable_upto > self._floor_announced_upto:
+                self._floor_announced_upto = self.stable_upto
                 announce = StabilityAnnounce(
                     group=self.host.group,
                     view_id=self.view.view_id,
@@ -408,7 +401,6 @@ class OrderedChannel:
             if now - self._last_ack_sent_at < ACK_IDLE_TIMEOUT_US:
                 return  # a recent Publish already carried our progress
             self._last_ack_sent_at = now
-            self.standalone_acks += 1
             ack = StabilityAck(
                 group=self.host.group,
                 view_id=self.view.view_id,

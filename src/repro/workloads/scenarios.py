@@ -96,7 +96,7 @@ def _scaled_lwg_config() -> LwgConfig:
     The one base config of the scenarios, the fuzz runner and the
     placement scenario.
     """
-    return LwgConfig(policy_period_us=2 * SECOND, shrink_grace_us=1 * SECOND)
+    return LwgConfig(policy_period_us=2 * SECOND)
 
 
 def _build_two_sets(

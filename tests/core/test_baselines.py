@@ -62,6 +62,25 @@ def test_none_flavour_leave():
     assert cluster.run_until(lambda: recorders[1].lefts == 1, timeout_us=10 * SECOND)
 
 
+def test_none_flavour_rejoin_takes_the_new_listener_and_send_by_name():
+    cluster = Cluster(num_processes=2, seed=45, flavour="none")
+    first = Recorder()
+    handles = [cluster.service(0).join("g", first), cluster.service(1).join("g")]
+    assert cluster.run_until(lambda: converged(handles, 2), timeout_us=10 * SECOND)
+    cluster.service(0).leave("g")
+    assert cluster.run_until(lambda: first.lefts == 1, timeout_us=10 * SECOND)
+    assert not handles[0].is_member
+    again = Recorder()
+    rejoined = cluster.service(0).join("g", again)  # the same HWG endpoint
+    assert cluster.run_until(
+        lambda: rejoined.is_member and converged([rejoined, handles[1]], 2),
+        timeout_us=10 * SECOND,
+    )
+    cluster.service(1).send("g", "by-name")
+    cluster.run_for_seconds(2)
+    assert ("p1", "by-name") in again.data and first.data == []
+
+
 def test_none_flavour_has_no_naming_traffic():
     cluster = Cluster(num_processes=2, seed=44, flavour="none")
     handles = [cluster.service(i).join("g") for i in range(2)]

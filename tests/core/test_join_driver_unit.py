@@ -2,7 +2,7 @@
 
 from typing import List
 
-from repro.core.join_leave import JoinDriver
+from repro.core.join_leave import JOIN_CLAIM_US, JoinDriver
 from repro.core.mapping_table import LwgState, MappingTable
 from repro.core.service import LwgService
 from repro.core.messages import LwgJoinReq
@@ -232,3 +232,59 @@ def test_completion_cancels_everything():
     # Events after completion are ignored.
     driver.on_redirect("hwg:other")
     assert driver.target_hwg == "hwg:tgt"
+
+
+def test_naming_reply_after_completion_is_ignored():
+    service, local, driver = make_driver()
+    driver.start()
+    driver.complete()
+    service.naming.reads[0][1]([record("lwg:g", ViewId("a", 1), "hwg:tgt")])
+    assert driver.target_hwg is None and service.sent == []
+
+
+def test_stall_window_restarts_from_naming():
+    """The target HWG never admits us (e.g. it is being drained): after
+    the stall window the driver looks the LWG up again."""
+    service, local, driver = make_driver()
+    service.endpoints["hwg:tgt"] = FakeEndpoint(state=EndpointState.JOINING)
+    driver.start()
+    service.naming.reads[0][1]([record("lwg:g", ViewId("a", 1), "hwg:tgt")])
+    assert service.sent == []  # not a member yet: nothing to ask
+    delay, stalled = service.stack.timers[-1]
+    assert delay == 2 * JOIN_CLAIM_US
+    stalled()
+    assert len(service.naming.reads) == 2 and driver.mode == "read"
+
+
+def test_claim_timer_keeps_asking_while_the_hwg_view_is_unknown():
+    service, local, driver = make_driver()
+    driver.start()
+    service.naming.reads[0][1]([record("lwg:g", ViewId("a", 1), "hwg:tgt")])
+    service.table.dir_for("hwg:tgt").record_view(View("lwg:g", ViewId("pC", 1), ("pC",)))
+    del service.endpoints["hwg:tgt"]  # we left the HWG meanwhile
+    service.stack.timers[-1][1]()
+    requests = [m for _, m in service.sent if isinstance(m, LwgJoinReq)]
+    assert len(requests) == 2
+
+
+def test_claim_without_an_hwg_view_waits_for_the_next_one():
+    service, local, driver = make_driver()
+    driver.start()
+    service.naming.reads[0][1]([record("lwg:g", ViewId("a", 1), "hwg:tgt")])
+    del service.endpoints["hwg:tgt"]
+    service.stack.timers[-1][1]()  # directory empty: claim, but no HWG view
+    assert service.naming.testsets == []
+    service.endpoints["hwg:tgt"] = FakeEndpoint()
+    driver.on_hwg_ready()  # the next view of the HWG re-fires the driver
+    requests = [m for _, m in service.sent if isinstance(m, LwgJoinReq)]
+    assert len(requests) == 2
+
+
+def test_claim_reply_after_a_retarget_is_ignored():
+    service, local, driver = make_driver()
+    driver.start()
+    service.naming.reads[0][1]([])
+    proposed, reply = service.naming.testsets[0]
+    driver.on_redirect("hwg:new")
+    reply((proposed,))
+    assert service.adopted == [] and driver.target_hwg == "hwg:new"

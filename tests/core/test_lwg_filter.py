@@ -14,12 +14,12 @@ import pytest
 
 from repro.core import LwgListener, LwgState
 from repro.core.ids import lwg_id
-from repro.core.messages import LwgBatch, LwgData
+from repro.core.messages import LwgBatch, LwgData, LwgStateMsg, LwgViewMsg
 from repro.sim import SECOND, Simulation
 from repro.sim.network import Network
 from repro.vsync.hwg import HwgEndpoint
 from repro.vsync.messages import Ordered
-from repro.vsync.view import ViewId
+from repro.vsync.view import View, ViewId
 from repro.workloads import Cluster
 
 LWG = lwg_id("g")
@@ -184,3 +184,41 @@ def test_state_transfer_buffers_data_only_for_the_awaited_view():
     service._on_lwg_data(local.hwg, entry(local, "live"))
     assert recorder.data[-1] == (local.view.members[0], "live")
     assert len(local.state_buffer) == 1
+
+
+def test_data_from_a_concurrent_view_triggers_the_figure_5_merge():
+    """Data stamped with a view that is neither ours nor one we left is
+    a concurrent branch of the LWG sharing the HWG (Figure 5, 106)."""
+    recorder = Recorder()
+    _, service, local = member_pair(recorder)
+    seen = len(recorder.data)
+    assert not service.merge_mgr.round_active(local.hwg)
+    service._on_lwg_data(local.hwg, entry(local, "branch", view_id=ViewId("p1", 777)))
+    assert len(recorder.data) == seen
+    assert service.merge_mgr.round_active(local.hwg)
+
+
+def test_state_snapshot_releases_the_held_data_in_order():
+    recorder = Recorder()
+    _, service, local = member_pair(recorder)
+    seen = len(recorder.data)
+    local.awaiting_state_for = local.view.view_id
+    for payload in ("first", "second"):
+        service._on_lwg_data(local.hwg, entry(local, payload))
+    assert len(recorder.data) == seen
+    snapshot = LwgStateMsg(lwg=LWG, view_id=local.view.view_id, targets=("p1",))
+    service.join_leave.on_state(local.hwg, snapshot)
+    coordinator = local.view.members[0]
+    assert recorder.data[seen:] == [(coordinator, "first"), (coordinator, "second")]
+    assert local.state_buffer == [] and local.awaiting_state_for is None
+
+
+def test_successor_view_without_us_forces_a_rejoin():
+    """The coordinator ordered a successor of our view that dropped us
+    (it believed us gone): we rejoin through the naming service."""
+    _, service, local = member_pair()
+    coordinator = local.view.members[0]
+    successor = View(LWG, ViewId(coordinator, 99), (coordinator,), parents=(local.view.view_id,))
+    service.join_leave.on_view_msg(local.hwg, LwgViewMsg(lwg=LWG, view=successor))
+    assert local.view is None and local.state is LwgState.JOINING
+    assert LWG in service.join_leave.drivers

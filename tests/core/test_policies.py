@@ -10,6 +10,7 @@ from repro.core import (
     is_minority,
     share_rule_applies,
 )
+from repro.sim.engine import SECOND
 
 
 def fs(*members):
@@ -216,7 +217,8 @@ def test_share_rule_does_not_touch_lwgs_on_winner():
 
 
 def test_shrink_rule_leaves_idle_hwg_after_grace():
-    actions = engine().evaluate(
+    # A 4 s period makes the shrink grace 2 s.
+    actions = engine(policy_period_us=4 * SECOND).evaluate(
         snapshot(
             hwg_members={"hwg:idle": fs("p0", "p1")},
             local_lwgs_per_hwg={"hwg:idle": 0},
@@ -229,7 +231,8 @@ def test_shrink_rule_leaves_idle_hwg_after_grace():
 
 
 def test_shrink_rule_respects_grace_period():
-    actions = engine().evaluate(
+    # A 4 s period makes the shrink grace 2 s.
+    actions = engine(policy_period_us=4 * SECOND).evaluate(
         snapshot(
             hwg_members={"hwg:idle": fs("p0", "p1")},
             local_lwgs_per_hwg={"hwg:idle": 0},
@@ -241,7 +244,8 @@ def test_shrink_rule_respects_grace_period():
 
 
 def test_shrink_rule_spares_used_hwgs():
-    actions = engine().evaluate(
+    # A 4 s period makes the shrink grace 2 s.
+    actions = engine(policy_period_us=4 * SECOND).evaluate(
         snapshot(
             hwg_members={"hwg:used": fs("p0", "p1")},
             local_lwgs_per_hwg={"hwg:used": 1},
@@ -293,3 +297,18 @@ def test_km_parameter_changes_minority_boundary():
     lwg = fs("m0", "m1", "m2", "m3")  # half the HWG
     assert not is_minority(lwg, hwg, 4)
     assert is_minority(lwg, hwg, 2)
+
+
+def test_lwg_on_an_hwg_we_hold_no_view_of_is_not_moved():
+    """An LWG whose HWG membership is not installed (joining, leaving)
+    gives neither the share nor the interference rule an overlap to
+    measure."""
+    big = fs(*[f"p{i}" for i in range(8)])
+    actions = engine().evaluate(
+        snapshot(
+            coordinated_lwgs={"lwg:x": (fs("p0", "p1"), "hwg:pending")},
+            hwg_members={"hwg:a": big, "hwg:b": big},
+            local_lwgs_per_hwg={"hwg:a": 1, "hwg:b": 1},
+        )
+    )
+    assert actions == []

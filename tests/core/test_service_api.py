@@ -100,3 +100,53 @@ def test_join_during_leave_rejoins_once_the_leave_completes():
         timeout_us=20 * SECOND,
     )
     assert cluster.service(2).groups() == ["lwg:g"]
+
+
+def test_leave_of_a_group_never_joined_is_a_no_op():
+    cluster = Cluster(num_processes=1, seed=136)
+    service = cluster.service(0)
+    service.leave("never-joined")
+    assert service.groups() == [] and service.table.locals == {}
+
+
+def test_join_racing_the_shrink_leave_of_its_hwg_rejoins_the_hwg():
+    """The shrink rule is leaving an idle HWG when a join targets it again:
+    the join waits for the leave to finish, then joins the HWG anew."""
+    cluster = Cluster(num_processes=2, seed=137)
+    recorder = Recorder()
+    handles = [cluster.service(0).join("g"), cluster.service(1).join("g", recorder)]
+    assert cluster.run_until(lambda: converged(handles, 2), timeout_us=15 * SECOND)
+    service, hwg = cluster.service(1), handles[1].hwg
+    service.leave("g")
+    assert cluster.run_until(lambda: recorder.lefts == 1, timeout_us=10 * SECOND)
+    service._leave_hwg_if_unused(hwg)  # the shrink rule's action
+    handle = service.join("g", recorder)
+    assert cluster.run_until(
+        lambda: converged([handles[0], handle], 2), timeout_us=15 * SECOND
+    )
+    assert handle.hwg == hwg and not service._rejoin_after_leave
+    # The endpoint joined the HWG anew at the instant it finished leaving.
+    left = [r.time for r in cluster.env.tracer.select("hwg", "left") if r.fields["node"] == "p1"]
+    joined = [
+        r.time for r in cluster.env.tracer.select("hwg", "join_start")
+        if r.fields["node"] == "p1" and r.time >= left[-1]
+    ]
+    assert joined[0] == left[-1]
+
+
+def test_mapping_registration_needs_a_view_and_a_view_of_its_hwg(monkeypatch):
+    cluster = Cluster(num_processes=1, seed=138)
+    handle = cluster.service(0).join("g")
+    assert cluster.run_until(lambda: handle.view is not None, timeout_us=10 * SECOND)
+    service = cluster.service(0)
+    local = service.table.local("lwg:g")
+    written = []
+    monkeypatch.setattr(service.naming, "set", lambda record, parents=(): written.append(record))
+    view, hwg = local.view, local.hwg
+    local.view = None
+    service.register_mapping(local)
+    local.view, local.hwg = view, "hwg:not-a-member"
+    service.register_mapping(local)
+    local.hwg = hwg
+    service.register_mapping(local)
+    assert [(r.lwg_view, r.hwg) for r in written] == [(view.view_id, hwg)]

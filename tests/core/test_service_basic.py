@@ -54,7 +54,6 @@ def fast_policies():
 
     config = LwgConfig()
     config.policy_period_us = 2 * SECOND
-    config.shrink_grace_us = 1 * SECOND
     return config
 
 

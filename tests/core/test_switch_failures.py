@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import LwgConfig, LwgListener, switching
+from repro.core.messages import SwitchCommit
 from repro.sim import SECOND
 from repro.workloads import Cluster
 
@@ -173,3 +174,45 @@ def test_switch_driver_aborts_on_timeout():
               if len(entry) == 2 and isinstance(entry[1], SwitchAbort)]
     assert len(aborts) == 1
     assert aborts[0].epoch == 7
+
+
+def test_coordinator_forced_out_mid_switch_aborts_it_for_the_members(manual_cluster):
+    """A coordinator dropped from its LWG view while it drives a switch
+    aborts the switch first, so the members resume on the old HWG."""
+    cluster = manual_cluster(3, seed=94)
+    handles = [cluster.service(i).join("g") for i in range(3)]
+    assert cluster.run_until(lambda: converged(handles, 3), timeout_us=15 * SECOND)
+    coordinator = int(handles[0].view.members[0][1:])
+    service = cluster.service(coordinator)
+    local = service.table.local("lwg:g")
+    old_hwg = local.hwg
+    service.start_switch(local, None, reason="test")
+    cluster.run_for(100_000)  # members have the SwitchStart
+    members = [cluster.service(i).table.local("lwg:g") for i in range(3) if i != coordinator]
+    assert all(m.switch_epoch is not None for m in members)
+    service.join_leave.forced_out(local, old_hwg)
+    aborts = cluster.env.tracer.select("lwg", "switch_abort")
+    assert [r.fields["why"] for r in aborts] == ["coordinator reset"]
+    assert not service.switching.drivers
+    assert cluster.run_until(
+        lambda: all(m.switch_epoch is None and m.hwg == old_hwg for m in members),
+        timeout_us=SECOND,
+    )
+
+
+def test_commit_after_the_stale_guard_gave_up_still_moves_the_member(manual_cluster):
+    """The member's stale guard resumed on the old HWG, but the commit for
+    its current view is the cut everyone else moved at: follow it."""
+    cluster = manual_cluster(2, seed=95)
+    handles = [cluster.service(i).join("g") for i in range(2)]
+    assert cluster.run_until(lambda: converged(handles, 2), timeout_us=15 * SECOND)
+    member = cluster.service(1)
+    local = member.table.local("lwg:g")
+    old_hwg = local.hwg
+    assert local.switch_epoch is None
+    commit = SwitchCommit(lwg="lwg:g", view_id=local.view.view_id, to_hwg="hwg:moved", epoch=3)
+    member.switching.on_commit(old_hwg, commit)
+    assert local.hwg == "hwg:moved"
+    late = cluster.env.tracer.select("lwg", "switch_commit_late")
+    assert [r.fields["to_hwg"] for r in late] == ["hwg:moved"]
+    assert member.table.dir_for(old_hwg).forward["lwg:g"] == "hwg:moved"

@@ -1,6 +1,7 @@
 """Tests for the run-time switch protocol."""
 
 from repro.core import LwgListener
+from repro.core.messages import LwgJoinReq
 from repro.sim import SECOND
 from repro.workloads import Cluster
 
@@ -33,7 +34,6 @@ def build_minority_setup(seed=21):
 
     config = LwgConfig()
     config.policy_period_us = 2 * SECOND
-    config.shrink_grace_us = 1 * SECOND
     cluster = Cluster(num_processes=8, seed=seed, lwg_config=config)
     big = [cluster.service(i).join("big") for i in range(8)]
     assert cluster.run_until(lambda: converged_lwg(big, 8), timeout_us=20 * SECOND)
@@ -125,3 +125,23 @@ def test_shrink_rule_drains_abandoned_hwg():
     endpoint = cluster.stack(0).endpoints.get(old_hwg)
     assert endpoint is not None and endpoint.current_view is not None
     assert "p0" in endpoint.current_view.members
+
+
+def test_join_request_on_the_old_hwg_is_redirected_by_its_forward_pointer():
+    """A joiner whose naming read predates the switch asks on the old HWG;
+    a member there holding the forward pointer redirects it."""
+    cluster, big, small, _ = build_minority_setup(seed=27)
+    old_hwg = small[0].hwg
+    assert cluster.run_until(lambda: small[0].hwg != old_hwg, timeout_us=30 * SECOND)
+    late = cluster.service(7).join("small")
+    # p5 stayed on the old HWG and delivers p7's (stale) join request there.
+    cluster.service(5).join_leave.on_join_req(
+        old_hwg, LwgJoinReq(lwg="lwg:small", joiner="p7")
+    )
+    assert cluster.run_until(lambda: late.is_member, timeout_us=20 * SECOND)
+    redirects = [
+        r for r in cluster.env.tracer.select("lwg", "lwg_join_redirect")
+        if r.fields["node"] == "p7"
+    ]
+    assert [r.fields["to"] for r in redirects] == [small[0].hwg]
+    assert cluster.run_until(lambda: converged_lwg(small + [late], 3), timeout_us=10 * SECOND)

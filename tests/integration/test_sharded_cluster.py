@@ -18,7 +18,6 @@ from repro.workloads import Cluster
 def fast_config():
     config = LwgConfig()
     config.policy_period_us = 2 * SECOND
-    config.shrink_grace_us = 1 * SECOND
     return config
 
 

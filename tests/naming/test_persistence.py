@@ -5,7 +5,6 @@ import pytest
 from repro.naming import (
     CORRUPTION_MODES,
     DurableStore,
-    FileStorage,
     MappingRecord,
     MemoryStorage,
     NamingDatabase,
@@ -99,15 +98,16 @@ def test_absorb_genealogy_is_journaled():
     assert len(reloaded) == 1  # the parent got collected on both sides
 
 
-def test_file_storage_round_trips(tmp_path):
-    store = DurableStore(FileStorage(tmp_path / "node"))
+def test_second_store_over_the_same_storage_round_trips():
+    storage = MemoryStorage()
+    store = DurableStore(storage)
     db = NamingDatabase()
     store.attach(db)
     db.apply(record())
     store.write_snapshot(db)
     db.apply(record(seq=2, version=2))
-    # A second store over the same directory models an OS-process restart.
-    reborn = DurableStore(FileStorage(tmp_path / "node"))
+    # A second store over the same bytes reads what the first one wrote.
+    reborn = DurableStore(storage)
     assert reborn.has_state()
     result = reborn.load()
     assert result.clean

@@ -25,7 +25,6 @@ def test_lwg_config_fields():
         "k_m",
         "k_c",
         "policy_period_us",
-        "shrink_grace_us",
         "enable_policies",
         "enable_reconciliation",
     }

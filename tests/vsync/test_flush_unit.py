@@ -24,6 +24,7 @@ class FakeHost:
         self.local_states = []
         self.local_dones = []
         self.stop_raised = 0
+        self.auto_stop_ok = True  # False: the user holds StopOk back
         self.active_leader = None  # set when this host leads a flush
         self.channel = OrderedChannel(self)
         self.channel.install_view(view, {})
@@ -39,28 +40,27 @@ class FakeHost:
     def deliver_data(self, sender, payload, size):
         self.delivered.append((sender, payload))
 
-    # leader-local routing
-    def handle_stop_locally(self, stop):
-        self.local_stops.append(stop)
-        self.participant.on_stop(stop)
-
-    def handle_fill_locally(self, fill):
-        self.local_fills.append(fill)
-        self.participant.on_fill(fill)
-
-    def route_flush_state_locally(self, state):
-        self.local_states.append(state)
-        if self.active_leader is not None:
-            self.active_leader.on_flush_state(state)
-
-    def route_flush_done_locally(self, done):
-        self.local_dones.append(done)
-        if self.active_leader is not None:
-            self.active_leader.on_flush_done(done)
+    # the leader's own flush messages (HwgEndpoint.on_message's branches)
+    def on_message(self, src, msg):
+        if isinstance(msg, Stop):
+            self.local_stops.append(msg)
+            self.participant.on_stop(msg)
+        elif isinstance(msg, FlushFill):
+            self.local_fills.append(msg)
+            self.participant.on_fill(msg)
+        elif isinstance(msg, FlushState):
+            self.local_states.append(msg)
+            if self.active_leader is not None:
+                self.active_leader.on_flush_state(msg)
+        elif isinstance(msg, FlushDone):
+            self.local_dones.append(msg)
+            if self.active_leader is not None:
+                self.active_leader.on_flush_done(msg)
 
     def raise_stop(self):
         self.stop_raised += 1
-        self.participant.stop_acknowledged()
+        if self.auto_stop_ok:
+            self.participant.stop_acknowledged()
 
 
 def make_view(*members):
@@ -212,3 +212,109 @@ def test_participant_ignores_foreign_view(env):
     foreign = Stop(group="g", view_id=ViewId("zz", 9), round_no=1, leader="p0")
     host.participant.on_stop(foreign)
     assert host.participant.leader is None
+
+
+def _leader_past_the_cut(env):
+    """p0 leads a flush of (p0, p1, p2); every state is in, so the cut
+    is computed and the leader waits on FlushDone from p1 and p2."""
+    view = make_view("p0", "p1", "p2")
+    host = FakeHost(env, "p0", view)
+    stalled, done = [], []
+    leader = BranchFlushLeader(
+        host, view, 1, {"p0", "p1", "p2"},
+        on_complete=lambda s, d: done.append(s), on_stall=stalled.append,
+    )
+    host.active_leader = leader
+    leader.start()
+    for member in ("p1", "p2"):
+        leader.on_flush_state(
+            FlushState(group="g", view_id=view.view_id, round_no=1, member=member, have_upto=-1)
+        )
+    assert leader.cut == -1
+    return view, leader, stalled, done
+
+
+def flush_done(view, member, round_no=1):
+    return FlushDone(group="g", view_id=view.view_id, round_no=round_no, member=member)
+
+
+def test_stall_after_the_cut_names_the_members_that_never_acknowledged(env):
+    view, leader, stalled, _ = _leader_past_the_cut(env)
+    leader.on_flush_done(flush_done(view, "p1"))
+    assert leader.missing_participants() == {"p2"}
+    env.sim.run_until(env.sim.now + 1_000_000)
+    assert stalled == [{"p2"}]
+
+
+def test_flush_done_from_a_wrong_round_or_a_stranger_is_not_counted(env):
+    view, leader, _, done = _leader_past_the_cut(env)
+    leader.on_flush_done(flush_done(view, "p1", round_no=0))
+    leader.on_flush_done(flush_done(view, "p9"))
+    assert leader.missing_participants() == {"p1", "p2"}
+    leader.on_flush_done(flush_done(view, "p1"))
+    leader.on_flush_done(flush_done(view, "p2"))
+    assert done == [("p0", "p1", "p2")]
+
+
+def test_flush_done_before_the_cut_is_not_counted(env):
+    view = make_view("p0", "p1")
+    host = FakeHost(env, "p0", view)
+    leader = BranchFlushLeader(
+        host, view, 1, {"p0", "p1"},
+        on_complete=lambda s, d: None, on_stall=lambda m: None,
+    )
+    host.active_leader = leader
+    leader.start()
+    leader.on_flush_done(flush_done(view, "p1"))  # overtook p1's own state
+    assert leader.cut is None and leader.missing_participants() == {"p1"}
+
+
+def test_flush_state_from_a_non_participant_is_ignored(env):
+    view = make_view("p0", "p1", "p2")
+    host = FakeHost(env, "p0", view)
+    leader = BranchFlushLeader(
+        host, view, 1, {"p0", "p1"},  # p2 is suspected: not asked
+        on_complete=lambda s, d: None, on_stall=lambda m: None,
+    )
+    host.active_leader = leader
+    leader.start()
+    leader.on_flush_state(
+        FlushState(group="g", view_id=view.view_id, round_no=1, member="p2", have_upto=-1)
+    )
+    assert leader.missing_participants() == {"p1"}
+
+
+def test_equal_round_from_a_leader_outside_the_view_is_refused(env):
+    view = make_view("p0", "p1")
+    host = FakeHost(env, "p1", view)
+    host.participant.on_stop(Stop(group="g", view_id=view.view_id, round_no=1, leader="p0"))
+    host.participant.on_stop(Stop(group="g", view_id=view.view_id, round_no=1, leader="p9"))
+    assert host.participant.leader == "p0"
+
+
+def test_duplicate_stop_while_awaiting_stop_ok_raises_no_second_upcall(env):
+    view = make_view("p0", "p1")
+    host = FakeHost(env, "p1", view)
+    host.auto_stop_ok = False
+    stop = Stop(group="g", view_id=view.view_id, round_no=1, leader="p0")
+    host.participant.on_stop(stop)
+    host.participant.on_stop(stop)
+    assert host.stop_raised == 1
+    host.participant.stop_acknowledged()
+    assert [m for _, m in host.reliable if isinstance(m, FlushState)] != []
+
+
+def test_fill_for_another_view_or_round_is_not_applied(env):
+    view = make_view("p0", "p1")
+    host = FakeHost(env, "p1", view)
+    host.participant.on_stop(Stop(group="g", view_id=view.view_id, round_no=2, leader="p0"))
+    fills = [
+        FlushFill(group="g", view_id=ViewId("p0", 0), round_no=2, cut=0,
+                  missing={0: ordered(view, 0)}),
+        FlushFill(group="g", view_id=view.view_id, round_no=1, cut=0,
+                  missing={0: ordered(view, 0)}),
+    ]
+    for fill in fills:
+        host.participant.on_fill(fill)
+    assert host.delivered == []
+    assert not [m for _, m in host.reliable if isinstance(m, FlushDone)]

@@ -4,6 +4,8 @@ from tests.helpers import RecordingListener, converged, make_group, run_until
 
 from repro.sim import SECOND
 from repro.vsync import EndpointState, GroupAddressing, ProtocolStack
+from repro.vsync.messages import InstallView
+from repro.vsync.view import View, ViewId
 
 
 def test_single_join_founds_singleton_view(env):
@@ -209,3 +211,43 @@ def test_coordinator_whose_own_leave_is_in_the_round_finishes_leaving(env):
     assert coordinator.state is EndpointState.IDLE
     assert coordinator.vcm.round is None
     assert listeners[endpoints.index(coordinator)].lefts == 1
+
+
+def _successor(view, members):
+    return View(view.group, ViewId("p0", 99), tuple(members), parents=(view.view_id,))
+
+
+def test_install_without_a_flush_for_it_is_refused(env):
+    """Virtual synchrony: a member only moves to a successor view whose
+    flush it took part in (it acknowledged the Stop)."""
+    stacks, endpoints, _ = make_group(env, 2)
+    assert run_until(env, lambda: converged(endpoints, 2))
+    current = endpoints[1].current_view
+    install = InstallView(group="g", view=_successor(current, ("p0", "p1")),
+                          via_branch=current.view_id)
+    endpoints[1].apply_install("p0", install)
+    assert endpoints[1].current_view is current
+
+
+def test_install_that_excludes_us_ends_a_leave_and_is_ignored_otherwise(env):
+    stacks, endpoints, listeners = make_group(env, 3)
+    assert run_until(env, lambda: converged(endpoints, 3))
+    current = endpoints[1].current_view
+    install = InstallView(group="g", view=_successor(current, ("p0",)),
+                          via_branch=current.view_id)
+    endpoints[1].apply_install("p0", install)
+    assert endpoints[1].current_view is current  # a MEMBER stays put
+    endpoints[2].leave()
+    assert endpoints[2].state is EndpointState.LEAVING
+    endpoints[2].apply_install("p0", install)
+    assert endpoints[2].state is EndpointState.IDLE and listeners[2].lefts == 1
+
+
+def test_joining_an_endpoint_again_replaces_its_listener(env):
+    addressing = GroupAddressing()
+    stack = ProtocolStack(env, "p0", addressing)
+    first, second = RecordingListener("p0"), RecordingListener("p0")
+    endpoint = stack.endpoint("g", first)
+    assert stack.endpoint("g", second) is endpoint
+    assert endpoint.listener is second
+    assert stack.endpoint("g") is endpoint and endpoint.listener is second

@@ -1,6 +1,6 @@
 """Unit tests for ViewChangeManager decision logic (fake endpoint)."""
 
-from repro.vsync.flush import FlushParticipant
+from repro.vsync.flush import FLUSH_TIMEOUT_US, FlushParticipant
 from repro.vsync.membership import (
     INSTALL_TIMEOUT_US,
     MERGE_BRANCH_TIMEOUT_US,
@@ -10,12 +10,15 @@ from repro.vsync.membership import (
 )
 from repro.vsync.messages import (
     BranchFlushed,
+    FlushFill,
+    FlushState,
     InstallView,
     JoinRequest,
     LeaveRequest,
     MergeDecline,
     MergeRequest,
     Presence,
+    Stop,
 )
 from repro.vsync.total_order import OrderedChannel
 from repro.vsync.view import View, ViewId
@@ -51,6 +54,7 @@ class FakeEndpoint:
         self.sent = []
         self.installed = []
         self.seceded = 0
+        self.auto_stop_ok = True  # False: the user holds StopOk back
         self.channel = OrderedChannel(self)
         self.channel.install_view(view, {})
         self.participant = FlushParticipant(self)
@@ -66,25 +70,21 @@ class FakeEndpoint:
         pass
 
     def raise_stop(self):
-        self.participant.stop_acknowledged()
+        if self.auto_stop_ok:
+            self.participant.stop_acknowledged()
 
-    def handle_stop_locally(self, stop):
-        self.participant.on_stop(stop)
-
-    def handle_fill_locally(self, fill):
-        self.participant.on_fill(fill)
-
-    def route_flush_state_locally(self, state):
-        if self.vcm.round is not None and self.vcm.round.flush is not None:
-            self.vcm.round.flush.on_flush_state(state)
-        elif self.vcm.subordinate is not None and self.vcm.subordinate.flush is not None:
-            self.vcm.subordinate.flush.on_flush_state(state)
-
-    def route_flush_done_locally(self, done):
-        if self.vcm.round is not None and self.vcm.round.flush is not None:
-            self.vcm.round.flush.on_flush_done(done)
-        elif self.vcm.subordinate is not None and self.vcm.subordinate.flush is not None:
-            self.vcm.subordinate.flush.on_flush_done(done)
+    def on_message(self, src, msg):
+        """The leader's own flush messages (HwgEndpoint.on_message's branches)."""
+        if isinstance(msg, Stop):
+            self.participant.on_stop(msg)
+        elif isinstance(msg, FlushFill):
+            self.participant.on_fill(msg)
+        else:
+            flush = (self.vcm.round or self.vcm.subordinate).flush
+            if isinstance(msg, FlushState):
+                flush.on_flush_state(msg)
+            else:
+                flush.on_flush_done(msg)
 
     def apply_install(self, src, msg):
         self.installed.append(msg)
@@ -475,3 +475,96 @@ def test_spent_leave_does_not_expel_the_node_after_it_rejoins(env):
     assert vcm.round is None  # no round expelling the rejoined node
     vcm.request_refresh()
     assert vcm.round.leaves == set()
+
+
+def test_join_request_at_a_non_leader_is_left_to_the_joiner_to_retry(env):
+    endpoint = make(env, node="p1")  # p0 coordinates
+    endpoint.vcm.on_join_request(JoinRequest(group="g", joiner="p9"))
+    assert endpoint.vcm.pending_joins == set() and endpoint.vcm.round is None
+
+
+def test_leave_request_at_an_endpoint_that_is_not_a_member_is_ignored(env):
+    endpoint = make(env, node="p0")
+    endpoint.state = EndpointState.JOINING  # e.g. restarted after a crash
+    endpoint.vcm.on_leave_request(LeaveRequest(group="g", leaver="p9"))
+    assert endpoint.sent == [] and endpoint.vcm.round is None
+
+
+def _yielded_round(env):
+    """p5 led a refresh round of (p5, p6), then yielded to merge leader
+    p0; returns the endpoint and the superseded round."""
+    endpoint = make(env, node="p5", members=("p5", "p6"))
+    endpoint.vcm.request_refresh()
+    superseded = endpoint.vcm.round
+    endpoint.vcm.on_merge_request("p0", merge_request(endpoint, "p0", epoch=1))
+    assert endpoint.vcm.round is None and superseded.flush.aborted
+    return endpoint, superseded
+
+
+def test_callbacks_of_a_superseded_round_change_nothing(env):
+    """Every round callback names the round it was armed for; one that
+    fires after the round was replaced is dropped."""
+    endpoint, superseded = _yielded_round(env)
+    sub = endpoint.vcm.subordinate
+    superseded.flush.on_complete(("p5", "p6"), {})
+    superseded.flush.on_stall({"p6"})
+    endpoint.vcm._merge_timeout(superseded)
+    assert superseded.own_done is None and superseded.round_no == 0
+    assert endpoint.vcm.round is None and endpoint.vcm.subordinate is sub
+    assert endpoint.installed == []
+
+
+def test_callbacks_of_a_cleared_subordinate_change_nothing(env):
+    endpoint = make(env, node="p5", members=("p5", "p6"))
+    endpoint.vcm.on_merge_request("p0", merge_request(endpoint, "p0", epoch=7))
+    cleared = endpoint.vcm.subordinate
+    endpoint.vcm.round_completed()  # a view installed meanwhile
+    assert endpoint.vcm.subordinate is None
+    cleared.flush.on_complete(("p5", "p6"), {})
+    cleared.flush.on_stall({"p6"})
+    endpoint.vcm._subordinate_install_timeout(cleared, ("p5", "p6"), {})
+    assert not cleared.reported and endpoint.vcm.subordinate is None
+    assert sent_of(endpoint, BranchFlushed) == [] and endpoint.installed == []
+
+
+def test_leader_that_never_acknowledges_its_own_stop_abandons_the_round(env):
+    endpoint = make(env, node="p0", members=("p0", "p1"))
+    endpoint.auto_stop_ok = False
+    endpoint.vcm.request_refresh()
+    rnd = endpoint.vcm.round
+    env.run_for(FLUSH_TIMEOUT_US)  # first stall: same participants, fresh round number
+    assert endpoint.vcm.round is rnd and rnd.round_no == 1
+    env.run_for(FLUSH_TIMEOUT_US)  # second stall excludes p0 itself
+    assert endpoint.vcm.round is None and rnd.flush.aborted
+    assert endpoint.installed == []
+
+
+def test_subordinate_that_never_acknowledges_its_own_stop_gives_up(env):
+    endpoint = make(env, node="p5", members=("p5", "p6"))
+    endpoint.auto_stop_ok = False
+    endpoint.vcm.on_merge_request("p0", merge_request(endpoint, "p0", epoch=7))
+    sub = endpoint.vcm.subordinate
+    env.run_for(FLUSH_TIMEOUT_US)
+    assert endpoint.vcm.subordinate is None and sub.flush.aborted
+    assert sent_of(endpoint, BranchFlushed) == []
+
+
+def test_branch_flushed_after_the_branch_declined_is_ignored(env):
+    endpoint = make(env, node="p0", members=("p0", "p1"))  # own flush waits on p1
+    endpoint.vcm.on_presence("p5", presence(ViewId("p5", 3), ["p5", "p6"]))
+    rnd = endpoint.vcm.round
+    endpoint.vcm.on_merge_decline(MergeDecline(group="g", decliner="p5", epoch=rnd.epoch))
+    endpoint.vcm.on_branch_flushed(_flushed(epoch=rnd.epoch))
+    assert rnd.foreign["p5"].flushed is None
+
+
+def test_flushed_branch_whose_survivors_left_its_view_adds_nobody(env):
+    endpoint = make(env, node="p0", members=("p0",))  # own flush done at once
+    endpoint.vcm.on_presence("p5", presence(ViewId("p5", 3), ["p5", "p6"]))
+    rnd = endpoint.vcm.round
+    report = _flushed(epoch=rnd.epoch)
+    endpoint.vcm.on_branch_flushed(
+        BranchFlushed(group="g", epoch=rnd.epoch, branch_view=report.branch_view,
+                      survivors=("p7",), dedup={}, branch_coordinator="p5")
+    )
+    assert [m.view.members for m in endpoint.installed] == [("p0",)]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.sim import SECOND, SimRuntime
 from repro.sim.transport import MAX_BACKOFF_US
-from repro.vsync.messages import Nack, Ordered, Publish
+from repro.vsync.messages import Nack, Ordered, Publish, StabilityAck, StabilityAnnounce
 from repro.vsync.total_order import OrderedChannel
 from repro.vsync.view import View, ViewId
 
@@ -460,3 +460,71 @@ def test_sequencer_orders_one_senders_stream_exactly_once_under_any_schedule(cou
     assert [m.sender_seq for m in sequencer_host.multicasts] == list(range(1, count + 1))
     assert [m.seq for m in sequencer_host.multicasts] == list(range(count))
     assert sequencer._held == {}
+
+
+# ----------------------------------------------------------------------
+# Thaw, stability floors and messages for a view the channel left
+# ----------------------------------------------------------------------
+def test_thaw_republishes_a_send_made_while_frozen(member_host):
+    """A flush that ends without a new view (``thaw``) must not strand
+    what the application sent while the channel was frozen."""
+    host, channel, _ = member_host
+    channel.send("before", 1)
+    channel.freeze()
+    channel.send("during", 1)
+    assert [msg.sender_seq for _, msg in host.raw] == [1]
+    channel.thaw()
+    assert not channel.frozen
+    # Both pending sends go again, in order; the sequencer orders each once.
+    assert [(msg.sender_seq, msg.payload) for _, msg in host.raw[1:]] == [
+        (1, "before"), (2, "during"),
+    ]
+
+
+def test_stability_floor_is_announced_when_it_rises_then_rides_the_data(seq_host):
+    host, channel, view = seq_host
+    channel.send("a", 1)
+    feed_own_multicasts(channel, host)
+    channel.on_stability_ack(
+        StabilityAck(group="g", view_id=view.view_id, member="p1", delivered_upto=0)
+    )
+    channel.tick_stability()
+    assert [m.floor for m in host.multicasts if isinstance(m, StabilityAnnounce)] == [0]
+    channel.tick_stability()  # no rise, no second announce
+    assert len(host.multicasts) == 1
+    channel.send("b", 1)
+    assert host.multicasts[-1].stable_floor == 0
+
+
+def test_nack_for_a_view_the_sequencer_left_is_ignored(seq_host):
+    host, channel, view = seq_host
+    channel.send("a", 1)
+    successor = View("g", ViewId("p0", 2), ("p0", "p1"), parents=(view.view_id,))
+    channel.install_view(successor, channel.floor_snapshot())
+    channel.on_nack(
+        Nack(group="g", view_id=view.view_id, from_seq=0, to_seq=0, requester="p1")
+    )
+    assert host.reliable == []
+
+
+def test_ordered_before_any_view_is_ignored(env):
+    """A fresh channel (a rejoining endpoint) drops a late Ordered."""
+    host = FakeHost(env, "p1")
+    channel = OrderedChannel(host)
+    channel.on_ordered(
+        Ordered(group="g", view_id=ViewId("p0", 1), seq=0, sender="p0",
+                sender_seq=1, payload="late")
+    )
+    assert host.delivered == [] and channel.log == {}
+
+
+def test_stability_announce_for_a_view_the_channel_left_is_ignored(seq_host):
+    host, channel, view = seq_host
+    channel.send("a", 1)
+    feed_own_multicasts(channel, host)
+    successor = View("g", ViewId("p0", 2), ("p0", "p1"), parents=(view.view_id,))
+    channel.install_view(successor, channel.floor_snapshot())
+    channel.send("b", 1)
+    feed_own_multicasts(channel, host)
+    channel.on_stability_announce(StabilityAnnounce(group="g", view_id=view.view_id, floor=5))
+    assert channel.stable_upto == -1 and 0 in channel.log

@@ -279,3 +279,17 @@ def test_concurrent_heads_are_compared_without_walking_their_history(length):
     g._parents = counting = CountingParents(g._parents)
     assert g.concurrent(left, right)
     assert counting.lookups == 0
+
+
+def test_verify_levels_names_each_kind_of_index_damage():
+    g = ViewGenealogy()
+    g.record(vid("p0", 2), [vid("p0", 1)])
+    assert g.verify_levels() == []
+    g._level[vid("p0", 2)] = g._level.get(vid("p0", 1), 0)
+    g._children[vid("p0", 1)].append(vid("p0", 2))
+    g._children[vid("p9", 1)] = [vid("p9", 2)]
+    assert g.verify_levels() == [
+        "level of p0#2 not above its parent p0#1",
+        "child index misses edge p0#2 -> p0#1",
+        "child index holds edges the parent map lacks",
+    ]
