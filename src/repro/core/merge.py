@@ -437,12 +437,12 @@ class ReconciliationHandler:
         Two authorities apply, per record:
 
         * **Minting** — only this node mints ``ViewId(self.node, *)``
-          (durable view-seq makes those ids unique across crashes, and a
+          (``ProtocolStack._view_seq`` survives a crash in the stack
+          object, which makes those ids unique across lives, and a
           hash-minted merged id always has its nominal coordinator as a
           member), so a live record citing one that is not our current
-          view of the LWG is defunct — typically resurrected by a
-          corrupted name-server store after every replica holding the
-          superseding genealogy was lost.
+          view of the LWG is defunct — typically one that outlived a
+          crash of every replica holding the superseding genealogy.
         * **Succession** — as the live *coordinator* of a branch, any
           record citing a view in our ancestor set is superseded by our
           own registered mapping, whoever minted it.  This retires the
@@ -473,12 +473,12 @@ class ReconciliationHandler:
             if member and record.hwg == local.hwg:
                 # The record cites a view we moved past but still points
                 # at the HWG our live branch occupies — if newer records
-                # were lost (corrupted replica), it is the branch's only
-                # discovery beacon, and retiring it would strand the
-                # branch in an unmergeable split.  The coordinator plants
-                # a fresh beacon first; a mere member leaves the record
-                # alone (its coordinator re-registers on the next HWG
-                # view change).
+                # were lost (every replica holding them crashed), it is
+                # the branch's only discovery beacon, and retiring it
+                # would strand the branch in an unmergeable split.  The
+                # coordinator plants a fresh beacon first; a mere member
+                # leaves the record alone (its coordinator re-registers
+                # on the next HWG view change).
                 if local.coordinator() != node:
                     continue
                 if not refreshed:

@@ -63,8 +63,8 @@ ANNOUNCE_PERIOD_US = 2 * SECOND
 #: Coordinators re-read the naming service at this period and
 #: re-register their mapping if the record is gone.  Replication
 #: normally outlives any single server failure, but a record written to
-#: one replica inside a partition can be destroyed (crash with a
-#: corrupted store) before anti-entropy spreads it — and a *missing*
+#: one replica inside a partition is destroyed if every replica holding
+#: it crashes before anti-entropy spreads it — and a *missing*
 #: record raises no MULTIPLE-MAPPINGS callback, so only the
 #: authoritative writer can notice.  This audit is the self-healing
 #: backstop for that silent-loss case.
@@ -761,11 +761,12 @@ class LwgService:
         """Self-healing backstop: verify our registered mappings exist.
 
         A record written to one name-server replica inside a partition
-        can be destroyed — crash plus corrupted store — before
-        anti-entropy replicates it.  A missing record raises no
-        MULTIPLE-MAPPINGS conflict, so no callback covers the loss; the
-        coordinator, as the record's authoritative writer, periodically
-        re-reads the naming service and re-registers.  The fresh write
+        is destroyed if every replica holding it crashes before
+        anti-entropy replicates it: a restarted server comes back empty.
+        A missing record raises no MULTIPLE-MAPPINGS conflict, so no
+        callback covers the loss; the coordinator, as the record's
+        authoritative writer, periodically re-reads the naming service
+        and re-registers.  The fresh write
         also supersedes a joiner's same-version burial tombstone (its
         version is strictly higher), un-burying mappings that were
         declared dead while we were merely unreachable.

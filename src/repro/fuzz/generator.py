@@ -17,9 +17,8 @@ Profiles weight the step mix:
                coarser blocks), light churn;
 ``churn``      join/leave/crash/recover heavy, occasional splits;
 ``mixed``      everything, including message bursts (the default);
-``recovery``   crash_recover/corrupt_state heavy — durable-state
-               reloads, incarnation bumps and corrupted stores under
-               concurrent partitions.
+``recovery``   crash_recover heavy — incarnation bumps and name
+               servers that restart empty, under concurrent partitions.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..naming.persistence import CORRUPTION_MODES
 from ..sim.engine import MS
 from ..runtime.rng import RngRegistry
 from .schedule import Schedule, Step
@@ -66,8 +64,7 @@ _PROFILE_WEIGHTS: Dict[str, Dict[str, float]] = {
         "leave": 2.0,
         "burst": 2.0,
         "settle": 0.5,
-        "crash_recover": 0.7,
-        "corrupt_state": 0.5,
+        "crash_recover": 1.2,
     },
     "recovery": {
         "partition": 1.5,
@@ -78,14 +75,13 @@ _PROFILE_WEIGHTS: Dict[str, Dict[str, float]] = {
         "leave": 1.0,
         "burst": 1.0,
         "settle": 0.5,
-        "crash_recover": 3.0,
-        "corrupt_state": 2.5,
+        "crash_recover": 5.5,
     },
 }
 
 _DELAY_CHOICES_US = (600 * MS, 1_000 * MS, 1_500 * MS, 2_000 * MS)
 
-#: ``crash_recover``/``corrupt_state`` downtime choices.
+#: ``crash_recover`` downtime choices.
 _DOWN_CHOICES_US = (200 * MS, 500 * MS, 1_000 * MS, 2_000 * MS)
 
 
@@ -146,8 +142,21 @@ class ScheduleGenerator:
             initial_members=initial,
             steps=steps,
             profile=self.profile,
-            label=f"fuzz-{self.seed}-{self.profile}-{index:04d}",
+            label=f"fuzz-{self.seed}-{self.profile}{self._naming_tag()}-{index:04d}",
         )
+
+    def _naming_tag(self) -> str:
+        """``-ns<servers>[rf<factor>]`` off the default naming shape, else "".
+
+        Campaigns that differ only in their name-server roster then pin
+        their digests under distinct labels.
+        """
+        config, default = self.config, GeneratorConfig()
+        shape = (config.num_name_servers, config.replication_factor)
+        if shape == (default.num_name_servers, default.replication_factor):
+            return ""
+        rf = f"rf{config.replication_factor}" if config.replication_factor else ""
+        return f"-ns{config.num_name_servers}{rf}"
 
     # ------------------------------------------------------------------
     def _initial_membership(
@@ -236,21 +245,11 @@ class ScheduleGenerator:
                     Step(kind=kind, node=rng.choice(list(processes)), delay_us=delay)
                 )
             elif kind == "crash_recover":
-                # Processes and name servers alike restart from disk.
+                # Processes and name servers alike.
                 steps.append(
                     Step(
                         kind="crash_recover",
                         node=rng.choice(list(processes) + list(servers)),
-                        down_us=rng.choice(_DOWN_CHOICES_US),
-                        delay_us=delay,
-                    )
-                )
-            elif kind == "corrupt_state":
-                steps.append(
-                    Step(
-                        kind="corrupt_state",
-                        node=rng.choice(list(servers)),
-                        mode=rng.choice(list(CORRUPTION_MODES)),
                         down_us=rng.choice(_DOWN_CHOICES_US),
                         delay_us=delay,
                     )

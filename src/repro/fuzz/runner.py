@@ -39,7 +39,6 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..checkers import InvariantViolation
 from ..core.ids import lwg_id
-from ..naming.persistence import CORRUPTION_MODES, inject_corruption
 from ..runtime.interfaces import Runtime
 from ..sim.engine import MS, SECOND
 from ..workloads.cluster import Cluster
@@ -53,7 +52,7 @@ Sabotage = Callable[[Cluster], None]
 #: Never crash below this many live processes.
 MIN_ALIVE = 2
 
-#: Downtime for crash_recover/corrupt_state steps that don't specify one.
+#: Downtime for crash_recover steps that don't specify one.
 DEFAULT_DOWN_US = 300 * MS
 
 CLEAN = "clean"
@@ -169,8 +168,6 @@ class ScheduleRunner:
             self._burst(step.node, step.group, step.count)
         elif kind == "crash_recover":
             self._crash_recover(step.node, step.down_us)
-        elif kind == "corrupt_state":
-            self._corrupt_state(step.node, step.mode, step.down_us)
         # "settle" applies nothing; the post-step delay does the work.
 
     def _join(self, node: str, group: str) -> None:
@@ -210,12 +207,13 @@ class ScheduleRunner:
         # nothing until the schedule says so.
 
     def _crash_recover(self, node: str, down_us: int) -> None:
-        """Atomic crash + downtime + restart (durable-state reload).
+        """Atomic crash + downtime + restart.
 
         Atomicity keeps the step shrinker-safe: deleting any *other*
         step can never leave the node permanently down, and the restart
-        always exercises the recovery path (snapshot+log reload for name
-        servers, incarnation bump for both).
+        always exercises the recovery path (an incarnation bump for
+        both, and for a name server an empty database that anti-entropy
+        refills).
         """
         down = down_us or DEFAULT_DOWN_US
         if node in self.cluster.name_servers:
@@ -233,28 +231,6 @@ class ScheduleRunner:
         for members in self.expected.values():
             members.discard(node)
         self.cluster.run_for(down)
-        self.cluster.recover(node)
-
-    def _corrupt_state(self, node: str, mode: str, down_us: int) -> None:
-        """Corrupt a name server's durable store, then crash-recover it.
-
-        The crash-recover is part of the step so the corrupted bytes are
-        always *loaded* — corruption that nobody reads back tests
-        nothing.  All randomness (offsets, bits) comes from a dedicated
-        schedule-seeded stream, so replay corrupts identical bytes.
-        """
-        if mode not in CORRUPTION_MODES:
-            return
-        server = self.cluster.name_servers.get(node)
-        if server is None:
-            return
-        rng = self.cluster.env.rng.stream("fuzz:corrupt")
-        detail = inject_corruption(server.store, mode, rng, db=server.db)
-        self.cluster.env.tracer.emit(
-            "recovery", "store_corrupted", node=node, mode=mode, detail=detail
-        )
-        self.cluster.crash(node)
-        self.cluster.run_for(down_us or DEFAULT_DOWN_US)
         self.cluster.recover(node)
 
     def _partition(self, blocks: Tuple[Tuple[str, ...], ...]) -> None:

@@ -29,19 +29,15 @@ Step kinds
 ``burst``       ``node`` multicasts ``count`` messages to ``group``.
 ``settle``      nothing — just advance time by ``delay_us``.
 ``crash_recover``  fail-stop ``node``, keep it down for ``down_us``,
-                then restart it *in one atomic step* — with durable
-                stores the restart reloads the node's snapshot+log and
-                bumps its incarnation.  Works on processes and name
-                servers alike.
-``corrupt_state``  corrupt ``node``'s durable store per ``mode`` (one
-                of the :data:`~repro.naming.persistence.CORRUPTION_MODES`),
-                then crash-recover it so the corrupted bytes are loaded.
-                Name servers only (processes have no naming database).
+                then restart it *in one atomic step*, with a bumped
+                incarnation.  A restarted name server comes back with an
+                empty database.  Works on processes and name servers
+                alike.
 
 Every step carries ``delay_us``: how far the simulation advances after
 the action is applied.  Loading rejects any key the schema does not
-read, so a file written for a retired option never replays silently as
-something else.
+read and any unknown step kind, so a file written for a retired option
+or step never replays silently as something else.
 """
 
 from __future__ import annotations
@@ -62,7 +58,6 @@ STEP_KINDS = (
     "burst",
     "settle",
     "crash_recover",
-    "corrupt_state",
 )
 
 #: Default pause after a step (microseconds).
@@ -88,11 +83,9 @@ class Step:
     blocks: Tuple[Tuple[str, ...], ...] = ()
     count: int = 0
     delay_us: int = DEFAULT_DELAY_US
-    #: ``crash_recover``/``corrupt_state``: simulated downtime between
-    #: the crash and the restart.
+    #: ``crash_recover``: simulated downtime between the crash and the
+    #: restart.
     down_us: int = 0
-    #: ``corrupt_state``: which corruption to inject.
-    mode: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in STEP_KINDS:
@@ -110,8 +103,6 @@ class Step:
             body = self.node
         elif self.kind == "crash_recover":
             body = f"{self.node} down {self.down_us // 1000}ms"
-        elif self.kind == "corrupt_state":
-            body = f"{self.node}:{self.mode} down {self.down_us // 1000}ms"
         else:
             body = ""
         suffix = f" +{self.delay_us // 1000}ms"
@@ -129,8 +120,6 @@ class Step:
             out["count"] = self.count
         if self.down_us:
             out["down_us"] = self.down_us
-        if self.mode:
-            out["mode"] = self.mode
         return out
 
     @classmethod
@@ -144,7 +133,6 @@ class Step:
             count=int(data.get("count", 0)),
             delay_us=int(data.get("delay_us", DEFAULT_DELAY_US)),
             down_us=int(data.get("down_us", 0)),
-            mode=data.get("mode", ""),
         )
 
 

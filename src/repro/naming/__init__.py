@@ -11,13 +11,6 @@ from .client import NamingClient
 from .database import NamingDatabase
 from .merkle import MerklePrefixTree
 from .messages import MultipleMappings, NsRequest, NsResponse
-from .persistence import (
-    CORRUPTION_MODES,
-    DurableStore,
-    LoadResult,
-    MemoryStorage,
-    inject_corruption,
-)
 from .records import HwgId, LwgId, MappingRecord
 from .reconciliation import (
     MerkleSession,
@@ -50,11 +43,6 @@ __all__ = [
     "HwgId",
     "LwgId",
     "MappingRecord",
-    "CORRUPTION_MODES",
-    "DurableStore",
-    "LoadResult",
-    "MemoryStorage",
-    "inject_corruption",
     "ReconcileResult",
     "SyncDelta",
     "absorb",

@@ -19,8 +19,8 @@ recomputes them all):
 * a :class:`~repro.naming.merkle.MerklePrefixTree` over the record
   keyspace, which anti-entropy uses to localize divergence without
   shipping a flat full-database digest;
-* per genealogy edge, the bytes it contributes to the genealogy digest
-  and to a snapshot, encoded once when the edge is learned.
+* per genealogy edge, the bytes it contributes to the genealogy digest,
+  encoded once when the edge is learned.
 
 ``content_hash`` is derived from the Merkle root plus a genealogy
 digest, so it stays O(1) to read between mutations while still covering
@@ -35,13 +35,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..vsync.view import ViewGenealogy, ViewId
 from .merkle import MerklePrefixTree
-from .records import (
-    LwgId,
-    MappingRecord,
-    RecordKey,
-    canonical_json,
-    encode_edge,
-)
+from .records import LwgId, MappingRecord, RecordKey
 
 
 class NamingDatabase:
@@ -56,12 +50,10 @@ class NamingDatabase:
         self._contested: Set[LwgId] = set()
         self.genealogy = ViewGenealogy()
         #: Every recorded genealogy child in ``ViewId`` order, and per
-        #: child the two byte forms of its edge: the digest input
-        #: (``repr((child, parents))``) and the canonical-JSON fragment
-        #: snapshots are assembled from.  Refreshed by :meth:`_record_edge`.
+        #: child its edge's digest input (``repr((child, parents))``).
+        #: Refreshed by :meth:`_record_edge`.
         self._edge_children: List[ViewId] = []
         self._edge_digest: Dict[ViewId, bytes] = {}
-        self._edge_json: Dict[ViewId, bytes] = {}
         #: Merkle-prefix digest tree over the record keyspace, updated
         #: through the same funnel as ``content_hash``.
         self.merkle = MerklePrefixTree()
@@ -71,13 +63,6 @@ class NamingDatabase:
         #: invariant checking; None-safe no-ops by default).
         self.on_edge: Optional[Callable[[ViewId, Tuple[ViewId, ...]], None]] = None
         self.on_gc: Optional[Callable[[LwgId, ViewId, ViewId], None]] = None
-        #: Persistence hooks (wired by ``DurableStore.attach``): fired on
-        #: every accepted record (with its genealogy parents) and on every
-        #: batch of absorbed genealogy edges.  Together they journal
-        #: exactly the inputs needed to replay this database — GC is
-        #: derivable and deliberately not journaled.
-        self.on_applied: Optional[Callable[[MappingRecord, Tuple[ViewId, ...]], None]] = None
-        self.on_edges: Optional[Callable[[Dict[ViewId, Tuple[ViewId, ...]]], None]] = None
         #: Cached :meth:`content_hash`; every mutation path clears it.
         self._content_hash: Optional[str] = None
         #: Cached digest of the genealogy edge set; cleared whenever an
@@ -112,14 +97,10 @@ class NamingDatabase:
             # already hold — collect now, or stale mappings linger
             # until an unrelated mutation of the same LWG.
             if genealogy_changed:
-                if self.on_edges is not None:
-                    self.on_edges({record.lwg_view: parents})
                 self.garbage_collect(record.lwg)
             return False
         self._store(record)
         self.applied += 1
-        if self.on_applied is not None:
-            self.on_applied(record, parents)
         self.garbage_collect(record.lwg)
         return True
 
@@ -131,7 +112,6 @@ class NamingDatabase:
         if child not in self._edge_digest:
             insort(self._edge_children, child)
         self._edge_digest[child] = repr((child, merged)).encode()
-        self._edge_json[child] = canonical_json(encode_edge(child, merged))
         self._content_hash = None
         self._genealogy_hash = None
 
@@ -250,7 +230,6 @@ class NamingDatabase:
         out.genealogy = self.genealogy.clone()
         out._edge_children = list(self._edge_children)
         out._edge_digest = dict(self._edge_digest)
-        out._edge_json = dict(self._edge_json)
         out.merkle = self.merkle.clone()
         out.applied = self.applied
         out.gc_removed = self.gc_removed
@@ -346,28 +325,22 @@ class NamingDatabase:
     def genealogy_edges(self) -> Dict[ViewId, Tuple[ViewId, ...]]:
         return self.genealogy.edges()
 
-    def genealogy_edge_fragments(self) -> List[bytes]:
-        """Canonical JSON of every edge, in ``ViewId`` order of the child."""
-        return [self._edge_json[child] for child in self._edge_children]
-
     def absorb_genealogy(self, edges: Dict[ViewId, Tuple[ViewId, ...]]) -> None:
         for child, parents in edges.items():
             self._record_edge(child, parents)
             if self.on_edge is not None and parents:
                 self.on_edge(child, tuple(parents))
-        if edges and self.on_edges is not None:
-            self.on_edges({child: tuple(parents) for child, parents in edges.items()})
 
     def verify_integrity(self) -> List[str]:
         """Cross-check the derived structures against the record store.
 
         Returns a sorted list of problem descriptions (empty means the
         database is internally consistent).  Used by the recovery
-        checker to assert that a reloaded replica is not merely
-        hash-equal but structurally sound: index, Merkle tree and digest
-        caches all agree with the records, and the genealogy's level
-        index, the conflict candidates and the per-edge byte caches all
-        agree with recomputation from the edge map.
+        checker to assert at quiesce that every live replica is not
+        merely hash-equal but structurally sound: index, Merkle tree and
+        digest caches all agree with the records, and the genealogy's
+        level index, the conflict candidates and the per-edge digest
+        bytes all agree with recomputation from the edge map.
         """
         problems: List[str] = []
         for key in sorted(self._records):
@@ -408,9 +381,6 @@ class NamingDatabase:
             hasher.update(fresh)
             if self._edge_digest.get(child) != fresh:
                 problems.append(f"cached digest bytes stale for edge {child}")
-            fragment = canonical_json(encode_edge(child, edges[child]))
-            if self._edge_json.get(child) != fragment:
-                problems.append(f"cached snapshot fragment stale for edge {child}")
         if self._genealogy_hash not in (None, hasher.hexdigest()):
             problems.append("cached genealogy digest is stale")
         self._genealogy_hash = None

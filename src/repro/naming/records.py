@@ -15,9 +15,8 @@ views (Table 4's evolution).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Tuple
+from typing import Tuple
 
 from ..vsync.view import ProcessId, ViewId
 
@@ -66,24 +65,3 @@ class MappingRecord:
     def __str__(self) -> str:
         flag = " [deleted]" if self.deleted else ""
         return f"{self.lwg}@{self.lwg_view} -> {self.hwg}@{self.hwg_view}{flag}"
-
-
-# ----------------------------------------------------------------------
-# Canonical JSON forms (durable state; see ``persistence``)
-# ----------------------------------------------------------------------
-def canonical_json(obj: Any) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def encode_view_id(view_id: ViewId) -> List[Any]:
-    return [view_id.coordinator, view_id.seq]
-
-
-def decode_view_id(data: Any) -> ViewId:
-    coordinator, seq = data
-    return ViewId(coordinator=str(coordinator), seq=int(seq))
-
-
-def encode_edge(child: ViewId, parents: Iterable[ViewId]) -> List[Any]:
-    """One genealogy edge; lists of these sort in ``ViewId`` order of the child."""
-    return [encode_view_id(child), [encode_view_id(p) for p in parents]]

@@ -22,8 +22,12 @@ shards it owns**: pushes go to the record's shard co-owners, gossip
 runs only with servers sharing at least one shard and descends only
 their common subtrees (short-circuiting on the scoped hash), client
 requests for foreign shards are forwarded to an owner (which answers
-the client directly), and recovery reloads only owned shards from the
-durable store.
+the client directly).
+
+A server keeps nothing across a crash.  It restarts with an empty
+database and catches up through the same anti-entropy that reconciles
+a partition heal, while each LWG coordinator's mapping audit
+re-registers its live mapping (PROTOCOLS.md §17).
 
 After every mutation the server checks for inconsistent mappings and
 fires MULTIPLE-MAPPINGS callbacks at the affected LWG-view coordinators.
@@ -46,7 +50,6 @@ from .messages import (
     SyncReply,
     SyncRequest,
 )
-from .persistence import DurableStore, LoadResult
 from .reconciliation import (
     DEFAULT_MAX_SYNC_ROUNDS,
     MerkleSession,
@@ -68,7 +71,6 @@ class NameServer(Process):
         peers: Sequence[NodeId] = (),
         gossip_period_us: int = 500_000,
         renotify_period_us: int = 600_000,
-        store: Optional[DurableStore] = None,
         shard_map: Optional[ShardMap] = None,
     ):
         super().__init__(env, node)
@@ -83,11 +85,9 @@ class NameServer(Process):
         self.owned: Optional[FrozenSet[str]] = None
         if not self.shard_map.fully_replicated:
             self.owned = frozenset(self.shard_map.owned_shards(node))
-        #: Durable snapshot+log store: the database is rebuilt from it on
-        #: recovery.  In-memory unless the caller passes one.
-        self.store: DurableStore = store or DurableStore()
-        self._install_db(self.store.load(owned=self.owned).db)
-        self.incarnation = self.store.incarnation()
+        self._install_db(NamingDatabase())
+        #: Lives since construction; bumped by every recovery.
+        self.incarnation = 0
         #: Anti-entropy partners: peers sharing at least one shard with
         #: us (everyone, when fully replicated).
         self._gossip_peers: List[NodeId] = [
@@ -322,40 +322,20 @@ class NameServer(Process):
         self._sessions.clear()
 
     def on_recover(self) -> None:
-        # The volatile database died with the process: rebuild it from
-        # the durable areas (quarantining any corruption), bump the
-        # durable incarnation so this life is distinguishable from the
-        # last one, and compact to a fresh snapshot so the reloaded log
-        # is not replayed twice.  Whatever the log lost, the next
-        # Merkle-descent gossip re-reconciles from the peers.
-        result = self.store.load(owned=self.owned)
-        self._install_db(result.db)
-        self.incarnation = self.store.bump_incarnation(at_least=self.incarnation)
-        self.store.write_snapshot(self.db)
-        self._trace_recovery(result)
+        # The database died with the process.  The new life starts
+        # empty: the next Merkle descent with each peer ships back every
+        # record and edge this replica lacks.
+        self._install_db(NamingDatabase())
+        self.incarnation += 1
+        self.env.tracer.emit(
+            "recovery", "server_recovered", server=self.node, incarnation=self.incarnation
+        )
 
-    # ------------------------------------------------------------------
-    # Durable state
-    # ------------------------------------------------------------------
     def _install_db(self, db: NamingDatabase) -> None:
         """Adopt ``db`` as the live replica and wire every hook to it."""
         self.db = db
         db.on_edge = self._trace_edge
         db.on_gc = self._trace_gc
-        self.store.attach(db)
-
-    def _trace_recovery(self, result: LoadResult) -> None:
-        self.env.tracer.emit(
-            "recovery",
-            "server_recovered",
-            server=self.node,
-            incarnation=self.incarnation,
-            records=len(self.db),
-            snapshot_used=result.snapshot_used,
-            log_entries=result.log_entries,
-            quarantined=result.quarantined,
-            truncated=result.log_truncated or result.snapshot_rejected,
-        )
 
     def _absorb_remote(self, records, genealogy) -> None:
         if self.owned is not None:

@@ -15,10 +15,10 @@ checks and presence beacons.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Type, Union
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple, Type, Union
 
-from ..naming.persistence import DurableStore
 from ..runtime.interfaces import NodeId, Runtime
 from ..sim.process import Process
 from ..sim.transport import ReliableTransport, _Segment
@@ -40,6 +40,8 @@ FD_CHECK_PERIOD_US = 50_000
 BEACON_PERIOD_US = 400_000
 #: Stability-tick period of every ordered channel.
 STABILITY_PERIOD_US = 500_000
+#: Installed views remembered for :meth:`ProtocolStack.is_stale_view`.
+VIEW_HISTORY_LIMIT = 64
 
 
 @dataclass
@@ -63,15 +65,10 @@ class ProtocolStack(Process):
         node: NodeId,
         addressing: GroupAddressing,
         config: Optional[VsyncConfig] = None,
-        node_store: Optional[DurableStore] = None,
     ):
         super().__init__(env, node)
         self.addressing = addressing
         self.config = config or VsyncConfig()
-        #: Durable per-node vsync identity (incarnation, view-seq,
-        #: installed-view history).  In-memory unless the caller passes
-        #: a store.
-        self.node_store: DurableStore = node_store or DurableStore()
         self.transport = ReliableTransport(env, node, self._deliver_control)
         self.fd = FailureDetector(
             env, node, self._fd_multicast,
@@ -91,9 +88,15 @@ class ProtocolStack(Process):
         # handlers that declared it.
         self._handlers: List[Tuple[Kinds, Handler]] = []
         self._routes: Dict[type, Tuple[Handler, ...]] = {}
-        # A stack is only ever built over an empty store; a restart is
-        # ``on_recover`` on this same object, so the counter carries over.
+        # A restart is ``on_recover`` on this same object, so the node's
+        # identity carries over from one life to the next: the view-id
+        # counter, the installed-view history and (in the transport) the
+        # incarnation.
         self._view_seq = 0
+        #: ``(group, view id, incarnation)`` of the latest installed views.
+        self._view_history: Deque[Tuple[GroupId, ViewId, int]] = deque(
+            maxlen=VIEW_HISTORY_LIMIT
+        )
         self.set_periodic(
             self.config.heartbeat_period_us,
             self.fd.tick_heartbeat,
@@ -131,18 +134,17 @@ class ProtocolStack(Process):
     def next_view_seq(self) -> int:
         """Monotonic per-process counter for minting view identifiers.
 
-        Persisted before use, so a ViewId minted after a crash can never
-        collide with one from a previous incarnation — which is what
-        makes installed-view history a sound staleness judgement (see
-        :meth:`is_stale_view`).
+        The counter survives a crash with this object, so a ViewId
+        minted after a restart can never collide with one from a
+        previous incarnation — which is what makes installed-view
+        history a sound staleness judgement (see :meth:`is_stale_view`).
         """
         self._view_seq += 1
-        self.node_store.persist_view_seq(self._view_seq)
         return self._view_seq
 
     def note_view_installed(self, group: GroupId, view_id: ViewId) -> None:
-        """Record an installed view in the durable per-node history."""
-        self.node_store.record_view(group, view_id, self.transport.incarnation)
+        """Record an installed view in the bounded per-node history."""
+        self._view_history.append((group, view_id, self.transport.incarnation))
 
     def is_stale_view(self, group: GroupId, view_id: ViewId) -> bool:
         """True if this node installed ``view_id`` in a *previous* life.
@@ -154,7 +156,7 @@ class ProtocolStack(Process):
         view history).
         """
         current = self.transport.incarnation
-        for entry_group, entry_view, entry_incarnation in self.node_store.view_history():
+        for entry_group, entry_view, entry_incarnation in self._view_history:
             if (
                 entry_group == group
                 and entry_view == view_id
@@ -249,12 +251,9 @@ class ProtocolStack(Process):
         # re-join their groups, which the merge machinery treats like any
         # other concurrent-view bootstrap.
         self.transport.restart()
-        # Fold the durable incarnation in: the new life must be
-        # distinguishable even if the meta area was corrupted (the bump
-        # is monotonic against the surviving volatile counter).
-        self.transport.incarnation = self.node_store.bump_incarnation(
-            at_least=self.transport.incarnation
-        )
+        # Each life advances the incarnation by two (``restart``'s bump
+        # and this one), the numbering the pinned fuzz digests record.
+        self.transport.incarnation += 1
         self._trace_recovered()
 
     def _trace_recovered(self) -> None:

@@ -16,7 +16,6 @@ from ..core.baselines import NoLwgService, make_dynamic_service, make_static_ser
 from ..core.config import LwgConfig
 from ..core.service import LwgService
 from ..naming.client import NamingClient
-from ..naming.persistence import DurableStore
 from ..naming.server import NameServer
 from ..naming.sharding import ShardMap
 from ..runtime.interfaces import SECOND, NodeId, Runtime
@@ -77,12 +76,12 @@ class Cluster:
         self.shard_map = ShardMap(
             self.name_server_ids, replication_factor or num_name_servers
         )
-        # Per-node durable stores (crash-recovery state).
-        self.stores: Dict[NodeId, DurableStore] = {}
+        # Always empty: the end-to-end benchmark's counter reader still
+        # sums over it.
+        self.stores: Dict[NodeId, object] = {}
         self.name_servers: Dict[NodeId, NameServer] = {
             node: NameServer(
                 self.env, node, peers=self.name_server_ids,
-                store=self._make_store(node),
                 shard_map=self.shard_map,
             )
             for node in self.name_server_ids
@@ -94,10 +93,7 @@ class Cluster:
         self.clients: Dict[NodeId, NamingClient] = {}
         self.services: Dict[NodeId, Union[LwgService, NoLwgService]] = {}
         for node in self.process_ids:
-            stack = ProtocolStack(
-                self.env, node, self.addressing, self.vsync_config,
-                node_store=self._make_store(node),
-            )
+            stack = ProtocolStack(self.env, node, self.addressing, self.vsync_config)
             self.stacks[node] = stack
             if flavour == "none":
                 self.services[node] = NoLwgService(stack)
@@ -108,11 +104,6 @@ class Cluster:
                 self.services[node] = make_dynamic_service(stack, client, self.lwg_config)
             else:
                 self.services[node] = make_static_service(stack, client, self.lwg_config)
-
-    def _make_store(self, node: NodeId) -> DurableStore:
-        store = DurableStore()
-        self.stores[node] = store
-        return store
 
     # ------------------------------------------------------------------
     # Access helpers

@@ -11,7 +11,6 @@ import pytest
 
 from repro.checkers import CheckerSuite, InvariantViolation
 from repro.checkers.recovery import RecoveryConvergenceChecker
-from repro.naming.persistence import inject_corruption
 from repro.runtime.trace import TraceRecord
 from repro.workloads import Cluster
 
@@ -31,11 +30,16 @@ def converged_cluster():
 def test_skipped_incarnation_bump_trips_the_checker():
     """A server restarting without bumping is caught on its next life."""
     cluster, _ = converged_cluster()
-    store = cluster.stores["ns0"]
-    frozen = store.incarnation() + 1
-    store.bump_incarnation = lambda at_least=0: frozen  # the sabotage
+    server = cluster.name_servers["ns0"]
+    recover = server.on_recover
 
-    # First recovery reports ``frozen`` — above anything seen, so fine.
+    def forgetful_recover():
+        server.incarnation = 0  # the sabotage: every life is the first
+        recover()
+
+    server.on_recover = forgetful_recover
+
+    # First recovery reports 1 — above anything seen, so fine.
     cluster.crash("ns0")
     cluster.run_for_seconds(1)
     cluster.recover("ns0")
@@ -54,9 +58,14 @@ def test_skipped_incarnation_bump_trips_the_checker():
 def test_skipped_stack_incarnation_bump_trips_the_checker():
     """The same monotonicity contract binds process stacks."""
     cluster, _ = converged_cluster()
-    store = cluster.stores["p1"]
-    frozen = store.incarnation() + 1
-    store.bump_incarnation = lambda at_least=0: frozen
+    stack = cluster.stack("p1")
+    recover = stack.on_recover
+
+    def forgetful_recover():
+        stack.transport.incarnation = 0
+        recover()
+
+    stack.on_recover = forgetful_recover
 
     cluster.crash("p1")
     cluster.run_for_seconds(1)
@@ -71,42 +80,14 @@ def test_skipped_stack_incarnation_bump_trips_the_checker():
 
 
 # ----------------------------------------------------------------------
-# Sabotage: a recovery path that never reloads the corrupted store
+# Sabotage: a database whose derived structures drift from its records
 # ----------------------------------------------------------------------
-def test_unreloaded_corruption_trips_at_quiesce():
-    """Injected corruption nobody loads back tests nothing — and fails."""
+def test_stale_merkle_tree_trips_database_integrity():
     cluster, _ = converged_cluster()
     server = cluster.name_servers["ns0"]
-    rng = cluster.env.rng.stream("test:corrupt")
-    mode = "bit_flip"
-    detail = inject_corruption(server.store, mode, rng, db=server.db)
-    cluster.env.tracer.emit(
-        "recovery", "store_corrupted", node="ns0", mode=mode, detail=detail
-    )
-    # Sabotage: the restart path forgets to reload the durable areas.
-    server.on_recover = lambda: None
-    cluster.crash("ns0")
-    cluster.run_for_seconds(1)
-    cluster.recover("ns0")
-    cluster.run_for_seconds(5)
-    with pytest.raises(InvariantViolation, match="corruption reloaded"):
-        cluster.check_invariants()
-
-
-# ----------------------------------------------------------------------
-# Sabotage: persistence that silently drops journal writes
-# ----------------------------------------------------------------------
-def test_dropped_journal_writes_trip_durable_completeness():
-    """A store whose log stops recording diverges from the live replica."""
-    cluster, handles = converged_cluster()
-    store = cluster.stores["ns0"]
-    store._append = lambda entry: None  # journal goes deaf
-    # Fresh naming traffic after the sabotage: a leave rewrites the
-    # room's mapping, so the live database moves while the durable areas
-    # stand still.
-    handles[2].leave()
-    cluster.run_for_seconds(8)
-    with pytest.raises(InvariantViolation, match="durable completeness"):
+    key = next(iter(server.db.merkle.keys_under("")))
+    server.db.merkle.remove(key)  # the tree forgets a stored record
+    with pytest.raises(InvariantViolation, match="database integrity"):
         cluster.check_invariants()
 
 
@@ -135,30 +116,15 @@ def test_monitor_flags_stale_incarnation():
     assert suite.violations[0].invariant == "incarnation bump"
 
 
-def test_monitor_clears_pending_corruption_on_reload():
-    suite = CheckerSuite(raise_immediately=False)
-    checker = suite.add(RecoveryConvergenceChecker())
-    checker.on_record(_recovery_record(10, "store_corrupted", node="ns0", mode="bit_flip"))
-    assert checker._pending_corruption
-    checker.on_record(_recovery_record(20, "server_recovered", server="ns0", incarnation=1))
-    assert not checker._pending_corruption
-
-
 # ----------------------------------------------------------------------
 # No false positives: real recovery paths stay clean
 # ----------------------------------------------------------------------
-def test_healthy_corruption_recovery_reports_no_violations():
-    cluster, handles = converged_cluster()
-    server = cluster.name_servers["ns0"]
-    rng = cluster.env.rng.stream("test:corrupt")
-    detail = inject_corruption(server.store, "truncated_log", rng, db=server.db)
-    cluster.env.tracer.emit(
-        "recovery", "store_corrupted", node="ns0", mode="truncated_log",
-        detail=detail,
-    )
+def test_healthy_blank_reboot_reports_no_violations():
+    cluster, _ = converged_cluster()
     cluster.crash("ns0")
     cluster.run_for_seconds(1)
     cluster.recover("ns0")
+    assert len(cluster.name_servers["ns0"].db) == 0  # a blank reboot
     # Leave ample time for the Merkle descent to re-reconcile ns0.
     cluster.run_for_seconds(20)
     cluster.check_invariants()

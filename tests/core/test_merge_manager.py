@@ -327,6 +327,28 @@ def test_callback_about_superseded_view_ignored():
     assert all(r.deleted for r in service.naming.unset_records)
 
 
+def test_member_leaves_its_own_stale_view_on_the_live_hwg_alone():
+    # p1 minted view p1#1, then p0's view p0#2 (which p1 joined)
+    # superseded it.  A record citing p1#1 on the live branch's HWG may
+    # be the branch's only beacon: p1 is not the coordinator, so it
+    # cannot re-plant one and must not retire it; the off-HWG record of
+    # the same view is still disowned.
+    service = FakeService(node="p1")
+    handler = ReconciliationHandler(service)
+    current = view_of("lwg:a", "p0", 2, "p0", "p1")
+    make_local(service, "lwg:a", current, hwg="hwg:aaa")
+    stale = view_of("lwg:a", "p1", 1, "p1")
+    message = MultipleMappings(
+        lwg="lwg:a",
+        records=(record_for(stale, "hwg:aaa"), record_for(stale, "hwg:zzz", 2)),
+    )
+    handler.on_multiple_mappings(message)
+    assert service.registered == []
+    assert [(r.lwg_view, r.hwg) for r in service.naming.unset_records] == [
+        (stale.view_id, "hwg:zzz")
+    ]
+
+
 def test_winner_buries_unresponsive_loser_after_persistent_conflict():
     """A dead fork's record can outlive every authority that could
     retire it: its coordinator crashed for good, the winner never merged

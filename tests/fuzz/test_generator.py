@@ -4,7 +4,6 @@ import pytest
 
 from repro.fuzz import PROFILES, GeneratorConfig, ScheduleGenerator, Step
 from repro.fuzz.schedule import STEP_KINDS
-from repro.naming import CORRUPTION_MODES
 
 
 def test_unknown_profile_rejected():
@@ -68,10 +67,6 @@ def test_schedules_are_well_formed(profile):
             elif step.kind == "crash_recover":
                 assert step.node in processes | servers
                 assert step.down_us > 0
-            elif step.kind == "corrupt_state":
-                assert step.node in servers
-                assert step.mode in CORRUPTION_MODES
-                assert step.down_us > 0
 
 
 def test_singleton_blocks_do_occur():
@@ -90,20 +85,27 @@ def test_singleton_blocks_do_occur():
 
 def test_recovery_profile_exercises_new_kinds():
     generator = ScheduleGenerator(3, "recovery")
-    kinds = set()
-    modes = set()
+    restarted = set()
     for index in range(10):
         for step in generator.generate(index).steps:
-            kinds.add(step.kind)
-            if step.kind == "corrupt_state":
-                modes.add(step.mode)
-    assert "crash_recover" in kinds
-    assert "corrupt_state" in kinds
-    # The profile should reach every corruption mode within a few runs.
-    assert modes == set(CORRUPTION_MODES)
+            if step.kind == "crash_recover":
+                restarted.add(step.node)
+    # Processes and name servers alike restart within a few runs.
+    assert any(node.startswith("p") for node in restarted)
+    assert any(node.startswith("ns") for node in restarted)
 
 
 def test_labels_identify_campaign_and_iteration():
     schedule = ScheduleGenerator(7, "churn").generate(12)
     assert schedule.label == "fuzz-7-churn-0012"
     assert schedule.profile == "churn"
+
+
+def test_labels_name_a_non_default_naming_shape():
+    # Campaigns that differ only in their roster pin distinct labels.
+    def label(**shape):
+        return ScheduleGenerator(11, "recovery", GeneratorConfig(**shape)).generate(3).label
+
+    assert label() == "fuzz-11-recovery-0003"
+    assert label(num_name_servers=1) == "fuzz-11-recovery-ns1-0003"
+    assert label(num_name_servers=4, replication_factor=2) == "fuzz-11-recovery-ns4rf2-0003"

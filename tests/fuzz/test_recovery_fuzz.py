@@ -1,10 +1,9 @@
 """Recovery-profile fuzzing: determinism across replays and hash seeds.
 
-``crash_recover`` and ``corrupt_state`` steps pull randomness from
-schedule-seeded streams (corruption offsets, downtimes) and replay the
-entire durable snapshot+log machinery — any hidden dependence on object
-identity, dict order or ``PYTHONHASHSEED`` would surface here as a
-digest mismatch.
+``crash_recover`` steps pull their downtimes from schedule-seeded
+streams and restart name servers empty, so anti-entropy rebuilds their
+databases — any hidden dependence on object identity, dict order or
+``PYTHONHASHSEED`` would surface here as a digest mismatch.
 """
 
 import json
@@ -14,7 +13,7 @@ import sys
 
 import pytest
 
-from repro.fuzz import CLEAN, ScheduleGenerator, ScheduleRunner, Step, run_schedule
+from repro.fuzz import CLEAN, ScheduleGenerator, Step, run_schedule
 from tests.fuzz.test_runner import small_schedule
 
 MS = 1_000
@@ -22,7 +21,7 @@ MS = 1_000
 
 def test_recovery_replay_is_bit_for_bit_reproducible():
     schedule = ScheduleGenerator(11, "recovery").generate(0)
-    assert any(s.kind in ("crash_recover", "corrupt_state") for s in schedule.steps)
+    assert any(s.kind == "crash_recover" for s in schedule.steps)
     first = run_schedule(schedule)
     second = run_schedule(schedule)
     assert first.classification == second.classification
@@ -30,26 +29,10 @@ def test_recovery_replay_is_bit_for_bit_reproducible():
     assert first.sim_time_us == second.sim_time_us
 
 
-def test_corrupt_state_replays_identical_corruption():
-    """The injected corruption itself is part of the deterministic replay."""
-    schedule = small_schedule([
-        Step(kind="burst", node="p0", group="s0", count=2),
-        Step(kind="corrupt_state", node="ns0", mode="bit_flip",
-             down_us=500 * MS, delay_us=2_000 * MS),
-        Step(kind="settle", delay_us=4_000 * MS),
-    ])
-    first = ScheduleRunner(schedule).run()
-    second = ScheduleRunner(schedule).run()
-    assert first.digest == second.digest
-    assert first.classification == CLEAN, first.detail
-
-
 def test_recovery_steps_are_valid_noops_when_misaimed():
     """Shrinker safety: misaimed recovery steps no-op deterministically."""
     outcome = run_schedule(small_schedule([
-        Step(kind="crash_recover", node="p99"),              # unknown node
-        Step(kind="corrupt_state", node="p0", mode="bit_flip"),   # not a server
-        Step(kind="corrupt_state", node="ns0", mode="nonsense"),  # unknown mode
+        Step(kind="crash_recover", node="p99"),  # unknown node
         Step(kind="crash_recover", node="ns0", down_us=300 * MS),
         Step(kind="settle", delay_us=3_000 * MS),
     ]))

@@ -115,3 +115,16 @@ def test_retired_placement_key_rejected():
     data = json.loads(path.read_text(encoding="utf-8"))
     with pytest.raises(ValueError, match="'placement'"):
         Schedule.from_dict({**data, "placement": "optimizer"})
+
+
+def test_retired_corrupt_state_rejected():
+    # A schedule written for the retired store-corruption step must
+    # fail loudly, not replay as something else.
+    path = Path(__file__).parent / "corpus" / "recovery-0000.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    step = {**data["steps"][0], "kind": "corrupt_state"}
+    with pytest.raises(ValueError, match="'corrupt_state'"):
+        Schedule.from_dict({**data, "steps": [step]})
+    step = {**data["steps"][0], "mode": "bit_flip"}
+    with pytest.raises(ValueError, match="'mode'"):
+        Schedule.from_dict({**data, "steps": [step]})

@@ -1,14 +1,14 @@
 """Recovery edge cases: crashes landing in protocol-window blind spots.
 
-Each test aims a crash (or corruption) at a specific in-flight window —
-a merge round, a Merkle descent, a view installation, a batch
-flush/ack gap — and asserts the system heals back to full convergence
-with every invariant checker still armed.
+Each test aims a crash at a specific in-flight window — a merge round,
+a Merkle descent, a view installation, a batch flush/ack gap, a
+whole-roster naming outage — and asserts the system heals back to full
+convergence with every invariant checker still armed.
 """
 
 from repro.core import LwgListener
+from repro.core.service import MAPPING_AUDIT_PERIOD_US
 from repro.core.ids import lwg_id
-from repro.naming.persistence import inject_corruption
 from repro.sim import SECOND
 from repro.vsync.hwg import EndpointState
 from repro.vsync.messages import InstallView
@@ -71,14 +71,14 @@ def test_rejoin_during_inflight_merge_round():
 
 
 # ----------------------------------------------------------------------
-# 2. Corruption detected in the middle of a Merkle descent
+# 2. A blank reboot in the middle of a Merkle descent
 # ----------------------------------------------------------------------
-def test_corruption_mid_merkle_descent():
-    """Corrupting + crashing a server mid-descent still converges.
+def test_blank_reboot_mid_merkle_descent():
+    """Crashing a server mid-descent still converges.
 
     The in-flight descent session dies with the server (peers' stale
-    steps are answered by fresh self-describing sessions); the reload
-    quarantines the damage and the next gossip tick re-reconciles.
+    steps are answered by fresh self-describing sessions); the server
+    restarts empty and the next gossip tick re-reconciles it.
     """
     cluster = Cluster(num_processes=4, seed=33, num_name_servers=2)
     cluster.partition(["p0", "p1", "ns0"], ["p2", "p3", "ns1"])
@@ -94,19 +94,53 @@ def test_corruption_mid_merkle_descent():
     cluster.heal()
     # An active session on ns0 IS a descent in flight.
     assert cluster.run_until(lambda: bool(ns0._sessions), timeout_us=10 * SECOND)
-    rng = cluster.env.rng.stream("test:corrupt")
-    detail = inject_corruption(ns0.store, "bit_flip", rng, db=ns0.db)
-    cluster.env.tracer.emit(
-        "recovery", "store_corrupted", node="ns0", mode="bit_flip", detail=detail
-    )
     cluster.crash("ns0")
     assert not ns0._sessions  # in-flight descent died with the process
     cluster.run_for_seconds(1)
     cluster.recover("ns0")
+    assert len(ns0.db) == 0
     assert cluster.run_until(
         lambda: ns0.db.content_hash() == ns1.db.content_hash(),
         timeout_us=60 * SECOND,
     )
+    cluster.run_for_seconds(5)
+    cluster.check_invariants()
+
+
+# ----------------------------------------------------------------------
+# 2b. Whole-roster outage: the only name server restarts empty
+# ----------------------------------------------------------------------
+def test_sole_name_server_blank_reboot_relearns_every_mapping():
+    """With one name server, its restart loses every record at once.
+
+    No peer holds a copy, so anti-entropy has nothing to ship: the
+    coordinators' mapping audit alone re-registers each live mapping,
+    within one audit period plus one gossip period.
+    """
+    cluster = Cluster(num_processes=4, seed=39, num_name_servers=1)
+    members = {"ga": (0, 1), "gb": (1, 2, 3), "gc": (0, 3)}
+    groups = tuple(members)
+    handles = {
+        group: [cluster.service(i).join(group) for i in nodes]
+        for group, nodes in members.items()
+    }
+    assert cluster.run_until(
+        lambda: all(converged(h, len(h)) for h in handles.values()),
+        timeout_us=30 * SECOND,
+    )
+    ns0 = cluster.name_servers["ns0"]
+    before = {group: ns0.db.live_records(lwg_id(group)) for group in groups}
+    assert all(len(records) == 1 for records in before.values())
+
+    cluster.crash("ns0")
+    cluster.run_for_seconds(1)
+    cluster.recover("ns0")
+    assert len(ns0.db) == 0
+    cluster.run_for(MAPPING_AUDIT_PERIOD_US + 500_000)
+    for group in groups:
+        local = cluster.service(members[group][0]).table.local(lwg_id(group))
+        (record,) = ns0.db.live_records(lwg_id(group))
+        assert (record.lwg_view, record.hwg) == (local.view.view_id, local.hwg)
     cluster.run_for_seconds(5)
     cluster.check_invariants()
 

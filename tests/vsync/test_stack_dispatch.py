@@ -1,10 +1,11 @@
 """Tests for the protocol stack's message dispatch, handler registry and
-durable per-node identity."""
+the per-node identity it keeps across a crash."""
 
 from tests.helpers import RecordingListener, converged, make_group, run_until
 
 from repro.sim import SECOND
 from repro.vsync import GroupAddressing, ProtocolStack
+from repro.vsync.stack import VIEW_HISTORY_LIMIT
 from repro.vsync.messages import Ordered, VsyncMessage
 from repro.vsync.view import ViewId
 
@@ -176,9 +177,9 @@ def test_unclaimed_foreign_payload_is_dropped_silently(env):
     assert log == [] and probe.received == []
 
 
-def test_default_store_brands_previous_life_views_stale(env):
-    """A stack built without an explicit store still remembers, across a
-    crash, which views it installed in its previous life."""
+def test_restarted_stack_brands_previous_life_views_stale(env):
+    """A stack remembers, across a crash, which views it installed in its
+    previous life."""
     stacks, endpoints, _ = make_group(env, 3)
     assert run_until(env, lambda: converged(endpoints, 3))
     stack = stacks[2]
@@ -188,3 +189,43 @@ def test_default_store_brands_previous_life_views_stale(env):
     env.sim.run_until(env.sim.now + SECOND)
     env.failures.recover_now(stack.node)
     assert stack.is_stale_view("g", old_view) is True
+
+
+# -- identity across lives: incarnation, view-seq, installed-view history ----
+
+
+def _crash_recover(env, stack):
+    env.failures.crash_now(stack.node)
+    env.sim.run_until(env.sim.now + SECOND)
+    env.failures.recover_now(stack.node)
+
+
+def test_incarnation_bumps_monotonically(env):
+    stack = ProtocolStack(env, "p0", GroupAddressing())
+    seen = [stack.transport.incarnation]
+    for _ in range(3):
+        _crash_recover(env, stack)
+        seen.append(stack.transport.incarnation)
+    assert seen == sorted(set(seen))
+
+
+def test_view_seq_continues_across_a_restart(env):
+    stack = ProtocolStack(env, "p0", GroupAddressing())
+    before = [stack.next_view_seq() for _ in range(5)]
+    _crash_recover(env, stack)
+    # A ViewId minted in the new life never repeats one of the old.
+    assert stack.next_view_seq() == before[-1] + 1
+
+
+def test_view_history_is_bounded_and_ordered(env):
+    stack = ProtocolStack(env, "p0", GroupAddressing())
+    for seq in range(1, VIEW_HISTORY_LIMIT + 10):
+        stack.note_view_installed("g", ViewId("p0", seq))
+    _crash_recover(env, stack)
+    assert not stack.is_stale_view("g", ViewId("p0", 9))  # aged out
+    assert stack.is_stale_view("g", ViewId("p0", 10))
+    assert stack.is_stale_view("g", ViewId("p0", VIEW_HISTORY_LIMIT + 9))
+    # A view of another group, or one installed in this life, is current.
+    assert not stack.is_stale_view("h", ViewId("p0", 10))
+    stack.note_view_installed("g", ViewId("p0", 500))
+    assert not stack.is_stale_view("g", ViewId("p0", 500))
