@@ -1,20 +1,16 @@
 """Scalability: how many LWGs can one HWG carry, and how many nodes
 can one deployment carry?
 
-The repo's scalability story now has three independent axes:
+The repo's scalability story has two independent axes, both here:
 
-* **group axis** (this file) — LWGs multiplexed onto one HWG.  The
-  service's whole premise is that co-mapping is cheap, so each
-  additional group must cost ~nothing in join latency and background
-  traffic;
-* **node axis** (this file) — processes in one deployment, each in
-  one 8-member LWG.  A process's failure detector watches only its HWG
-  co-members, so quiet traffic per process must not grow with n;
-* **naming-roster axis** (``bench_shard_scaleout.py``) — name servers
-  added to a sharded deployment (PROTOCOLS.md §18).  Per-server naming
-  load must *fall* as the roster grows, not replicate.
+* **group axis** — LWGs multiplexed onto one HWG.  The service's whole
+  premise is that co-mapping is cheap, so each additional group must
+  cost ~nothing in join latency and background traffic;
+* **node axis** — processes in one deployment, each in one 8-member
+  LWG.  A process's failure detector watches only its HWG co-members,
+  so quiet traffic per process must not grow with n.
 
-A regression on one axis says nothing about the others — the shape
+A regression on one axis says nothing about the other — the shape
 checks below are labelled per axis so CI failures name the right
 one.  The group-axis bench sweeps the number of LWGs multiplexed onto
 a single 4-member HWG and measures what each additional group costs:

@@ -28,8 +28,7 @@ from repro.vsync.view import ViewId
 ITERS = 25
 ROWS = [
     ("mixed, seed 1", 1, "mixed", {}),
-    ("sharded (4 servers, rf=2), seed 5", 5, "mixed",
-     {"num_name_servers": 4, "replication_factor": 2}),
+    ("4 name servers, seed 5", 5, "mixed", {"num_name_servers": 4}),
     ("recovery, seed 11", 11, "recovery", {}),
 ]
 

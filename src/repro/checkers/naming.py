@@ -72,20 +72,11 @@ class NamingConvergenceChecker(Checker):
     partition), every reachable server must store the same live mapping
     per LWG, and no server may still see "inconsistent mappings" —
     concurrent views of one LWG on different HWGs (Section 5.2).
-
-    Under a sharded deployment (PROTOCOLS.md §18) whole-database
-    equality is the wrong invariant — servers deliberately hold
-    different shards — so the check becomes shard-by-shard: the alive
-    owners of each shard must agree byte-for-byte on that Merkle
-    subtree, and no server may hold records of shards it does not own.
     """
 
     name = "naming-convergence"
 
     def at_quiesce(self, cluster) -> None:
-        if not cluster.shard_map.fully_replicated:
-            self._check_sharded(cluster, cluster.shard_map)
-            return
         network = cluster.env.fabric
         servers = [
             server
@@ -136,77 +127,3 @@ class NamingConvergenceChecker(Checker):
                 "byte-identical replicas",
                 f"replica content hashes still diverge at quiesce: {hashes}",
             )
-
-    # ------------------------------------------------------------------
-    # Sharded deployments (PROTOCOLS.md §18)
-    # ------------------------------------------------------------------
-    def _check_sharded(self, cluster, shard_map) -> None:
-        from ..naming.sharding import shard_of_lwg
-
-        network = cluster.env.fabric
-        servers = {
-            node: server
-            for node, server in sorted(cluster.name_servers.items())
-            if network.is_alive(node)
-        }
-        if not servers:
-            return
-        # Containment: a server must never retain records of foreign
-        # shards (forwarded requests and scoped sessions filter them).
-        for node, server in servers.items():
-            owned = server.owned or frozenset()
-            foreign = sorted(
-                {
-                    shard_of_lwg(lwg)
-                    for lwg in server.db.lwgs()
-                    if shard_of_lwg(lwg) not in owned
-                }
-            )
-            if foreign:
-                self.fail(
-                    "shard containment",
-                    f"server {node} holds records of shards it does not "
-                    f"own: {foreign}",
-                )
-        # Per-shard agreement: the alive owners of every shard must hold
-        # byte-identical subtrees (records *and* tombstones) — the fixed
-        # point at which scoped anti-entropy short-circuits.
-        for shard in shard_map.shards:
-            alive_owners = [
-                servers[node] for node in shard_map.owners(shard) if node in servers
-            ]
-            if len(alive_owners) < 2:
-                continue
-            hashes = {
-                server.node: server.db.merkle.node_hash(shard)
-                for server in alive_owners
-            }
-            if len(set(hashes.values())) > 1:
-                snapshots = {
-                    server.node: {
-                        lwg: tuple(
-                            (str(r.lwg_view), r.hwg)
-                            for r in server.db.live_records(lwg)
-                        )
-                        for lwg in server.db.lwgs()
-                        if shard_of_lwg(lwg) == shard
-                    }
-                    for server in alive_owners
-                }
-                self.fail(
-                    "per-shard replica agreement",
-                    f"owners of shard {shard} diverge at quiesce: "
-                    f"{hashes}; live records: {snapshots}",
-                )
-        for server in servers.values():
-            conflicts = server.db.conflicts()
-            if conflicts:
-                detail = {
-                    lwg: [(str(r.lwg_view), r.hwg) for r in records]
-                    for lwg, records in conflicts.items()
-                }
-                self.fail(
-                    "mappings reconciled",
-                    f"server {server.node} still holds multiple mappings at "
-                    f"quiesce: {detail}",
-                )

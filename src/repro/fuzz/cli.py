@@ -49,15 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--name-servers", type=int, default=2, help="name servers per schedule"
     )
     parser.add_argument(
-        "--replication-factor",
-        type=int,
-        default=0,
-        help=(
-            "replicas per naming shard (PROTOCOLS.md §18); "
-            "0 = every server owns every shard"
-        ),
-    )
-    parser.add_argument(
         "--max-steps", type=int, default=16, help="max schedule length"
     )
     parser.add_argument(
@@ -239,7 +230,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     config = GeneratorConfig(
         num_processes=args.processes,
         num_name_servers=args.name_servers,
-        replication_factor=args.replication_factor,
         num_groups=args.groups,
         max_steps=args.max_steps,
     )

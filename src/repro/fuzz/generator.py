@@ -91,10 +91,6 @@ class GeneratorConfig:
 
     num_processes: int = 6
     num_name_servers: int = 2
-    #: 0 = fully replicated naming (every server owns every shard); >0
-    #: shards the namespace with this many replicas per shard
-    #: (PROTOCOLS.md §18).
-    replication_factor: int = 0
     num_groups: int = 3
     min_steps: int = 8
     max_steps: int = 16
@@ -137,7 +133,6 @@ class ScheduleGenerator:
             seed=fork.stream("cluster-seed").randrange(2**31),
             num_processes=config.num_processes,
             num_name_servers=config.num_name_servers,
-            replication_factor=config.replication_factor,
             groups=groups,
             initial_members=initial,
             steps=steps,
@@ -146,17 +141,13 @@ class ScheduleGenerator:
         )
 
     def _naming_tag(self) -> str:
-        """``-ns<servers>[rf<factor>]`` off the default naming shape, else "".
+        """``-ns<servers>`` off the default roster, else "".
 
         Campaigns that differ only in their name-server roster then pin
         their digests under distinct labels.
         """
-        config, default = self.config, GeneratorConfig()
-        shape = (config.num_name_servers, config.replication_factor)
-        if shape == (default.num_name_servers, default.replication_factor):
-            return ""
-        rf = f"rf{config.replication_factor}" if config.replication_factor else ""
-        return f"-ns{config.num_name_servers}{rf}"
+        servers = self.config.num_name_servers
+        return "" if servers == GeneratorConfig.num_name_servers else f"-ns{servers}"
 
     # ------------------------------------------------------------------
     def _initial_membership(

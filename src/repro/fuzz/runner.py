@@ -134,7 +134,6 @@ class ScheduleRunner:
             num_processes=schedule.num_processes,
             seed=schedule.seed,
             num_name_servers=schedule.num_name_servers,
-            replication_factor=schedule.replication_factor,
             lwg_config=_scaled_lwg_config(),
             keep_trace=False,
             env=env,

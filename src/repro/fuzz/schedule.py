@@ -143,10 +143,6 @@ class Schedule:
     seed: int
     num_processes: int = 6
     num_name_servers: int = 2
-    #: Shards-per-server replication (PROTOCOLS.md §18).  0 means "all
-    #: servers": a fully replicated map — the default, omitted from the
-    #: JSON form, so every pre-sharding corpus schedule replays unchanged.
-    replication_factor: int = 0
     groups: Tuple[str, ...] = ("s0", "s1", "s2")
     #: group -> nodes joined before the fault schedule starts.
     initial_members: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
@@ -183,7 +179,7 @@ class Schedule:
     # Canonical JSON form
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict:
-        out = {
+        return {
             "version": SCHEMA_VERSION,
             "label": self.label,
             "profile": self.profile,
@@ -199,11 +195,6 @@ class Schedule:
             "quiesce_timeout_us": self.quiesce_timeout_us,
             "steps": [step.to_dict() for step in self.steps],
         }
-        # Written only when sharding is on, so every pre-sharding corpus
-        # file stays byte-canonical.
-        if self.replication_factor:
-            out["replication_factor"] = self.replication_factor
-        return out
 
     def to_json(self) -> str:
         """Canonical serialized form (stable key order, 2-space indent)."""
@@ -219,7 +210,6 @@ class Schedule:
             seed=int(data["seed"]),
             num_processes=int(data.get("num_processes", 6)),
             num_name_servers=int(data.get("num_name_servers", 2)),
-            replication_factor=int(data.get("replication_factor", 0)),
             groups=tuple(data.get("groups", ())),
             initial_members={
                 group: tuple(members)
@@ -242,7 +232,6 @@ class Schedule:
             seed=self.seed,
             num_processes=self.num_processes,
             num_name_servers=self.num_name_servers,
-            replication_factor=self.replication_factor,
             groups=self.groups,
             initial_members=dict(self.initial_members),
             settle_us=self.settle_us,

@@ -22,14 +22,6 @@ from .reconciliation import (
     merkle_exchange,
 )
 from .server import NameServer
-from .sharding import (
-    ALL_SHARDS,
-    NUM_SHARDS,
-    SHARD_PREFIX_LEN,
-    ShardMap,
-    shard_of_key,
-    shard_of_lwg,
-)
 
 __all__ = [
     "ConflictNotifier",
@@ -50,10 +42,4 @@ __all__ = [
     "databases_identical",
     "merkle_exchange",
     "NameServer",
-    "ALL_SHARDS",
-    "NUM_SHARDS",
-    "SHARD_PREFIX_LEN",
-    "ShardMap",
-    "shard_of_key",
-    "shard_of_lwg",
 ]

@@ -12,15 +12,7 @@ out is retried against the next server in the list, forever — the
 deployment assumption (Section 5.2) is that every partition retains at
 least one reachable server.  All operations are idempotent (records are
 versioned, testset re-proposes the same record), so retries are safe.
-
-Routing follows a :class:`~repro.naming.sharding.ShardMap`: the client
-sends each request to the key's replica set — the fast path to one
-owner of the LWG's shard, a timeout rotating to the next owner — and
-only after every owner has been tried twice does it fall back to the
-full roster, where any non-owner forwards to an owner on its behalf
-(owner-miss retry, PROTOCOLS.md §18).  Under the default fully
-replicated map every server owns every shard, in roster order, so the
-client simply rotates the roster.
+Every server holds every record, so any server can answer any request.
 """
 
 from __future__ import annotations
@@ -31,7 +23,6 @@ from ..runtime.interfaces import NodeId
 from ..vsync.view import ViewId
 from .messages import MultipleMappings, NamingMessage, NsRequest, NsResponse
 from .records import LwgId, MappingRecord
-from .sharding import ShardMap
 
 ReplyCallback = Callable[[Tuple[MappingRecord, ...]], None]
 MultipleMappingsHandler = Callable[[MultipleMappings], None]
@@ -55,27 +46,18 @@ class _PendingCall:
         self.on_reply = on_reply
         self.attempts = 0
         self.timer = None
-        self.done = False
 
 
 class NamingClient:
     """Naming-service access for one application process."""
 
-    def __init__(
-        self,
-        stack,
-        servers: Sequence[NodeId],
-        shard_map: Optional[ShardMap] = None,
-    ):
+    def __init__(self, stack, servers: Sequence[NodeId]):
         if not servers:
             raise ValueError("naming client needs at least one server")
         self.stack = stack
         self.env = stack.env
         self.node: NodeId = stack.node
         self.servers: List[NodeId] = list(servers)
-        #: Replica-set routing (PROTOCOLS.md §18); fully replicated over
-        #: ``servers`` unless the caller passes a map.
-        self.shard_map: ShardMap = shard_map or ShardMap(servers, len(servers))
         self._request_counter = 0
         self._version_counter = 0
         self._pending: Dict[int, _PendingCall] = {}
@@ -147,7 +129,6 @@ class NamingClient:
         self._request_counter += 1
         request = NsRequest(
             request_id=self._request_counter,
-            client=self.node,
             op=op,
             lwg=lwg,
             record=record,
@@ -157,24 +138,8 @@ class NamingClient:
         self._pending[request.request_id] = call
         self._attempt(call)
 
-    def _target(self, call: _PendingCall) -> NodeId:
-        """The server for this attempt: owners first, then the roster.
-
-        Sharded routing tries the LWG's replica set round-robin (the
-        single-owner fast path, then owner-miss rotation).  After two
-        full cycles over the owners — all of them presumed unreachable,
-        e.g. across a partition — it widens to the whole roster, where
-        any reachable non-owner forwards to an owner for us.
-        """
-        owners = self.shard_map.owners_for_lwg(call.request.lwg)
-        if call.attempts < 2 * len(owners):
-            return owners[(self._server_offset + call.attempts) % len(owners)]
-        return self.servers[(self._server_offset + call.attempts) % len(self.servers)]
-
     def _attempt(self, call: _PendingCall) -> None:
-        if call.done:
-            return
-        server = self._target(call)
+        server = self.servers[(self._server_offset + call.attempts) % len(self.servers)]
         call.attempts += 1
         if call.attempts > 1:
             self.retries += 1
@@ -188,8 +153,7 @@ class NamingClient:
         # that reaches a client is consumed and ignored.
         if isinstance(msg, NsResponse):
             call = self._pending.pop(msg.request_id, None)
-            if call is not None and not call.done:
-                call.done = True
+            if call is not None:
                 if call.timer is not None:
                     call.timer.cancel()
                 if call.on_reply is not None:
@@ -202,7 +166,6 @@ class NamingClient:
     def cancel_all(self) -> None:
         """Drop every outstanding call (process shutdown)."""
         for call in self._pending.values():
-            call.done = True
             if call.timer is not None:
                 call.timer.cancel()
         self._pending.clear()

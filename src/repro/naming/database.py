@@ -256,32 +256,11 @@ class NamingDatabase:
         mutation path invalidates.
         """
         if self._content_hash is None:
-            self._content_hash = self._hash_over(("",))
+            hasher = hashlib.sha256(self.merkle.root_hash().encode("ascii"))
+            hasher.update(b"|")
+            hasher.update(self._genealogy_digest().encode("ascii"))
+            self._content_hash = hasher.hexdigest()
         return self._content_hash
-
-    def scope_hash(self, prefixes: Tuple[str, ...] = ("",)) -> str:
-        """Digest restricted to the Merkle subtrees under ``prefixes``.
-
-        Two replicas with equal scope hashes agree byte-for-byte on
-        every record under those prefixes *and* on their genealogy
-        knowledge — the per-shard analogue of :meth:`content_hash`,
-        used by sharded anti-entropy to short-circuit on the shards two
-        servers co-own.  ``("",)`` (the root scope) is exactly
-        :meth:`content_hash`, cache included, so the unsharded protocol
-        is bit-identical.  Callers pass sorted prefixes; both sides of
-        an exchange derive the same tuple from the shard map.
-        """
-        if prefixes == ("",):
-            return self.content_hash()
-        return self._hash_over(prefixes)
-
-    def _hash_over(self, prefixes: Tuple[str, ...]) -> str:
-        hasher = hashlib.sha256()
-        for prefix in prefixes:
-            hasher.update(self.merkle.node_hash(prefix).encode("ascii"))
-        hasher.update(b"|")
-        hasher.update(self._genealogy_digest().encode("ascii"))
-        return hasher.hexdigest()
 
     def _genealogy_digest(self) -> str:
         if self._genealogy_hash is None:
@@ -334,8 +313,8 @@ class NamingDatabase:
     def verify_integrity(self) -> List[str]:
         """Cross-check the derived structures against the record store.
 
-        Returns a sorted list of problem descriptions (empty means the
-        database is internally consistent).  Used by the recovery
+        Returns a list of problem descriptions (empty means the database
+        is internally consistent).  Used by the recovery
         checker to assert at quiesce that every live replica is not
         merely hash-equal but structurally sound: index, Merkle tree and
         digest caches all agree with the records, and the genealogy's
@@ -358,6 +337,8 @@ class NamingDatabase:
                     problems.append(f"index orphan {lwg} -> {key}")
                 elif key[0] != lwg:
                     problems.append(f"index bucket mismatch {lwg} -> {key}")
+        if problems:
+            return problems  # every check below reads through the index
         expected = {key: record.order_key() for key, record in self._records.items()}
         if self.merkle.leaf_digest("") != expected:
             problems.append("merkle leaves diverge from record store")

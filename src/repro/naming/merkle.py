@@ -12,12 +12,10 @@ bytes instead of O(n).
 Layout.  Every record key is placed in the bucket named by the first
 ``depth`` hex characters of a seed-independent SHA-256-derived digest
 of the key (Python's builtin ``hash`` is process-seeded and must never
-reach the wire).  The digest leads with the key's **shard** — a hash
-of the LWG name alone (:mod:`repro.naming.sharding`) — so a shard is
-one depth-2 subtree and scoped descents reuse this tree as-is.  Internal nodes are hex-prefix strings (``""`` is the root); a
-node's hash combines its non-empty children's hashes in fixed child
-order, a bucket's hash combines its ``(key, order_key)`` leaf entries
-in sorted key order.  The tree is **sparse**: empty subtrees hash to
+reach the wire).  Internal nodes are hex-prefix strings (``""`` is the
+root); a node's hash combines its non-empty children's hashes in fixed
+child order, a bucket's hash combines its ``(key, order_key)`` leaf
+entries in sorted key order.  The tree is **sparse**: empty subtrees hash to
 ``EMPTY_HASH`` and occupy no memory, so the structure costs O(records),
 not O(16^depth).
 
@@ -34,8 +32,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Iterator, List, Tuple
 
-from .records import RecordKey
-from .sharding import SHARD_PREFIX_LEN, shard_of_lwg
+from .records import LwgId, RecordKey
 
 #: Hash of an empty subtree.  The empty string is deliberate: it is
 #: falsy (``if h:`` skips empty children), cannot collide with a real
@@ -54,25 +51,28 @@ _HASH_HEX_CHARS = 16
 #: therefore the descent) stays 4 levels deep.
 DEFAULT_DEPTH = 4
 
+#: Hex characters of :func:`key_digest` taken from the LWG name alone.
+_LWG_PREFIX_LEN = 2
+
+
+def _lwg_prefix(lwg: LwgId) -> str:
+    # The digest's first characters hash the LWG name alone.  Nothing
+    # needs that grouping, but changing the key re-keys every record and
+    # moves every trace digest, so the layout stays.
+    return hashlib.sha256(lwg.encode("utf-8")).hexdigest()[:_LWG_PREFIX_LEN]
+
 
 def key_digest(key: RecordKey) -> str:
     """Seed-independent digest of a record key, as a hex string.
 
     Stable across processes, platforms and interpreter restarts: every
     replica must place every key in the same bucket or subtree
-    comparison is meaningless.
-
-    The first :data:`~repro.naming.sharding.SHARD_PREFIX_LEN` hex
-    characters are a hash of the **LWG name alone** — the record's
-    shard — so every view of one LWG lands in the same depth-2 subtree
-    and a shard is exactly one Merkle subtree (the per-shard descent of
-    PROTOCOLS.md §18 reuses this tree unchanged).  The remaining
-    characters hash the full key, spreading a group's records across
-    the buckets inside its shard.
+    comparison is meaningless.  Every view of one LWG shares the first
+    two characters (:func:`_lwg_prefix`); the rest hash the full key.
     """
     lwg, view = key
     raw = f"{lwg}\x00{view.coordinator}\x00{view.seq}".encode("utf-8")
-    return shard_of_lwg(lwg) + hashlib.sha256(raw).hexdigest()[SHARD_PREFIX_LEN:]
+    return _lwg_prefix(lwg) + hashlib.sha256(raw).hexdigest()[_LWG_PREFIX_LEN:]
 
 
 def _entry_hash(key: RecordKey, order_key: tuple) -> str:

@@ -27,21 +27,14 @@ class NsRequest(NamingMessage):
     ``op`` is one of ``set``, ``read``, ``testset``, ``unset``.  For
     ``set``/``testset`` the record to (conditionally) install rides in
     ``record`` with its LWG-view parents in ``parents``; ``read`` only
-    needs ``lwg``.
-
-    ``forwarded`` marks a request relayed by a non-owner server to one
-    of the LWG's shard owners (PROTOCOLS.md §18).  The owner answers
-    ``client`` directly; a forwarded request is served wherever it
-    lands (never re-forwarded), so relaying can not loop.
+    needs ``lwg``.  The server answers the sender.
     """
 
     request_id: int = 0
-    client: ProcessId = ""
     op: str = "read"
     lwg: LwgId = ""
     record: Optional[MappingRecord] = None
     parents: Tuple[ViewId, ...] = ()
-    forwarded: bool = False
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ trees until only the divergent leaves' records travel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..vsync.view import ViewId
 from .database import NamingDatabase
@@ -141,27 +141,10 @@ class MerkleSession:
     :meth:`handle` loop; only :meth:`opener` distinguishes the caller.
     The session mutates ``db`` (via :func:`absorb`) as records arrive,
     so subtree hashes converge while the descent is still in flight.
-
-    ``scope`` restricts the descent to a set of subtree prefixes — the
-    shards both servers own under a sharded deployment (PROTOCOLS.md
-    §18).  The default root scope ``("",)`` is the whole-database
-    descent, unchanged.  Both sides derive the same scope from the
-    shard map, so it never travels on the wire.  ``accept`` filters
-    incoming records before they are absorbed (a sharded server keeps
-    only records of shards it owns); genealogy is deliberately *not*
-    filtered — ancestry knowledge is global and must flood for GC to
-    agree everywhere.
     """
 
-    def __init__(
-        self,
-        db: NamingDatabase,
-        scope: Tuple[str, ...] = ("",),
-        accept: Optional[Callable[[MappingRecord], bool]] = None,
-    ):
+    def __init__(self, db: NamingDatabase):
         self.db = db
-        self.scope = scope
-        self.accept = accept
         #: Steps this side has processed (the server bounds this).
         self.rounds = 0
         #: Records shipped by this side over the whole session.
@@ -172,10 +155,10 @@ class MerkleSession:
         self._sent_children = False
 
     def opener(self) -> SyncDelta:
-        """Round 0: probe the scoped subtrees, offer genealogy exchange."""
+        """Round 0: probe the root's children, offer genealogy exchange."""
         self._sent_children = True
         return SyncDelta(
-            expansions={p: self.db.merkle.children(p) for p in self.scope},
+            expansions={"": self.db.merkle.children("")},
             genealogy_children=tuple(self.db.genealogy_edges()),
         )
 
@@ -183,11 +166,8 @@ class MerkleSession:
         """Consume one step; return the next step or None when done."""
         self.rounds += 1
         out = SyncDelta()
-        incoming_records = incoming.records
-        if self.accept is not None and incoming_records:
-            incoming_records = tuple(r for r in incoming_records if self.accept(r))
-        if incoming_records or incoming.genealogy:
-            self.last_absorb = absorb(self.db, incoming_records, incoming.genealogy)
+        if incoming.records or incoming.genealogy:
+            self.last_absorb = absorb(self.db, incoming.records, incoming.genealogy)
         else:
             self.last_absorb = ReconcileResult()
         if incoming.genealogy_children is not None:

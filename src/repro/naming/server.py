@@ -13,16 +13,7 @@ the naming database.  Replicas are kept loosely consistent by
   healed cut *is* the reconciliation).  Identical replicas still
   short-circuit after two messages on the root content hash.
 
-Placement follows a :class:`~repro.naming.sharding.ShardMap`
-(PROTOCOLS.md §18).  A fully replicated map — the default, and the
-paper-faithful configuration — puts every record on every server:
-pushes reach every peer and gossip descends the whole tree.  A map
-with a smaller replication factor makes the server hold **only the
-shards it owns**: pushes go to the record's shard co-owners, gossip
-runs only with servers sharing at least one shard and descends only
-their common subtrees (short-circuiting on the scoped hash), client
-requests for foreign shards are forwarded to an owner (which answers
-the client directly).
+Every server holds every record, as in the paper (Section 5.2).
 
 A server keeps nothing across a crash.  It restarts with an empty
 database and catches up through the same anti-entropy that reconciles
@@ -35,8 +26,7 @@ fires MULTIPLE-MAPPINGS callbacks at the affected LWG-view coordinators.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..runtime.interfaces import NodeId, Runtime
 from ..sim.process import Process
@@ -57,8 +47,6 @@ from .reconciliation import (
     SyncDelta,
     absorb,
 )
-from .records import MappingRecord
-from .sharding import ShardMap, shard_of_lwg
 
 
 class NameServer(Process):
@@ -71,28 +59,12 @@ class NameServer(Process):
         peers: Sequence[NodeId] = (),
         gossip_period_us: int = 500_000,
         renotify_period_us: int = 600_000,
-        shard_map: Optional[ShardMap] = None,
     ):
         super().__init__(env, node)
         self.peers: List[NodeId] = [p for p in peers if p != node]
-        #: Namespace partition (PROTOCOLS.md §18); fully replicated over
-        #: ``peers`` unless the caller passes a map.
-        self.shard_map: ShardMap = shard_map or ShardMap(
-            [node, *self.peers], len(self.peers) + 1
-        )
-        #: Shards this server replicates; None means "everything" (a map
-        #: whose replication factor covers the roster).
-        self.owned: Optional[FrozenSet[str]] = None
-        if not self.shard_map.fully_replicated:
-            self.owned = frozenset(self.shard_map.owned_shards(node))
         self._install_db(NamingDatabase())
         #: Lives since construction; bumped by every recovery.
         self.incarnation = 0
-        #: Anti-entropy partners: peers sharing at least one shard with
-        #: us (everyone, when fully replicated).
-        self._gossip_peers: List[NodeId] = [
-            p for p in self.peers if self.shard_map.scope(node, p)
-        ]
         self.notifier = ConflictNotifier(
             server_id=node,
             send=self._send_callback,
@@ -105,29 +77,12 @@ class NameServer(Process):
         #: one per peer: a new exchange supersedes an unfinished one.
         self._sessions: Dict[Tuple[NodeId, int], MerkleSession] = {}
         self.requests_served = 0
-        self.requests_forwarded = 0
-        self._forward_index = 0
         self.syncs_started = 0
         self.syncs_short_circuited = 0
         self.syncs_capped = 0
-        if self._gossip_peers:
+        if self.peers:
             self.set_periodic(gossip_period_us, self.gossip_tick, jitter_stream=f"ns:{node}")
         self.set_periodic(renotify_period_us, self._notifier_tick)
-
-    # ------------------------------------------------------------------
-    # Shard scope helpers
-    # ------------------------------------------------------------------
-    def _scope(self, peer: NodeId) -> Tuple[str, ...]:
-        """The Merkle prefixes ``peer`` and we reconcile over."""
-        return self.shard_map.scope(self.node, peer)
-
-    def _accepts(self, record: MappingRecord) -> bool:
-        """True if this server stores records of the record's shard."""
-        return self.owned is None or shard_of_lwg(record.lwg) in self.owned
-
-    def _session_for(self, peer: NodeId) -> MerkleSession:
-        accept = None if self.owned is None else self._accepts
-        return MerkleSession(self.db, scope=self._scope(peer), accept=accept)
 
     # ------------------------------------------------------------------
     # Inbound
@@ -146,16 +101,6 @@ class NameServer(Process):
     # Client RPC
     # ------------------------------------------------------------------
     def _serve(self, src: NodeId, msg: NsRequest) -> None:
-        if (
-            self.owned is not None
-            and shard_of_lwg(msg.lwg) not in self.owned
-            and not msg.forwarded
-        ):
-            # Not ours: relay to one of the shard's owners, which will
-            # answer the client directly.  Already-forwarded requests
-            # are served wherever they land so relaying cannot loop.
-            self._forward(msg)
-            return
         self.requests_served += 1
         if msg.op == "set":
             assert msg.record is not None
@@ -176,48 +121,23 @@ class NameServer(Process):
             raise ValueError(f"unknown naming op {msg.op!r}")
         records = tuple(self.db.live_records(msg.lwg))
         response = NsResponse(request_id=msg.request_id, server=self.node, records=records)
-        # Reply straight to the requesting client — identical to ``src``
-        # for direct requests, and the right recipient for forwarded ones.
-        self.send(msg.client, response, response.size_bytes())
+        self.send(src, response, response.size_bytes())
         self.notifier.check(self.db)
-
-    def _forward(self, msg: NsRequest) -> None:
-        owners = self.shard_map.owners_for_lwg(msg.lwg)
-        target = owners[self._forward_index % len(owners)]
-        self._forward_index += 1
-        self.requests_forwarded += 1
-        forwarded = replace(msg, forwarded=True)
-        self.env.tracer.emit(
-            "naming",
-            "request_forwarded",
-            server=self.node,
-            owner=target,
-            lwg=msg.lwg,
-            op=msg.op,
-        )
-        self.send(target, forwarded, forwarded.size_bytes())
 
     def _push_write(self, msg: NsRequest) -> None:
         assert msg.record is not None
-        targets = {
-            owner
-            for owner in self.shard_map.owners_for_lwg(msg.record.lwg)
-            if owner != self.node
-        }
-        if not targets:
+        if not self.peers:
             return
         parents = {msg.record.lwg_view: tuple(msg.parents)} if msg.parents else {}
         push = PushUpdate(sender=self.node, records=(msg.record,), genealogy=parents)
-        self.multicast(targets, push, push.size_bytes())
+        self.multicast(self.peers, push, push.size_bytes())
 
     # ------------------------------------------------------------------
     # Anti-entropy
     # ------------------------------------------------------------------
     def gossip_tick(self) -> None:
         """Open a Merkle descent with the next gossip peer (round-robin)."""
-        if not self._gossip_peers:
-            return
-        peer = self._gossip_peers[self._gossip_index % len(self._gossip_peers)]
+        peer = self.peers[self._gossip_index % len(self.peers)]
         self._gossip_index += 1
         # A fresh exchange supersedes any unfinished session with this
         # peer (e.g. one cut short by a partition or the round cap).
@@ -225,29 +145,28 @@ class NameServer(Process):
             del self._sessions[key]
         self._sync_counter += 1
         self.syncs_started += 1
-        session = self._session_for(peer)
+        session = MerkleSession(self.db)
         delta = session.opener()
         self._sessions[(peer, self._sync_counter)] = session
         request = SyncRequest(
             sender=self.node,
             sync_id=self._sync_counter,
-            db_hash=self.db.scope_hash(self._scope(peer)),
+            db_hash=self.db.content_hash(),
             expansions=delta.expansions,
             genealogy_children=delta.genealogy_children,
         )
         self.send(peer, request, request.size_bytes())
 
     def _on_sync_request(self, src: NodeId, msg: SyncRequest) -> None:
-        if msg.db_hash and msg.db_hash == self.db.scope_hash(self._scope(src)):
-            # Identical databases over the shared scope: nothing to
-            # ship in either direction.
+        if msg.db_hash and msg.db_hash == self.db.content_hash():
+            # Identical databases: nothing to ship in either direction.
             self.syncs_short_circuited += 1
             ack = SyncReply(sender=self.node, sync_id=msg.sync_id, in_sync=True)
             self.send(src, ack, ack.size_bytes())
             return
         for key in [k for k in self._sessions if k[0] == src and k[1] != msg.sync_id]:
             del self._sessions[key]
-        session = self._session_for(src)
+        session = MerkleSession(self.db)
         self._sessions[(src, msg.sync_id)] = session
         out = session.handle(
             SyncDelta(
@@ -256,12 +175,10 @@ class NameServer(Process):
             )
         )
         self._note_absorb(session.last_absorb)
-        if out is None:
-            # Hashes differed but the opener alone resolved it (cannot
-            # happen today — the opener always invites a genealogy
-            # reply — but kept as a safe exit).
-            del self._sessions[(src, msg.sync_id)]
-            return
+        # The hashes differ, so the trees or the genealogy child sets do
+        # (a view's parents are fixed by its id): the opener always
+        # draws a reply.
+        assert out is not None
         self._send_step(src, msg.sync_id, 1, out)
 
     def _on_sync_step(self, src: NodeId, msg: SyncReply) -> None:
@@ -276,7 +193,7 @@ class NameServer(Process):
             # Step for a session we no longer track (superseded, or we
             # crashed mid-descent).  Every step is self-describing, so a
             # fresh session answers it correctly.
-            session = self._session_for(src)
+            session = MerkleSession(self.db)
             self._sessions[(src, msg.sync_id)] = session
         out = session.handle(
             SyncDelta(
@@ -338,10 +255,6 @@ class NameServer(Process):
         db.on_gc = self._trace_gc
 
     def _absorb_remote(self, records, genealogy) -> None:
-        if self.owned is not None:
-            # Drop pushes for shards we do not own (a stale or foreign
-            # sender); the genealogy still merges — it is global.
-            records = tuple(r for r in records if self._accepts(r))
         self._note_absorb(absorb(self.db, records, genealogy))
 
     def _note_absorb(self, result: ReconcileResult) -> None:

@@ -17,7 +17,6 @@ from ..core.config import LwgConfig
 from ..core.service import LwgService
 from ..naming.client import NamingClient
 from ..naming.server import NameServer
-from ..naming.sharding import ShardMap
 from ..runtime.interfaces import SECOND, NodeId, Runtime
 from ..sim.network import LinkModel
 from ..sim.process import SimRuntime
@@ -51,7 +50,6 @@ class Cluster:
         process_prefix: str = "p",
         checkers: bool = True,
         env: Optional[Runtime] = None,
-        replication_factor: Optional[int] = None,
     ):
         if flavour not in ("dynamic", "static", "none"):
             raise ValueError(f"unknown service flavour {flavour!r}")
@@ -68,22 +66,13 @@ class Cluster:
         self.addressing = GroupAddressing()
         self.lwg_config = lwg_config or LwgConfig()
         self.vsync_config = vsync_config or VsyncConfig()
+        # Every name server replicates every record (Section 5.2).
         self.name_server_ids = [f"ns{i}" for i in range(num_name_servers)]
-        # Replica-set scope (PROTOCOLS.md §18): each LWG-name shard lives
-        # on ``replication_factor`` of the name servers, chosen by
-        # rendezvous hashing.  ``None`` (or any rf covering the roster)
-        # replicates every shard on every server, in roster order.
-        self.shard_map = ShardMap(
-            self.name_server_ids, replication_factor or num_name_servers
-        )
         # Always empty: the end-to-end benchmark's counter reader still
         # sums over it.
         self.stores: Dict[NodeId, object] = {}
         self.name_servers: Dict[NodeId, NameServer] = {
-            node: NameServer(
-                self.env, node, peers=self.name_server_ids,
-                shard_map=self.shard_map,
-            )
+            node: NameServer(self.env, node, peers=self.name_server_ids)
             for node in self.name_server_ids
         }
         self.process_ids: List[NodeId] = [
@@ -98,7 +87,7 @@ class Cluster:
             if flavour == "none":
                 self.services[node] = NoLwgService(stack)
                 continue
-            client = NamingClient(stack, self.name_server_ids, shard_map=self.shard_map)
+            client = NamingClient(stack, self.name_server_ids)
             self.clients[node] = client
             if flavour == "dynamic":
                 self.services[node] = make_dynamic_service(stack, client, self.lwg_config)

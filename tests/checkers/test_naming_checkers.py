@@ -1,6 +1,8 @@
 """Unit tests for the naming-service checkers: genealogy-ordered GC and
 replica convergence at quiesce (on fake clusters with real databases)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.checkers import (
@@ -11,7 +13,6 @@ from repro.checkers import (
 )
 from repro.naming.database import NamingDatabase
 from repro.naming.records import MappingRecord
-from repro.naming.sharding import ShardMap
 from repro.runtime.trace import Tracer
 from repro.vsync.view import ViewId
 
@@ -104,7 +105,6 @@ class FakeCluster:
         self.env = FakeEnv(down)
         self.services = {}
         self.name_servers = {server.node: server for server in servers}
-        self.shard_map = ShardMap(list(self.name_servers), len(servers))
 
 
 def record_of(coord, seq, hwg, version=1, lwg="lwg:a"):
@@ -152,3 +152,21 @@ def test_dead_servers_are_exempt():
     ns0.db.apply(record_of("p0", 1, "hwg:x"))
     ns1.db.apply(record_of("p9", 4, "hwg:y", lwg="lwg:b"))  # ns1 is down
     quiesce(FakeCluster([ns0, ns1], down={"ns1"}))
+
+
+def test_no_live_server_leaves_nothing_to_compare():
+    ns0 = FakeServer("ns0")
+    ns0.db.apply(record_of("p0", 1, "hwg:x"))
+    ns0.db.apply(record_of("p5", 1, "hwg:y"))  # a conflict, but ns0 is down
+    quiesce(FakeCluster([ns0], down={"ns0"}))
+
+
+def test_equal_live_records_with_diverging_tombstones_fail():
+    ns0, ns1 = FakeServer("ns0"), FakeServer("ns1")
+    for server in (ns0, ns1):
+        server.db.apply(record_of("p0", 1, "hwg:x"))
+    # Only ns1 holds the tombstone of a destroyed LWG: the live tables
+    # agree, the stores do not.
+    ns1.db.apply(replace(record_of("p9", 4, "hwg:y", lwg="lwg:b"), deleted=True))
+    with pytest.raises(InvariantViolation, match="byte-identical replicas"):
+        quiesce(FakeCluster([ns0, ns1]))

@@ -174,6 +174,11 @@ def test_switch_driver_aborts_on_timeout():
               if len(entry) == 2 and isinstance(entry[1], SwitchAbort)]
     assert len(aborts) == 1
     assert aborts[0].epoch == 7
+    # A member's ready report that arrives after the abort changes nothing.
+    from repro.core.messages import SwitchReady
+
+    driver.on_ready(SwitchReady(lwg="lwg:g", to_hwg="hwg:fresh", member="p1", epoch=7))
+    assert driver.ready == set()
 
 
 def test_coordinator_forced_out_mid_switch_aborts_it_for_the_members(manual_cluster):

@@ -108,4 +108,4 @@ def test_labels_name_a_non_default_naming_shape():
 
     assert label() == "fuzz-11-recovery-0003"
     assert label(num_name_servers=1) == "fuzz-11-recovery-ns1-0003"
-    assert label(num_name_servers=4, replication_factor=2) == "fuzz-11-recovery-ns4rf2-0003"
+    assert label(num_name_servers=4) == "fuzz-11-recovery-ns4-0003"

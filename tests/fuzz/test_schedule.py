@@ -117,6 +117,16 @@ def test_retired_placement_key_rejected():
         Schedule.from_dict({**data, "placement": "optimizer"})
 
 
+def test_retired_replication_factor_rejected():
+    # Every name server holds every record; a schedule written for a
+    # sharded roster must fail loudly rather than replay fully replicated.
+    path = Path(__file__).parent / "corpus" / "mixed-0003.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    Schedule.from_dict(data)
+    with pytest.raises(ValueError, match="'replication_factor'"):
+        Schedule.from_dict({**data, "replication_factor": 2})
+
+
 def test_retired_corrupt_state_rejected():
     # A schedule written for the retired store-corruption step must
     # fail loudly, not replay as something else.

@@ -1,9 +1,12 @@
 """End-to-end tests of naming client and servers over the sim network."""
 
+import pytest
+
 from tests.helpers import run_until
 
 from repro.naming import MappingRecord, NameServer, NamingClient, databases_consistent
-from repro.naming.messages import NsResponse
+from repro.naming.messages import NsRequest, NsResponse, SyncReply
+from repro.naming.reconciliation import DEFAULT_MAX_SYNC_ROUNDS
 from repro.sim import MS, SECOND
 from repro.vsync import GroupAddressing, ProtocolStack
 from repro.vsync.view import ViewId
@@ -230,3 +233,69 @@ def test_three_servers_converge(env):
         and len(servers["ns0"].db) == 5,
         timeout_s=5,
     )
+
+
+def test_client_fails_over_when_replica_dies_mid_request(env):
+    servers, stacks, clients = setup(env, num_servers=4)
+    client = clients["p0"]
+    first = client.servers[client._server_offset]
+    replies = []
+    client.set(
+        rec(client, "lwg:a", ViewId("p0", 1), "hwg:1"),
+        on_reply=lambda records: replies.append(records),
+    )
+    # The request is in flight; its target dies before answering.
+    env.failures.crash_now(first)
+    assert run_until(env, lambda: bool(replies), timeout_s=5)
+    assert client.retries >= 1
+    # The next server served the write and pushed it to every live peer.
+    survivors = [s for node, s in servers.items() if node != first]
+    assert run_until(
+        env, lambda: all(s.db.live_records("lwg:a") for s in survivors), timeout_s=5
+    )
+
+
+def test_client_needs_a_server(env):
+    with pytest.raises(ValueError, match="at least one server"):
+        NamingClient(SilentStack(env), [])
+
+
+def test_unknown_op_is_rejected(env):
+    server = NameServer(env, "ns0")
+    with pytest.raises(ValueError, match="unknown naming op 'bogus'"):
+        server.on_message("p0", NsRequest(op="bogus", lwg="lwg:a"), 128)
+
+
+def recording_server(env):
+    """ns0 with peer ns1 and one record; ``sent`` logs its sends."""
+    server = NameServer(env, "ns0", peers=["ns0", "ns1"])
+    server.db.apply(MappingRecord(
+        lwg="lwg:a", lwg_view=ViewId("p0", 1), lwg_members=("p0",), hwg="hwg:1",
+        hwg_view=ViewId("h", 1), version=1, writer="p0",
+    ))
+    sent = []
+    server.send = lambda dst, msg, size: sent.append((dst, msg))
+    return server, sent
+
+
+def test_step_past_the_round_cap_for_an_unknown_session_is_refused(env):
+    server, sent = recording_server(env)
+    step = SyncReply(sender="ns1", sync_id=9, round_no=DEFAULT_MAX_SYNC_ROUNDS + 1,
+                     expansions={"": {}})
+    server.on_message("ns1", step, step.size_bytes())
+    assert sent == [] and server._sessions == {}
+
+
+def test_descent_reaching_the_round_cap_is_dropped_unanswered(env):
+    server, sent = recording_server(env)
+    # The peer claims an empty tree: the answer would ship our record,
+    # but this step is the last one the cap allows.
+    step = SyncReply(sender="ns1", sync_id=9, round_no=DEFAULT_MAX_SYNC_ROUNDS,
+                     expansions={"": {}})
+    server.on_message("ns1", step, step.size_bytes())
+    assert sent == [] and server._sessions == {}
+    assert server.syncs_capped == 1
+    # One step earlier the same delta is answered with the record.
+    server.on_message("ns1", SyncReply(sender="ns1", sync_id=10, round_no=1,
+                                       expansions={"": {}}), 96)
+    assert [msg.records[0].lwg for _, msg in sent] == ["lwg:a"]

@@ -1,5 +1,7 @@
 """Tests for the naming database: LWW, genealogy GC, conflicts."""
 
+import pytest
+
 from tests.helpers import CountingParents
 
 from repro.naming import MappingRecord, NamingDatabase
@@ -294,3 +296,44 @@ def test_push_update_closing_a_genealogy_cycle_is_absorbed():
     assert [r.lwg_view for r in db.live_records("lwg:b")] == [v4]
     assert db.verify_integrity() == []
     assert cluster.checkers.violations == []
+
+
+def integrity_bed():
+    """Two LWGs, one holding two live views on different HWGs, and two
+    genealogy edges; every digest cache filled."""
+    db = NamingDatabase()
+    db.apply(rec("lwg:a", ViewId("p0", 2), "hwg:1"), parents=(ViewId("p0", 1),))
+    db.apply(rec("lwg:a", ViewId("p5", 1), "hwg:2"))
+    db.apply(rec("lwg:b", ViewId("p1", 3), "hwg:1"), parents=(ViewId("p1", 2),))
+    db.content_hash()
+    assert db.verify_integrity() == []
+    return db
+
+
+A2, B3 = ("lwg:a", ViewId("p0", 2)), ("lwg:b", ViewId("p1", 3))
+
+
+@pytest.mark.parametrize(
+    "damage, problems",
+    [
+        (lambda db: db._records.__setitem__(A2, db._records[B3]),
+         ["record stored under wrong key"]),
+        (lambda db: db._by_lwg["lwg:b"].discard(B3), ["per-lwg index missing key"]),
+        (lambda db: db._by_lwg.__setitem__("lwg:z", set()), ["empty index bucket for lwg:z"]),
+        (lambda db: db._by_lwg["lwg:b"].add(("lwg:b", ViewId("p9", 9))), ["index orphan"]),
+        (lambda db: db._by_lwg["lwg:b"].add(A2), ["index bucket mismatch"]),
+        (lambda db: db._contested.clear(),
+         ["conflict candidates diverge", "conflicts() diverges from brute-force scan"]),
+        (lambda db: db._edge_children.reverse(), ["cached edge order is not the sorted"]),
+        (lambda db: db._edge_digest.__setitem__(ViewId("p0", 2), b"stale"),
+         ["cached digest bytes stale", "genealogy digest diverges from its chained"]),
+        (lambda db: setattr(db, "_genealogy_hash", "0" * 64), ["cached genealogy digest is stale"]),
+        (lambda db: setattr(db, "_content_hash", "0" * 64), ["cached content hash is stale"]),
+    ],
+)
+def test_verify_integrity_names_each_kind_of_damage(damage, problems):
+    db = integrity_bed()
+    damage(db)
+    found = db.verify_integrity()
+    for problem in problems:
+        assert any(problem in line for line in found), (problem, found)

@@ -36,8 +36,8 @@ def test_empty_tree_hashes_to_empty():
 def test_key_digest_is_seed_independent():
     # A fixed pin: if this ever changes, replicas of different builds
     # would place keys in different buckets and never converge.  The
-    # first two characters are the LWG's shard (sha256 of the bare
-    # name), so every view of one LWG shares a depth-2 subtree.
+    # first two characters hash the bare LWG name, so every view of one
+    # LWG shares a depth-2 subtree.
     assert key_digest(("lwg:a", ViewId("p0", 1))).startswith("4c79921b")
     assert key_digest(("lwg:a", ViewId("p0", 1))) == key_digest(
         ("lwg:a", ViewId("p0", 1))
@@ -45,7 +45,7 @@ def test_key_digest_is_seed_independent():
     assert key_digest(("lwg:a", ViewId("p0", 1))) != key_digest(
         ("lwg:a", ViewId("p0", 2))
     )
-    # ...but different views of one LWG stay in the same shard prefix.
+    # ...but different views of one LWG keep the same two-character prefix.
     assert key_digest(("lwg:a", ViewId("p0", 2))).startswith("4c")
 
 

@@ -29,4 +29,4 @@ def test_paper_shape_suite_collects():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     collected = [line for line in result.stdout.splitlines() if "::" in line]
-    assert len(collected) >= 32, result.stdout
+    assert len(collected) >= 31, result.stdout

@@ -60,7 +60,6 @@ def test_cluster_parameters():
         "process_prefix",
         "checkers",
         "env",
-        "replication_factor",
     ]
 
 
